@@ -14,6 +14,9 @@ BENCH_OBS = ./internal/obs/journal
 # The plan-service benchmarks gate separately (BENCH_plan.json): the
 # cached-hit path must stay allocation-free and >=10x faster than the
 # no-cache reference that pays a full Theorem 4.1 search per request.
+# Their ns/op gate is looser (50%): the reference search is only tens of
+# microseconds, GC-bound, and its ratio to the hit path swings +-20%
+# between runs on a shared 2-vCPU machine. The alloc gate stays strict.
 BENCH_PLAN = ./internal/plan/service
 
 # The write-ahead-log benchmarks gate separately (BENCH_wal.json):
@@ -60,7 +63,7 @@ bench-obs:
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 6 -benchtime 0.5s $(BENCH_HOT) | $(GO) run ./cmd/benchjson parse -out BENCH_flow.json
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_OBS) | $(GO) run ./cmd/benchjson parse -out BENCH_obs.json
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_PLAN) | $(GO) run ./cmd/benchjson parse -out BENCH_plan.json
+	$(GO) test -run '^$$' -bench . -benchmem -count 6 -benchtime 0.5s $(BENCH_PLAN) | $(GO) run ./cmd/benchjson parse -out BENCH_plan.json
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_WAL) | $(GO) run ./cmd/benchjson parse -out BENCH_wal.json
 
 # bench-check re-runs the same benchmarks and gates against the committed
@@ -77,8 +80,8 @@ bench-check:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_OBS) | $(GO) run ./cmd/benchjson parse -out .bench_obs.json
 	$(GO) run ./cmd/benchjson compare -baseline BENCH_obs.json -current .bench_obs.json -threshold 10 -min-speedup 0
 	@rm -f .bench_obs.json
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_PLAN) | $(GO) run ./cmd/benchjson parse -out .bench_plan.json
-	$(GO) run ./cmd/benchjson compare -baseline BENCH_plan.json -current .bench_plan.json -threshold 10 -min-speedup 10
+	$(GO) test -run '^$$' -bench . -benchmem -count 6 -benchtime 0.5s $(BENCH_PLAN) | $(GO) run ./cmd/benchjson parse -out .bench_plan.json
+	$(GO) run ./cmd/benchjson compare -baseline BENCH_plan.json -current .bench_plan.json -threshold 50 -min-speedup 10
 	@rm -f .bench_plan.json
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_WAL) | $(GO) run ./cmd/benchjson parse -out .bench_wal.json
 	$(GO) run ./cmd/benchjson compare -baseline BENCH_wal.json -current .bench_wal.json -threshold 50 -min-speedup 0

@@ -8,7 +8,7 @@
 //
 //	cynthia -workload "cifar10 DNN" -deadline 5400 -loss 0.8 \
 //	        [-predictor cynthia|optimus|paleo] [-provisioner cynthia|optimus-mg] \
-//	        [-parallel N] [-plan-timeout 5s] [-validate]
+//	        [-plan-timeout 5s] [-validate]
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 		baseName     = flag.String("baseline", cloud.M4XLarge, "profiling baseline instance type")
 		predictor    = flag.String("predictor", "cynthia", "performance model: cynthia, optimus, or paleo")
 		provisioner  = flag.String("provisioner", "cynthia", "planning strategy: cynthia (Algorithm 1) or optimus-mg (marginal gain)")
-		parallel     = flag.Int("parallel", 0, "instance types scanned concurrently (0 = GOMAXPROCS, 1 = serial)")
 		planTimeout  = flag.Duration("plan-timeout", 0, "abort the candidate search after this long (0 = no limit)")
 		validate     = flag.Bool("validate", false, "simulate the plan and report the actual training time")
 		list         = flag.Bool("list", false, "list available workloads and instance types")
@@ -64,7 +63,7 @@ func main() {
 		return
 	}
 	if err := run(*workloadName, *workloadFile, *deadline, *lossTarget, *baseName, *predictor,
-		*provisioner, *parallel, *planTimeout, *validate, *list); err != nil {
+		*provisioner, *planTimeout, *validate, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "cynthia:", err)
 		os.Exit(1)
 	}
@@ -198,7 +197,7 @@ func loadWorkload(name, file string) (*model.Workload, error) {
 }
 
 func run(workloadName, workloadFile string, deadline, lossTarget float64, baseName, predictorName,
-	provisionerName string, parallel int, planTimeout time.Duration, validate, list bool) error {
+	provisionerName string, planTimeout time.Duration, validate, list bool) error {
 	catalog := cloud.DefaultCatalog()
 	if list {
 		fmt.Println("workloads:")
@@ -250,7 +249,7 @@ func run(workloadName, workloadFile string, deadline, lossTarget float64, baseNa
 	provName := "Algorithm 1"
 	switch provisionerName {
 	case "cynthia":
-		prov = &plan.Engine{Parallelism: parallel}
+		prov = plan.DefaultEngine
 	case "optimus-mg":
 		prov = baseline.MarginalGain{}
 		provName = baseline.MarginalGain{}.Name()

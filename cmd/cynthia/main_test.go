@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunList(t *testing.T) {
-	if err := run("", "", 0, 0, "", "", "cynthia", 0, 0, false, true); err != nil {
+	if err := run("", "", 0, 0, "", "", "cynthia", 0, false, true); err != nil {
 		t.Fatalf("list mode failed: %v", err)
 	}
 }
@@ -18,19 +18,19 @@ func TestRunErrors(t *testing.T) {
 		fn   func() error
 	}{
 		{"unknown workload", func() error {
-			return run("NoSuchNet", "", 3600, 0.8, "m4.xlarge", "cynthia", "cynthia", 0, 0, false, false)
+			return run("NoSuchNet", "", 3600, 0.8, "m4.xlarge", "cynthia", "cynthia", 0, false, false)
 		}},
 		{"unknown baseline", func() error {
-			return run("mnist DNN", "", 3600, 0.8, "z9.huge", "cynthia", "cynthia", 0, 0, false, false)
+			return run("mnist DNN", "", 3600, 0.8, "z9.huge", "cynthia", "cynthia", 0, false, false)
 		}},
 		{"unknown predictor", func() error {
-			return run("mnist DNN", "", 3600, 0.8, "m4.xlarge", "oracle", "cynthia", 0, 0, false, false)
+			return run("mnist DNN", "", 3600, 0.8, "m4.xlarge", "oracle", "cynthia", 0, false, false)
 		}},
 		{"unknown provisioner", func() error {
-			return run("mnist DNN", "", 3600, 0.8, "m4.xlarge", "cynthia", "round-robin", 0, 0, false, false)
+			return run("mnist DNN", "", 3600, 0.8, "m4.xlarge", "cynthia", "round-robin", 0, false, false)
 		}},
 		{"missing workload file", func() error {
-			return run("", "/nonexistent/w.json", 3600, 0.8, "m4.xlarge", "cynthia", "cynthia", 0, 0, false, false)
+			return run("", "/nonexistent/w.json", 3600, 0.8, "m4.xlarge", "cynthia", "cynthia", 0, false, false)
 		}},
 	}
 	for _, c := range cases {
@@ -41,26 +41,20 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunPlansAndValidates(t *testing.T) {
-	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "cynthia", "cynthia", 0, 0, true, false); err != nil {
+	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "cynthia", "cynthia", 0, true, false); err != nil {
 		t.Fatalf("plan+validate failed: %v", err)
 	}
 }
 
 func TestRunPaleoPredictor(t *testing.T) {
-	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "paleo", "cynthia", 0, 0, false, false); err != nil {
+	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "paleo", "cynthia", 0, false, false); err != nil {
 		t.Fatalf("paleo predictor failed: %v", err)
 	}
 }
 
 func TestRunMarginalGainProvisioner(t *testing.T) {
-	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "cynthia", "optimus-mg", 0, 0, false, false); err != nil {
+	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "cynthia", "optimus-mg", 0, false, false); err != nil {
 		t.Fatalf("marginal-gain provisioner failed: %v", err)
-	}
-}
-
-func TestRunSerialScan(t *testing.T) {
-	if err := run("mnist DNN", "", 1800, 0.2, "m4.xlarge", "cynthia", "cynthia", 1, 0, false, false); err != nil {
-		t.Fatalf("serial scan failed: %v", err)
 	}
 }
 
@@ -79,7 +73,7 @@ func TestRunCustomWorkloadFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(payload), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", path, 3600, 0.3, "m4.xlarge", "cynthia", "cynthia", 0, 0, false, false); err != nil {
+	if err := run("", path, 3600, 0.3, "m4.xlarge", "cynthia", "cynthia", 0, false, false); err != nil {
 		t.Fatalf("custom workload failed: %v", err)
 	}
 }

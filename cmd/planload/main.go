@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -147,6 +148,10 @@ func run(server string, concurrency int, duration time.Duration, seed int64, noc
 					sh.errors++
 					continue
 				}
+				// Drain before closing so the keep-alive connection is
+				// reused; an unread body forces a fresh TCP connection
+				// per request and the latencies would include connects.
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				switch {
 				case resp.StatusCode == http.StatusOK:

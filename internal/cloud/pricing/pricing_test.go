@@ -70,10 +70,10 @@ func TestTraceValidate(t *testing.T) {
 	bad := []Trace{
 		{Type: "", Points: []Point{{0, 0.1}}},
 		{Type: "t", Points: nil},
-		{Type: "t", Points: []Point{{5, 0.1}}},            // must start at 0
-		{Type: "t", Points: []Point{{0, 0.1}, {0, 0.2}}},  // not increasing
-		{Type: "t", Points: []Point{{0, 0.1}, {60, 0}}},   // non-positive price
-		{Type: "t", Points: []Point{{0, math.NaN()}}},     // NaN price
+		{Type: "t", Points: []Point{{5, 0.1}}},           // must start at 0
+		{Type: "t", Points: []Point{{0, 0.1}, {0, 0.2}}}, // not increasing
+		{Type: "t", Points: []Point{{0, 0.1}, {60, 0}}},  // non-positive price
+		{Type: "t", Points: []Point{{0, math.NaN()}}},    // NaN price
 		{Type: "t", Points: []Point{{0, 0.1}, {math.Inf(1), 0.2}}},
 	}
 	for i, tr := range bad {

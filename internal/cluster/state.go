@@ -232,7 +232,7 @@ func (c *Controller) RestoreState(cs ControllerState) {
 			Plan: js.Plan, TrainingTime: js.TrainingTime, FinalLoss: js.FinalLoss,
 			Cost: js.Cost, Err: js.Err, Recoveries: js.Recoveries,
 			LostIterations: js.LostIterations, ElasticScales: js.ElasticScales,
-			seq:            js.Seq, done: make(chan struct{}),
+			seq: js.Seq, done: make(chan struct{}),
 		}
 		if terminal(job.Status) {
 			close(job.done)

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -214,5 +215,87 @@ func TestSyntheticProfileMatchesWorkload(t *testing.T) {
 	// cprof/bprof must encode the workload's PS CPU-per-MB ratio.
 	if got := p.CprofGFLOPS / p.BprofMBps; math.Abs(got-w.PSCPUPerMB) > 1e-9 {
 		t.Errorf("cprof/bprof = %v, want %v", got, w.PSCPUPerMB)
+	}
+}
+
+// randType draws an instance type spanning compute-bound, NIC-bound and
+// PS-CPU-bound regimes against the Table 1 workloads.
+func randType(rng *rand.Rand) cloud.InstanceType {
+	return cloud.InstanceType{
+		Name:         "rand",
+		GFLOPS:       0.5 + 60*rng.Float64(),
+		NetMBps:      5 + 2000*rng.Float64(),
+		PricePerHour: 0.01 + rng.Float64(),
+	}
+}
+
+// TestPredictHomogeneousMatchesClusterSpec is the bit-identity contract
+// of the planner's fast path: on random types, cluster sizes, iteration
+// budgets and both sync modes, PredictHomogeneous returns exactly the
+// float64 bits IterTime and TrainingTime compute on the materialised
+// cloud.Homogeneous spec.
+func TestPredictHomogeneousMatchesClusterSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var c Cynthia
+	for _, w := range model.Workloads() {
+		for _, sync := range []model.SyncMode{model.BSP, model.ASP} {
+			for i := 0; i < 2000; i++ {
+				p := SyntheticProfile(w.WithSync(sync), randType(rng))
+				if i%10 == 0 {
+					p.CprofGFLOPS = 0 // NIC-only effective bandwidth branch
+				}
+				typ := randType(rng)
+				n, nps, iters := 1+rng.Intn(200), 1+rng.Intn(8), 1+rng.Intn(1_000_000)
+				spec := cloud.Homogeneous(typ, n, nps)
+				wantIter, err := c.IterTime(p, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTotal, err := c.TrainingTime(p, spec, iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotIter, gotTotal, err := c.PredictHomogeneous(p, typ, n, nps, iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(gotIter) != math.Float64bits(wantIter) ||
+					math.Float64bits(gotTotal) != math.Float64bits(wantTotal) {
+					t.Fatalf("%s/%s %+v n=%d nps=%d iters=%d: fast (%v, %v) != spec (%v, %v)",
+						w.Name, sync, typ, n, nps, iters, gotIter, gotTotal, wantIter, wantTotal)
+				}
+			}
+		}
+	}
+}
+
+// TestPredictHomogeneousErrors: the fast path rejects exactly what the
+// ClusterSpec path rejects.
+func TestPredictHomogeneousErrors(t *testing.T) {
+	m4 := lookup(t, cloud.M4XLarge)
+	good := syntheticProfile(t, "mnist DNN", m4)
+	noWork := *good
+	noWork.WiterGFLOPs = 0
+	var c Cynthia
+	cases := []struct {
+		name         string
+		p            *Profile
+		n, nps, iter int
+	}{
+		{"no workers", good, 0, 1, 10},
+		{"negative workers", good, -3, 1, 10},
+		{"no PS", good, 4, 0, 10},
+		{"zero iterations", good, 4, 1, 0},
+		{"negative iterations", good, 4, 1, -5},
+		{"nil profile", nil, 4, 1, 10},
+		{"invalid profile", &noWork, 4, 1, 10},
+	}
+	for _, tc := range cases {
+		if _, _, err := c.PredictHomogeneous(tc.p, m4, tc.n, tc.nps, tc.iter); err == nil {
+			t.Errorf("%s: PredictHomogeneous accepted", tc.name)
+		}
+		if _, err := c.TrainingTime(tc.p, cloud.Homogeneous(m4, tc.n, tc.nps), tc.iter); err == nil {
+			t.Errorf("%s: TrainingTime accepted", tc.name)
+		}
 	}
 }

@@ -1,14 +1,11 @@
 package plan
 
 // The search engine: per-instance-type scans over the shared enumerator
-// and evaluator, run serially or in parallel, with context cancellation
-// and a deterministic reduce (results are identical at any parallelism).
+// and evaluator, run serially in catalog order with context cancellation.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"cynthia/internal/cloud"
@@ -75,13 +72,9 @@ func SearchWith(ctx context.Context, prov Provisioner, req Request) (Result, err
 }
 
 // Engine is the Cynthia search core implementing Algorithm 1 over the
-// Theorem 4.1-bounded space. The zero value is ready to use.
-type Engine struct {
-	// Parallelism bounds how many instance types are scanned
-	// concurrently: 0 selects GOMAXPROCS, 1 forces the serial scan.
-	// Results are identical at any setting.
-	Parallelism int
-}
+// Theorem 4.1-bounded space. It is stateless; the zero value is ready to
+// use.
+type Engine struct{}
 
 // DefaultEngine backs the package-level Provision and Candidates.
 var DefaultEngine = &Engine{}
@@ -132,8 +125,7 @@ func (e *Engine) Search(ctx context.Context, req Request) (Result, error) {
 
 // typeResult is the outcome of scanning one instance type.
 type typeResult struct {
-	cands      []Plan // enumeration order; exhaustive scans only
-	first      Plan   // first feasible candidate in scan order (the Algorithm 1 per-type pick)
+	first      Plan // first feasible candidate in scan order (the Algorithm 1 per-type pick)
 	haveFirst  bool
 	effort     Plan // fastest-predicted infeasible candidate
 	haveEffort bool
@@ -143,7 +135,7 @@ type typeResult struct {
 	feasibleN  int // evaluated candidates meeting the goal
 }
 
-// searchOut is the deterministic reduction of every per-type scan.
+// searchOut is the reduction of every per-type scan.
 type searchOut struct {
 	best       Plan
 	haveBest   bool
@@ -153,20 +145,20 @@ type searchOut struct {
 	stats      SearchStats
 }
 
-// scanType runs the Algorithm 1 inner loops for one instance type over
-// the shared enumerator and evaluator. When exhaustive is false the scan
-// stops at the type's first feasible candidate (Algorithm 1 line 11).
-func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, exhaustive bool) (typeResult, error) {
+// scanType runs the Algorithm 1 inner loops for one instance type whose
+// bounds res already holds, over the shared enumerator and evaluator.
+// Exhaustive scans (ranked != nil) append every evaluated candidate to
+// *ranked in enumeration order; otherwise the scan stops at the type's
+// first feasible candidate (Algorithm 1 line 11).
+func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, res *typeResult, ranked *[]Plan) error {
 	m := planObs()
 	start := time.Now()
 	defer func() { m.typeScan.With(t.Name).Observe(time.Since(start).Seconds()) }()
 
-	var res typeResult
-	bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
-	if err != nil {
-		return res, nil // unreachable loss target etc.: this type offers nothing
+	if !res.haveBounds {
+		return nil // unreachable loss target etc.: this type offers nothing
 	}
-	res.bounds, res.haveBounds = bounds, true
+	bounds := res.bounds
 	if bounds.LowerWorkers > cfg.maxWorkers {
 		// The quota alone rules this type out; still expose the quota
 		// point as a best-effort candidate.
@@ -176,14 +168,14 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 			if cand.Feasible {
 				res.feasibleN++
 			}
-			if exhaustive {
-				res.cands = append(res.cands, cand)
+			if ranked != nil {
+				*ranked = append(*ranked, cand)
 			}
 			if !cand.Feasible {
 				res.effort, res.haveEffort = cand, true
 			}
 		}
-		return res, nil
+		return nil
 	}
 	var scanErr error
 	enumerate(cfg, t, bounds, func(n, nps int) bool {
@@ -196,28 +188,40 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 			return true
 		}
 		res.scanned++
-		if exhaustive {
-			res.cands = append(res.cands, cand)
+		if ranked != nil {
+			*ranked = append(*ranked, cand)
 		}
 		if cand.Feasible {
 			res.feasibleN++
 			if !res.haveFirst {
 				res.first, res.haveFirst = cand, true
 			}
-			return exhaustive // early break ends the type's scan
+			return ranked != nil // early break ends the type's scan
 		}
 		if !res.haveEffort || cand.PredTime < res.effort.PredTime {
 			res.effort, res.haveEffort = cand, true
 		}
 		return true
 	})
-	return res, scanErr
+	return scanErr
 }
 
-// search fans the per-type scans out over the configured parallelism and
-// reduces them deterministically: per-type results land in catalog-order
-// slots, so the reduce visits them in the same order a serial scan would
-// and ties break identically.
+// candidateCount is the most candidates scanType can evaluate for a type
+// with these bounds: the exhaustive scan's share of the ranked list.
+func candidateCount(cfg normalized, t cloud.InstanceType, bounds Bounds) int {
+	if bounds.LowerWorkers > cfg.maxWorkers {
+		return 1 // the quota point
+	}
+	n := 0
+	enumerate(cfg, t, bounds, func(int, int) bool { n++; return true })
+	return n
+}
+
+// search computes every type's Theorem 4.1 bounds (which size the ranked
+// list exactly), scans the types in catalog order, and reduces the
+// per-type results in the same order, so ties break toward the earlier
+// type. The scan is serial: a type scan costs a few microseconds, less
+// than handing it to another goroutine.
 func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (searchOut, error) {
 	m := planObs()
 	start := time.Now()
@@ -243,48 +247,33 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 			journal.Fint("search_space", searchSpace))
 	}
 
-	par := e.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	par = max(min(par, len(types)), 1)
-	m.parallelism.Set(float64(par))
-
-	ev := newEvaluator(cfg)
 	results := make([]typeResult, len(types))
-	errs := make([]error, len(types))
-	if par == 1 {
-		for i, t := range types {
-			results[i], errs[i] = scanType(ctx, cfg, ev, t, exhaustive)
+	total := 0
+	for i, t := range types {
+		r := &results[i]
+		bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
+		r.bounds, r.haveBounds = bounds, err == nil
+		if r.haveBounds && exhaustive {
+			total += candidateCount(cfg, t, bounds)
 		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i], errs[i] = scanType(ctx, cfg, ev, types[i], exhaustive)
-				}
-			}()
-		}
-		for i := range types {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
+	var out searchOut
+	var ranked *[]Plan
+	if exhaustive {
+		out.ranked = make([]Plan, 0, total)
+		ranked = &out.ranked
+	}
+	ev := newEvaluator(cfg)
+	for i, t := range types {
+		if err := scanType(ctx, cfg, &ev, t, &results[i], ranked); err != nil {
 			m.outcomes.With("cancelled").Inc()
 			return searchOut{}, err
 		}
 	}
 
 	// The reduce — and every journal emission — walks per-type results in
-	// catalog order, so the journal is deterministic at any parallelism.
-	var out searchOut
+	// catalog order after the whole scan, so a cancelled search journals
+	// no per-type records.
 	out.stats.Types = len(types)
 	for i, r := range results {
 		if r.haveFirst && (!out.haveBest || r.first.Cost < out.best.Cost) {
@@ -293,7 +282,6 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 		if r.haveEffort && (!out.haveEffort || r.effort.PredTime < out.effort.PredTime) {
 			out.effort, out.haveEffort = r.effort, true
 		}
-		out.ranked = append(out.ranked, r.cands...)
 		out.stats.Enumerated += r.scanned
 		out.stats.Feasible += r.feasibleN
 		if cfg.journal.Enabled() && r.haveBounds {
@@ -308,9 +296,12 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 		}
 	}
 	out.stats.Pruned = max(searchSpace-out.stats.Enumerated, 0)
-	if exhaustive {
-		Rank(out.ranked)
+	m.scanned.Add(int64(out.stats.Enumerated))
+	m.feasible.Add(int64(out.stats.Feasible))
+	if len(out.ranked) == 0 {
+		out.ranked = nil // no candidates: nil, not a presized empty slice
 	}
+	Rank(out.ranked)
 	outcome := "none"
 	switch {
 	case out.haveBest:

@@ -3,20 +3,18 @@ package plan
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"cynthia/internal/cloud"
-	"cynthia/internal/model"
-	"cynthia/internal/perf"
 )
 
-// engineRequests spans the shapes the engine must handle identically at
-// any parallelism: single- and multi-type catalogs, BSP and ASP
-// workloads, loose and unreachable deadlines, and a disabled escalation
-// budget.
+// engineRequests spans the shapes the engine must handle: single- and
+// multi-type catalogs, BSP and ASP workloads, loose and unreachable
+// deadlines, and a disabled escalation budget.
 func engineRequests(t *testing.T) []Request {
 	t.Helper()
 	return []Request{
@@ -144,34 +142,6 @@ func TestProvisionIsCheapestFirstFeasible(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial asserts the determinism contract: the
-// parallel scan returns bit-for-bit the same plan and the same ranked
-// candidate list as the serial scan, for every request shape. Run under
-// -race this also exercises the scan's synchronization.
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := &Engine{Parallelism: 1}
-	parallel := &Engine{Parallelism: 8}
-	ctx := context.Background()
-	for i, req := range engineRequests(t) {
-		sp, serr := serial.Provision(ctx, req)
-		pp, perr := parallel.Provision(ctx, req)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("req %d: Provision error mismatch: serial=%v parallel=%v", i, serr, perr)
-		}
-		if sp != pp {
-			t.Errorf("req %d: Provision differs:\n  serial:   %+v\n  parallel: %+v", i, sp, pp)
-		}
-		sc, serr := serial.Candidates(ctx, req)
-		pc, perr := parallel.Candidates(ctx, req)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("req %d: Candidates error mismatch: serial=%v parallel=%v", i, serr, perr)
-		}
-		if !reflect.DeepEqual(sc, pc) {
-			t.Errorf("req %d: Candidates differ (%d vs %d plans)", i, len(sc), len(pc))
-		}
-	}
-}
-
 // TestSearchMatchesProvisionPlusCandidates checks that the single-pass
 // Search returns exactly what separate Provision and Candidates calls
 // would — the contract the controller's zero-re-search fallback relies
@@ -265,66 +235,59 @@ func TestProvisionCancelled(t *testing.T) {
 	}
 }
 
-// wideCatalog synthesizes a many-type catalog (price/compute variants
-// of the defaults), the regime the parallel scan is built for.
-func wideCatalog(b *testing.B, copies int) *cloud.Catalog {
-	b.Helper()
-	var types []cloud.InstanceType
-	for _, it := range cloud.DefaultCatalog().Types() {
-		for i := 0; i < copies; i++ {
-			v := it
-			v.Name = fmt.Sprintf("%s-v%d", it.Name, i)
-			v.GFLOPS *= 1 + 0.03*float64(i)
-			v.PricePerHour *= 1 + 0.05*float64(i)
-			types = append(types, v)
-		}
-	}
-	cat, err := cloud.NewCatalog(types...)
+// TestSearchAllocs pins the allocation-free scan: one exhaustive search
+// of the cifar10 DNN @ 5400 s request over the default catalog (224
+// candidates) allocates a bounded handful of objects, none per candidate:
+// the default catalog, per-type results, the presized ranked list and the
+// Rank keys.
+func TestSearchAllocs(t *testing.T) {
+	req := Request{Profile: prof(t, "cifar10 DNN"), Goal: Goal{TimeSec: 5400, LossTarget: 0.8}}
+	ctx := context.Background()
+	res, err := DefaultEngine.Search(ctx, req)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	return cat
+	if len(res.Ranked) < 100 {
+		t.Fatalf("only %d candidates: the request no longer exercises the scan", len(res.Ranked))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DefaultEngine.Search(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Search: %.0f allocs for %d candidates", allocs, len(res.Ranked))
+	if allocs > 50 {
+		t.Errorf("Search allocates %.0f objects for %d candidates, want <= 50", allocs, len(res.Ranked))
+	}
 }
 
-// BenchmarkEngineParallelism compares the serial scan against the
-// per-type parallel scan, on the default 4-type catalog and on a wide
-// 32-type one. On a multi-core machine the parallel engine wins
-// wall-clock on the wide catalog; at 4 types the per-type work is a few
-// microseconds and goroutine overhead washes out the gain (and on a
-// single-core machine the two are equivalent by construction).
-func BenchmarkEngineParallelism(b *testing.B) {
-	w, err := model.WorkloadByName("cifar10 DNN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m4, err := cloud.DefaultCatalog().Lookup(cloud.M4XLarge)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := perf.SyntheticProfile(w, m4)
-	catalogs := []struct {
-		name string
-		cat  *cloud.Catalog
-	}{
-		{"default", cloud.DefaultCatalog()},
-		{"32types", wideCatalog(b, 8)},
-	}
-	ctx := context.Background()
-	for _, c := range catalogs {
-		req := Request{Profile: p, Goal: Goal{TimeSec: 5400, LossTarget: 0.8}, Catalog: c.cat}
-		for _, par := range []int{1, 0} {
-			name := c.name + "/serial"
-			if par == 0 {
-				name = c.name + "/parallel"
+// TestRankMatchesSliceStable: the index-permutation Rank orders plans
+// exactly as sort.SliceStable with the same comparator would, including
+// duplicate and NaN costs, where a different stable algorithm could
+// legitimately disagree.
+func TestRankMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		plans := make([]Plan, rng.Intn(300))
+		for i := range plans {
+			plans[i] = Plan{Workers: i, Feasible: rng.Intn(2) == 0, Cost: float64(rng.Intn(20))}
+			if rng.Intn(10) == 0 {
+				plans[i].Cost = math.NaN()
 			}
-			e := &Engine{Parallelism: par}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Provision(ctx, req); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		}
+		want := append([]Plan(nil), plans...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Feasible != want[j].Feasible {
+				return want[i].Feasible
+			}
+			return want[i].Cost < want[j].Cost
+		})
+		Rank(plans)
+		for i := range plans {
+			if plans[i].Workers != want[i].Workers {
+				t.Fatalf("trial %d: position %d holds plan %d, sort.SliceStable puts %d there",
+					trial, i, plans[i].Workers, want[i].Workers)
+			}
 		}
 	}
 }

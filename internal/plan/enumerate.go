@@ -18,10 +18,12 @@ import (
 
 // normalized is a Request after the single defaulting pass, unpacked for
 // the search core. maxEsc is the concrete number of extra PS steps (>= 0)
-// and goal already carries the headroom reserve.
+// and goal already carries the headroom reserve. fast is pred's
+// homogeneous fast path, nil when the predictor has none.
 type normalized struct {
 	profile    *perf.Profile
 	pred       perf.Predictor
+	fast       perf.HomogeneousPredictor
 	catalog    *cloud.Catalog
 	maxEsc     int
 	maxWorkers int
@@ -89,9 +91,11 @@ func (req Request) normalize() (normalized, error) {
 	if maxEsc == NoEscalation {
 		maxEsc = 0
 	}
+	fast, _ := nr.Predictor.(perf.HomogeneousPredictor)
 	return normalized{
 		profile:    nr.Profile,
 		pred:       nr.Predictor,
+		fast:       fast,
 		catalog:    nr.Catalog,
 		maxEsc:     maxEsc,
 		maxWorkers: nr.MaxWorkers,

@@ -2,13 +2,12 @@ package plan
 
 // The candidate evaluator: prices one (type, n, nps) configuration under
 // the request's predictor and goal. Eq. (8) lives here (exported as Cost)
-// and the loss-model inversion is memoized per request — the BSP iteration
+// and the loss-model inversion is memoized per search — the BSP iteration
 // budget does not depend on the worker count, so one IterationsToLoss
 // solve serves every candidate of a BSP search.
 
 import (
-	"sort"
-	"sync"
+	"slices"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
@@ -24,27 +23,70 @@ func Cost(t cloud.InstanceType, workers, ps int, seconds float64) float64 {
 
 // Rank sorts plans in place into the canonical presentation order:
 // feasible plans first, then ascending cost within each group. The sort is
-// stable so equal-cost candidates keep their enumeration (catalog) order,
-// which keeps parallel and serial searches bit-identical.
+// stable so equal-cost candidates keep their enumeration (catalog) order.
+// It stable-sorts compact (feasible, cost, index) keys and then permutes
+// the plans once; slices.SortStableFunc runs the same insertion-sort +
+// symMerge algorithm as sort.SliceStable, so the order — NaN costs
+// included — is the one a direct sort of the plans produces.
 func Rank(plans []Plan) {
-	sort.SliceStable(plans, func(i, j int) bool {
-		if plans[i].Feasible != plans[j].Feasible {
-			return plans[i].Feasible
+	type key struct {
+		cost     float64
+		idx      int
+		feasible bool
+	}
+	keys := make([]key, len(plans))
+	for i := range plans {
+		keys[i] = key{cost: plans[i].Cost, idx: i, feasible: plans[i].Feasible}
+	}
+	slices.SortStableFunc(keys, func(a, b key) int {
+		switch {
+		case a.feasible != b.feasible:
+			if a.feasible {
+				return -1
+			}
+			return 1
+		case a.cost < b.cost:
+			return -1
+		case b.cost < a.cost:
+			return 1
 		}
-		return plans[i].Cost < plans[j].Cost
+		return 0
 	})
+	// Position i receives plans[keys[i].idx]: follow each permutation
+	// cycle once, marking visited keys with idx -1.
+	for start := range keys {
+		if keys[start].idx < 0 {
+			continue
+		}
+		first := plans[start]
+		for i := start; ; {
+			j := keys[i].idx
+			keys[i].idx = -1
+			if j == start {
+				plans[i] = first
+				break
+			}
+			plans[i] = plans[j]
+			i = j
+		}
+	}
 }
 
-// evaluator prices candidates for one search run. It is shared by every
-// per-type scan goroutine; the memo is the only mutable state.
+// evaluator prices candidates for one search run. Its memo holds the
+// iteration budgets solved so far: one BSP budget, or ASP budgets indexed
+// by worker count (0 = not yet solved).
 type evaluator struct {
-	cfg  normalized
-	mu   sync.Mutex
-	memo map[int]int // worker count -> iteration budget (BSP shares key 0)
+	cfg normalized
+	bsp int
+	asp []int
 }
 
-func newEvaluator(cfg normalized) *evaluator {
-	return &evaluator{cfg: cfg, memo: make(map[int]int)}
+func newEvaluator(cfg normalized) evaluator {
+	ev := evaluator{cfg: cfg}
+	if cfg.profile.Workload.Sync == model.ASP {
+		ev.asp = make([]int, cfg.maxWorkers+1)
+	}
+	return ev
 }
 
 // iterations returns the iteration budget reaching the loss target at n
@@ -52,47 +94,51 @@ func newEvaluator(cfg normalized) *evaluator {
 // model at most once per distinct budget.
 func (ev *evaluator) iterations(n int) (int, error) {
 	w := ev.cfg.profile.Workload
-	key := n
-	if w.Sync != model.ASP {
-		key = 0 // BSP budgets are n-independent
+	memo := &ev.bsp // BSP budgets are n-independent
+	if w.Sync == model.ASP {
+		if n < 0 || n >= len(ev.asp) {
+			return w.IterationsToLoss(ev.cfg.goal.LossTarget, n)
+		}
+		memo = &ev.asp[n]
 	}
-	ev.mu.Lock()
-	if it, ok := ev.memo[key]; ok {
-		ev.mu.Unlock()
-		return it, nil
+	if *memo > 0 {
+		return *memo, nil
 	}
-	ev.mu.Unlock()
 	it, err := w.IterationsToLoss(ev.cfg.goal.LossTarget, n)
 	if err != nil {
 		return 0, err
 	}
-	ev.mu.Lock()
-	ev.memo[key] = it
-	ev.mu.Unlock()
+	*memo = it
 	return it, nil
+}
+
+// predict returns the predicted iteration and training times of n workers
+// and nps PS nodes of type t. Predictors with the homogeneous fast path
+// answer from (t, n, nps) directly; any other predictor is asked through
+// IterTime and TrainingTime on the materialised cloud.Homogeneous spec.
+func (ev *evaluator) predict(t cloud.InstanceType, n, nps, iters int) (titer, total float64, err error) {
+	if ev.cfg.fast != nil {
+		return ev.cfg.fast.PredictHomogeneous(ev.cfg.profile, t, n, nps, iters)
+	}
+	cluster := cloud.Homogeneous(t, n, nps)
+	if titer, err = ev.cfg.pred.IterTime(ev.cfg.profile, cluster); err != nil {
+		return 0, 0, err
+	}
+	total, err = ev.cfg.pred.TrainingTime(ev.cfg.profile, cluster, iters)
+	return titer, total, err
 }
 
 // evaluate prices one candidate configuration.
 func (ev *evaluator) evaluate(t cloud.InstanceType, n, nps int) (Plan, error) {
-	m := planObs()
-	m.scanned.Inc()
 	iters, err := ev.iterations(n)
 	if err != nil {
 		return Plan{}, err
 	}
-	cluster := cloud.Homogeneous(t, n, nps)
-	titer, err := ev.cfg.pred.IterTime(ev.cfg.profile, cluster)
-	if err != nil {
-		return Plan{}, err
-	}
-	total, err := ev.cfg.pred.TrainingTime(ev.cfg.profile, cluster, iters)
+	titer, total, err := ev.predict(t, n, nps, iters)
 	if err != nil {
 		return Plan{}, err
 	}
 	feasible := total <= ev.cfg.goal.TimeSec
-	if feasible {
-		m.feasible.Inc()
-	}
 	return Plan{
 		Type:         t,
 		Workers:      n,
@@ -115,5 +161,6 @@ func Evaluate(req Request, t cloud.InstanceType, n, nps int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return newEvaluator(cfg).evaluate(t, n, nps)
+	ev := newEvaluator(cfg)
+	return ev.evaluate(t, n, nps)
 }

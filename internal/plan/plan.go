@@ -12,10 +12,16 @@
 //   - enumerate streams the (type, nps, n) configurations honoring the
 //     Theorem 4.1 bounds, the worker quota, and Constraint (11).
 //   - evaluator prices candidates (Eq. 8 via the exported Cost), memoizing
-//     the loss-model inversion per request.
-//   - Engine scans instance types in parallel with context cancellation
-//     and a deterministic reduce; it implements the Provisioner interface
-//     alongside baseline.MarginalGain.
+//     the loss-model inversion per search. When the predictor implements
+//     perf.HomogeneousPredictor (perf.Cynthia does) a candidate is priced
+//     from (type, n, nps) in closed form, bit-identical to the
+//     ClusterSpec path and without allocating; other predictors see the
+//     materialised cloud.Homogeneous cluster.
+//   - Engine scans instance types serially in catalog order with context
+//     cancellation; it implements the Provisioner interface alongside
+//     baseline.MarginalGain. A per-type parallel scan was measured slower
+//     than serial at 2 procs (a type scan costs less than a goroutine
+//     hand-off) and removed.
 //
 // Provision and Candidates are thin wrappers over DefaultEngine.
 package plan
@@ -36,12 +42,10 @@ import (
 // planMetrics instrument Algorithm 1 on the default registry: how long a
 // search takes (overall and per instance type), how many candidates the
 // bounded search actually evaluated versus the unpruned search space (the
-// Theorem 4.1 pruning effectiveness), how wide the parallel scan ran, and
-// how runs conclude.
+// Theorem 4.1 pruning effectiveness), and how runs conclude.
 type planMetrics struct {
 	latency     *obs.Histogram
 	typeScan    *obs.HistogramVec
-	parallelism *obs.Gauge
 	scanned     *obs.Counter
 	feasible    *obs.Counter
 	searchSpace *obs.Counter
@@ -61,8 +65,6 @@ func planObs() *planMetrics {
 				"wall time of one Provision (Algorithm 1) run", nil),
 			typeScan: reg.HistogramVec("cynthia_plan_type_scan_seconds",
 				"wall time of one per-instance-type candidate scan", nil, "type"),
-			parallelism: reg.Gauge("cynthia_plan_parallelism",
-				"instance types scanned concurrently by the last search"),
 			scanned: reg.Counter("cynthia_plan_candidates_scanned_total",
 				"candidate configurations evaluated by the bounded search"),
 			feasible: reg.Counter("cynthia_plan_candidates_feasible_total",
@@ -272,9 +274,8 @@ type Request struct {
 	// Journal, when bound, receives the search's flight-recorder events
 	// (plan.search.start, per-type bound/enumeration records, and
 	// plan.search.done with the Theorem 4.1 pruning counts), correlated
-	// with the caller's trace and job IDs. Events are emitted after the
-	// deterministic reduce, never from the parallel scan goroutines, so
-	// journal order is identical at any parallelism.
+	// with the caller's trace and job IDs. Events are emitted in catalog
+	// order after the whole scan.
 	Journal journal.Binding
 }
 

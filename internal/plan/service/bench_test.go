@@ -49,7 +49,7 @@ func BenchmarkServePlan(b *testing.B) {
 	})
 }
 
-// BenchmarkServePlanParallel measures many concurrent clients on a
+// BenchmarkServePlanParallel measures GOMAXPROCS concurrent clients on a
 // repeated-request mix (the planload scenario): cross-request caching
 // versus every client paying its own scan.
 func BenchmarkServePlanParallel(b *testing.B) {
@@ -67,7 +67,6 @@ func BenchmarkServePlanParallel(b *testing.B) {
 		req3600 := testRequest(b, s.Catalog(), 3600)
 		req1800 := testRequest(b, s.Catalog(), 1800)
 		b.ReportAllocs()
-		b.SetParallelism(16) // 16 x GOMAXPROCS client goroutines
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
@@ -94,7 +93,6 @@ func BenchmarkServePlanParallel(b *testing.B) {
 		req3600 := testRequest(b, s.Catalog(), 3600)
 		req1800 := testRequest(b, s.Catalog(), 1800)
 		b.ReportAllocs()
-		b.SetParallelism(16)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

@@ -183,6 +183,7 @@ func TestSSPCloseReleasesBlockedWorker(t *testing.T) {
 }
 
 func TestSSPBoundedJobTrains(t *testing.T) {
+	const workers, s = 3, 2
 	set, err := data.Synthetic(rand.New(rand.NewSource(42)), 300, 12, 3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +191,13 @@ func TestSSPBoundedJobTrains(t *testing.T) {
 	res, err := RunLocalJob(JobConfig{
 		Sizes:        []int{12, 16, 3},
 		Sync:         model.ASP,
-		Workers:      3,
+		Workers:      workers,
 		Servers:      1,
 		Dataset:      set,
 		Batch:        16,
 		Iterations:   60,
 		LR:           0.05,
-		MaxStaleness: 2,
+		MaxStaleness: s,
 		Seed:         5,
 	})
 	if err != nil {
@@ -205,12 +206,22 @@ func TestSSPBoundedJobTrains(t *testing.T) {
 	if res.MeanFinalLoss >= res.MeanInitialLoss*0.8 {
 		t.Errorf("SSP loss %.3f -> %.3f", res.MeanInitialLoss, res.MeanFinalLoss)
 	}
-	// The bound holds in the observed staleness (allowing the off-by-one
-	// of measuring across shard-0 versions).
+	// Observed staleness is the number of other workers' applies between
+	// two consecutive replies to worker i, whose versions are read after
+	// the SSP wait for steps c and c+1. The server applies a push before
+	// that wait, so:
+	//   - when i's step-c reply leaves, minClock >= c-s: every worker j
+	//     has already applied step c-s;
+	//   - when i's step-(c+1) reply leaves, minClock <= clock_i = c+1, and
+	//     j can only have applied step k after its step-(k-1) reply, which
+	//     needs minClock >= k-1-s, so k <= c+s+2.
+	// Each of the W-1 other workers thus lands at most the steps
+	// c-s+1 .. c+s+2 in between: staleness <= (W-1)(2s+2).
+	bound := (workers - 1) * (2*s + 2)
 	for _, ws := range res.WorkerStats {
 		for _, st := range ws.Staleness {
-			if st > 3*2+1 {
-				t.Errorf("worker %d staleness %d with bound 2", ws.ID, st)
+			if st > bound {
+				t.Errorf("worker %d staleness %d exceeds the SSP bound %d (s=%d)", ws.ID, st, bound, s)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func closeRel(a, b float64) bool {
 	return math.Abs(a-b) <= relTol*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// CheckSearch runs one serial search for the request and audits the full
+// CheckSearch runs one search for the request and audits the full
 // Algorithm 1 contract against an independent reconstruction from the
 // exported candidate stream (plan.EnumerateConfigs) and the exported
 // single-candidate evaluator (plan.Evaluate):
@@ -50,8 +50,7 @@ func closeRel(a, b float64) bool {
 // the first violated invariant. A request with no evaluable candidates at
 // all (the engine's error path) is verified to truly have none.
 func CheckSearch(req plan.Request) (plan.Result, error) {
-	serial := &plan.Engine{Parallelism: 1}
-	res, serr := serial.Search(context.Background(), req)
+	res, serr := plan.DefaultEngine.Search(context.Background(), req)
 
 	nr, err := req.Normalize()
 	if err != nil {

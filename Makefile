@@ -4,7 +4,10 @@ GO ?= go
 
 # The hot-path packages whose benchmarks form the committed perf
 # trajectory (BENCH_flow.json): the flow engine, the simulator built on
-# it, and the planner that calls the simulator thousands of times.
+# it, and the planner that calls the simulator thousands of times. Their
+# ns/op gate is 50% too: on a shared 2-vCPU Xeon, unchanged code moved the
+# incremental/reference ratio by up to 29% between runs (0.321 to 0.415 on
+# EngineLargeScenario), so a 10% gate failed on noise alone.
 BENCH_HOT = ./internal/flow ./internal/ddnnsim ./internal/plan
 
 # The flight-recorder benchmarks gate separately (BENCH_obs.json):
@@ -43,10 +46,10 @@ race:
 	$(GO) test -race -shuffle=on -timeout 15m ./...
 
 # stress repeats the packages with real concurrency (TCP parameter
-# servers, the recovery state machine, the sharded parallel allocator) to
-# shake out timing-dependent flakes before they reach CI.
+# servers, the recovery state machine) to shake out timing-dependent
+# flakes before they reach CI.
 stress:
-	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/flow
+	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -67,15 +70,17 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_WAL) | $(GO) run ./cmd/benchjson parse -out BENCH_wal.json
 
 # bench-check re-runs the same benchmarks and gates against the committed
-# baseline, benchstat-style: allocs/op must not rise, incremental vs
-# reference allocator ratios must not regress >10%, the incremental
-# allocator must stay >=2x faster than the reference within this run, the
-# sharded parallel allocator must beat its serial sibling on the
-# many-component topology (floor adapts to GOMAXPROCS; skipped on
-# single-proc machines), and end-to-end ddnnsim iters/s must not fall.
+# baselines, benchstat-style. Everywhere: allocs/op must not rise, and the
+# incremental paths must beat their references within this run (flow
+# allocator >=2x, plan-service hit >=10x). Only when a baseline was
+# captured on the same CPU at the same GOMAXPROCS: incremental/reference
+# ratios must not regress by more than the threshold, and raw ns/op and
+# the ddnnsim time per iteration (iters/s) by no more than 3x it. On other
+# hardware those timing gates are skipped with a loud "hardware differs"
+# line.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchmem -count 6 -benchtime 0.5s $(BENCH_HOT) | $(GO) run ./cmd/benchjson parse -out .bench_current.json
-	$(GO) run ./cmd/benchjson compare -baseline BENCH_flow.json -current .bench_current.json -threshold 10 -min-speedup 2 -min-par-speedup 2
+	$(GO) run ./cmd/benchjson compare -baseline BENCH_flow.json -current .bench_current.json -threshold 50 -min-speedup 2
 	@rm -f .bench_current.json
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.5s $(BENCH_OBS) | $(GO) run ./cmd/benchjson parse -out .bench_obs.json
 	$(GO) run ./cmd/benchjson compare -baseline BENCH_obs.json -current .bench_obs.json -threshold 10 -min-speedup 0

@@ -24,13 +24,31 @@ type Benchmark struct {
 	ItersPerSec float64 `json:"iters_per_sec,omitempty"` // custom b.ReportMetric, higher is better
 }
 
-// File is the committed baseline format (BENCH_flow.json).
+// File is the committed baseline format (BENCH_flow.json). CPU and Procs
+// identify the hardware: compare runs its cross-run timing gates only
+// when both match.
 type File struct {
 	Version    int         `json:"version"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	Procs      int         `json:"procs,omitempty"` // GOMAXPROCS of the run
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// procs returns the GOMAXPROCS a run was captured at. Files written before
+// the field existed fall back to the benchmark-name suffixes; go test
+// omits the suffix at GOMAXPROCS=1.
+func procs(f *File) int {
+	if f.Procs > 0 {
+		return f.Procs
+	}
+	for _, b := range f.Benchmarks {
+		if b.Procs > 0 {
+			return b.Procs
+		}
+	}
+	return 1
 }
 
 // parseBench reads `go test -bench` text output: goos/goarch/cpu/pkg
@@ -71,6 +89,7 @@ func parseBench(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("no benchmark result lines found on input")
 	}
 	out.Benchmarks = mergeMin(out.Benchmarks)
+	out.Procs = procs(out)
 	return out, nil
 }
 
@@ -191,23 +210,6 @@ func referenceSibling(name string) (string, bool) {
 	return "", false
 }
 
-// serialSibling maps Foo/parallel -> Foo/serial: the single-threaded run
-// of the same work, the denominator for the parallel speedup floor.
-func serialSibling(name string) (string, bool) {
-	if strings.HasSuffix(name, "/parallel") {
-		return strings.TrimSuffix(name, "/parallel") + "/serial", true
-	}
-	return "", false
-}
-
-// flowPkg reports whether a benchmark belongs to the flow engine package,
-// the only place where the parallel speedup floor is a hard acceptance
-// gate (other packages carry serial/parallel pairs whose ratio is
-// workload-bound, not allocator-bound).
-func flowPkg(b Benchmark) bool {
-	return strings.HasSuffix(b.Pkg, "internal/flow")
-}
-
 func index(f *File) map[string]Benchmark {
 	m := make(map[string]Benchmark, len(f.Benchmarks))
 	for _, b := range f.Benchmarks {
@@ -217,8 +219,11 @@ func index(f *File) map[string]Benchmark {
 }
 
 // compare checks current against baseline and returns human-readable
-// failures (empty = pass) plus a benchstat-style report.
-func compare(baseline, current *File, thresholdPct, minSpeedup, minParSpeedup float64) (report string, failures []string) {
+// failures (empty = pass) plus a benchstat-style report. The cross-run
+// timing gates (ns/op, ratios against the baseline, iters/s) run only when
+// both files come from the same CPU at the same GOMAXPROCS; the alloc gate
+// and the within-run speedup floor run everywhere.
+func compare(baseline, current *File, thresholdPct, minSpeedup float64) (report string, failures []string) {
 	base := index(baseline)
 	cur := index(current)
 	var names []string
@@ -228,6 +233,11 @@ func compare(baseline, current *File, thresholdPct, minSpeedup, minParSpeedup fl
 	sort.Strings(names)
 
 	var sb strings.Builder
+	sameHardware := baseline.CPU == current.CPU && procs(baseline) == procs(current)
+	if !sameHardware {
+		fmt.Fprintf(&sb, "WARNING: hardware differs (baseline %q at %d procs, current %q at %d procs): cross-run timing gates skipped\n",
+			baseline.CPU, procs(baseline), current.CPU, procs(current))
+	}
 	fmt.Fprintf(&sb, "%-44s %14s %14s %8s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
 	for _, n := range names {
 		c := cur[n]
@@ -249,26 +259,31 @@ func compare(baseline, current *File, thresholdPct, minSpeedup, minParSpeedup fl
 				"%s: allocs/op rose %.0f -> %.0f", n, b.AllocsPerOp, c.AllocsPerOp))
 		}
 
-		// Raw (non-ratio) comparisons against the baseline carry the full
-		// machine-speed difference between the baseline host and this one,
-		// so they gate at 3x the threshold; sibling-ratio gates below keep
-		// the tight threshold because the ratio cancels host speed.
+		if !sameHardware {
+			continue
+		}
+
+		// Raw (non-ratio) comparisons against the baseline carry run-to-run
+		// host drift (shared VMs, frequency scaling), so they gate at 3x the
+		// threshold; sibling-ratio gates below keep the tight threshold
+		// because the ratio cancels host speed.
 		rawPct := 3 * thresholdPct
 
 		// Gate on iters/s where both runs report it (custom throughput
-		// metric, higher is better): the end-to-end simulator throughput
-		// must not fall more than the raw threshold below the baseline.
+		// metric, higher is better). It mirrors the raw ns/op gate: the
+		// time per iteration may grow by at most rawPct, so the gate stays
+		// live at any threshold (a "fell by rawPct" bound would go
+		// negative, and silently pass everything, above 100%).
 		if b.ItersPerSec > 0 && c.ItersPerSec > 0 &&
-			c.ItersPerSec < b.ItersPerSec*(1-rawPct/100) {
+			c.ItersPerSec*(1+rawPct/100) < b.ItersPerSec {
 			failures = append(failures, fmt.Sprintf(
-				"%s: iters/s fell %.0f -> %.0f (> %.0f%%)",
+				"%s: iters/s fell %.0f -> %.0f (time per iteration up > %.0f%%)",
 				n, b.ItersPerSec, c.ItersPerSec, rawPct))
 		}
 
 		// Gate 2: ns/op regression beyond the threshold. When both runs
 		// carry the /reference sibling, compare the incremental/reference
-		// ratio instead of raw ns — the ratio cancels hardware differences
-		// between the baseline machine and this one.
+		// ratio instead of raw ns — the ratio cancels host drift.
 		refName, hasRef := referenceSibling(n)
 		if hasRef {
 			bref, okB := base[refName]
@@ -283,27 +298,6 @@ func compare(baseline, current *File, thresholdPct, minSpeedup, minParSpeedup fl
 				}
 				continue
 			}
-		}
-		// "/parallel" benchmarks scale with the core count, so their raw
-		// ns and their ratio against the serial sibling only compare
-		// meaningfully between multi-proc runs at the same GOMAXPROCS (on
-		// one proc the pool degenerates to the serial path and the ratio
-		// is pure noise around 1); otherwise the within-run speedup floor
-		// (gate 4) is the only check.
-		if serName, hasSer := serialSibling(n); hasSer {
-			bser, okB := base[serName]
-			cser, okC := cur[serName]
-			if okB && okC && bser.NsPerOp > 0 && cser.NsPerOp > 0 &&
-				b.Procs == c.Procs && c.Procs > 1 {
-				baseRatio := b.NsPerOp / bser.NsPerOp
-				curRatio := c.NsPerOp / cser.NsPerOp
-				if curRatio > baseRatio*(1+thresholdPct/100) {
-					failures = append(failures, fmt.Sprintf(
-						"%s: ns/op relative to %s regressed %.3f -> %.3f (> %.0f%%)",
-						n, serName, baseRatio, curRatio, thresholdPct))
-				}
-			}
-			continue
 		}
 		// "/reference" benchmarks are the oracle denominator, not a
 		// protected hot path: their raw speed gates nothing (the paired
@@ -337,36 +331,6 @@ func compare(baseline, current *File, thresholdPct, minSpeedup, minParSpeedup fl
 		}
 	}
 
-	// Gate 4: within the current run, the flow engine's sharded parallel
-	// allocator must beat its serial sibling on the many-component
-	// topology. The floor adapts to the machine: min(minParSpeedup,
-	// 0.6*GOMAXPROCS), and is skipped entirely on single-proc runs where
-	// the pool degenerates to the serial path by construction.
-	if minParSpeedup > 0 {
-		for _, n := range names {
-			serName, ok := serialSibling(n)
-			if !ok || !flowPkg(cur[n]) {
-				continue
-			}
-			ser, okSer := cur[serName]
-			if !okSer || cur[n].NsPerOp <= 0 || ser.NsPerOp <= 0 {
-				continue
-			}
-			if cur[n].Procs <= 1 {
-				fmt.Fprintf(&sb, "%-44s parallel floor skipped: single-proc run\n", n)
-				continue
-			}
-			floor := min(minParSpeedup, 0.6*float64(cur[n].Procs))
-			speedup := ser.NsPerOp / cur[n].NsPerOp
-			fmt.Fprintf(&sb, "%-44s speedup vs serial: %.2fx (floor %.2fx at %d procs)\n",
-				n, speedup, floor, cur[n].Procs)
-			if speedup < floor {
-				failures = append(failures, fmt.Sprintf(
-					"%s: only %.2fx faster than %s at %d procs, want >= %.2fx",
-					n, speedup, serName, cur[n].Procs, floor))
-			}
-		}
-	}
 	return sb.String(), failures
 }
 
@@ -376,7 +340,6 @@ func runCompare(args []string, stdout io.Writer) error {
 	currentPath := fs.String("current", "", "current run JSON (from benchjson parse)")
 	threshold := fs.Float64("threshold", 10, "max ns/op regression percent")
 	minSpeedup := fs.Float64("min-speedup", 2, "min incremental-vs-reference speedup in the current run (0 disables)")
-	minParSpeedup := fs.Float64("min-par-speedup", 0, "min parallel-vs-serial speedup for flow-package benchmarks, capped at 0.6*procs and skipped on single-proc runs (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -391,7 +354,7 @@ func runCompare(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	report, failures := compare(baseline, current, *threshold, *minSpeedup, *minParSpeedup)
+	report, failures := compare(baseline, current, *threshold, *minSpeedup)
 	io.WriteString(stdout, report)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d perf gate failure(s):\n  %s", len(failures), strings.Join(failures, "\n  "))

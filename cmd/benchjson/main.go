@@ -8,17 +8,19 @@
 //	benchjson compare -baseline BENCH_flow.json -current .bench_current.json \
 //	    -threshold 10 -min-speedup 2
 //
-// The compare gates are chosen to survive hardware changes between the
-// machine that committed the baseline and the machine running CI:
+// Each JSON file records the CPU and GOMAXPROCS it was captured at. The
+// compare gates split by whether they survive a hardware change:
 //
 //   - allocs/op must not increase versus the baseline (machine-independent)
 //   - every <name>/incremental sub-benchmark must beat its
 //     <name>/reference sibling by at least -min-speedup within the
-//     current run (same machine, same load — the tentpole acceptance)
-//   - ns/op must not regress by more than -threshold percent; when both
-//     runs contain the benchmark's /reference sibling the comparison uses
-//     the incremental/reference ratio (stable across machines), otherwise
-//     raw ns/op (meaningful when baseline and current share hardware)
+//     current run (same machine, same load)
+//   - only when baseline and current share the CPU string and GOMAXPROCS:
+//     ns/op must not regress by more than -threshold percent (the
+//     incremental/reference ratio where both runs carry the /reference
+//     sibling, raw ns/op otherwise, at 3x the threshold), and iters/s must
+//     not fall by more than 3x the threshold. On different hardware these
+//     gates are skipped with a loud "hardware differs" line.
 package main
 
 import (

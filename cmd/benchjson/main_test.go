@@ -64,6 +64,9 @@ PASS
 	if b.NsPerOp != 250 || b.Iters != 2000 || b.BytesPerOp != 8 || b.AllocsPerOp != 2 {
 		t.Errorf("merged benchmark = %+v, want min of each metric (250 ns, iters 2000, 8 B, 2 allocs)", b)
 	}
+	if f.Procs != 8 {
+		t.Errorf("file procs = %d, want 8 from the -8 suffix", f.Procs)
+	}
 }
 
 func TestParseBenchRejectsEmpty(t *testing.T) {
@@ -90,7 +93,7 @@ func TestCompareGates(t *testing.T) {
 	_, fails := compare(baseline, mkFile(map[string][2]float64{
 		"BenchmarkX/incremental": {110, 0},
 		"BenchmarkX/reference":   {440, 140},
-	}), 10, 2, 0)
+	}), 10, 2)
 	if len(fails) != 0 {
 		t.Errorf("clean run failed gates: %v", fails)
 	}
@@ -99,7 +102,7 @@ func TestCompareGates(t *testing.T) {
 	_, fails = compare(baseline, mkFile(map[string][2]float64{
 		"BenchmarkX/incremental": {100, 3},
 		"BenchmarkX/reference":   {400, 140},
-	}), 10, 2, 0)
+	}), 10, 2)
 	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/op") {
 		t.Errorf("alloc regression not caught: %v", fails)
 	}
@@ -109,7 +112,7 @@ func TestCompareGates(t *testing.T) {
 	_, fails = compare(baseline, mkFile(map[string][2]float64{
 		"BenchmarkX/incremental": {90, 0},
 		"BenchmarkX/reference":   {180, 140},
-	}), 10, 0, 0)
+	}), 10, 0)
 	if len(fails) != 1 || !strings.Contains(fails[0], "relative to") {
 		t.Errorf("ratio regression not caught: %v", fails)
 	}
@@ -118,14 +121,14 @@ func TestCompareGates(t *testing.T) {
 	_, fails = compare(baseline, mkFile(map[string][2]float64{
 		"BenchmarkX/incremental": {100, 0},
 		"BenchmarkX/reference":   {150, 140},
-	}), 1000, 2, 0)
+	}), 1000, 2)
 	if len(fails) != 1 || !strings.Contains(fails[0], "faster than") {
 		t.Errorf("speedup floor not enforced: %v", fails)
 	}
 
 	// Raw ns gate for benchmarks without a reference sibling.
 	soloBase := mkFile(map[string][2]float64{"BenchmarkY": {100, 0}})
-	_, fails = compare(soloBase, mkFile(map[string][2]float64{"BenchmarkY": {150, 0}}), 10, 2, 0)
+	_, fails = compare(soloBase, mkFile(map[string][2]float64{"BenchmarkY": {150, 0}}), 10, 2)
 	if len(fails) != 1 || !strings.Contains(fails[0], "regressed") {
 		t.Errorf("raw ns regression not caught: %v", fails)
 	}
@@ -134,62 +137,64 @@ func TestCompareGates(t *testing.T) {
 	_, fails = compare(soloBase, mkFile(map[string][2]float64{
 		"BenchmarkY": {100, 0},
 		"BenchmarkZ": {9999, 50},
-	}), 10, 2, 0)
+	}), 10, 2)
 	if len(fails) != 0 {
 		t.Errorf("new benchmark tripped gates: %v", fails)
 	}
 }
 
-// parFile builds a File with a serial/parallel flow-package pair at the
-// given procs count and ns/op values.
-func parFile(procs int, serialNs, parallelNs float64) *File {
-	return &File{Version: 1, Benchmarks: []Benchmark{
-		{Name: "BenchmarkAllocManyComponents/serial", Pkg: "cynthia/internal/flow", Procs: procs, Iters: 1, NsPerOp: serialNs},
-		{Name: "BenchmarkAllocManyComponents/parallel", Pkg: "cynthia/internal/flow", Procs: procs, Iters: 1, NsPerOp: parallelNs},
-	}}
-}
-
-func TestCompareParallelFloor(t *testing.T) {
-	baseline := parFile(8, 1000, 400)
-
-	// 2.5x at 8 procs clears the 2x floor.
-	_, fails := compare(baseline, parFile(8, 1000, 400), 10, 0, 2)
-	if len(fails) != 0 {
-		t.Errorf("clean parallel run failed gates: %v", fails)
+// TestCompareHardwareGate: cross-run timing gates compare only runs from
+// the same CPU at the same GOMAXPROCS. Across hardware the report says so
+// loudly, while allocs/op and the within-run speedup floor still gate.
+func TestCompareHardwareGate(t *testing.T) {
+	mk := func(cpu string, procs int, incNs, refNs, incAllocs float64) *File {
+		return &File{Version: 1, CPU: cpu, Procs: procs, Benchmarks: []Benchmark{
+			{Name: "BenchmarkX/incremental", Iters: 1, NsPerOp: incNs, AllocsPerOp: incAllocs},
+			{Name: "BenchmarkX/reference", Iters: 1, NsPerOp: refNs, AllocsPerOp: 140},
+			{Name: "BenchmarkY", Iters: 1, NsPerOp: 100, ItersPerSec: 30000},
+		}}
+	}
+	baseline := mk("Xeon @ 2.70GHz", 1, 100, 400, 0)
+	slowY := func(f *File) *File {
+		f.Benchmarks[2].NsPerOp, f.Benchmarks[2].ItersPerSec = 1000, 3000
+		return f
 	}
 
-	// 1.2x at 8 procs is below the floor.
-	_, fails = compare(baseline, parFile(8, 1000, 830), 1000, 0, 2)
+	// Enforce path: same hardware, so the ratio, raw ns and iters/s gates
+	// all fire.
+	report, fails := compare(baseline, slowY(mk("Xeon @ 2.70GHz", 1, 200, 400, 0)), 10, 0)
+	if strings.Contains(report, "hardware differs") {
+		t.Errorf("same hardware reported as different:\n%s", report)
+	}
+	if len(fails) != 3 {
+		t.Errorf("same-hardware regressions: got %d failures, want 3 (ratio, iters/s, raw ns): %v", len(fails), fails)
+	}
+
+	// Skip path: a different CPU skips every cross-run timing gate and
+	// says so, but an allocs/op rise still fails.
+	report, fails = compare(baseline, slowY(mk("Xeon", 1, 200, 400, 3)), 10, 0)
+	if !strings.Contains(report, "hardware differs") || !strings.Contains(report, "cross-run timing gates skipped") {
+		t.Errorf("cross-hardware skip not reported:\n%s", report)
+	}
+	if len(fails) != 1 || !strings.Contains(fails[0], "allocs/op") {
+		t.Errorf("cross-hardware run: want only the allocs/op failure, got %v", fails)
+	}
+
+	// A different GOMAXPROCS alone also counts as different hardware, and
+	// the within-run speedup floor is still enforced there.
+	report, fails = compare(baseline, mk("Xeon @ 2.70GHz", 2, 300, 400, 0), 10, 2)
+	if !strings.Contains(report, "hardware differs") {
+		t.Errorf("procs change not reported:\n%s", report)
+	}
 	if len(fails) != 1 || !strings.Contains(fails[0], "faster than") {
-		t.Errorf("parallel floor not enforced: %v", fails)
+		t.Errorf("cross-procs run: want only the speedup-floor failure, got %v", fails)
 	}
 
-	// At 2 procs the floor adapts to 0.6*2 = 1.2x, so 1.3x passes.
-	_, fails = compare(parFile(2, 1000, 760), parFile(2, 1000, 760), 1000, 0, 2)
-	if len(fails) != 0 {
-		t.Errorf("adaptive floor at 2 procs failed: %v", fails)
-	}
-
-	// Single-proc runs skip the floor: the pool degenerates to serial.
-	report, fails := compare(parFile(1, 1000, 1010), parFile(1, 1000, 1010), 1000, 0, 2)
-	if len(fails) != 0 {
-		t.Errorf("single-proc run tripped parallel floor: %v", fails)
-	}
-	if !strings.Contains(report, "parallel floor skipped") {
-		t.Errorf("single-proc skip not reported:\n%s", report)
-	}
-
-	// Cross-procs runs skip the baseline ratio gate (parallel speed is
-	// procs-bound), but the within-run floor still applies.
-	_, fails = compare(parFile(1, 1000, 1000), parFile(8, 1000, 400), 0.0001, 0, 2)
-	if len(fails) != 0 {
-		t.Errorf("cross-procs comparison tripped ratio gate: %v", fails)
-	}
-
-	// Same-procs ratio regression is caught even when the floor passes.
-	_, fails = compare(baseline, parFile(8, 1000, 500), 10, 0, 2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "relative to") {
-		t.Errorf("parallel ratio regression not caught: %v", fails)
+	// A baseline written before the procs field existed reads its procs
+	// from the benchmark-name suffixes (none means 1).
+	legacy := mk("Xeon @ 2.70GHz", 0, 100, 400, 0)
+	if report, _ := compare(legacy, mk("Xeon @ 2.70GHz", 1, 100, 400, 0), 10, 0); strings.Contains(report, "hardware differs") {
+		t.Errorf("legacy 1-proc baseline treated as different hardware:\n%s", report)
 	}
 }
 
@@ -200,12 +205,18 @@ func TestCompareItersPerSec(t *testing.T) {
 			Iters: 1, NsPerOp: 3e6, ItersPerSec: itersPerSec,
 		}}}
 	}
-	if _, fails := compare(mk(30000), mk(29000), 10, 0, 0); len(fails) != 0 {
+	if _, fails := compare(mk(30000), mk(29000), 10, 0); len(fails) != 0 {
 		t.Errorf("small iters/s dip tripped the gate: %v", fails)
 	}
-	_, fails := compare(mk(30000), mk(20000), 10, 0, 0)
+	_, fails := compare(mk(30000), mk(20000), 10, 0)
 	if len(fails) != 1 || !strings.Contains(fails[0], "iters/s") {
 		t.Errorf("iters/s collapse not caught: %v", fails)
+	}
+	// At a loose threshold (raw gate 150%) the gate must stay live: a 3x
+	// throughput collapse still fails.
+	_, fails = compare(mk(30000), mk(10000), 50, 0)
+	if len(fails) != 1 || !strings.Contains(fails[0], "iters/s") {
+		t.Errorf("iters/s collapse at threshold 50 not caught: %v", fails)
 	}
 }
 

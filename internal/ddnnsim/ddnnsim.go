@@ -118,16 +118,6 @@ type Options struct {
 	// CPU/NIC utilization (the measured Eq. 6-7 demand/capacity terms),
 	// training time, iteration count, and engine event counters.
 	Metrics *obs.Registry
-	// AllocMode selects the flow engine's max-min allocator (the zero
-	// value defers to the package default, normally incremental). The
-	// differential tests run the same simulation under AllocReference,
-	// AllocParallel, and AllocVerify to prove the incremental and sharded
-	// allocators bit-exact.
-	AllocMode flow.AllocMode
-	// AllocWorkers caps the AllocParallel worker pool (0 = engine
-	// default, min(GOMAXPROCS, 8)). Tests set it above 1 to force the
-	// concurrent path even on single-CPU hosts.
-	AllocWorkers int
 	// Journal, when bound, receives flight-recorder events for the
 	// segment: one sim.checkpoint per CheckpointEvery crossing (stamped at
 	// the iteration's completion instant), sim.interrupted when a fault
@@ -398,10 +388,6 @@ func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim
 		lossRng: rand.New(rand.NewSource(opt.Seed + 1)),
 		nWk:     cluster.NumWorkers(),
 		nPS:     cluster.NumPS(),
-	}
-	s.eng.SetAllocMode(opt.AllocMode)
-	if opt.AllocWorkers != 0 {
-		s.eng.SetParallelism(opt.AllocWorkers)
 	}
 	s.shardMB = w.GparamMB / float64(s.nPS)
 	s.psCPUPerMB = w.PSCPUPerMB

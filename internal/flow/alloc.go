@@ -1,6 +1,7 @@
 package flow
 
-// Incremental progressive-filling max-min allocation.
+// Incremental progressive-filling max-min allocation: the engine's only
+// allocation path.
 //
 // Max-min fairness decomposes over connected components of the bipartite
 // flow/resource graph: freezing a bottleneck's flows only ever touches
@@ -19,8 +20,7 @@ package flow
 // tolerance band), the minimum over the whole flow set restricted to one
 // component equals the minimum computed over that component alone — freeze
 // order is provably independent of how the flow set is partitioned, which
-// is what makes both component-local recomputation and the parallel
-// sharded allocator (parallel.go) bit-exact against the global reference
+// is what makes component-local recomputation bit-exact against a global
 // scan. The pre-fix comparator kept the original allocator's 1e-15
 // tolerance band; any banded "tie" relation is non-transitive, so the
 // running minimum depended on scan order and components could in principle
@@ -28,117 +28,32 @@ package flow
 // that differ by one ulp are simply different, and exact ties are resolved
 // by creation index identically under every partition.
 //
-// Everything on the incremental path is allocation-free in steady state:
-// epoch stamps (Resource.visit / Flow.visit) replace membership maps and
-// the queue / affected / comps / worklist buffers live on the Engine and
-// are reused across events.
+// Everything on this path is allocation-free in steady state: epoch stamps
+// (Resource.visit / Flow.visit) replace membership maps and the queue /
+// affected / comps / worklist buffers live on the Engine and are reused
+// across events.
 //
-// The pre-incremental full recompute survives as allocReference. It is
-// both the benchmark baseline and the correctness oracle: AllocVerify runs
-// it after every incremental allocation and panics unless every flow rate
-// and resource aggregate matches bit for bit (math.Float64bits equality,
-// not a tolerance) — the property the simtest golden corpus depends on.
+// The pre-incremental full recompute lives on only in this package's
+// tests, as the differential oracle (alloc_reference_test.go). Tests swap
+// it in through Engine.allocStep, or run it after every incremental step
+// and require every flow rate and resource aggregate to match bit for bit
+// (math.Float64bits equality, not a tolerance) — the property the simtest
+// golden corpus depends on. The oracle shares dirty-set expansion,
+// settlement and completion-heap re-keying with this file; only the rate
+// computation between them differs.
 //
-// Mode independence discipline: dirty-set expansion, flow/resource
-// settlement, and completion-heap re-keying run identically in every mode;
-// only the rate computation between them differs. The reference recompute
-// rewrites unaffected components' rates with bit-identical values (the
-// restriction property above), so no settlement is needed where it does
-// not run.
+// There is deliberately no parallel path. A waterfill sharded over a
+// goroutine pool was measured and deleted. On PS-shaped simulations 40% to
+// ~100% of recomputes have two or more dirty components, but those average
+// only ~1-35 flows each, below the cost of spawning a goroutine. On a
+// 2-vCPU Xeon the pool ran at 0.85x of serial even on its own best case
+// (128 components of 16 flows), and real ddnnsim runs were slower with it
+// and allocated more.
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// AllocMode selects which max-min allocator the engine runs.
-type AllocMode int
-
-const (
-	// AllocDefault defers to the package-level default (normally
-	// AllocIncremental; see SetDefaultAllocMode). It is the zero value, so
-	// callers that never choose a mode get the default allocator.
-	AllocDefault AllocMode = iota
-	// AllocIncremental re-waterfills only the connected components whose
-	// flow membership changed since the last step, serially.
-	AllocIncremental
-	// AllocReference runs the pre-incremental full recompute on every
-	// step — the benchmark baseline and differential-testing oracle.
-	AllocReference
-	// AllocVerify runs the incremental allocator, then the reference, and
-	// panics on any bitwise rate disagreement. Test-only: it allocates.
-	AllocVerify
-	// AllocParallel is AllocIncremental with the affected components
-	// waterfilled on a bounded worker pool (parallel.go). Bit-for-bit
-	// identical to the serial modes: components are disjoint, so the float
-	// arithmetic per component is the same regardless of which goroutine
-	// runs it or when.
-	AllocParallel
-)
-
-// String names the mode for diagnostics and benchmark labels.
-func (m AllocMode) String() string {
-	switch m {
-	case AllocDefault:
-		return "default"
-	case AllocIncremental:
-		return "incremental"
-	case AllocReference:
-		return "reference"
-	case AllocVerify:
-		return "verify"
-	case AllocParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("AllocMode(%d)", int(m))
-	}
-}
-
-// defaultAllocMode is the process-wide mode engines resolve AllocDefault
-// to. Zero (AllocDefault) means "not overridden" and reads as
-// AllocIncremental.
-var defaultAllocMode atomic.Int32
-
-// SetDefaultAllocMode overrides the allocator used by engines left in
-// AllocDefault mode, returning the previous default. It lets a harness
-// replay an entire scenario corpus under a different allocator (e.g.
-// AllocParallel) without threading a mode through every construction
-// site. Safe for concurrent use; restore the returned value when done.
-func SetDefaultAllocMode(m AllocMode) AllocMode {
-	old := AllocMode(defaultAllocMode.Swap(int32(m)))
-	if old == AllocDefault {
-		old = AllocIncremental
-	}
-	return old
-}
-
-// SetAllocMode selects the allocator implementation. Call before Run;
-// switching modes mid-run is safe but makes benchmark numbers meaningless.
-// AllocDefault (the zero value) defers to SetDefaultAllocMode.
-func (e *Engine) SetAllocMode(m AllocMode) { e.mode = m }
-
-// AllocMode returns the engine's configured allocator mode (possibly
-// AllocDefault, before resolution against the package default).
-func (e *Engine) AllocMode() AllocMode { return e.mode }
-
-// SetParallelism caps the worker pool used by AllocParallel. n <= 0
-// restores the default, min(GOMAXPROCS, 8). Values above the component
-// count are harmless; a pool of 1 runs the serial path.
-func (e *Engine) SetParallelism(n int) { e.par = n }
-
-// effectiveMode resolves AllocDefault against the package default.
-func (e *Engine) effectiveMode() AllocMode {
-	m := e.mode
-	if m == AllocDefault {
-		m = AllocMode(defaultAllocMode.Load())
-		if m == AllocDefault {
-			m = AllocIncremental
-		}
-	}
-	return m
-}
 
 // allocSizeBounds buckets the affected-flow count of each recompute
 // (le semantics; one implicit overflow bucket follows). allocSizeBuckets
@@ -149,75 +64,30 @@ var (
 	allocSizeBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 )
 
-// allocate dispatches one allocation step to the configured allocator.
+// allocate runs one allocation step: the incremental allocator, unless a
+// test has installed another step in e.allocStep.
 func (e *Engine) allocate() {
-	switch e.effectiveMode() {
-	case AllocReference:
-		e.allocReferenceStep()
-	case AllocVerify:
-		e.allocIncrementalStep(false)
-		e.verifyAllocation()
-	case AllocParallel:
-		e.allocIncrementalStep(true)
-	default:
-		e.allocIncrementalStep(false)
+	if e.allocStep != nil {
+		e.allocStep(e)
+		return
 	}
+	e.allocIncrementalStep()
 }
 
 // allocIncrementalStep re-runs waterfilling over the connected components
 // reachable from the dirty resources, or skips entirely when no flow
-// membership changed. Steady-state cost is zero allocations on the serial
-// path.
-func (e *Engine) allocIncrementalStep(parallel bool) {
+// membership changed. Steady-state cost is zero allocations.
+func (e *Engine) allocIncrementalStep() {
 	if len(e.dirty) == 0 {
 		e.stats.AllocSkipped++
 		return
 	}
 	e.expandDirty()
-	n := len(e.affected)
-	if parallel {
-		e.waterfillParallel()
-	} else {
-		e.waterfillSerial()
+	for _, c := range e.comps {
+		e.runComp(c)
 	}
 	e.rekeyAffected()
-	e.noteRecompute(n)
-}
-
-// allocReferenceStep runs the full recompute. Settlement and re-keying
-// still follow the mode-independent dirty-set discipline so the float
-// sequences match the incremental modes exactly; the reference merely
-// computes every rate from scratch instead of only the affected ones.
-func (e *Engine) allocReferenceStep() {
-	if len(e.dirty) > 0 {
-		e.expandDirty()
-		for _, c := range e.comps {
-			res := e.queue[c.r0:c.r1]
-			for _, r := range res {
-				e.settleResource(r)
-			}
-			for _, f := range e.affected[c.f0:c.f1] {
-				e.settleFlow(f)
-			}
-			if c.f0 == c.f1 {
-				// Dead component: the dirty resource's last flow left. The
-				// full recompute never visits it, so zero the rate here
-				// (the incremental waterfill of an empty span does the
-				// same) or end-of-run settlement would accrue phantom busy.
-				for _, r := range res {
-					r.lastRate = 0
-				}
-			}
-		}
-		e.allocReference()
-		e.rekeyAffected()
-	} else {
-		// No membership change: the recompute is idempotent and rewrites
-		// every rate with identical bits, so neither settlement nor
-		// re-keying is needed.
-		e.allocReference()
-	}
-	e.noteRecompute(len(e.active))
+	e.noteRecompute(len(e.affected))
 }
 
 // expandDirty carves the connected components reachable from the dirty
@@ -285,11 +155,8 @@ func (s *spanSorter) Less(i, j int) bool { return s.flows[i].seq < s.flows[j].se
 func (s *spanSorter) Swap(i, j int)      { s.flows[i], s.flows[j] = s.flows[j], s.flows[i] }
 
 // runComp settles one component's accounting through e.now, then
-// waterfills it. work is the caller's reusable unfrozen-worklist buffer;
-// the (possibly grown) buffer is returned for reuse. Components are
-// disjoint, so concurrent runComp calls on different components touch
-// disjoint memory (e.now and capacities are read-only during allocation).
-func (e *Engine) runComp(c compSpan, work []*Flow) []*Flow {
+// waterfills it with the engine's reusable worklist buffer.
+func (e *Engine) runComp(c compSpan) {
 	res := e.queue[c.r0:c.r1]
 	fls := e.affected[c.f0:c.f1]
 	for _, r := range res {
@@ -298,32 +165,12 @@ func (e *Engine) runComp(c compSpan, work []*Flow) []*Flow {
 	for _, f := range fls {
 		e.settleFlow(f)
 	}
-	return e.waterfill(res, fls, work)
-}
-
-// waterfillSerial runs every affected component in discovery order on the
-// calling goroutine.
-func (e *Engine) waterfillSerial() {
-	e.ensureScratch(1)
-	buf := e.wfScratch[0]
-	for _, c := range e.comps {
-		buf = e.runComp(c, buf)
-	}
-	e.wfScratch[0] = buf
-}
-
-// ensureScratch grows the per-worker worklist table to at least n slots.
-func (e *Engine) ensureScratch(n int) {
-	for len(e.wfScratch) < n {
-		e.wfScratch = append(e.wfScratch, nil)
-	}
+	e.wfScratch = e.waterfill(res, fls, e.wfScratch)
 }
 
 // rekeyAffected recomputes the completion-heap key of every flow that was
-// just settled and re-rated, in span order. Heap surgery is not
-// thread-safe, so this stays on the event-loop goroutine in every mode;
-// the pop order the event loop observes depends only on the (doneAt, seq)
-// keys, not on re-key order.
+// just settled and re-rated, in span order. The pop order the event loop
+// observes depends only on the (doneAt, seq) keys, not on re-key order.
 func (e *Engine) rekeyAffected() {
 	for _, f := range e.affected {
 		switch {
@@ -416,132 +263,6 @@ func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) [
 		}
 	}
 	return unfrozen[:0]
-}
-
-// allocReference is the pre-incremental allocator, kept verbatim apart
-// from the shared bottleneck total order: a full map-backed recompute over
-// every active flow, scanned in submission order. It writes only f.rate
-// and r.lastRate, so running it never corrupts the incremental bookkeeping
-// (remaining/nflows are re-initialized by every waterfill).
-func (e *Engine) allocReference() {
-	type resState struct {
-		res       *Resource
-		remaining float64 // capacity not yet assigned
-		nflows    int     // unfrozen flows through this resource
-	}
-	// The active set is unordered (completion swap-removes); the reference
-	// scan is defined over submission order.
-	act := make([]*Flow, len(e.active))
-	copy(act, e.active)
-	sort.Slice(act, func(i, j int) bool { return act[i].seq < act[j].seq })
-	states := map[*Resource]*resState{}
-	flowResources := make(map[*Flow][]*resState, len(act))
-	for _, f := range act {
-		f.rate = 0
-		for _, r := range f.path {
-			st := states[r]
-			if st == nil {
-				st = &resState{res: r, remaining: r.capacity}
-				states[r] = st
-			}
-			st.nflows++
-			flowResources[f] = append(flowResources[f], st)
-		}
-	}
-	for r := range states {
-		r.lastRate = 0
-	}
-	unfrozen := make([]*Flow, len(act))
-	copy(unfrozen, act)
-	for len(unfrozen) > 0 {
-		// Bottleneck = strict minimum under the (share, creation index)
-		// total order — identical to waterfill and the parallel path.
-		var bottleneck *resState
-		best := math.Inf(1)
-		for _, f := range unfrozen {
-			for _, st := range flowResources[f] {
-				if st.nflows == 0 {
-					continue
-				}
-				share := st.remaining / float64(st.nflows)
-				if share < best || (share == best && st.res.index < bottleneck.res.index) {
-					best = share
-					bottleneck = st
-				}
-			}
-		}
-		if bottleneck == nil {
-			break
-		}
-		// Freeze every unfrozen flow crossing the bottleneck at the fair
-		// share; charge that rate to all resources on their paths.
-		kept := unfrozen[:0]
-		for _, f := range unfrozen {
-			crosses := false
-			for _, st := range flowResources[f] {
-				if st == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				kept = append(kept, f)
-				continue
-			}
-			f.rate = best
-			for _, st := range flowResources[f] {
-				st.remaining -= best
-				if st.remaining < 0 {
-					st.remaining = 0
-				}
-				st.nflows--
-			}
-		}
-		unfrozen = kept
-	}
-	for r, st := range states {
-		r.lastRate = r.capacity - st.remaining
-		if r.lastRate < 0 {
-			r.lastRate = 0
-		}
-	}
-}
-
-// verifyAllocation snapshots the incremental allocator's output, re-runs
-// the reference allocator over the full active set, and panics on any
-// bitwise disagreement. Rates are compared with math.Float64bits — exact
-// equality, no tolerance — because the golden corpus depends on the two
-// allocators being interchangeable to the last ulp. Only resources on
-// active paths are compared: the reference never touches resources whose
-// last flow completed, while the incremental allocator zeroes them (their
-// lastRate is dead either way once zeroed — settlement accrues nothing at
-// rate zero).
-func (e *Engine) verifyAllocation() {
-	rates := make([]float64, len(e.active))
-	resRates := make(map[*Resource]float64)
-	for i, f := range e.active {
-		rates[i] = f.rate
-		for _, r := range f.path {
-			if _, ok := resRates[r]; !ok {
-				resRates[r] = r.lastRate
-			}
-		}
-	}
-	e.allocReference()
-	for i, f := range e.active {
-		if math.Float64bits(f.rate) != math.Float64bits(rates[i]) {
-			panic(fmt.Sprintf(
-				"flow: AllocVerify mismatch at t=%g: flow %q incremental rate %v (%#016x) != reference %v (%#016x)",
-				e.now, f.label, rates[i], math.Float64bits(rates[i]), f.rate, math.Float64bits(f.rate)))
-		}
-	}
-	for r, inc := range resRates {
-		if math.Float64bits(r.lastRate) != math.Float64bits(inc) {
-			panic(fmt.Sprintf(
-				"flow: AllocVerify mismatch at t=%g: resource %q incremental lastRate %v (%#016x) != reference %v (%#016x)",
-				e.now, r.name, inc, math.Float64bits(inc), r.lastRate, math.Float64bits(r.lastRate)))
-		}
-	}
 }
 
 // noteRecompute records one allocator recompute over n affected flows in

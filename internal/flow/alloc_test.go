@@ -1,10 +1,8 @@
 package flow
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"cynthia/internal/obs"
@@ -12,18 +10,13 @@ import (
 
 // buildChurn constructs a randomized multi-component engine run: staggered
 // arrivals over disjoint and overlapping paths, with completion-driven
-// resubmission. Identical construction for every mode, so completion
-// times are comparable bit for bit across allocators.
-func buildChurn(seed int64, mode AllocMode) (end float64, completions []float64) {
+// resubmission. Identical construction for every allocation step (nil is
+// the incremental allocator), so completion times are comparable bit for
+// bit across allocators.
+func buildChurn(seed int64, step func(*Engine)) (end float64, completions []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
-	e.SetAllocMode(mode)
-	if mode == AllocParallel {
-		// Force a real pool even when GOMAXPROCS is 1, so the concurrent
-		// code path (not the serial fallback) is what gets differentially
-		// tested and raced.
-		e.SetParallelism(4)
-	}
+	e.allocStep = step
 	nRes := 4 + rng.Intn(12)
 	resources := make([]*Resource, nRes)
 	for i := range resources {
@@ -66,55 +59,27 @@ func buildChurn(seed int64, mode AllocMode) (end float64, completions []float64)
 	return end, completions
 }
 
-// churnMatches runs one churn seed under a candidate mode and requires its
-// end time and completion sequence to match the reference bit for bit.
-func churnMatches(t *testing.T, seed int64, refEnd float64, refC []float64, mode AllocMode) {
-	t.Helper()
-	end, c := buildChurn(seed, mode)
-	if math.Float64bits(refEnd) != math.Float64bits(end) {
-		t.Fatalf("seed %d: end time diverged: reference %v, %v %v", seed, refEnd, mode, end)
-	}
-	if len(refC) != len(c) {
-		t.Fatalf("seed %d: completion count diverged: reference %d, %v %d", seed, len(refC), mode, len(c))
-	}
-	for i := range refC {
-		if math.Float64bits(refC[i]) != math.Float64bits(c[i]) {
-			t.Fatalf("seed %d: completion %d diverged: reference %v, %v %v", seed, i, refC[i], mode, c[i])
-		}
-	}
-}
-
 // TestDifferentialIncrementalVsReference runs 200 randomized churn seeds
-// as a three-way bitwise comparison — full-recompute reference vs serial
-// incremental vs parallel component-sharded — and requires identical end
-// times and completion sequences: every allocator must be
-// indistinguishable from every other to the last ulp.
+// under the full-recompute reference and the incremental allocator and
+// requires bit-identical end times and completion sequences.
 func TestDifferentialIncrementalVsReference(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		refEnd, refC := buildChurn(seed, AllocReference)
-		churnMatches(t, seed, refEnd, refC, AllocIncremental)
-		churnMatches(t, seed, refEnd, refC, AllocParallel)
-		// Verify mode re-checks every recompute internally and panics on
-		// any bitwise rate mismatch mid-run, not just at completions.
-		buildChurn(seed, AllocVerify)
-	}
-}
-
-// TestDifferentialParallelAcrossGOMAXPROCS re-runs the churn harness in
-// AllocParallel mode at GOMAXPROCS=1 (workers multiplexed on one thread)
-// and GOMAXPROCS=NumCPU (true parallelism where the hardware has it),
-// against serial-incremental references: goroutine scheduling must never
-// reach the bits.
-func TestDifferentialParallelAcrossGOMAXPROCS(t *testing.T) {
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			for seed := int64(0); seed < 200; seed++ {
-				refEnd, refC := buildChurn(seed, AllocIncremental)
-				churnMatches(t, seed, refEnd, refC, AllocParallel)
+		refEnd, refC := buildChurn(seed, (*Engine).allocReferenceStep)
+		end, c := buildChurn(seed, nil)
+		if math.Float64bits(refEnd) != math.Float64bits(end) {
+			t.Fatalf("seed %d: end time diverged: reference %v, incremental %v", seed, refEnd, end)
+		}
+		if len(refC) != len(c) {
+			t.Fatalf("seed %d: completion count diverged: reference %d, incremental %d", seed, len(refC), len(c))
+		}
+		for i := range refC {
+			if math.Float64bits(refC[i]) != math.Float64bits(c[i]) {
+				t.Fatalf("seed %d: completion %d diverged: reference %v, incremental %v", seed, i, refC[i], c[i])
 			}
-		})
+		}
+		// The verify step re-checks every recompute internally and panics
+		// on any bitwise rate mismatch mid-run, not just at completions.
+		buildChurn(seed, (*Engine).allocVerifyStep)
 	}
 }
 
@@ -132,18 +97,15 @@ func TestDifferentialParallelAcrossGOMAXPROCS(t *testing.T) {
 // comparator picks R2 (strictly smallest share) under every partition,
 // and the later exact tie between X and R1 (their shares collapse to the
 // same float) is broken by creation index identically everywhere.
-func tieBreakRates(mode AllocMode) [4]float64 {
+func tieBreakRates(step func(*Engine)) [4]float64 {
 	e := NewEngine()
-	e.SetAllocMode(mode)
-	if mode == AllocParallel {
-		e.SetParallelism(4)
-	}
+	e.allocStep = step
 	x := NewResource("x", 1+1.8e-15)
 	r1 := NewResource("r1", 2+1.8e-15)
 	r2 := NewResource("r2", 2.0)
 	fB := e.Submit("fB", 1e6, []*Resource{x}, nil)
 	// g0 is the trigger: its completion dirties only component A, forcing
-	// the incremental allocators onto the component-local scan while the
+	// the incremental allocator onto the component-local scan while the
 	// reference rescans everything.
 	e.Submit("g0", 1e-6, []*Resource{r1}, nil)
 	g1 := e.Submit("g1", 1e6, []*Resource{r1}, nil)
@@ -161,7 +123,7 @@ func tieBreakRates(mode AllocMode) [4]float64 {
 // must produce bit-identical rates under every partition — and exactly
 // the rates the strict global minimum dictates.
 func TestCrossComponentTieBreakPartitionIndependent(t *testing.T) {
-	ref := tieBreakRates(AllocReference)
+	ref := tieBreakRates((*Engine).allocReferenceStep)
 	names := [4]string{"fB", "g1", "g2", "g3"}
 	// The strict minimum after the trigger completes is R2 (share exactly
 	// 1.0): its flows g2 and g3 freeze at 1.0. The old component-local
@@ -175,23 +137,26 @@ func TestCrossComponentTieBreakPartitionIndependent(t *testing.T) {
 	if math.Float64bits(ref[0]) != math.Float64bits(ref[1]) {
 		t.Fatalf("fB and g1 rates differ (%v vs %v), want the exact tie", ref[0], ref[1])
 	}
-	for _, mode := range []AllocMode{AllocIncremental, AllocParallel, AllocVerify} {
-		got := tieBreakRates(mode)
+	for _, alloc := range []struct {
+		name string
+		step func(*Engine)
+	}{{"incremental", nil}, {"verify", (*Engine).allocVerifyStep}} {
+		got := tieBreakRates(alloc.step)
 		for i := range ref {
 			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Errorf("%v: flow %s rate %v (%#016x) != reference %v (%#016x)",
-					mode, names[i], got[i], math.Float64bits(got[i]), ref[i], math.Float64bits(ref[i]))
+				t.Errorf("%s: flow %s rate %v (%#016x) != reference %v (%#016x)",
+					alloc.name, names[i], got[i], math.Float64bits(got[i]), ref[i], math.Float64bits(ref[i]))
 			}
 		}
 	}
 }
 
-// TestAllocVerifyMatchesOnDirectedScenarios runs the verify-mode allocator
-// over the deterministic unit scenarios exercised elsewhere in the suite:
-// uneven paths, freed capacity, multi-resource bottlenecks.
+// TestAllocVerifyMatchesOnDirectedScenarios runs the verify step over the
+// deterministic unit scenarios exercised elsewhere in the suite: uneven
+// paths, freed capacity, multi-resource bottlenecks.
 func TestAllocVerifyMatchesOnDirectedScenarios(t *testing.T) {
 	e := NewEngine()
-	e.SetAllocMode(AllocVerify)
+	e.allocStep = (*Engine).allocVerifyStep
 	r1 := NewResource("r1", 10)
 	r2 := NewResource("r2", 4)
 	slow := NewResource("slow", 1)

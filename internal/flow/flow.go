@@ -24,8 +24,9 @@
 // re-waterfilled), flow progress and per-resource busyIntegral are settled
 // only when a component is re-waterfilled (plus once at Run exit), so a
 // step that touches one component costs O(affected), not O(cluster).
-// The pre-incremental full recompute is kept as a reference allocator;
-// AllocVerify cross-checks the two bit for bit on every recompute.
+// There is one allocator and no way to select another: the pre-incremental
+// full recompute survives only in the package's tests, as the oracle the
+// incremental allocator is checked against bit for bit.
 package flow
 
 import (
@@ -42,7 +43,7 @@ import (
 // are meaningless; only the relative order of resources within one engine's
 // topology matters, and topologies are built sequentially per engine, so
 // the order is deterministic run to run. The counter is atomic because
-// independent engines (e.g. parallel plan-candidate evaluations) create
+// independent engines (e.g. the simulations of concurrent jobs) create
 // resources concurrently.
 var resourceSeq atomic.Int64
 
@@ -211,8 +212,11 @@ type Engine struct {
 	seq     int   // tie-break for deterministic timer ordering
 	flowSeq int64 // submission sequence handed to flows
 	stopped bool
-	mode    AllocMode
-	par     int // parallel waterfill worker cap (0 = min(GOMAXPROCS, 8))
+
+	// allocStep, when non-nil, replaces the incremental allocation step.
+	// It is a test seam: only this package's tests set it, to run the
+	// full-recompute oracle or to cross-check the two on every step.
+	allocStep func(*Engine)
 
 	// Every resource ever submitted on, so lazy accounting can be settled
 	// at Run exit without scanning active flows.
@@ -233,7 +237,7 @@ type Engine struct {
 	affected   []*Flow     // affected flows, contiguous per component
 	comps      []compSpan
 	spanSort   spanSorter
-	wfScratch  [][]*Flow // per-worker unfrozen worklists (slot 0 = serial)
+	wfScratch  []*Flow // waterfill's unfrozen worklist
 	finScratch []*Flow
 	allocSizes [len(allocSizeBounds) + 1]int64 // affected flows per recompute
 
@@ -278,8 +282,13 @@ func (e *Engine) SetFlowObserver(fn func(f *Flow, start, end float64)) {
 	e.observer = fn
 }
 
+// newEngineAllocStep seeds Engine.allocStep for every engine NewEngine
+// builds, so tests can switch the allocator of engines that other packages
+// (ddnnsim) construct internally. Only this package's tests set it.
+var newEngineAllocStep func(*Engine)
+
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{allocStep: newEngineAllocStep} }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -422,8 +431,9 @@ func (e *Engine) Run(horizon float64) float64 {
 // settleFlow folds progress since the flow's last settlement into its
 // remaining work and re-pins the settlement clock to now. Called exactly
 // when the flow's component is about to be re-waterfilled (before rates
-// are overwritten) and at completion — identically in every alloc mode, so
-// the float arithmetic sequence, and hence the bits, never depend on mode.
+// are overwritten) and at completion. The test oracle settles through the
+// same calls, so its float arithmetic sequence, and hence its bits, match
+// the incremental allocator's.
 func (e *Engine) settleFlow(f *Flow) {
 	if dt := e.now - f.settled; dt > 0 {
 		f.remaining -= f.rate * dt
@@ -540,10 +550,10 @@ func (e *Engine) fireTimers() {
 
 // --- completion-time min-heap -----------------------------------------
 
-// cheapLess orders the completion heap by (doneAt, submission seq). Both
-// keys are mode-independent, so although the heap's array layout depends
-// on re-key order, the pop sequence — the only thing the event loop
-// observes — is the unique sorted order.
+// cheapLess orders the completion heap by (doneAt, submission seq). The
+// keys are a total order, so although the heap's array layout depends on
+// re-key order, the pop sequence — the only thing the event loop observes
+// — is the unique sorted order.
 func cheapLess(a, b *Flow) bool {
 	if a.doneAt != b.doneAt {
 		return a.doneAt < b.doneAt

@@ -370,20 +370,27 @@ func TestSortedRates(t *testing.T) {
 	}
 }
 
-// benchModes are the allocator variants every hot-path benchmark reports:
-// "reference" is the pre-incremental full recompute (the baseline the
-// bench harness compares against), "incremental" the default allocator.
-var benchModes = []AllocMode{AllocIncremental, AllocReference}
+// benchAllocators are the allocator variants every hot-path benchmark
+// reports: "incremental" is the production allocator, "reference" the
+// pre-incremental full recompute kept as the test oracle (the baseline the
+// bench harness compares against).
+var benchAllocators = []struct {
+	name string
+	step func(*Engine)
+}{
+	{"incremental", nil},
+	{"reference", (*Engine).allocReferenceStep},
+}
 
 // BenchmarkAllocate64Flows measures one allocation recompute over a single
 // 64-flow, 8-resource connected component (a ring, so every flow is in one
 // bottleneck group). Each iteration dirties a resource so the incremental
 // allocator actually re-waterfills instead of skipping.
 func BenchmarkAllocate64Flows(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
 			e := NewEngine()
-			e.SetAllocMode(mode)
+			e.allocStep = alloc.step
 			resources := make([]*Resource, 8)
 			for i := range resources {
 				resources[i] = NewResource("r", 100)
@@ -407,10 +414,10 @@ func BenchmarkAllocate64Flows(b *testing.B) {
 // recompute. The reference allocator pays for all 128 flows every time;
 // the incremental allocator re-waterfills 8.
 func BenchmarkAllocateSparse(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
 			e := NewEngine()
-			e.SetAllocMode(mode)
+			e.allocStep = alloc.step
 			const groups = 16
 			resources := make([]*Resource, 2*groups)
 			for i := range resources {
@@ -435,12 +442,12 @@ func BenchmarkAllocateSparse(b *testing.B) {
 // sequential flows churned through one resource (every event changes the
 // flow set, so nothing is skippable).
 func BenchmarkEngineThroughput(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := NewEngine()
-				e.SetAllocMode(mode)
+				e.allocStep = alloc.step
 				r := NewResource("r", 100)
 				var spawn func(now float64)
 				count := 0
@@ -452,49 +459,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				}
 				e.Submit("f", 1, []*Resource{r}, spawn)
 				e.Run(0)
-			}
-		})
-	}
-}
-
-// BenchmarkAllocManyComponents is the large-topology sharding benchmark:
-// 128 disjoint components of 16 flows over 4 resources each (2048 flows
-// total), with every component dirtied on every recompute — the worst
-// case for a serial waterfill and the best case for the component-sharded
-// worker pool. "serial" runs the incremental allocator, "parallel" the
-// same waterfill sharded over the pool; the bench harness gates their
-// ratio (parallel must win by the floor on multi-core machines).
-func BenchmarkAllocManyComponents(b *testing.B) {
-	modes := []struct {
-		name string
-		mode AllocMode
-	}{
-		{"serial", AllocIncremental},
-		{"parallel", AllocParallel},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			const comps = 128
-			const flowsPer = 16
-			e := NewEngine()
-			e.SetAllocMode(m.mode)
-			seeds := make([]*Resource, comps)
-			for c := 0; c < comps; c++ {
-				res := make([]*Resource, 4)
-				for j := range res {
-					res[j] = NewResource("r", 100+float64(c%13))
-				}
-				seeds[c] = res[0]
-				for f := 0; f < flowsPer; f++ {
-					e.Submit("f", 1e18, []*Resource{res[f%4], res[(f+1)%4]}, nil)
-				}
-			}
-			e.allocate() // warm scratch buffers and the worker pool path
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.dirty = append(e.dirty, seeds...)
-				e.allocate()
 			}
 		})
 	}
@@ -531,12 +495,12 @@ func BenchmarkEngineTimerSteps(b *testing.B) {
 // the ddnnsim transfer topology), with every completion respawning a flow
 // on a rotated path — 2000 churn events per engine run.
 func BenchmarkEngineLargeScenario(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e := NewEngine()
-				e.SetAllocMode(mode)
+				e.allocStep = alloc.step
 				wk := make([]*Resource, 8)
 				ps := make([]*Resource, 8)
 				for j := range wk {

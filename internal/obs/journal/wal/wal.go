@@ -84,6 +84,10 @@ type WAL struct {
 	unsynced int   // appends since the last fsync
 	scratch  []byte
 	closed   bool
+	// syncErr is the first fsync failure. It is sticky: the records that
+	// sync covered may never reach stable storage, and a retry cannot tell,
+	// so every later Append and Sync returns it.
+	syncErr error
 }
 
 // segmentName formats the file name of segment i.
@@ -233,6 +237,9 @@ func (w *WAL) Append(payload []byte) error {
 	if w.closed {
 		return errors.New("wal: closed")
 	}
+	if w.syncErr != nil {
+		return w.syncErr
+	}
 	if w.segSize >= w.opts.SegmentBytes && w.segSize > 0 {
 		if err := w.syncLocked(); err != nil {
 			return err
@@ -282,15 +289,22 @@ func (w *WAL) Sync() error {
 	return w.syncLocked()
 }
 
+// syncLocked fsyncs the active segment if any append is unsynced. The
+// unsynced count is cleared only after a successful fsync; a failure is
+// recorded in syncErr and returned from then on.
 func (w *WAL) syncLocked() error {
+	if w.syncErr != nil {
+		return w.syncErr
+	}
 	if w.unsynced == 0 || w.opts.NoSync {
 		w.unsynced = 0
 		return nil
 	}
-	w.unsynced = 0
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		w.syncErr = fmt.Errorf("wal: fsync failed, log no longer durable: %w", err)
+		return w.syncErr
 	}
+	w.unsynced = 0
 	return nil
 }
 

@@ -306,6 +306,33 @@ func TestClosedWALRefusesAppends(t *testing.T) {
 	}
 }
 
+// TestFailedSyncIsSticky: once an fsync fails, the records it covered may
+// never reach stable storage, so no later Sync or Append may report
+// success. A retry that returned nil would let the caller acknowledge
+// work that is not durable.
+func TestFailedSyncIsSticky(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	// Close the descriptor underneath the log so the next fsync fails.
+	if err := w.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("sync on a failed descriptor succeeded")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("retried sync succeeded after an fsync failure")
+	}
+	if err := w.Append([]byte("r")); err == nil {
+		t.Fatal("append succeeded after an fsync failure")
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := LatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {

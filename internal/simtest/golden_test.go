@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cynthia/internal/flow"
 )
 
 var update = flag.Bool("update", false, "rewrite golden scenario expectations in place")
@@ -58,5 +60,33 @@ func TestGoldenScenarios(t *testing.T) {
 	}
 	if faulted < 2 {
 		t.Errorf("golden corpus has %d scenarios with fault schedules, want at least 2", faulted)
+	}
+}
+
+// TestGoldenCorpusNoUtilizationClamps replays every golden scenario and
+// asserts the process-wide Utilization clamp counter does not move: none
+// of the 11 end-to-end runs drives a resource's busy integral past its
+// capacity (the drift the old silent clamp in Resource.Utilization would
+// have masked).
+func TestGoldenCorpusNoUtilizationClamps(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no golden scenarios found")
+	}
+	before := flow.UtilizationClamps()
+	for _, path := range paths {
+		s, err := LoadScenario(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunScenario(s); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+	}
+	if delta := flow.UtilizationClamps() - before; delta != 0 {
+		t.Errorf("golden corpus produced %d utilization clamps, want 0 (accounting drift)", delta)
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress bench bench-obs bench-json bench-check coverage fuzz-smoke planload-smoke crash-smoke check
+.PHONY: all build vet test race stress bench bench-obs bench-json bench-check coverage fuzz-smoke crash-smoke check
 
 # The hot-path packages whose benchmarks form the committed perf
 # trajectory (BENCH_flow.json): the flow engine, the simulator built on
@@ -114,12 +114,6 @@ fuzz-smoke:
 	$(GO) test ./internal/loss -run '^$$' -fuzz '^FuzzFit$$' -fuzztime 5s
 	$(GO) test ./internal/cloud -run '^$$' -fuzz '^FuzzFaultPlanSchedule$$' -fuzztime 5s
 	$(GO) test ./internal/cloud/pricing -run '^$$' -fuzz '^FuzzPriceTrace$$' -fuzztime 5s
-
-# planload-smoke drives the plan endpoint end to end for a moment: an
-# in-process master, concurrent clients, and a non-zero hit ratio
-# (asserted by the tool exiting non-zero when no plans succeed).
-planload-smoke:
-	$(GO) run ./cmd/planload -concurrency 16 -duration 2s
 
 # crash-smoke is the process-level durability drill: boot cmd/master with
 # a state dir, SIGKILL it with jobs in flight, restart it over the same

@@ -93,10 +93,8 @@ func TestSubmitJobEndToEnd(t *testing.T) {
 	if fetched["status"] != "succeeded" {
 		t.Errorf("GET job %s status %v", job.ID, fetched["status"])
 	}
-	var events []map[string]any
-	getJSON(t, srv.URL+"/api/events", &events)
-	if len(events) == 0 {
-		t.Error("no lifecycle events recorded for the submission")
+	if events := getBody(t, srv.URL+"/debug/journal?job="+job.ID); !strings.Contains(events, `"type":"job.finished"`) {
+		t.Errorf("journal holds no job.finished event for the submission:\n%s", events)
 	}
 }
 

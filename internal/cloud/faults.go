@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"cynthia/internal/obs"
 	"cynthia/internal/obs/journal"
 )
 
@@ -220,52 +219,6 @@ func (p *Provider) SetMasterKillsTaken(n int) {
 	p.fault.killsTaken = n
 }
 
-// EventType labels instance lifecycle events on a Watch channel.
-type EventType string
-
-// Instance lifecycle event types.
-const (
-	EventLaunched   EventType = "launched"
-	EventPreempted  EventType = "preempted"
-	EventTerminated EventType = "terminated"
-)
-
-// InstanceEvent is one lifecycle occurrence: an instance snapshot, what
-// happened to it, and when on the provider clock.
-type InstanceEvent struct {
-	Type     EventType
-	Instance Instance
-	At       float64
-}
-
-// Watch subscribes to instance lifecycle events. Events are delivered on
-// a channel with the given buffer (minimum 1); a slow consumer loses
-// events rather than blocking the control plane. The returned cancel
-// function unsubscribes and closes the channel.
-func (p *Provider) Watch(buffer int) (<-chan InstanceEvent, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan InstanceEvent, buffer)
-	p.mu.Lock()
-	if p.watchers == nil {
-		p.watchers = make(map[int]chan InstanceEvent)
-	}
-	p.nextWatch++
-	id := p.nextWatch
-	p.watchers[id] = ch
-	p.mu.Unlock()
-	cancel := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if c, ok := p.watchers[id]; ok {
-			delete(p.watchers, id)
-			close(c)
-		}
-	}
-	return ch, cancel
-}
-
 // SetJournal installs (or, with nil, removes) the flight-recorder journal
 // the provider appends instance lifecycle events to. Correlation IDs are
 // read from the instance's "trace" and "job" tags, so events line up with
@@ -276,28 +229,18 @@ func (p *Provider) SetJournal(j *journal.Journal) {
 	p.jrnl = j
 }
 
-// journalLocked appends one lifecycle event to the flight recorder.
+// journalLocked appends one lifecycle event (journal.InstanceLaunched,
+// InstancePreempted or InstanceTerminated) to the flight recorder.
 // Callers hold p.mu.
-func (p *Provider) journalLocked(typ EventType, inst *Instance, at float64) {
+func (p *Provider) journalLocked(typ journal.Type, inst *Instance, at float64) {
 	if p.jrnl == nil {
-		return
-	}
-	var jt journal.Type
-	switch typ {
-	case EventLaunched:
-		jt = journal.InstanceLaunched
-	case EventPreempted:
-		jt = journal.InstancePreempted
-	case EventTerminated:
-		jt = journal.InstanceTerminated
-	default:
 		return
 	}
 	fields := []journal.Field{
 		journal.F("id", inst.ID),
 		journal.F("type", inst.Type.Name),
 	}
-	if typ == EventLaunched {
+	if typ == journal.InstanceLaunched {
 		fields = append(fields,
 			journal.Ffloat("delay_sec", inst.ReadyAt-inst.LaunchedAt),
 			journal.Ffloat("price_per_hour", inst.Type.PricePerHour))
@@ -330,26 +273,10 @@ func (p *Provider) journalLocked(typ EventType, inst *Instance, at float64) {
 		Source: "cloud",
 		Trace:  inst.Tags["trace"],
 		Job:    inst.Tags["job"],
-		Type:   jt,
+		Type:   typ,
 		At:     at,
 		Fields: fields,
 	})
-}
-
-// emitLocked journals an event and fans it out to every watcher without
-// blocking. Callers hold p.mu.
-func (p *Provider) emitLocked(typ EventType, inst *Instance, at float64) {
-	p.journalLocked(typ, inst, at)
-	if len(p.watchers) == 0 {
-		return
-	}
-	ev := InstanceEvent{Type: typ, Instance: snapshot(inst), At: at}
-	for _, ch := range p.watchers {
-		select {
-		case ch <- ev:
-		default: // slow consumer: drop rather than wedge the provider
-		}
-	}
 }
 
 // failLocked moves a running instance to StateFailed (spot revocation).
@@ -365,8 +292,7 @@ func (p *Provider) failLocked(inst *Instance, now float64) {
 		delete(p.fault.preemptAt, inst.ID)
 	}
 	provObs().preempted.Inc()
-	obs.Debugf("cloud: preempted %s (%s) at %.1fs", inst.ID, inst.Type.Name, now)
-	p.emitLocked(EventPreempted, inst, now)
+	p.journalLocked(journal.InstancePreempted, inst, now)
 }
 
 // applyDueLocked fires every scheduled revocation whose time has come,

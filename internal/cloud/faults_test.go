@@ -3,6 +3,8 @@ package cloud
 import (
 	"errors"
 	"testing"
+
+	"cynthia/internal/obs/journal"
 )
 
 // manualClock is a settable provider clock for deterministic fault tests.
@@ -107,21 +109,29 @@ func TestScheduledPreemptionMovesInstanceToFailed(t *testing.T) {
 	}
 }
 
+// TestWatchDeliversLifecycleEvents follows an instance's lifecycle through
+// the journal attached with SetJournal: launched, then preempted at the
+// scheduled revocation instant.
 func TestWatchDeliversLifecycleEvents(t *testing.T) {
 	p, clk := newFaultyProvider(FaultPlan{Seed: 1, PreemptAtSec: 10, PreemptNth: 0})
-	ch, cancel := p.Watch(16)
-	defer cancel()
+	jrnl := journal.New(16, journal.Deterministic())
+	p.SetJournal(jrnl)
 	insts, err := p.Launch(M4XLarge, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.set(10)
 	p.ApplyDueFaults()
-	ev1, ev2 := <-ch, <-ch
-	if ev1.Type != EventLaunched || ev1.Instance.ID != insts[0].ID {
+	events := jrnl.Events()
+	if len(events) != 2 {
+		t.Fatalf("%d events, want 2: %+v", len(events), events)
+	}
+	id := journal.F("id", insts[0].ID)
+	ev1, ev2 := events[0], events[1]
+	if ev1.Type != journal.InstanceLaunched || ev1.Fields[0] != id {
 		t.Errorf("first event = %+v, want launched %s", ev1, insts[0].ID)
 	}
-	if ev2.Type != EventPreempted || ev2.Instance.ID != insts[0].ID || ev2.At != 10 {
+	if ev2.Type != journal.InstancePreempted || ev2.Fields[0] != id || ev2.At != 10 {
 		t.Errorf("second event = %+v, want preempted %s at 10", ev2, insts[0].ID)
 	}
 }

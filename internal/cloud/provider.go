@@ -125,12 +125,10 @@ type Provider struct {
 	clock     Clock
 	instances map[string]*Instance
 	nextID    int
-	limits    map[string]int // optional per-type capacity limits
-	running   map[string]int // running count per type
-	fault     *faultState    // optional fault injection (see faults.go)
-	market    *Market        // optional spot market (see market.go)
-	watchers  map[int]chan InstanceEvent
-	nextWatch int
+	limits    map[string]int   // optional per-type capacity limits
+	running   map[string]int   // running count per type
+	fault     *faultState      // optional fault injection (see faults.go)
+	market    *Market          // optional spot market (see market.go)
 	jrnl      *journal.Journal // optional flight recorder (see faults.go)
 }
 
@@ -276,12 +274,11 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 				}
 			}
 		}
-		p.emitLocked(EventLaunched, inst, now)
+		p.journalLocked(journal.InstanceLaunched, inst, now)
 		out = append(out, inst)
 	}
 	p.running[typeName] += count
 	provObs().launched.With(typeName).Add(int64(count))
-	obs.Debugf("cloud: launched %d x %s (%s..%s)", count, typeName, out[0].ID, out[len(out)-1].ID)
 	return out, nil
 }
 
@@ -305,8 +302,7 @@ func (p *Provider) Terminate(id string) error {
 		delete(p.fault.preemptAt, id)
 	}
 	provObs().terminated.Inc()
-	obs.Debugf("cloud: terminated %s (%s)", id, inst.Type.Name)
-	p.emitLocked(EventTerminated, inst, now)
+	p.journalLocked(journal.InstanceTerminated, inst, now)
 	return nil
 }
 

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cynthia/internal/obs/journal"
 )
 
 // TestProviderConcurrentInvariants hammers one Provider from many
-// goroutines — launches, terminations, billing, listing, watching, and
+// goroutines — launches, terminations, billing, listing, journaling, and
 // injected faults all at once — and checks that the capacity and billing
 // invariants survive. Run under -race this also proves the locking.
 func TestProviderConcurrentInvariants(t *testing.T) {
@@ -25,14 +27,9 @@ func TestProviderConcurrentInvariants(t *testing.T) {
 		PreemptMinSec: 1,
 		PreemptMaxSec: 5,
 	})
-	ch, cancelWatch := p.Watch(4) // tiny buffer: exercises the drop path
-	defer cancelWatch()
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		for range ch {
-		}
-	}()
+	// A tiny ring: concurrent lifecycle emission also exercises eviction.
+	jrnl := journal.New(4)
+	p.SetJournal(jrnl)
 
 	const goroutines = 8
 	const iters = 50
@@ -115,6 +112,9 @@ func TestProviderConcurrentInvariants(t *testing.T) {
 	if got := p.RunningCount(""); got != 0 {
 		t.Errorf("after TerminateAll(%d): %d still running", stopped, got)
 	}
-	cancelWatch()
-	<-watchDone
+	// Every instance was journaled exactly twice: launched, then
+	// terminated or preempted.
+	if got, want := jrnl.LastSeq(), uint64(2*len(p.List(nil))); got != want {
+		t.Errorf("journal holds %d lifecycle events, want %d", got, want)
+	}
 }

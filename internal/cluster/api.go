@@ -33,7 +33,8 @@ import (
 // the handler waits for the pipeline (profile, plan, provision, train,
 // tear down) and returns the finished Job; ?wait=false returns 202 with
 // the job ID immediately. A full queue — or an overloaded plan service —
-// is 429 with Retry-After. POST /api/plan answers through the plan
+// is 429 with Retry-After; a submission the durable tier could not record
+// is 503 with Retry-After. POST /api/plan answers through the plan
 // service's cross-request cache and reports how via the X-Cache header
 // (hit, miss, or coalesced).
 type API struct {
@@ -47,7 +48,7 @@ type API struct {
 type APIOption func(*API)
 
 // WithPlanService substitutes a pre-configured plan service (tests use
-// tiny queues to force overload; planload shares one in-process).
+// tiny queues to force overload).
 func WithPlanService(s *service.Service) APIOption {
 	return func(a *API) { a.plans = s }
 }
@@ -86,7 +87,6 @@ func (a *API) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /api/nodes", a.getNodes)
-	mux.HandleFunc("GET /api/events", a.getEvents)
 	mux.HandleFunc("GET /api/pods", a.getPods)
 	mux.HandleFunc("GET /api/jobs", a.getJobs)
 	mux.HandleFunc("GET /api/jobs/{id}", a.getJob)
@@ -204,26 +204,6 @@ func (a *API) getNodes(w http.ResponseWriter, r *http.Request) {
 		out = []nodeResp{}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (a *API) getEvents(w http.ResponseWriter, r *http.Request) {
-	// strconv.Atoi, not fmt.Sscanf: Sscanf stops at the first
-	// non-digit, silently accepting "3junk" (and negatives walked the
-	// event log backwards).
-	after := 0
-	if s := r.URL.Query().Get("after"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad after=%q (want a non-negative integer)", s)
-			return
-		}
-		after = v
-	}
-	events := a.master.Events(after)
-	if events == nil {
-		events = []Event{}
-	}
-	writeJSON(w, http.StatusOK, events)
 }
 
 func (a *API) getPods(w http.ResponseWriter, r *http.Request) {
@@ -358,12 +338,16 @@ func (a *API) postJob(w http.ResponseWriter, r *http.Request) {
 	// through the controller's bounded workqueue either way — a full
 	// queue rejects it here rather than piling waiters on a mutex.
 	job, err := a.controller.Enqueue(workload, goal, r.Header.Get("X-Trace-ID"))
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQueueClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-			return
-		}
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQueueClosed):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "%v", err)
+		return
+	case errors.Is(err, ErrNotDurable):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -279,24 +279,6 @@ func TestJobQueueFullReturns429(t *testing.T) {
 	}
 }
 
-func TestEventsAfterValidation(t *testing.T) {
-	api, _ := newTestAPI(t)
-	h := api.Handler()
-	for _, bad := range []string{"3junk", "-1", "1.5", "0x10", ""} {
-		if bad == "" {
-			continue
-		}
-		rec, _ := doJSON(t, h, "GET", "/api/events?after="+bad, "")
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("after=%q = %d, want 400", bad, rec.Code)
-		}
-	}
-	rec, _ := doJSON(t, h, "GET", "/api/events?after=0", "")
-	if rec.Code != http.StatusOK {
-		t.Errorf("after=0 = %d", rec.Code)
-	}
-}
-
 // failingWriter drops the connection after headers, like a client that
 // went away mid-response.
 type failingWriter struct{ h http.Header }

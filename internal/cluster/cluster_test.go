@@ -6,6 +6,7 @@ import (
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
+	"cynthia/internal/obs/journal"
 	"cynthia/internal/plan"
 )
 
@@ -286,15 +287,15 @@ func TestControllerCapacityFallbackToOtherType(t *testing.T) {
 	if second.Plan.Type.Name == first.Plan.Type.Name {
 		t.Errorf("fallback reused the capped type %s", first.Plan.Type.Name)
 	}
-	// A replanning event was recorded.
+	// The fallback plan was journaled.
 	found := false
-	for _, e := range master.Events(0) {
-		if e.Reason == "JobReplanned" {
+	for _, e := range jobEventsOf(master.Journal(), second.ID, journal.PlanChosen) {
+		if fieldOf(e, "fallback") == "true" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no JobReplanned event")
+		t.Error("no job.plan.chosen event with fallback=true")
 	}
 	if n := provider.RunningCount(""); n != 0 {
 		t.Errorf("%d instances leaked", n)

@@ -210,14 +210,13 @@ func (c *Controller) profileFor(w *model.Workload) (*perf.Profile, error) {
 	return rep.Profile, nil
 }
 
-// setStatus records a lifecycle transition in the job's history, the
-// master event log, and the flight recorder.
+// setStatus records a lifecycle transition in the job's history and the
+// flight recorder.
 func (c *Controller) setStatus(job *Job, s JobStatus) {
 	c.mu.Lock()
 	job.Status = s
 	job.History = append(job.History, s)
 	c.mu.Unlock()
-	c.master.log.record("JobStatus", "job/"+job.ID, "%s", s)
 	c.jbind(job).Emit(journal.JobStatus, journal.F("status", string(s)))
 }
 
@@ -311,18 +310,15 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 	jb := c.jbind(job)
 	c.setStatus(job, StatusPlanning)
 
-	c.master.log.record("JobSubmitted", "job/"+job.ID, "%s, goal %.0fs / loss %.2f", w.Name, goal.TimeSec, goal.LossTarget)
 	co := ctrlObs()
 	co.running.Add(1)
 	defer co.running.Add(-1)
 	phaseStart := time.Now()
-	// mark closes one lifecycle phase: it feeds the phase-duration
-	// histogram and records the transition event with its duration.
+	// mark closes one lifecycle phase and feeds its wall time to the
+	// phase-duration histogram.
 	mark := func(phase string) {
-		d := time.Since(phaseStart).Seconds()
+		co.phase.With(phase).Observe(time.Since(phaseStart).Seconds())
 		phaseStart = time.Now()
-		co.phase.With(phase).Observe(d)
-		c.master.log.record("JobPhase", "job/"+job.ID, "%s finished in %.3fs", phase, d)
 	}
 
 	prof, err := c.profileFor(w)
@@ -385,7 +381,6 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 	c.mu.Unlock()
 	c.setStatus(job, StatusProvisioning)
 	mark("plan")
-	c.master.log.record("JobPlanned", "job/"+job.ID, "%s", st.plan)
 
 	if err := c.provision(st); err != nil {
 		return c.failJob(st, err)
@@ -416,7 +411,6 @@ func (c *Controller) failJob(st *runState, err error) (*Job, error) {
 	snap := job.snapshot()
 	c.mu.Unlock()
 	ctrlObs().jobs.With(string(StatusFailed)).Inc()
-	c.master.log.record("JobFailed", "job/"+job.ID, "%v", err)
 	c.jbind(job).Emit(journal.JobFailed, journal.F("error", err.Error()))
 	c.SLO.observeJob(snap, 0, 0, 0)
 	c.teardown(job)
@@ -454,8 +448,6 @@ func (c *Controller) finishJob(st *runState) (*Job, error) {
 	snap := job.snapshot()
 	c.mu.Unlock()
 	ctrlObs().jobs.With(string(status)).Inc()
-	c.master.log.record("JobFinished", "job/"+job.ID, "%s in %.0fs, loss %.3f, $%.3f",
-		status, st.elapsed, st.finalLoss, job.Cost)
 	c.jbind(job).Emit(journal.JobFinished,
 		journal.F("status", string(status)),
 		journal.Ffloat("training_sec", st.elapsed),
@@ -557,7 +549,6 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 	if !fallbackable(err) {
 		return nil, 0, err
 	}
-	c.master.log.record("CapacityFallback", "job/"+job.ID, "%v; trying alternatives", err)
 	c.jbind(job).Emit(journal.CapacityFallback,
 		journal.F("type", st.plan.Type.Name), journal.F("error", err.Error()))
 	for _, cand := range st.ranked {
@@ -579,7 +570,6 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 			c.mu.Lock()
 			job.Plan = cand
 			c.mu.Unlock()
-			c.master.log.record("JobReplanned", "job/"+job.ID, "%s", cand)
 			c.jbind(job).Emit(journal.PlanChosen,
 				journal.F("type", cand.Type.Name),
 				journal.Fint("workers", cand.Workers),

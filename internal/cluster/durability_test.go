@@ -12,7 +12,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +144,38 @@ func TestKillResumeAtEveryBarrier(t *testing.T) {
 		if !seen[p] {
 			t.Errorf("sweep never crossed a %s barrier", p)
 		}
+	}
+}
+
+// failAdmit is a Checkpointer whose admission barrier cannot make the
+// job durable, as with a full disk or a closed WAL.
+type failAdmit struct{}
+
+func (failAdmit) Barrier(_ string, phase Phase) error {
+	if phase == PhaseAdmit {
+		return errors.New("snapshot: no space left on device")
+	}
+	return nil
+}
+
+// TestAdmissionRejectsUndurableJob requires a submission whose admission
+// barrier fails to be rejected with 503 + Retry-After and never
+// registered.
+func TestAdmissionRejectsUndurableJob(t *testing.T) {
+	api, _ := newTestAPI(t)
+	api.controller.Durability = failAdmit{}
+	h := api.Handler()
+	rec, _ := doJSON(t, h, "POST", "/api/jobs?wait=false",
+		`{"workload": "mnist DNN", "deadline_sec": 1800, "loss_target": 0.2}`)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("undurable submit = %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	rec, _ = doJSON(t, h, "GET", "/api/jobs", "")
+	if body := strings.TrimSpace(rec.Body.String()); body != "[]" {
+		t.Errorf("jobs after a rejected submit = %s, want []", body)
 	}
 }
 

@@ -282,7 +282,6 @@ func (c *Controller) elasticScale(st *runState, p plan.Plan, ranked []plan.Plan,
 	c.mu.Lock()
 	job.ElasticScales = st.scales
 	c.mu.Unlock()
-	c.master.log.record("ElasticScale", "job/"+job.ID, "%s -> %s", from, st.plan)
 	c.jbind(job).Emit(journal.ElasticScale,
 		journal.F("from", from),
 		journal.F("type", st.plan.Type.Name),

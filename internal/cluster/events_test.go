@@ -1,17 +1,39 @@
 package cluster
 
 import (
-	"net/http"
-	"strings"
 	"testing"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
+	"cynthia/internal/obs/journal"
 	"cynthia/internal/plan"
 )
 
+// fieldOf returns the value of an event's field, or "" when it has none.
+func fieldOf(e journal.Event, key string) string {
+	for _, f := range e.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return ""
+}
+
+// jobEventsOf returns the journal events of one type tagged with a job.
+func jobEventsOf(jrnl *journal.Journal, job string, typ journal.Type) []journal.Event {
+	var out []journal.Event
+	for _, e := range jrnl.JobEvents(job) {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestEventsRecordLifecycle(t *testing.T) {
 	m := newMaster(t)
+	jrnl := journal.New(16, journal.Deterministic())
+	m.SetJournal(jrnl, nil)
 	token, hash := m.JoinCredentials()
 	if _, err := m.Join("n1", "i-1", m4(t), 2, token, hash); err != nil {
 		t.Fatal(err)
@@ -26,44 +48,32 @@ func TestEventsRecordLifecycle(t *testing.T) {
 	if err := m.Drain("n1"); err != nil {
 		t.Fatal(err)
 	}
-	events := m.Events(0)
-	if len(events) != 4 {
-		t.Fatalf("%d events, want 4: %v", len(events), events)
+	events := jrnl.Events()
+	want := []struct {
+		typ         journal.Type
+		key, object string
+	}{
+		{journal.NodeJoined, "node", "n1"},
+		{journal.PodScheduled, "pod", pod.Name},
+		{journal.PodDeleted, "pod", pod.Name},
+		{journal.NodeDrained, "node", "n1"},
 	}
-	wantReasons := []string{"NodeJoined", "PodScheduled", "PodDeleted", "NodeDrained"}
-	for i, want := range wantReasons {
-		if events[i].Reason != want {
-			t.Errorf("event %d reason = %s, want %s", i, events[i].Reason, want)
+	if len(events) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(events), len(want), events)
+	}
+	for i, w := range want {
+		e := events[i]
+		if e.Type != w.typ || e.Seq != uint64(i+1) || e.Source != "master" {
+			t.Errorf("event %d = %s seq %d source %q, want %s seq %d from master",
+				i, e.Type, e.Seq, e.Source, w.typ, i+1)
 		}
-		if events[i].Seq != i+1 {
-			t.Errorf("event %d seq = %d", i, events[i].Seq)
-		}
-		if events[i].Time.IsZero() || events[i].Object == "" {
-			t.Errorf("event %d incomplete: %+v", i, events[i])
+		if got := fieldOf(e, w.key); got != w.object {
+			t.Errorf("event %d %s = %q, want %q", i, w.key, got, w.object)
 		}
 	}
 	// Incremental reads.
-	tail := m.Events(2)
-	if len(tail) != 2 || tail[0].Reason != "PodDeleted" {
-		t.Errorf("after=2 tail = %v", tail)
-	}
-	if s := events[0].String(); !strings.Contains(s, "NodeJoined") || !strings.Contains(s, "node/n1") {
-		t.Errorf("String() = %q", s)
-	}
-}
-
-func TestEventLogBounded(t *testing.T) {
-	var l eventLog
-	l.limit = 8
-	for i := 0; i < 20; i++ {
-		l.record("R", "o", "msg %d", i)
-	}
-	got := l.snapshot(0)
-	if len(got) != 8 {
-		t.Fatalf("retained %d, want 8", len(got))
-	}
-	if got[0].Seq != 13 || got[7].Seq != 20 {
-		t.Errorf("retained range %d..%d, want 13..20", got[0].Seq, got[7].Seq)
+	if tail := jrnl.Since(2); len(tail) != 2 || tail[0].Type != journal.PodDeleted {
+		t.Errorf("after=2 tail = %+v", tail)
 	}
 }
 
@@ -75,33 +85,14 @@ func TestControllerEmitsJobEvents(t *testing.T) {
 	if _, err := ctl.Submit(w, plan.Goal{TimeSec: 1800, LossTarget: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	reasons := map[string]bool{}
-	for _, e := range master.Events(0) {
-		reasons[e.Reason] = true
+	types := map[journal.Type]bool{}
+	for _, e := range master.Journal().Events() {
+		types[e.Type] = true
 	}
-	for _, want := range []string{"JobSubmitted", "JobPlanned", "JobFinished", "NodeJoined", "PodScheduled"} {
-		if !reasons[want] {
-			t.Errorf("missing event %s (have %v)", want, reasons)
+	for _, want := range []journal.Type{journal.JobSubmitted, journal.PlanChosen, journal.JobFinished,
+		journal.NodeJoined, journal.PodScheduled} {
+		if !types[want] {
+			t.Errorf("missing event %s (have %v)", want, types)
 		}
-	}
-}
-
-func TestEventsAPI(t *testing.T) {
-	api, _ := newTestAPI(t)
-	token, hash := api.master.JoinCredentials()
-	if _, err := api.master.Join("n1", "i-1", m4(t), 2, token, hash); err != nil {
-		t.Fatal(err)
-	}
-	rec, _ := doJSON(t, api.Handler(), "GET", "/api/events", "")
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "NodeJoined") {
-		t.Errorf("events = %d %s", rec.Code, rec.Body.String())
-	}
-	rec, _ = doJSON(t, api.Handler(), "GET", "/api/events?after=999", "")
-	if strings.TrimSpace(rec.Body.String()) != "[]" {
-		t.Errorf("after=999 = %s", rec.Body.String())
-	}
-	rec, _ = doJSON(t, api.Handler(), "GET", "/api/events?after=bogus", "")
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad after = %d", rec.Code)
 	}
 }

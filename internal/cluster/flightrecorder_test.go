@@ -85,9 +85,11 @@ func TestDebugJournalEndpoint(t *testing.T) {
 	if strings.Count(body, "\n") == 0 || !strings.Contains(body, `"job":"`+id+`"`) {
 		t.Errorf("job filter returned %q", body)
 	}
-	rec, _ = doJSON(t, h, "GET", "/debug/journal?after=nope", "")
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad after = %d, want 400", rec.Code)
+	for _, bad := range []string{"nope", "3junk", "-1", "1.5", "0x10"} {
+		rec, _ = doJSON(t, h, "GET", "/debug/journal?after="+bad, "")
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("after=%q = %d, want 400", bad, rec.Code)
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ type Master struct {
 	nodes   map[string]*Node
 	pods    map[string]*Pod
 	nextPod int
-	log     eventLog
 	jrnl    *journal.Journal
 	jclock  func() float64
 }
@@ -169,7 +168,6 @@ func (m *Master) Join(name, instanceID string, t cloud.InstanceType, cores int, 
 	}
 	node := &Node{Name: name, InstanceID: instanceID, Type: t, Cores: cores, used: make([]string, cores)}
 	m.nodes[name] = node
-	m.log.record("NodeJoined", "node/"+name, "%s (%s, %d cores) joined the cluster", instanceID, t.Name, cores)
 	m.jemit(journal.NodeJoined, "",
 		journal.F("node", name), journal.F("instance", instanceID),
 		journal.F("type", t.Name), journal.Fint("cores", cores))
@@ -188,7 +186,6 @@ func (m *Master) Drain(name string) error {
 		return fmt.Errorf("cluster: node %s still runs pods", name)
 	}
 	delete(m.nodes, name)
-	m.log.record("NodeDrained", "node/"+name, "node removed from the cluster")
 	m.jemit(journal.NodeDrained, "", journal.F("node", name))
 	return nil
 }
@@ -244,7 +241,6 @@ func (m *Master) Schedule(spec PodSpec) (*Pod, error) {
 	}
 	node.used[core] = pod.Name
 	m.pods[pod.Name] = pod
-	m.log.record("PodScheduled", "pod/"+pod.Name, "bound to %s core %d", node.Name, core)
 	m.jemit(journal.PodScheduled, spec.Job,
 		journal.F("pod", pod.Name), journal.F("role", string(spec.Role)),
 		journal.F("node", node.Name), journal.Fint("core", core))
@@ -263,7 +259,6 @@ func (m *Master) Delete(podName string) error {
 		node.used[pod.Core] = ""
 	}
 	delete(m.pods, podName)
-	m.log.record("PodDeleted", "pod/"+podName, "released %s core %d", pod.Node, pod.Core)
 	m.jemit(journal.PodDeleted, pod.Job,
 		journal.F("pod", pod.Name), journal.F("node", pod.Node), journal.Fint("core", pod.Core))
 	return nil

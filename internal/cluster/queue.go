@@ -11,6 +11,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"cynthia/internal/model"
@@ -30,6 +31,11 @@ var ErrQueueFull = errors.New("cluster: submission queue full")
 
 // ErrQueueClosed is returned by Enqueue after DrainQueue began.
 var ErrQueueClosed = errors.New("cluster: submission queue draining")
+
+// ErrNotDurable is returned by Enqueue when the admission barrier could
+// not make the job durable; nothing is registered and the caller may
+// retry.
+var ErrNotDurable = errors.New("cluster: job not durable")
 
 // jobQueue is the bounded workqueue behind Enqueue. qmu guards startup,
 // shutdown, and admission; it is never held while a job runs.
@@ -79,7 +85,8 @@ func (c *Controller) startQueueLocked() {
 // Enqueue registers the submission and schedules it on the workqueue,
 // returning as soon as the job is admitted (StatusQueued). Use Wait for
 // the synchronous contract. A full queue rejects the submission with
-// ErrQueueFull before anything is registered.
+// ErrQueueFull before anything is registered; a failed admission barrier
+// unregisters the job and returns ErrNotDurable.
 func (c *Controller) Enqueue(w *model.Workload, goal plan.Goal, traceID string) (*Job, error) {
 	q := &c.queue
 	q.qmu.Lock()
@@ -103,7 +110,14 @@ func (c *Controller) Enqueue(w *model.Workload, goal plan.Goal, traceID string) 
 	// every StatusQueued job without a segment state.
 	if c.Durability != nil {
 		if err := c.Durability.Barrier(job.ID, PhaseAdmit); err != nil {
-			return job, err // master killed at admission
+			if errors.Is(err, ErrMasterKilled) {
+				return job, err // master killed at admission
+			}
+			c.mu.Lock()
+			delete(c.jobs, job.ID)
+			c.mu.Unlock()
+			close(job.done)
+			return nil, fmt.Errorf("%w: %w", ErrNotDurable, err)
 		}
 	}
 	q.ch <- job

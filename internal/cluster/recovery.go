@@ -191,8 +191,6 @@ func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryCo
 			return nil, err
 		}
 		rcObs().retries.Inc()
-		c.master.log.record("LaunchRetry", "job/"+job.ID,
-			"attempt %d for %d x %s: %v; backing off %s", attempt+1, n, typeName, err, delay)
 		c.jbind(job).Emit(journal.LaunchRetry,
 			journal.Fint("attempt", attempt+1), journal.Fint("count", n),
 			journal.F("type", typeName), journal.F("error", err.Error()))
@@ -329,9 +327,6 @@ func (c *Controller) recoverJob(st *runState) error {
 	for i, inst := range failed {
 		ids[i] = inst.ID
 	}
-	c.master.log.record("InstancePreempted", "job/"+job.ID,
-		"%s preempted; %d/%d iterations checkpointed, %d lost",
-		strings.Join(ids, ","), st.done, st.totalIters, st.segLost)
 	c.jbind(job).Emit(journal.RecoveryStart,
 		journal.F("instances", strings.Join(ids, ",")),
 		journal.Fint("checkpoint_iter", st.done),
@@ -404,8 +399,6 @@ func (c *Controller) recoverJob(st *runState) error {
 	rcObs().recoveries.Inc()
 	rcObs().latency.Observe(time.Since(wallStart).Seconds())
 	c.SLO.observeRecovery(st.elapsed - simStart)
-	c.master.log.record("JobRecovered", "job/"+job.ID,
-		"resuming from iteration %d (%d remaining, recovery %d)", st.done, remaining, st.recoveries)
 	c.jbind(job).Emit(journal.RecoveryDone,
 		journal.Fint("recovery", st.recoveries),
 		journal.Fint("resume_iter", st.done),
@@ -441,9 +434,8 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 	}
 	res, err := plan.SearchWith(context.Background(), c.provisioner, req)
 	if err != nil || !res.Plan.Feasible {
-		c.master.log.record("ReplanInfeasible", "job/"+job.ID,
-			"no plan meets remaining budget; keeping %d x %s + %d PS",
-			st.plan.Workers, st.plan.Type.Name, st.plan.PS)
+		// Keep the current shape; the search's plan.search.done event and
+		// the cycle's recovery.done replanned=false record the outcome.
 		return false, nil
 	}
 	p := res.Plan
@@ -451,7 +443,6 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 		choices[p.Type.Name].spot == (st.market == MarketSpot) {
 		return false, nil // same shape on the same market: just replace the dead instances
 	}
-	c.master.log.record("JobReplanned", "job/"+job.ID, "Tg' = %.0fs remaining: %s", budget, p)
 	replanFields := []journal.Field{
 		journal.Ffloat("budget_sec", budget),
 		journal.F("type", p.Type.Name),
@@ -492,8 +483,6 @@ func (c *Controller) replace(st *runState, failed []cloud.Instance) error {
 	if err != nil {
 		if errors.Is(err, cloud.ErrCapacity) || errors.Is(err, cloud.ErrTransient) ||
 			errors.Is(err, cloud.ErrSpotUnavailable) {
-			c.master.log.record("CapacityFallback", "job/"+job.ID,
-				"replacement launch failed: %v; rebuilding cluster", err)
 			c.jbind(job).Emit(journal.CapacityFallback,
 				journal.F("type", st.plan.Type.Name), journal.F("error", err.Error()))
 			c.teardown(job)

@@ -6,11 +6,13 @@ package cluster
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
+	"cynthia/internal/obs/journal"
 	"cynthia/internal/plan"
 )
 
@@ -129,16 +131,14 @@ func TestSimultaneousPreemptionsRecoverInOneCycle(t *testing.T) {
 	if got := countStatus(job.History, StatusRecovering); got != 1 {
 		t.Fatalf("history %v has %d recovering entries, want 1", job.History, got)
 	}
-	// The single InstancePreempted event must name every dead instance.
-	for _, ev := range master.Events(0) {
-		if ev.Reason == "InstancePreempted" {
-			if ids := strings.Split(strings.Fields(ev.Message)[0], ","); len(ids) != nInst {
-				t.Errorf("preemption event names %d instances (%q), want %d", len(ids), ev.Message, nInst)
-			}
-			return
-		}
+	// The single recovery.start event must name every dead instance.
+	starts := jobEventsOf(master.Journal(), job.ID, journal.RecoveryStart)
+	if len(starts) != 1 {
+		t.Fatalf("%d recovery.start events, want 1", len(starts))
 	}
-	t.Error("no InstancePreempted event recorded")
+	if ids := strings.Split(fieldOf(starts[0], "instances"), ","); len(ids) != nInst {
+		t.Errorf("recovery.start names %d instances (%v), want %d", len(ids), ids, nInst)
+	}
 }
 
 // TestPreemptionDuringRecovery kills the replacement instance moments
@@ -192,8 +192,9 @@ func TestPreemptionDuringRecovery(t *testing.T) {
 // TestExhaustedBudgetSkipsReplan charges a restart overhead of 2·Tg for
 // the one recovery cycle, driving the residual budget Tg' = Tg − elapsed
 // negative: the controller must not re-plan against a negative deadline
-// (neither JobReplanned nor ReplanInfeasible may fire) but still replace
-// the instance like-for-like, finish the work, and report missed-goal.
+// (the job's only plan search is the initial one, and no
+// recovery.replanned fires) but still replace the instance like-for-like,
+// finish the work, and report missed-goal.
 func TestExhaustedBudgetSkipsReplan(t *testing.T) {
 	base := runBaseline(t, recoveryGoal)
 
@@ -203,6 +204,8 @@ func TestExhaustedBudgetSkipsReplan(t *testing.T) {
 		PreemptNth:   0,
 	})
 	ctl.Recovery.RestartOverheadSec = recoveryGoal.TimeSec * 2
+	counter := &countingProvisioner{}
+	ctl.UseProvisioner(counter)
 	w, err := model.WorkloadByName("mnist DNN")
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +225,16 @@ func TestExhaustedBudgetSkipsReplan(t *testing.T) {
 		t.Fatalf("elapsed %.0fs does not exceed Tg %.0fs; overhead was not charged",
 			job.TrainingTime, recoveryGoal.TimeSec)
 	}
-	for _, ev := range ctl.master.Events(0) {
-		if ev.Reason == "JobReplanned" || ev.Reason == "ReplanInfeasible" {
-			t.Errorf("re-plan ran against an exhausted budget: %s %s", ev.Reason, ev.Message)
-		}
+	// A re-plan against a negative budget fails goal validation before
+	// the search journals anything, so count the searches themselves too.
+	jrnl := ctl.master.Journal()
+	if n := len(jobEventsOf(jrnl, job.ID, journal.PlanSearchStart)); n != 1 {
+		t.Errorf("%d plan.search.start events, want only the initial one", n)
+	}
+	if n := atomic.LoadInt32(&counter.searches); n != 1 {
+		t.Errorf("%d plan searches, want only the initial one", n)
+	}
+	if n := len(jobEventsOf(jrnl, job.ID, journal.RecoveryReplan)); n != 0 {
+		t.Errorf("re-plan ran against an exhausted budget: %d recovery.replanned events", n)
 	}
 }

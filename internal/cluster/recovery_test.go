@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
 	"cynthia/internal/obs"
+	"cynthia/internal/obs/journal"
 	"cynthia/internal/plan"
 )
 
@@ -143,31 +145,38 @@ func TestRecoveryDisabledFailsJob(t *testing.T) {
 }
 
 // TestRecoveryIsDeterministic runs the preemption scenario twice from
-// identical seeds and requires identical event sequences (event messages
-// carry wall-clock phase durations, so Reason/Object are compared).
+// identical seeds on deterministic journals and requires byte-identical
+// JSONL streams: controller, master, cloud and simulator events alike.
 func TestRecoveryIsDeterministic(t *testing.T) {
 	nInst, t0 := baselineShape(t)
-	scenario := func() ([]string, Job) {
-		ctl, _ := newFaultController(t, lastInstancePlan(nInst, t0))
+	scenario := func() ([]byte, Job) {
+		ctl, provider := newFaultController(t, lastInstancePlan(nInst, t0))
+		jrnl := journal.New(1<<16, journal.Deterministic())
+		ctl.master.SetJournal(jrnl, provider.Now)
+		provider.SetJournal(jrnl)
 		job := mustSubmit(t, ctl, recoveryGoal)
-		var evs []string
-		for _, e := range ctl.master.Events(0) {
-			if e.Reason == "JobPhase" {
-				continue // message carries a wall-clock duration
-			}
-			evs = append(evs, e.Reason+" "+e.Object)
+		if n := jrnl.LastSeq(); n != uint64(jrnl.Len()) {
+			t.Fatalf("journal evicted events: %d appended, %d retained", n, jrnl.Len())
 		}
-		return evs, *job
+		var buf bytes.Buffer
+		if err := jrnl.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), *job
 	}
 	evA, jobA := scenario()
 	evB, jobB := scenario()
-	if len(evA) != len(evB) {
-		t.Fatalf("event counts differ: %d vs %d\nA: %v\nB: %v", len(evA), len(evB), evA, evB)
+	if !bytes.Contains(evA, []byte(journal.RecoveryDone)) {
+		t.Fatal("scenario never recovered")
 	}
-	for i := range evA {
-		if evA[i] != evB[i] {
-			t.Errorf("event %d differs: %q vs %q", i, evA[i], evB[i])
+	if !bytes.Equal(evA, evB) {
+		linesA, linesB := bytes.Split(evA, []byte("\n")), bytes.Split(evB, []byte("\n"))
+		for i := 0; i < len(linesA) && i < len(linesB); i++ {
+			if !bytes.Equal(linesA[i], linesB[i]) {
+				t.Fatalf("journals diverge at line %d:\nA: %s\nB: %s", i+1, linesA[i], linesB[i])
+			}
 		}
+		t.Fatalf("journal lengths differ: %d vs %d lines", len(linesA), len(linesB))
 	}
 	if jobA.TrainingTime != jobB.TrainingTime || jobA.Cost != jobB.Cost ||
 		jobA.LostIterations != jobB.LostIterations {

@@ -272,26 +272,28 @@ func (m *Manager) Rebuild() (resume, queued []string, err error) {
 // master-kill check. Admit and done barriers always snapshot (an
 // admitted job and a terminal outcome must be durable immediately);
 // segment/recovery barriers snapshot every SnapshotEvery-th call;
-// mid-recovery barriers never snapshot. The kill check runs after the
-// snapshot, so a kill scheduled at a snapshotting barrier dies with its
-// own barrier already durable.
+// mid-recovery barriers never snapshot. A failed admit snapshot is
+// returned, so the job is rejected rather than acknowledged; any other
+// failed snapshot only counts in cynthia_replay_snapshot_failures_total.
+// The kill check runs after the snapshot, so a kill scheduled at a
+// snapshotting barrier dies with its own barrier already durable.
 func (m *Manager) Barrier(jobID string, phase cluster.Phase) error {
 	switch phase {
 	case cluster.PhaseRecoveryMid, cluster.PhaseElastic:
 		// kill-check only
-	case cluster.PhaseAdmit, cluster.PhaseDone:
+	case cluster.PhaseAdmit:
 		if err := m.SnapshotNow(); err != nil {
-			obs.Debugf("replay: snapshot at %s barrier for %s: %v", phase, jobID, err)
+			return fmt.Errorf("replay: snapshot at admit barrier for %s: %w", jobID, err)
 		}
+	case cluster.PhaseDone:
+		m.snapshotOrCount()
 	default:
 		m.mu.Lock()
 		m.barriers++
 		due := m.barriers%m.opts.SnapshotEvery == 0
 		m.mu.Unlock()
 		if due {
-			if err := m.SnapshotNow(); err != nil {
-				obs.Debugf("replay: snapshot at %s barrier for %s: %v", phase, jobID, err)
-			}
+			m.snapshotOrCount()
 		}
 	}
 	m.mu.Lock()
@@ -302,6 +304,21 @@ func (m *Manager) Barrier(jobID string, phase cluster.Phase) error {
 		return cluster.ErrMasterKilled
 	}
 	return nil
+}
+
+// snapshotFailures counts snapshots that failed at a barrier where the
+// failure is not fatal.
+func snapshotFailures() *obs.Counter {
+	return obs.Default().Counter("cynthia_replay_snapshot_failures_total",
+		"barrier snapshots that failed at a segment, recovery or done barrier")
+}
+
+// snapshotOrCount takes a snapshot at a barrier whose failure is not
+// fatal, counting a failure instead of returning it.
+func (m *Manager) snapshotOrCount() {
+	if err := m.SnapshotNow(); err != nil {
+		snapshotFailures().Inc()
+	}
 }
 
 // SnapshotNow serializes the attached world and writes it as the newest

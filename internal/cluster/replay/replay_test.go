@@ -222,6 +222,26 @@ func TestBarrierCadence(t *testing.T) {
 	}
 }
 
+// TestBarrierFailsWhenNotDurable pins the admission contract: an admit
+// barrier that cannot snapshot returns the error, so the job is never
+// acknowledged; a done barrier stays non-fatal and counts the failure.
+func TestBarrierFailsWhenNotDurable(t *testing.T) {
+	w := newWorld(t, t.TempDir(), Options{})
+	if err := w.m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.m.Barrier("job-1", cluster.PhaseAdmit); err == nil {
+		t.Fatal("admit barrier on a closed manager returned nil")
+	}
+	before := snapshotFailures().Value()
+	if err := w.m.Barrier("job-1", cluster.PhaseDone); err != nil {
+		t.Fatalf("done barrier failure was fatal: %v", err)
+	}
+	if got := snapshotFailures().Value(); got != before+1 {
+		t.Errorf("snapshot failures = %d, want %d", got, before+1)
+	}
+}
+
 // TestBarrierReportsMasterKill wires a fault plan with a scheduled
 // master kill and checks the barrier surfaces it as ErrMasterKilled,
 // exactly once per scheduled kill.

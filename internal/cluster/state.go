@@ -313,9 +313,6 @@ func (c *Controller) ResumeJob(id string) (*Job, error) {
 	if err != nil {
 		return c.failJob(&runState{job: job, handled: map[string]bool{}}, err)
 	}
-	c.master.log.record("JobResumed", "job/"+job.ID,
-		"resuming at %s barrier: %d/%d iterations, %d recoveries",
-		ss.Phase, ss.Done, ss.TotalIters, ss.Recoveries)
 	run := func() (*Job, error) {
 		if st.phase == PhaseRecovery {
 			if err := c.recoverJob(st); err != nil {

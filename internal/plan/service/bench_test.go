@@ -50,7 +50,7 @@ func BenchmarkServePlan(b *testing.B) {
 }
 
 // BenchmarkServePlanParallel measures GOMAXPROCS concurrent clients on a
-// repeated-request mix (the planload scenario): cross-request caching
+// repeated-request mix (cmd/cynthiabench's quote-hot): cross-request caching
 // versus every client paying its own scan.
 func BenchmarkServePlanParallel(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {

@@ -14,7 +14,6 @@ import (
 	"cynthia/internal/ddnnsim"
 	"cynthia/internal/experiments"
 	"cynthia/internal/model"
-	"cynthia/internal/obs"
 	"cynthia/internal/perf"
 	"cynthia/internal/plan"
 )
@@ -215,28 +214,4 @@ func BenchmarkAblationMinPS(b *testing.B) {
 	}
 	b.ReportMetric(minCost, "$min-ps")
 	b.ReportMetric(forcedCost, "$forced-4ps")
-}
-
-// --- Observability hot paths (internal/obs) ---
-
-// BenchmarkCounterInc measures the metrics hot path that every PS push
-// crosses; the acceptance bar is <=50 ns/op.
-func BenchmarkCounterInc(b *testing.B) {
-	c := obs.NewRegistry().Counter("bench_counter_total", "benchmark counter")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-// BenchmarkSpanStartEnd measures one traced span on the per-goroutine
-// span context, including the wall-clock reads at both edges.
-func BenchmarkSpanStartEnd(b *testing.B) {
-	ctx := obs.NewTracer().Context(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.Start("bench", "span").End()
-	}
 }

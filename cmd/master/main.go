@@ -33,7 +33,6 @@ import (
 	"cynthia/internal/cloud"
 	"cynthia/internal/cluster"
 	"cynthia/internal/cluster/replay"
-	"cynthia/internal/obs"
 	"cynthia/internal/obs/journal"
 )
 
@@ -109,8 +108,11 @@ func setup(gpu, pprofOn bool, stateDir string) (http.Handler, *cluster.API, *clu
 			return nil, nil, nil, nil, nil, err
 		}
 		for _, id := range queued {
+			// Requeue waits for queue space, so an error means the job
+			// cannot run at all; refuse to serve rather than strand it.
 			if err := controller.Requeue(id); err != nil {
-				obs.Debugf("master: requeue %s after restart: %v", id, err)
+				mgr.Close()
+				return nil, nil, nil, nil, nil, fmt.Errorf("requeue %s after restart: %w", id, err)
 			}
 		}
 		for _, id := range resume {

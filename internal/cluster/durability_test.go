@@ -12,6 +12,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -314,10 +315,8 @@ func TestPendingJobsLeftoverTeardown(t *testing.T) {
 		t.Fatalf("pending = %v %v %v, want leftover [job-1]", resume, queued, leftover)
 	}
 	ctl.TeardownJob("job-1")
-	for _, inst := range provider.List(map[string]string{"job": "job-1"}) {
-		if inst.State == cloud.StateRunning || inst.State == cloud.StatePending {
-			t.Fatalf("instance %s still %s after TeardownJob", inst.ID, inst.State)
-		}
+	if n := liveInstances(provider, "job-1"); n != 0 {
+		t.Fatalf("%d instances still live after TeardownJob", n)
 	}
 	if _, _, leftover := ctl.PendingJobs(); len(leftover) != 0 {
 		t.Fatalf("leftover %v after teardown", leftover)
@@ -328,5 +327,112 @@ func TestPendingJobsLeftoverTeardown(t *testing.T) {
 	}
 	if _, err := ctl.ResumeJob("job-404"); err == nil {
 		t.Fatal("resume of unknown job succeeded")
+	}
+}
+
+// liveInstances counts the instances tagged with job that still bill.
+func liveInstances(p *cloud.Provider, job string) int {
+	n := 0
+	for _, inst := range p.List(map[string]string{"job": job}) {
+		if inst.State == cloud.StateRunning || inst.State == cloud.StatePending {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRestartMidProvisioningRequeues snapshots the world while a job is
+// provisioning, as another job's barrier can: the job holds live
+// instances but has no segment state yet. The restarted master must tear
+// those instances down, requeue the job and drive it to a terminal state,
+// not strand it non-terminal with its instances billing forever.
+func TestRestartMidProvisioningRequeues(t *testing.T) {
+	ctl, provider := newFaultController(t, cloud.FaultPlan{Seed: 1, LaunchDelayMaxSec: 60})
+	var snap *worldExport
+	advance := ctl.AdvanceClock
+	ctl.AdvanceClock = func(dt float64) {
+		advance(dt)
+		// The first clock charge after launch is the readiness delay,
+		// paid while the job is still provisioning.
+		if cs := ctl.ExportState(); snap == nil && cs.Jobs[0].Status == StatusProvisioning {
+			snap = &worldExport{cs, ctl.master.ExportState(), provider.ExportState()}
+		}
+	}
+	want := mustSubmit(t, ctl, recoveryGoal)
+	if snap == nil {
+		t.Fatal("no clock charge while provisioning: the snapshot was never taken")
+	}
+	if len(snap.ctl.Segments) != 0 {
+		t.Fatalf("snapshot holds %d segment states, want 0", len(snap.ctl.Segments))
+	}
+
+	ctl2 := restoreWorld(t, *snap)
+	if n := liveInstances(ctl2.provider, want.ID); n == 0 {
+		t.Fatal("restored world holds no live instances for the job")
+	}
+	resume, queued, leftover := ctl2.PendingJobs()
+	if len(resume) != 0 || len(leftover) != 0 || !reflect.DeepEqual(queued, []string{want.ID}) {
+		t.Fatalf("pending = resume %v queued %v leftover %v, want queued [%s]", resume, queued, leftover, want.ID)
+	}
+	if n := liveInstances(ctl2.provider, want.ID); n != 0 {
+		t.Fatalf("%d instances still live after PendingJobs requeued the job", n)
+	}
+	if err := ctl2.Requeue(want.ID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := ctl2.Wait(ctx, want.ID); err != nil {
+		t.Fatal(err)
+	}
+	got := ctl2.ExportState().Jobs[0]
+	if got.Status != want.Status {
+		t.Errorf("requeued job ended %s (%s), want %s", got.Status, got.Err, want.Status)
+	}
+	if n := liveInstances(ctl2.provider, want.ID); n != 0 {
+		t.Errorf("%d instances still live after the job finished", n)
+	}
+}
+
+// TestRequeueWaitsForQueueSpace restores more queued jobs than the
+// workqueue holds. Each was acknowledged before the crash, so Requeue
+// must wait for a free slot rather than drop it with ErrQueueFull.
+func TestRequeueWaitsForQueueSpace(t *testing.T) {
+	ctl, _ := newFaultController(t, cloud.FaultPlan{})
+	ctl.QueueWorkers, ctl.QueueDepth = 1, 1
+	w, err := model.WorkloadByName("mnist DNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs ControllerState
+	for seq := 1; seq <= 3; seq++ {
+		cs.Jobs = append(cs.Jobs, JobState{
+			ID: fmt.Sprintf("job-%d", seq), TraceID: fmt.Sprintf("trace-%06d", seq),
+			Workload: w, Goal: recoveryGoal,
+			Status: StatusQueued, History: []JobStatus{StatusQueued}, Seq: seq,
+		})
+	}
+	cs.NextJob = 3
+	ctl.RestoreState(cs)
+	_, queued, _ := ctl.PendingJobs()
+	if len(queued) != 3 {
+		t.Fatalf("queued = %v, want 3 jobs", queued)
+	}
+	for _, id := range queued {
+		if err := ctl.Requeue(id); err != nil {
+			t.Fatalf("requeue %s: %v", id, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, id := range queued {
+		if err := ctl.Wait(ctx, id); err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+	}
+	for _, js := range ctl.ExportState().Jobs {
+		if !terminal(js.Status) {
+			t.Errorf("%s ended %s, want a terminal status", js.ID, js.Status)
+		}
 	}
 }

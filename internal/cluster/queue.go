@@ -125,7 +125,10 @@ func (c *Controller) Enqueue(w *model.Workload, goal plan.Goal, traceID string) 
 }
 
 // Requeue puts a restored StatusQueued job back on the workqueue after a
-// restart. Unlike Enqueue it registers nothing — the job already exists.
+// restart. Unlike Enqueue it registers nothing — the job already exists
+// and was acknowledged before the crash — so a full queue is not an
+// admission decision: Requeue waits for a worker to free a slot. A
+// restart can restore more queued jobs than the queue holds.
 func (c *Controller) Requeue(id string) error {
 	q := &c.queue
 	q.qmu.Lock()
@@ -134,15 +137,16 @@ func (c *Controller) Requeue(id string) error {
 		return ErrQueueClosed
 	}
 	c.startQueueLocked()
-	if len(q.ch) == cap(q.ch) {
-		return ErrQueueFull
-	}
 	c.mu.Lock()
 	job, ok := c.jobs[id]
 	c.mu.Unlock()
 	if !ok {
 		return errors.New("cluster: no such job " + id)
 	}
+	// The send may block with qmu held, so Enqueue and DrainQueue wait
+	// behind it. It always completes: workers receive without qmu, and
+	// the channel cannot close while qmu is held. Restart calls Requeue
+	// before the API serves, so nothing is waiting in practice.
 	q.ch <- job
 	return nil
 }

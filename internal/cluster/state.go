@@ -250,9 +250,16 @@ func (c *Controller) RestoreState(cs ControllerState) {
 
 // PendingJobs classifies the restored work: resume lists in-flight jobs
 // with a segment state (resume via ResumeJob, in submission order),
-// queued lists jobs that were admitted but never started (re-enqueue via
-// Requeue), and leftover lists terminal jobs that still hold cloud
-// instances because the crash hit between finalize and teardown.
+// queued lists jobs to run from the start (re-enqueue via Requeue), and
+// leftover lists terminal jobs that still hold cloud instances because
+// the crash hit between finalize and teardown.
+//
+// A job gets its segment state at its first segment barrier, after
+// planning and provisioning, so another job's barrier can snapshot it
+// planning, provisioning or running with no state to resume from. Such a
+// job is torn down (its launched instances would otherwise bill forever),
+// set back to StatusQueued and reported as queued, like a job that was
+// admitted but never started.
 func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 	c.mu.Lock()
 	jobs := make([]*Job, 0, len(c.jobs))
@@ -269,9 +276,13 @@ func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 		switch {
 		case segs[j.ID]:
 			resume = append(resume, j.ID)
-		case j.Status == StatusQueued:
+		case !terminal(j.Status):
+			if j.Status != StatusQueued {
+				c.teardown(j)
+				c.setStatus(j, StatusQueued)
+			}
 			queued = append(queued, j.ID)
-		case terminal(j.Status):
+		default:
 			for _, inst := range c.provider.List(map[string]string{"job": j.ID}) {
 				if inst.State == cloud.StateRunning || inst.State == cloud.StatePending {
 					leftover = append(leftover, j.ID)

@@ -402,41 +402,79 @@ func TestPSNICAggregate(t *testing.T) {
 	}
 }
 
-func BenchmarkBSPRound(b *testing.B) {
-	w, _ := model.WorkloadByName("mnist DNN")
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, Homogeneous(m4, 8, 1), Options{Iterations: 100}); err != nil {
-			b.Fatal(err)
+// simRun returns the body the simulator benchmarks time and
+// TestSimAllocCeilings bounds: workload trained for 100 iterations on a
+// homogeneous m4 cluster, with the workload lookup hoisted out.
+func simRun(tb testing.TB, workload string, workers, ps int) func() {
+	tb.Helper()
+	w, err := model.WorkloadByName(workload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := Homogeneous(m4, workers, ps)
+	return func() {
+		if _, err := Run(w, spec, Options{Iterations: 100}); err != nil {
+			tb.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestSimAllocCeilings bounds the allocations of whole simulator runs.
+// Each ceiling is the allocs/op measured when it was set, plus 0.1% + 0.5
+// slack for map and slice-growth jitter, so a rise fails and a fall
+// passes; lower a ceiling when a change lowers the count.
+func TestSimAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector (see race_test.go)")
+	}
+	for _, tc := range []struct {
+		name        string
+		workload    string
+		workers, ps int
+		measured    float64
+	}{
+		{"BSPRound", "mnist DNN", 8, 1, 22254},
+		{"ASPRound", "ResNet-32", 8, 1, 2938},
+		{"LargeClusterIterations", "ResNet-32", 64, 8, 19042},
+	} {
+		allocs := testing.AllocsPerRun(3, simRun(t, tc.workload, tc.workers, tc.ps))
+		ceiling := tc.measured*1.001 + 0.5
+		t.Logf("%s: %.0f allocs per run, ceiling %.1f", tc.name, allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("%s allocates %.0f per run, above its ceiling %.1f", tc.name, allocs, ceiling)
+		}
+	}
+}
+
+func BenchmarkBSPRound(b *testing.B) {
+	run := simRun(b, "mnist DNN", 8, 1)
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
 func BenchmarkASPRound(b *testing.B) {
-	w, _ := model.WorkloadByName("ResNet-32")
+	run := simRun(b, "ResNet-32", 8, 1)
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, Homogeneous(m4, 8, 1), Options{Iterations: 100}); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
 }
 
-// BenchmarkLargeClusterIterations is the end-to-end throughput gate: a
-// 64-worker / 8-PS cluster trained for 100 iterations per op, reported
-// as simulated training iterations per wall-clock second. cmd/benchjson
-// gates the iters/s figure directly (higher is better), so event-core or
-// allocator regressions anywhere in the engine -> ddnnsim stack show up
-// here even if no micro-benchmark moves.
+// BenchmarkLargeClusterIterations times a 64-worker / 8-PS cluster
+// trained for 100 iterations per op, reported as simulated training
+// iterations per wall-clock second, so event-core or allocator
+// regressions anywhere in the engine -> ddnnsim stack show up here even
+// if no micro-benchmark moves.
 func BenchmarkLargeClusterIterations(b *testing.B) {
-	w, _ := model.WorkloadByName("ResNet-32")
-	const iters = 100
-	spec := Homogeneous(m4, 64, 8)
+	run := simRun(b, "ResNet-32", 64, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, spec, Options{Iterations: iters}); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
-	b.ReportMetric(float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
+	b.ReportMetric(100*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
 }
 
 var _ = catalog // keep the package-level catalog referenced

@@ -200,23 +200,26 @@ func TestAllocSkipReusesAllocation(t *testing.T) {
 }
 
 // TestAllocateSteadyStateZeroAllocs pins the tentpole property: once the
-// engine's scratch buffers are warm, a dirty recompute allocates nothing.
+// engine's scratch buffers are warm, a dirty recompute allocates nothing,
+// whether it re-waterfills one 64-flow component or one small component
+// among many.
 func TestAllocateSteadyStateZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	resources := make([]*Resource, 8)
-	for i := range resources {
-		resources[i] = NewResource("r", 100)
-	}
-	for i := 0; i < 64; i++ {
-		e.Submit("f", 1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
-	}
-	e.allocate() // warm the queue/affected buffers
-	avg := testing.AllocsPerRun(100, func() {
-		e.dirty = append(e.dirty, resources[0])
-		e.allocate()
-	})
-	if avg != 0 {
-		t.Errorf("steady-state recompute allocates %.1f times per run, want 0", avg)
+	for _, tc := range []struct {
+		name     string
+		topology func(*Engine) []*Resource
+	}{{"ring", ringTopology}, {"sparse", sparseTopology}} {
+		e := NewEngine()
+		dirty := tc.topology(e)
+		e.allocate() // warm the queue/affected buffers
+		i := 0
+		avg := testing.AllocsPerRun(100, func() {
+			e.dirty = append(e.dirty, dirty[i%len(dirty)])
+			i++
+			e.allocate()
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state recompute allocates %.1f times per run, want 0", tc.name, avg)
+		}
 	}
 }
 

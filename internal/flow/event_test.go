@@ -104,13 +104,7 @@ func TestLazyRemainingMidRun(t *testing.T) {
 // active (their completion keys are untouched).
 func TestTimerOnlyStepsZeroAllocs(t *testing.T) {
 	e := NewEngine()
-	resources := make([]*Resource, 8)
-	for i := range resources {
-		resources[i] = NewResource("r", 100)
-	}
-	for i := 0; i < 64; i++ {
-		e.Submit("f", 1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
-	}
+	ringTopology(e)
 	var tick func(now float64)
 	tick = func(now float64) { e.After(1, tick) }
 	e.After(1, tick)

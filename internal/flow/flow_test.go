@@ -372,8 +372,8 @@ func TestSortedRates(t *testing.T) {
 
 // benchAllocators are the allocator variants every hot-path benchmark
 // reports: "incremental" is the production allocator, "reference" the
-// pre-incremental full recompute kept as the test oracle (the baseline the
-// bench harness compares against).
+// pre-incremental full recompute kept as the test oracle, for comparing
+// the two by hand.
 var benchAllocators = []struct {
 	name string
 	step func(*Engine)
@@ -382,94 +382,10 @@ var benchAllocators = []struct {
 	{"reference", (*Engine).allocReferenceStep},
 }
 
-// BenchmarkAllocate64Flows measures one allocation recompute over a single
-// 64-flow, 8-resource connected component (a ring, so every flow is in one
-// bottleneck group). Each iteration dirties a resource so the incremental
-// allocator actually re-waterfills instead of skipping.
-func BenchmarkAllocate64Flows(b *testing.B) {
-	for _, alloc := range benchAllocators {
-		b.Run(alloc.name, func(b *testing.B) {
-			e := NewEngine()
-			e.allocStep = alloc.step
-			resources := make([]*Resource, 8)
-			for i := range resources {
-				resources[i] = NewResource("r", 100)
-			}
-			for i := 0; i < 64; i++ {
-				e.Submit("f", 1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
-			}
-			e.allocate() // warm scratch buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.dirty = append(e.dirty, resources[i%8])
-				e.allocate()
-			}
-		})
-	}
-}
-
-// BenchmarkAllocateSparse measures the component-local win: 128 flows in
-// 16 disjoint 2-resource components, with one component dirtied per
-// recompute. The reference allocator pays for all 128 flows every time;
-// the incremental allocator re-waterfills 8.
-func BenchmarkAllocateSparse(b *testing.B) {
-	for _, alloc := range benchAllocators {
-		b.Run(alloc.name, func(b *testing.B) {
-			e := NewEngine()
-			e.allocStep = alloc.step
-			const groups = 16
-			resources := make([]*Resource, 2*groups)
-			for i := range resources {
-				resources[i] = NewResource("r", 100)
-			}
-			for i := 0; i < 128; i++ {
-				g := i % groups
-				e.Submit("f", 1e18, []*Resource{resources[2*g], resources[2*g+1]}, nil)
-			}
-			e.allocate()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.dirty = append(e.dirty, resources[2*(i%groups)])
-				e.allocate()
-			}
-		})
-	}
-}
-
-// BenchmarkEngineThroughput measures end-to-end event-loop cost: 1000
-// sequential flows churned through one resource (every event changes the
-// flow set, so nothing is skippable).
-func BenchmarkEngineThroughput(b *testing.B) {
-	for _, alloc := range benchAllocators {
-		b.Run(alloc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngine()
-				e.allocStep = alloc.step
-				r := NewResource("r", 100)
-				var spawn func(now float64)
-				count := 0
-				spawn = func(now float64) {
-					count++
-					if count < 1000 {
-						e.Submit("f", 1, []*Resource{r}, spawn)
-					}
-				}
-				e.Submit("f", 1, []*Resource{r}, spawn)
-				e.Run(0)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineTimerSteps pins the indexed event core: with a large
-// active flow set whose completion keys never move, a timer-only step is
-// a heap peek plus a timer pop/push and must not allocate or touch the
-// O(active) flow set at all.
-func BenchmarkEngineTimerSteps(b *testing.B) {
-	e := NewEngine()
+// ringTopology loads e with 64 long-lived flows over an 8-resource ring,
+// so every flow is in one bottleneck group and a recompute re-waterfills
+// all 64. It returns the resources to dirty in turn.
+func ringTopology(e *Engine) []*Resource {
 	resources := make([]*Resource, 8)
 	for i := range resources {
 		resources[i] = NewResource("r", 100)
@@ -477,6 +393,149 @@ func BenchmarkEngineTimerSteps(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		e.Submit("f", 1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
 	}
+	return resources
+}
+
+// sparseTopology loads e with 128 long-lived flows in 16 disjoint
+// 2-resource components. It returns one resource per component, so each
+// recompute dirties one component: the reference allocator pays for all
+// 128 flows, the incremental allocator re-waterfills 8.
+func sparseTopology(e *Engine) []*Resource {
+	const groups = 16
+	resources := make([]*Resource, 2*groups)
+	for i := range resources {
+		resources[i] = NewResource("r", 100)
+	}
+	for i := 0; i < 128; i++ {
+		g := i % groups
+		e.Submit("f", 1e18, []*Resource{resources[2*g], resources[2*g+1]}, nil)
+	}
+	dirty := make([]*Resource, groups)
+	for g := range dirty {
+		dirty[g] = resources[2*g]
+	}
+	return dirty
+}
+
+// benchAllocate measures one allocation recompute over a topology. Each
+// iteration dirties a resource so the incremental allocator actually
+// re-waterfills instead of skipping.
+func benchAllocate(b *testing.B, topology func(*Engine) []*Resource) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
+			e := NewEngine()
+			e.allocStep = alloc.step
+			dirty := topology(e)
+			e.allocate() // warm scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.dirty = append(e.dirty, dirty[i%len(dirty)])
+				e.allocate()
+			}
+		})
+	}
+}
+
+// BenchmarkAllocate64Flows measures a recompute of one 64-flow component.
+func BenchmarkAllocate64Flows(b *testing.B) { benchAllocate(b, ringTopology) }
+
+// BenchmarkAllocateSparse measures the component-local win: one dirty
+// component out of 16.
+func BenchmarkAllocateSparse(b *testing.B) { benchAllocate(b, sparseTopology) }
+
+// runEngineThroughput churns 1000 sequential flows through one resource
+// (every event changes the flow set, so nothing is skippable).
+func runEngineThroughput(step func(*Engine)) {
+	e := NewEngine()
+	e.allocStep = step
+	r := NewResource("r", 100)
+	var spawn func(now float64)
+	count := 0
+	spawn = func(now float64) {
+		count++
+		if count < 1000 {
+			e.Submit("f", 1, []*Resource{r}, spawn)
+		}
+	}
+	e.Submit("f", 1, []*Resource{r}, spawn)
+	e.Run(0)
+}
+
+// runEngineLargeScenario sustains a 64-concurrent-flow load over 16
+// resources (8 worker NICs x 8 PS NICs, the ddnnsim transfer topology),
+// with every completion respawning a flow on a rotated path: 2000 churn
+// events per engine run.
+func runEngineLargeScenario(step func(*Engine)) {
+	e := NewEngine()
+	e.allocStep = step
+	wk := make([]*Resource, 8)
+	ps := make([]*Resource, 8)
+	for j := range wk {
+		wk[j] = NewResource("wk", 100)
+		ps[j] = NewResource("ps", 120)
+	}
+	remaining := 2000
+	var spawn func(j, k int) func(now float64)
+	spawn = func(j, k int) func(now float64) {
+		return func(now float64) {
+			remaining--
+			if remaining > 0 {
+				nj, nk := (j+1)%8, (k+3)%8
+				e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[nj], ps[nk]}, spawn(nj, nk))
+			}
+		}
+	}
+	for f := 0; f < 64; f++ {
+		j, k := f%8, (f/8)%8
+		e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[j], ps[k]}, spawn(j, k))
+	}
+	e.Run(0)
+}
+
+// TestEngineAllocCeilings bounds the allocations of whole engine runs
+// under the production allocator. Each ceiling is the allocs/op measured
+// when it was set, plus 0.1% + 0.5 slack for slice-growth jitter, so a
+// rise fails and a fall passes; lower a ceiling when a change lowers the
+// count.
+func TestEngineAllocCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		run      func(step func(*Engine))
+		measured float64
+	}{
+		{"EngineThroughput", runEngineThroughput, 2016},
+		{"EngineLargeScenario", runEngineLargeScenario, 6347},
+	} {
+		allocs := testing.AllocsPerRun(5, func() { tc.run(nil) })
+		ceiling := tc.measured*1.001 + 0.5
+		t.Logf("%s: %.0f allocs per run, ceiling %.1f", tc.name, allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("%s allocates %.0f per run, above its ceiling %.1f", tc.name, allocs, ceiling)
+		}
+	}
+}
+
+// BenchmarkEngineThroughput times runEngineThroughput, the event loop
+// under full churn.
+func BenchmarkEngineThroughput(b *testing.B) {
+	for _, alloc := range benchAllocators {
+		b.Run(alloc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runEngineThroughput(alloc.step)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineTimerSteps measures the indexed event core: with a large
+// active flow set whose completion keys never move, a timer-only step is
+// a heap peek plus a timer pop/push and touches none of the O(active)
+// flow set.
+func BenchmarkEngineTimerSteps(b *testing.B) {
+	e := NewEngine()
+	ringTopology(e)
 	var tick func(now float64)
 	tick = func(now float64) { e.After(1, tick) }
 	e.After(1, tick)
@@ -490,39 +549,14 @@ func BenchmarkEngineTimerSteps(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineLargeScenario is the acceptance benchmark: a sustained
-// 64-concurrent-flow load over 16 resources (8 worker NICs x 8 PS NICs,
-// the ddnnsim transfer topology), with every completion respawning a flow
-// on a rotated path — 2000 churn events per engine run.
+// BenchmarkEngineLargeScenario times runEngineLargeScenario, the
+// simulator-shaped load.
 func BenchmarkEngineLargeScenario(b *testing.B) {
 	for _, alloc := range benchAllocators {
 		b.Run(alloc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := NewEngine()
-				e.allocStep = alloc.step
-				wk := make([]*Resource, 8)
-				ps := make([]*Resource, 8)
-				for j := range wk {
-					wk[j] = NewResource("wk", 100)
-					ps[j] = NewResource("ps", 120)
-				}
-				remaining := 2000
-				var spawn func(j, k int) func(now float64)
-				spawn = func(j, k int) func(now float64) {
-					return func(now float64) {
-						remaining--
-						if remaining > 0 {
-							nj, nk := (j+1)%8, (k+3)%8
-							e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[nj], ps[nk]}, spawn(nj, nk))
-						}
-					}
-				}
-				for f := 0; f < 64; f++ {
-					j, k := f%8, (f/8)%8
-					e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[j], ps[k]}, spawn(j, k))
-				}
-				e.Run(0)
+				runEngineLargeScenario(alloc.step)
 			}
 		})
 	}

@@ -2,21 +2,25 @@ package journal
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// canonicalLines are AppendJSONL encodings covering every key, field
+// order, float formatting and string escaping.
+var canonicalLines = []string{
+	`{"seq":1,"src":"api","sseq":1,"type":"job.submitted","at":0}` + "\n",
+	`{"seq":2,"src":"ctl","sseq":1,"trace":"t-1","job":"job-1","type":"segment.start","at":1.5,"fields":{"seg":"1","iters":"100"}}` + "\n",
+	`{"seq":3,"src":"ctl","sseq":2,"job":"job-1","type":"segment.end","at":12.25,"wall_ns":123456789,"fields":{"zeta":"a","alpha":"b"}}` + "\n",
+	`{"seq":4,"src":"cloud","sseq":1,"type":"cloud.instance.launched","at":0.30000000000000004,"fields":{"id":"i-1","quote":"she said \"go\""}}` + "\n",
+}
 
 // TestDecodeRoundTripsBytes pins the property the WAL replay verifier
 // depends on: decode followed by the canonical encoder reproduces the
 // input bytes exactly, including field order.
 func TestDecodeRoundTripsBytes(t *testing.T) {
-	lines := []string{
-		`{"seq":1,"src":"api","sseq":1,"type":"job.submitted","at":0}` + "\n",
-		`{"seq":2,"src":"ctl","sseq":1,"trace":"t-1","job":"job-1","type":"segment.start","at":1.5,"fields":{"seg":"1","iters":"100"}}` + "\n",
-		`{"seq":3,"src":"ctl","sseq":2,"job":"job-1","type":"segment.end","at":12.25,"wall_ns":123456789,"fields":{"zeta":"a","alpha":"b"}}` + "\n",
-		`{"seq":4,"src":"cloud","sseq":1,"type":"cloud.instance.launched","at":0.30000000000000004,"fields":{"id":"i-1","quote":"she said \"go\""}}` + "\n",
-	}
-	for _, line := range lines {
+	for _, line := range canonicalLines {
 		e, err := DecodeEvent([]byte(line))
 		if err != nil {
 			t.Fatalf("decode %q: %v", line, err)
@@ -40,6 +44,30 @@ func TestDecodeJSONLStream(t *testing.T) {
 	if events[1].Seq != 2 || events[1].Fields[0].Key != "k" || events[1].Fields[0].Value != "v" {
 		t.Fatalf("event 2 decoded wrong: %+v", events[1])
 	}
+}
+
+// FuzzDecodeEvent feeds DecodeEvent arbitrary bytes, as a recovered WAL
+// record can hold. It must never panic, and whatever it accepts must
+// survive a canonical re-encode: AppendJSONL of the decoded event decodes
+// back to the same event.
+func FuzzDecodeEvent(f *testing.F) {
+	for _, line := range canonicalLines {
+		f.Add([]byte(line))
+	}
+	f.Add([]byte(`{"seq":1,"src":"a","sseq":1,"type":"x","at":-0,"fields":{"k":"\u0001\u2028\ud800"}}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, err := DecodeEvent(line)
+		if err != nil {
+			return
+		}
+		again, err := DecodeEvent(AppendJSONL(nil, e))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", e, err)
+		}
+		if !reflect.DeepEqual(again, e) {
+			t.Fatalf("round trip changed the event:\n got %+v\nwant %+v", again, e)
+		}
+	})
 }
 
 func TestDecodeRejectsUnknownKeys(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -260,12 +261,24 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 // TestAppendZeroAlloc pins the steady-state append: once every source is
-// known, Append does not allocate.
+// known, Append does not allocate, and neither does the canonical encoder
+// feeding an attached sink once its scratch buffer has grown.
 func TestAppendZeroAlloc(t *testing.T) {
-	j := New(1024, Deterministic())
-	e := Event{Source: "controller", Trace: "t-1", Job: "job-1", Type: JobStatus, At: 1}
-	j.Append(e) // warm the source map
-	if allocs := testing.AllocsPerRun(200, func() { j.Append(e) }); allocs != 0 {
-		t.Errorf("Append allocates %.1f per op, want 0", allocs)
+	e := Event{
+		Source: "controller", Trace: "t-1", Job: "job-1", Type: SegmentStart, At: 1,
+		Fields: []Field{Fint("start_iter", 500), Fint("remaining", 340)},
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"ring", []Option{Deterministic()}},
+		{"sink", []Option{WithSink(io.Discard)}},
+	} {
+		j := New(1024, tc.opts...)
+		j.Append(e) // warm the source map and the encoder's scratch buffer
+		if allocs := testing.AllocsPerRun(200, func() { j.Append(e) }); allocs != 0 {
+			t.Errorf("%s: Append allocates %.1f per op, want 0", tc.name, allocs)
+		}
 	}
 }

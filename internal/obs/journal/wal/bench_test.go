@@ -7,25 +7,37 @@ import (
 
 // TestAppendSteadyStateZeroAlloc pins the hot-path guarantee: once the
 // scratch buffer has grown to fit the record size, Append allocates
-// nothing. The flight recorder calls this on every journal event, so an
-// allocation here is a per-event GC tax on the whole control plane.
+// nothing, with or without fsync. The flight recorder calls this on every
+// journal event, so an allocation here is a per-event GC tax on the whole
+// control plane. The fsync case syncs on every append, so an allocation
+// on the sync path cannot be averaged away.
 func TestAppendSteadyStateZeroAlloc(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 30, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	rec := []byte(`{"seq":1,"src":"ctl","sseq":1,"type":"bench.event","at":1.5,"fields":{"k":"v"}}` + "\n")
-	if err := w.Append(rec); err != nil { // warm the scratch buffer
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := w.Append(rec); err != nil {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"NoSync", Options{SegmentBytes: 1 << 30, NoSync: true}},
+		{"SyncEvery=1", Options{SegmentBytes: 1 << 30, SyncEvery: 1}},
+	} {
+		w, err := Open(t.TempDir(), tc.opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Append allocates %.1f times per record, want 0", allocs)
+		if err := w.Append(rec); err != nil { // warm the scratch buffer
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Append allocates %.1f times per record, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"cynthia/internal/perf"
 )
 
-func lookup(t *testing.T, name string) cloud.InstanceType {
+func lookup(t testing.TB, name string) cloud.InstanceType {
 	t.Helper()
 	it, err := cloud.DefaultCatalog().Lookup(name)
 	if err != nil {
@@ -20,7 +20,7 @@ func lookup(t *testing.T, name string) cloud.InstanceType {
 	return it
 }
 
-func prof(t *testing.T, name string) *perf.Profile {
+func prof(t testing.TB, name string) *perf.Profile {
 	t.Helper()
 	w, err := model.WorkloadByName(name)
 	if err != nil {
@@ -301,15 +301,19 @@ func TestPlanCostMatchesEq8(t *testing.T) {
 	}
 }
 
+// section53Request is the Section 5.3 overhead question: cifar10 DNN to
+// loss 0.8 within 5400 s over the default catalog.
+func section53Request(tb testing.TB) Request {
+	tb.Helper()
+	return Request{Profile: prof(tb, "cifar10 DNN"), Goal: Goal{TimeSec: 5400, LossTarget: 0.8}}
+}
+
 // Section 5.3: Algorithm 1 must run in milliseconds.
 func BenchmarkSection53Provision(b *testing.B) {
-	w, _ := model.WorkloadByName("cifar10 DNN")
-	m4, _ := cloud.DefaultCatalog().Lookup(cloud.M4XLarge)
-	p := perf.SyntheticProfile(w, m4)
-	goal := Goal{TimeSec: 5400, LossTarget: 0.8}
+	req := section53Request(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Provision(Request{Profile: p, Goal: goal}); err != nil {
+		if _, err := Provision(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,9 @@
 // every request a distinct miss, serves ≈8.7k/s. The cache is worth
 // ≈1.67×, above the 1.5× keep-or-delete line though no longer the 4.4× it
 // bought when a search cost ~700 µs. It stays because dropping it would
-// cost quote-hot about 40% of its throughput.
+// cost quote-hot about 40% of its throughput. The service has no
+// cache-less mode: quote-cold is the measure of what every request would
+// pay without the cache.
 package service
 
 import (
@@ -94,10 +96,8 @@ type Config struct {
 	// QueueDepth bounds how many admitted searches may wait for a worker;
 	// a full queue rejects with ErrOverloaded. Defaults to 64.
 	QueueDepth int
-	// CacheCapacity bounds the result cache (LRU eviction). 0 selects
-	// DefaultCacheCapacity; negative disables the service entirely —
-	// every request runs a full search inline, the paper's one-shot
-	// behaviour, kept as the benchmark reference path.
+	// CacheCapacity bounds the result cache (LRU eviction); defaults to
+	// DefaultCacheCapacity.
 	CacheCapacity int
 	// Registry receives the service metrics; defaults to obs.Default().
 	Registry *obs.Registry
@@ -180,7 +180,6 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 type Service struct {
 	prov    plan.Provisioner
 	catalog *cloud.Catalog
-	bypass  bool // CacheCapacity < 0: no cache, no coalescing, no queue
 	cap     int
 	m       *svcMetrics
 
@@ -210,9 +209,8 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	capacity := cfg.CacheCapacity
-	if capacity == 0 {
-		capacity = DefaultCacheCapacity
+	if cfg.CacheCapacity <= 0 {
+		cfg.CacheCapacity = DefaultCacheCapacity
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -222,8 +220,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		prov:    cfg.Provisioner,
 		catalog: cfg.Catalog,
-		bypass:  capacity < 0,
-		cap:     capacity,
+		cap:     cfg.CacheCapacity,
 		m:       newSvcMetrics(reg),
 		queue:   make(chan *entry, cfg.QueueDepth),
 		ctx:     ctx,
@@ -279,26 +276,6 @@ func (s *Service) Plan(ctx context.Context, req plan.Request) (Response, error) 
 	nreq, err := req.Normalize()
 	if err != nil {
 		return Response{}, err
-	}
-	if s.bypass {
-		// Reference mode: the paper's one-shot behaviour. Every request
-		// pays the full Theorem 4.1 scan, inline, unqueued.
-		res, err := plan.SearchWith(ctx, s.prov, nreq)
-		s.mu.Lock()
-		s.stats.Requests++
-		if err != nil {
-			s.stats.Errors++
-		} else {
-			s.stats.Misses++
-			s.stats.Searches++
-		}
-		s.mu.Unlock()
-		if err != nil {
-			s.m.errors.Inc()
-			return Response{}, err
-		}
-		s.m.misses.Inc()
-		return Response{Result: res, Outcome: OutcomeMiss}, nil
 	}
 	key := Key{
 		CatalogID:   nreq.Catalog.ID(),

@@ -357,24 +357,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestBypassModeAlwaysSearches(t *testing.T) {
-	prov := &countingProvisioner{}
-	s := newTestService(t, Config{Provisioner: prov, CacheCapacity: -1})
-	req := testRequest(t, s.Catalog(), 5400)
-	for i := 0; i < 3; i++ {
-		resp, err := s.Plan(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Outcome != OutcomeMiss {
-			t.Fatalf("bypass outcome = %s, want miss", resp.Outcome)
-		}
-	}
-	if got := prov.searches.Load(); got != 3 {
-		t.Fatalf("bypass ran %d searches for 3 requests, want 3", got)
-	}
-}
-
 func TestClosedServiceRejects(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})
 	req := testRequest(t, s.Catalog(), 5400)

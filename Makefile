@@ -31,11 +31,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # coverage enforces per-package statement-coverage floors on the search
-# core, the flow model, and the recovery state machine. Floors sit a few
+# core, the flow model, the training simulator, and the recovery state
+# machine. Floors sit a few
 # points under the measured numbers so a coverage regression fails CI
 # without turning every refactor into a fight with the gate.
 coverage:
-	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/cluster:85 internal/cluster/replay:75 internal/cloud/pricing:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
+	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/ddnnsim:85 internal/cluster:85 internal/cluster/replay:75 internal/cloud/pricing:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		$(GO) test -count=1 -coverprofile=.cover.out ./$$pkg >/dev/null; \
 		total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
@@ -53,6 +54,8 @@ fuzz-smoke:
 	$(GO) test ./internal/cloud -run '^$$' -fuzz '^FuzzFaultPlanSchedule$$' -fuzztime 5s
 	$(GO) test ./internal/cloud/pricing -run '^$$' -fuzz '^FuzzPriceTrace$$' -fuzztime 5s
 	$(GO) test ./internal/obs/journal -run '^$$' -fuzz '^FuzzDecodeEvent$$' -fuzztime 5s
+	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 5s
+	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzLatestSnapshot$$' -fuzztime 5s
 
 # crash-smoke is the process-level durability drill: boot cmd/master with
 # a state dir, SIGKILL it with jobs in flight, restart it over the same

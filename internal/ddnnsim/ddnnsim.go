@@ -340,6 +340,15 @@ func earliestFault(faults []Fault) (*Fault, float64) {
 }
 
 // sim holds the live simulation state.
+//
+// A simulated iteration allocates nothing once the sim is warm. Flow and
+// span labels are built only when Options.Trace is set; every flow path
+// is built once, in newSim; transfers come from a free list of records
+// (xfer); and the BSP and ASP protocols run as per-worker state machines
+// (bspWorker, bspRound, aspWorker) whose flow callbacks are method values
+// bound once at setup. The engine recycles the Flow records themselves.
+// The free list belongs to the sim, not to the package, because
+// concurrent jobs run sims concurrently.
 type sim struct {
 	w       *model.Workload
 	cluster ClusterSpec
@@ -353,6 +362,24 @@ type sim struct {
 	psCPU  []*flow.Resource
 	psNIC  []*flow.Resource
 	series []*flow.Series
+
+	// nicPaths[j*nPS+k] is the {wkNIC[j], psNIC[k]} path of every transfer
+	// between worker j and PS shard k. CPU paths need no table: worker j's
+	// is wkCPU[j:j+1] and shard k's is psCPU[k:k+1].
+	nicPaths [][]*flow.Resource
+	xferFree []*xfer
+
+	// BSP state (runBSP): one state machine per worker, and a ring of
+	// round records, because the overlap gate keeps at most two rounds
+	// live. barrierDone is the last round whose barrier completed.
+	bspWorkers  []bspWorker
+	rounds      [2]bspRound
+	barrierDone int
+
+	// ASP state (runASP): one state machine per worker, and the shared
+	// countdown of iterations not yet started.
+	aspWorkers []aspWorker
+	aspLeft    int
 
 	completed  int
 	compTotal  float64
@@ -395,6 +422,7 @@ func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim
 		s.psCPUPerMB = 0
 	}
 	s.perWorker = make([]int, s.nWk)
+	s.iterEnd = make([]float64, 0, iters)
 	for j, t := range cluster.Workers {
 		s.wkCPU = append(s.wkCPU, flow.NewResource(fmt.Sprintf("wk%d.cpu", j), t.GFLOPS))
 		s.wkNIC = append(s.wkNIC, flow.NewResource(fmt.Sprintf("wk%d.nic", j), t.NetMBps))
@@ -406,6 +434,13 @@ func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim
 			s.series = append(s.series, nic.Record(opt.TraceBin))
 		}
 		s.psNIC = append(s.psNIC, nic)
+	}
+	pairs := make([]*flow.Resource, 2*s.nWk*s.nPS)
+	s.nicPaths = make([][]*flow.Resource, s.nWk*s.nPS)
+	for i := range s.nicPaths {
+		p := pairs[2*i : 2*i+2 : 2*i+2]
+		p[0], p[1] = s.wkNIC[i/s.nPS], s.psNIC[i%s.nPS]
+		s.nicPaths[i] = p
 	}
 	if tr := opt.Trace; tr != nil {
 		tr.ProcessName(pidCluster, "cluster")
@@ -422,37 +457,90 @@ func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim
 	return s
 }
 
-// transfer submits one NIC transfer between worker j and PS shard k plus
-// the PS-side CPU work for handling it, invoking done when both finish.
-// cat categorizes the trace span ("push" or "pull"); the NIC span lands
-// on worker j's track, the aggregation CPU span on PS k's track.
-func (s *sim) transfer(label, cat string, j, k int, mb float64, done func(now float64)) {
-	pending := 1
-	cpuWork := mb * s.psCPUPerMB
+// xfer is one in-flight transfer of a parameter shard between worker j and
+// PS shard k: a NIC flow plus, when the PS CPU is modelled, the shard's
+// aggregation CPU flow. When both have finished, the record goes back to
+// the sim's free list and then(j, k, now) runs. nicDone and cpuDone are
+// the two flows' callbacks, bound once when the record is first made.
+type xfer struct {
+	s                *sim
+	j, k             int
+	pending          int // flows still running
+	begin            float64
+	cat              string // trace category: "push" or "pull"
+	label            string // flow and span name; "" unless tracing
+	then             func(j, k int, now float64)
+	nicDone, cpuDone func(now float64)
+}
+
+// transfer moves one parameter shard between worker j and PS shard k (cat
+// "push" or "pull") and calls then(j, k, now) when both the NIC transfer
+// and the PS-side CPU work for it have finished. r is the BSP round, or
+// -1 under ASP; it only names the trace spans. The NIC span lands on
+// worker j's track, the aggregation CPU span on PS k's track.
+func (s *sim) transfer(cat string, r, j, k int, then func(j, k int, now float64)) {
+	var x *xfer
+	if n := len(s.xferFree); n > 0 {
+		x = s.xferFree[n-1]
+		s.xferFree = s.xferFree[:n-1]
+	} else {
+		x = &xfer{s: s}
+		x.nicDone, x.cpuDone = x.nicFinished, x.cpuFinished
+	}
+	x.j, x.k, x.cat, x.then = j, k, cat, then
+	x.pending = 1
+	cpuWork := s.shardMB * s.psCPUPerMB
 	if cpuWork > 0 {
-		pending = 2
+		x.pending = 2
 	}
-	finish := func(now float64) {
-		pending--
-		if pending == 0 && done != nil {
-			done(now)
-		}
+	x.begin = s.eng.Now()
+	x.label = ""
+	if s.opt.Trace != nil {
+		x.label = xferLabel(cat, r, j, k)
 	}
-	begin := s.eng.Now()
-	s.eng.Submit(label, mb, []*flow.Resource{s.wkNIC[j], s.psNIC[k]}, func(now float64) {
+	s.eng.Submit(x.label, s.shardMB, s.nicPaths[j*s.nPS+k], x.nicDone)
+	if cpuWork > 0 {
+		cpuLabel := ""
 		if s.opt.Trace != nil {
-			s.opt.Trace.Complete(pidWorkers, j, cat, label, begin, now)
+			cpuLabel = x.label + ".cpu"
 		}
-		finish(now)
-	})
-	if cpuWork > 0 {
-		s.eng.Submit(label+".cpu", cpuWork, []*flow.Resource{s.psCPU[k]}, func(now float64) {
-			if s.opt.Trace != nil {
-				s.opt.Trace.Complete(pidPS, k, "aggregate", label+".cpu", begin, now)
-			}
-			finish(now)
-		})
+		s.eng.Submit(cpuLabel, cpuWork, s.psCPU[k:k+1:k+1], x.cpuDone)
 	}
+}
+
+// xferLabel names a transfer's NIC flow and span: push.r3.w1.p0 for BSP
+// round 3, push.w1.p0 under ASP (r < 0).
+func xferLabel(cat string, r, j, k int) string {
+	if r < 0 {
+		return fmt.Sprintf("%s.w%d.p%d", cat, j, k)
+	}
+	return fmt.Sprintf("%s.r%d.w%d.p%d", cat, r, j, k)
+}
+
+func (x *xfer) nicFinished(now float64) {
+	if tr := x.s.opt.Trace; tr != nil {
+		tr.Complete(pidWorkers, x.j, x.cat, x.label, x.begin, now)
+	}
+	x.finish(now)
+}
+
+func (x *xfer) cpuFinished(now float64) {
+	if tr := x.s.opt.Trace; tr != nil {
+		tr.Complete(pidPS, x.k, "aggregate", x.label+".cpu", x.begin, now)
+	}
+	x.finish(now)
+}
+
+// finish counts one flow done. After the last, the record is recycled
+// before then runs, so the transfers then starts can reuse it.
+func (x *xfer) finish(now float64) {
+	x.pending--
+	if x.pending > 0 {
+		return
+	}
+	j, k, then := x.j, x.k, x.then
+	x.s.xferFree = append(x.s.xferFree, x)
+	then(j, k, now)
 }
 
 // --- BSP ---
@@ -466,122 +554,197 @@ func (s *sim) transfer(label, cat string, j, k int, mb float64, done func(now fl
 //  3. once a shard has every worker's gradient, workers pull the fresh
 //     parameters (NIC + PS CPU);
 //  4. barrier: round r ends when all pulls finish.
-type bspRound struct {
-	compStart    float64
-	compMax      float64 // slowest worker's compute duration
-	commStart    float64
-	commStarted  bool
-	pushesByPS   []int
-	pullsPending int
-	compPending  int
+//
+// Each worker is a bspWorker state machine (compute round r, push, then
+// start round r+1 or park until the gate's barrier), and each live round
+// is a bspRound in a two-slot ring. Two slots suffice: a worker starts
+// round r+1 only after barrier r-1, and barriers complete in round order,
+// because the same (worker, shard) transfer of consecutive rounds runs on
+// the same path, so the earlier one finishes first. round and barrier
+// panic if either property ever breaks.
+func (s *sim) runBSP() {
+	s.barrierDone = -1
+	pushes := make([]int, len(s.rounds)*s.nPS)
+	for i := range s.rounds {
+		st := &s.rounds[i]
+		st.s = s
+		st.pushesByPS = pushes[i*s.nPS : (i+1)*s.nPS : (i+1)*s.nPS]
+		st.pushed, st.pulled = st.onPushed, st.onPulled
+	}
+	s.bspWorkers = make([]bspWorker, s.nWk)
+	for j := range s.bspWorkers {
+		w := &s.bspWorkers[j]
+		w.s, w.j = s, j
+		w.computed = w.onComputed
+	}
+	for j := range s.bspWorkers {
+		s.bspWorkers[j].start(0)
+	}
 }
 
-func (s *sim) runBSP() {
-	rounds := map[int]*bspRound{}
-	barrierDone := -1
-	waiting := map[int][]func(){} // round barrier -> deferred compute starts
+// bspRound is one live BSP round.
+type bspRound struct {
+	s            *sim
+	r            int
+	live         bool
+	compMax      float64 // slowest worker's compute duration
+	commStart    float64 // first gradient byte of the round
+	commStarted  bool
+	pushesByPS   []int // gradients received per shard
+	pullsPending int
+	// waitHead and waitTail are the first and last worker (-1: none) whose
+	// next compute waits on this round's barrier, linked through
+	// bspWorker.next in the order they parked.
+	waitHead, waitTail int
+	pushed, pulled     func(j, k int, now float64)
+}
 
-	getRound := func(r int) *bspRound {
-		st, ok := rounds[r]
-		if !ok {
-			st = &bspRound{pushesByPS: make([]int, s.nPS), compPending: s.nWk,
-				pullsPending: s.nWk * s.nPS, compStart: -1, commStart: -1}
-			rounds[r] = st
+// round returns the record of round r, claiming a ring slot the first time
+// round r is asked for.
+func (s *sim) round(r int) *bspRound {
+	st := &s.rounds[r%len(s.rounds)]
+	if st.live {
+		if st.r != r {
+			panic(fmt.Sprintf("ddnnsim: BSP round %d started while round %d is live; the overlap gate allows two live rounds", r, st.r))
 		}
 		return st
 	}
+	st.r, st.live = r, true
+	st.compMax, st.commStart, st.commStarted = 0, -1, false
+	clear(st.pushesByPS)
+	st.pullsPending = s.nWk * s.nPS
+	st.waitHead, st.waitTail = -1, -1
+	return st
+}
 
-	var startCompute func(j, r int)
-	var barrier func(r int, now float64)
+// onPushed counts worker j's gradient for shard k. The last one updates
+// the shard, and every worker pulls it.
+func (st *bspRound) onPushed(_, k int, _ float64) {
+	s := st.s
+	st.pushesByPS[k]++
+	if st.pushesByPS[k] == s.nWk {
+		for jj := 0; jj < s.nWk; jj++ {
+			s.transfer("pull", st.r, jj, k, st.pulled)
+		}
+	}
+}
 
-	startCompute = func(j, r int) {
-		if r >= s.iters {
-			return
-		}
-		st := getRound(r)
-		begin := s.eng.Now()
-		if st.compStart < 0 || begin < st.compStart {
-			st.compStart = begin
-		}
-		work := s.noisyWork(s.w.WiterGFLOPs / float64(s.nWk))
-		s.eng.Submit(fmt.Sprintf("comp.r%d.w%d", r, j), work, []*flow.Resource{s.wkCPU[j]}, func(now float64) {
-			if s.opt.Trace != nil {
-				s.opt.Trace.Complete(pidWorkers, j, "compute", fmt.Sprintf("comp.r%d", r), begin, now)
-			}
-			if d := now - begin; d > st.compMax {
-				st.compMax = d
-			}
-			s.perWorker[j]++
-			// Push gradients for round r.
-			if !st.commStarted {
-				st.commStarted = true
-				st.commStart = now
-			}
-			for k := 0; k < s.nPS; k++ {
-				k := k
-				s.transfer(fmt.Sprintf("push.r%d.w%d.p%d", r, j, k), "push", j, k, s.shardMB, func(now float64) {
-					st.pushesByPS[k]++
-					if st.pushesByPS[k] == s.nWk {
-						// Shard k updated; everyone pulls it.
-						for jj := 0; jj < s.nWk; jj++ {
-							s.transfer(fmt.Sprintf("pull.r%d.w%d.p%d", r, jj, k), "pull", jj, k, s.shardMB, func(now float64) {
-								st.pullsPending--
-								if st.pullsPending == 0 {
-									barrier(r, now)
-								}
-							})
-						}
-					}
-				})
-			}
-			// Overlap: next round's compute may start once barrier r-1
-			// is done (one outstanding communication round). Without
-			// overlap it waits for this round's own barrier.
-			next := r + 1
-			gate := r - 1
-			if s.opt.NoOverlap {
-				gate = r
-			}
-			if barrierDone >= gate {
-				startCompute(j, next)
-			} else {
-				waiting[gate] = append(waiting[gate], func() { startCompute(j, next) })
-			}
+func (st *bspRound) onPulled(_, _ int, now float64) {
+	st.pullsPending--
+	if st.pullsPending == 0 {
+		st.s.barrier(st, now)
+	}
+}
+
+// park queues worker w to start its next round at this round's barrier.
+func (st *bspRound) park(w *bspWorker) {
+	w.next = -1
+	if st.waitTail < 0 {
+		st.waitHead = w.j
+	} else {
+		st.s.bspWorkers[st.waitTail].next = w.j
+	}
+	st.waitTail = w.j
+}
+
+// barrier ends round st: it books the round, frees its ring slot and
+// starts the parked workers in the order they parked.
+func (s *sim) barrier(st *bspRound, now float64) {
+	r := st.r
+	if r != s.barrierDone+1 {
+		panic(fmt.Sprintf("ddnnsim: BSP barrier %d completed after barrier %d", r, s.barrierDone))
+	}
+	if s.opt.Trace != nil {
+		// The barrier span covers the communication phase: first
+		// gradient byte to the instant the last pull completes.
+		s.opt.Trace.Complete(pidCluster, 0, "barrier", fmt.Sprintf("barrier.r%d", r), st.commStart, now)
+	}
+	s.compTotal += st.compMax
+	s.commTotal += now - st.commStart
+	if s.opt.RecordIterations {
+		s.records = append(s.records, IterRecord{
+			Index: s.completed, Worker: -1, EndSec: now,
+			ComputeSec: st.compMax, CommSec: now - st.commStart,
 		})
 	}
-
-	barrier = func(r int, now float64) {
-		st := rounds[r]
-		if s.opt.Trace != nil {
-			// The barrier span covers the communication phase: first
-			// gradient byte to the instant the last pull completes.
-			s.opt.Trace.Complete(pidCluster, 0, "barrier", fmt.Sprintf("barrier.r%d", r), st.commStart, now)
-		}
-		s.compTotal += st.compMax
-		s.commTotal += now - st.commStart
-		if s.opt.RecordIterations {
-			s.records = append(s.records, IterRecord{
-				Index: s.completed, Worker: -1, EndSec: now,
-				ComputeSec: st.compMax, CommSec: now - st.commStart,
-			})
-		}
-		s.completed++
-		s.iterEnd = append(s.iterEnd, now)
-		// BSP counts a round as one iteration for every worker's share;
-		// perWorker already incremented per compute.
-		delete(rounds, r)
-		if r > barrierDone {
-			barrierDone = r
-		}
-		for _, fn := range waiting[r] {
-			fn()
-		}
-		delete(waiting, r)
+	s.completed++
+	s.iterEnd = append(s.iterEnd, now)
+	// BSP counts a round as one iteration for every worker's share;
+	// perWorker already incremented per compute.
+	st.live = false
+	s.barrierDone = r
+	// Released workers start round r+2, which claims this slot and resets
+	// its wait list, so the walk follows the worker links alone.
+	for j := st.waitHead; j >= 0; {
+		w := &s.bspWorkers[j]
+		j = w.next
+		w.start(w.r + 1)
 	}
+}
 
-	for j := 0; j < s.nWk; j++ {
-		startCompute(j, 0)
+// bspWorker is worker j's BSP state machine. computed is its compute
+// flow's callback, bound once.
+type bspWorker struct {
+	s        *sim
+	j        int
+	r        int     // round being computed, or last computed while parked
+	begin    float64 // start of the current compute
+	next     int     // next worker parked on the same barrier, -1 at the end
+	computed func(now float64)
+}
+
+// start begins computing round r, if the budget has one.
+func (w *bspWorker) start(r int) {
+	s := w.s
+	if r >= s.iters {
+		return
 	}
+	s.round(r)
+	w.r = r
+	w.begin = s.eng.Now()
+	work := s.noisyWork(s.w.WiterGFLOPs / float64(s.nWk))
+	label := ""
+	if s.opt.Trace != nil {
+		label = fmt.Sprintf("comp.r%d.w%d", r, w.j)
+	}
+	s.eng.Submit(label, work, s.wkCPU[w.j:w.j+1:w.j+1], w.computed)
+}
+
+// onComputed pushes round r's gradient to every shard, then starts round
+// r+1 or parks on the gate's barrier.
+func (w *bspWorker) onComputed(now float64) {
+	s, j, r := w.s, w.j, w.r
+	st := &s.rounds[r%len(s.rounds)]
+	if s.opt.Trace != nil {
+		s.opt.Trace.Complete(pidWorkers, j, "compute", fmt.Sprintf("comp.r%d", r), w.begin, now)
+	}
+	if d := now - w.begin; d > st.compMax {
+		st.compMax = d
+	}
+	s.perWorker[j]++
+	if !st.commStarted {
+		st.commStarted = true
+		st.commStart = now
+	}
+	for k := 0; k < s.nPS; k++ {
+		s.transfer("push", r, j, k, st.pushed)
+	}
+	// Overlap: next round's compute may start once barrier r-1 is done
+	// (one outstanding communication round). Without overlap it waits for
+	// this round's own barrier.
+	gate := r - 1
+	if s.opt.NoOverlap {
+		gate = r
+	}
+	if s.barrierDone >= gate {
+		w.start(r + 1)
+		return
+	}
+	g := &s.rounds[gate%len(s.rounds)]
+	if !g.live || g.r != gate {
+		panic(fmt.Sprintf("ddnnsim: worker %d waits on barrier %d, which is not live", j, gate))
+	}
+	g.park(w)
 }
 
 // --- ASP ---
@@ -591,62 +754,102 @@ func (s *sim) runBSP() {
 // shared countdown distributes the iteration budget across workers, so
 // faster workers naturally execute more iterations (work stealing, as in
 // TensorFlow's asynchronous between-graph training).
+//
+// Each worker is an aspWorker state machine whose flow and timer callbacks
+// are method values bound once here.
 func (s *sim) runASP() {
-	remaining := s.iters
-	var loop func(j int)
-	loop = func(j int) {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		begin := s.eng.Now()
-		s.eng.Submit(fmt.Sprintf("comp.w%d", j), s.noisyWork(s.w.WiterGFLOPs), []*flow.Resource{s.wkCPU[j]}, func(now float64) {
-			if s.opt.Trace != nil {
-				s.opt.Trace.Complete(pidWorkers, j, "compute", fmt.Sprintf("comp.w%d", j), begin, now)
-			}
-			compDur := now - begin
-			s.compTotal += compDur
-			commBegin := now
-			// Push to every shard; once all shards applied, pull.
-			pushesLeft := s.nPS
-			for k := 0; k < s.nPS; k++ {
-				s.transfer(fmt.Sprintf("push.w%d.p%d", j, k), "push", j, k, s.shardMB, func(float64) {
-					pushesLeft--
-					if pushesLeft > 0 {
-						return
-					}
-					pullsLeft := s.nPS
-					for kk := 0; kk < s.nPS; kk++ {
-						s.transfer(fmt.Sprintf("pull.w%d.p%d", j, kk), "pull", j, kk, s.shardMB, func(now float64) {
-							pullsLeft--
-							if pullsLeft == 0 {
-								s.commTotal += now - commBegin
-								if s.opt.RecordIterations {
-									s.records = append(s.records, IterRecord{
-										Index: s.completed, Worker: j, EndSec: now,
-										ComputeSec: compDur, CommSec: now - commBegin,
-									})
-								}
-								s.completed++
-								s.perWorker[j]++
-								s.iterEnd = append(s.iterEnd, now)
-								loop(j)
-							}
-						})
-					}
-				})
-			}
-		})
+	s.aspLeft = s.iters
+	s.aspWorkers = make([]aspWorker, s.nWk)
+	for j := range s.aspWorkers {
+		w := &s.aspWorkers[j]
+		w.s, w.j = s, j
+		w.computed = w.onComputed
+		w.pushed, w.pulled = w.onPushed, w.onPulled
 	}
 	// Stagger worker starts across one uncontended iteration period so
 	// the asynchronous workers pipeline from the outset instead of
 	// marching in an artificial convoy (real ASP clusters desynchronize
 	// within a few iterations).
 	solo := s.w.WiterGFLOPs/s.cluster.Workers[0].GFLOPS + s.w.SyncMB()/s.cluster.PS[0].NetMBps
-	for j := 0; j < s.nWk; j++ {
-		j := j
-		s.eng.At(solo*float64(j)/float64(s.nWk), func(float64) { loop(j) })
+	for j := range s.aspWorkers {
+		s.eng.At(solo*float64(j)/float64(s.nWk), s.aspWorkers[j].iterate)
 	}
+}
+
+// aspWorker is worker j's ASP loop: compute, push to every shard, pull
+// from every shard once all pushes are applied, repeat.
+type aspWorker struct {
+	s              *sim
+	j              int
+	begin          float64 // start of the current compute
+	compDur        float64
+	commBegin      float64
+	left           int // transfers of the current push or pull phase in flight
+	computed       func(now float64)
+	pushed, pulled func(j, k int, now float64)
+}
+
+// iterate starts the worker's next iteration, if the shared budget has one.
+func (w *aspWorker) iterate(float64) {
+	s := w.s
+	if s.aspLeft == 0 {
+		return
+	}
+	s.aspLeft--
+	w.begin = s.eng.Now()
+	label := ""
+	if s.opt.Trace != nil {
+		label = fmt.Sprintf("comp.w%d", w.j)
+	}
+	s.eng.Submit(label, s.noisyWork(s.w.WiterGFLOPs), s.wkCPU[w.j:w.j+1:w.j+1], w.computed)
+}
+
+func (w *aspWorker) onComputed(now float64) {
+	s := w.s
+	if s.opt.Trace != nil {
+		s.opt.Trace.Complete(pidWorkers, w.j, "compute", fmt.Sprintf("comp.w%d", w.j), w.begin, now)
+	}
+	w.compDur = now - w.begin
+	s.compTotal += w.compDur
+	w.commBegin = now
+	w.left = s.nPS
+	for k := 0; k < s.nPS; k++ {
+		s.transfer("push", -1, w.j, k, w.pushed)
+	}
+}
+
+// onPushed pulls from every shard once the last push is applied.
+func (w *aspWorker) onPushed(_, _ int, _ float64) {
+	w.left--
+	if w.left > 0 {
+		return
+	}
+	s := w.s
+	w.left = s.nPS
+	for k := 0; k < s.nPS; k++ {
+		s.transfer("pull", -1, w.j, k, w.pulled)
+	}
+}
+
+// onPulled books the iteration once the last pull lands and starts the
+// next one.
+func (w *aspWorker) onPulled(_, _ int, now float64) {
+	w.left--
+	if w.left > 0 {
+		return
+	}
+	s := w.s
+	s.commTotal += now - w.commBegin
+	if s.opt.RecordIterations {
+		s.records = append(s.records, IterRecord{
+			Index: s.completed, Worker: w.j, EndSec: now,
+			ComputeSec: w.compDur, CommSec: now - w.commBegin,
+		})
+	}
+	s.completed++
+	s.perWorker[w.j]++
+	s.iterEnd = append(s.iterEnd, now)
+	w.iterate(now)
 }
 
 // result assembles utilization metrics and the loss curve.

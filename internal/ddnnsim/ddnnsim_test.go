@@ -436,15 +436,45 @@ func TestSimAllocCeilings(t *testing.T) {
 		workers, ps int
 		measured    float64
 	}{
-		{"BSPRound", "mnist DNN", 8, 1, 22254},
-		{"ASPRound", "ResNet-32", 8, 1, 2938},
-		{"LargeClusterIterations", "ResNet-32", 64, 8, 19042},
+		{"BSPRound", "mnist DNN", 8, 1, 261},
+		{"ASPRound", "ResNet-32", 8, 1, 174},
+		{"LargeClusterIterations", "ResNet-32", 64, 8, 1206},
 	} {
 		allocs := testing.AllocsPerRun(3, simRun(t, tc.workload, tc.workers, tc.ps))
 		ceiling := tc.measured*1.001 + 0.5
 		t.Logf("%s: %.0f allocs per run, ceiling %.1f", tc.name, allocs, ceiling)
 		if allocs > ceiling {
 			t.Errorf("%s allocates %.0f per run, above its ceiling %.1f", tc.name, allocs, ceiling)
+		}
+	}
+}
+
+// TestSimIterationsAllocateNothing pins the steady state: once a sim's
+// flow, transfer and round records are warm, more iterations cost no
+// allocations. Each run differs from the shorter one by 1200 iterations,
+// so even one allocation per iteration would show as 1200; the slack of
+// 10 absorbs a free list that grows at a rare concurrency peak and fmt's
+// printer cache, which a GC may empty while the sim names its resources.
+func TestSimIterationsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector (see race_test.go)")
+	}
+	for _, tc := range []struct{ name, workload string }{
+		{"BSP", "mnist DNN"},
+		{"ASP", "ResNet-32"},
+	} {
+		w := mustWorkload(t, tc.workload)
+		allocs := func(iters int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Run(w, Homogeneous(m4, 8, 1), Options{Iterations: iters, LossEvery: iters}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(400), allocs(1600)
+		t.Logf("%s: %.0f allocs for 400 iterations, %.0f for 1600", tc.name, short, long)
+		if long-short > 10 {
+			t.Errorf("%s: 1200 more iterations cost %.0f more allocations, want none", tc.name, long-short)
 		}
 	}
 }

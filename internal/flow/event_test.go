@@ -80,7 +80,9 @@ func TestCoincidentTimersLargeClock(t *testing.T) {
 func TestLazyRemainingMidRun(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("r", 10)
-	f := e.Submit("f", 100, []*Resource{r}, nil)
+	var f *Flow
+	finalRemaining := -1.0
+	f = e.Submit("f", 100, []*Resource{r}, func(float64) { finalRemaining = f.Remaining() })
 	var midRemaining, midBusy float64
 	e.At(3, func(float64) {
 		midRemaining = f.Remaining()
@@ -93,8 +95,69 @@ func TestLazyRemainingMidRun(t *testing.T) {
 	if !almostEqual(midBusy, 30, 1e-9) {
 		t.Errorf("BusyIntegral at t=3 = %v, want 30", midBusy)
 	}
-	if got := f.Remaining(); got != 0 {
-		t.Errorf("Remaining after completion = %v, want 0", got)
+	if finalRemaining != 0 {
+		t.Errorf("Remaining at completion = %v, want 0", finalRemaining)
+	}
+}
+
+// TestFinishedFlowsAreRecycled pins the Flow lifetime contract: Submit
+// reuses finished flows, but only once their whole completion batch has
+// been delivered, so a callback that submits never receives a flow whose
+// batch-mate's callback has yet to run; and a zero-size flow, which
+// Submit returns already completed, is never reused.
+func TestFinishedFlowsAreRecycled(t *testing.T) {
+	e := NewEngine()
+	r := NewResource("r", 10)
+	zero := e.Submit("zero", 0, []*Resource{r}, nil)
+	var a, b, c *Flow
+	// a and b share r at 5/s each and finish together at t=2.
+	a = e.Submit("a", 10, []*Resource{r}, func(float64) {
+		c = e.Submit("c", 10, []*Resource{r}, nil)
+	})
+	b = e.Submit("b", 10, []*Resource{r}, func(float64) {
+		if b.Label() != "b" {
+			t.Errorf("b's label read %q in its own callback", b.Label())
+		}
+	})
+	e.Run(0)
+	if c == a || c == b || c == zero {
+		t.Fatal("a flow was reused before its completion batch was delivered")
+	}
+	reused := map[*Flow]bool{}
+	for i := 0; i < 3; i++ {
+		reused[e.Submit("d", 1, []*Resource{r}, nil)] = true
+	}
+	if !reused[a] || !reused[b] || !reused[c] {
+		t.Error("Submit did not reuse the finished flows")
+	}
+	if reused[zero] || zero.Label() != "zero" {
+		t.Error("a zero-size flow was reused")
+	}
+}
+
+// TestFlowChurnZeroAllocs pins the engine's half of an allocation-free
+// simulation: once the free list and scratch buffers are warm, a run that
+// completes and resubmits flows on a shared path allocates nothing.
+func TestFlowChurnZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	path := []*Resource{NewResource("a", 10), NewResource("b", 7)}
+	left := 0
+	var spawn func(float64)
+	spawn = func(float64) {
+		if left > 0 {
+			left--
+			e.Submit("", 1, path, spawn)
+		}
+	}
+	churn := func() {
+		left = 100
+		e.Submit("", 1, path, spawn)
+		e.Submit("", 3, path, nil)
+		e.Run(0)
+	}
+	churn() // warm the free list and buffers
+	if avg := testing.AllocsPerRun(10, churn); avg != 0 {
+		t.Errorf("steady-state flow churn allocates %.1f times per run, want 0", avg)
 	}
 }
 

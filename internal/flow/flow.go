@@ -27,6 +27,15 @@
 // There is one allocator and no way to select another: the pre-incremental
 // full recompute survives only in the package's tests, as the oracle the
 // incremental allocator is checked against bit for bit.
+//
+// Flow records are recycled. Once a completion batch's callbacks and
+// observer calls have all returned, the engine puts the finished Flows on
+// a free list of its own and hands them out again from Submit, so a
+// simulation that keeps a steady number of flows in flight stops
+// allocating them. A *Flow returned by Submit is therefore valid only
+// until its completion callback returns; do not read it afterwards. A
+// flow of size <= 0 completes inside Submit and is never recycled, so the
+// pointer Submit returns for it stays valid.
 package flow
 
 import (
@@ -227,6 +236,10 @@ type Engine struct {
 	// re-computed only for flows whose component was re-waterfilled.
 	cheap []*Flow
 
+	// free holds finished flows for Submit to reuse. A flow joins it only
+	// after its whole completion batch has been delivered.
+	free []*Flow
+
 	// Incremental-allocator state: dirty seeds the next recompute with the
 	// resources whose flow membership changed; queue/affected/comps and the
 	// waterfill scratch buffers are reused across events so the
@@ -277,7 +290,8 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // SetFlowObserver installs a callback invoked at every flow completion
 // with the flow and its [start, end] interval in simulated seconds —
 // the hook the simulator uses to build structured trace timelines.
-// Zero-size flows (which complete during Submit) are reported too.
+// Zero-size flows (which complete during Submit) are reported too. The
+// *Flow is recycled after the call, so fn must not retain it.
 func (e *Engine) SetFlowObserver(fn func(f *Flow, start, end float64)) {
 	e.observer = fn
 }
@@ -300,6 +314,11 @@ func (e *Engine) ActiveFlows() int { return len(e.active) }
 // non-nil) at the simulated instant the flow completes. A flow of size <= 0
 // completes immediately (done runs during the current event, before the
 // engine advances). Submit may be called from done callbacks.
+//
+// The engine keeps path (it is not copied) and never modifies it, so one
+// path slice may serve every flow on the same resources. The returned
+// *Flow is valid until done returns: the engine then recycles it for a
+// later Submit. Only a zero-size flow's record is never recycled.
 func (e *Engine) Submit(label string, size float64, path []*Resource, done func(now float64)) *Flow {
 	if math.IsNaN(size) || math.IsInf(size, 0) {
 		panic(fmt.Sprintf("flow: flow %q size %v out of range", label, size))
@@ -307,7 +326,14 @@ func (e *Engine) Submit(label string, size float64, path []*Resource, done func(
 	if len(path) == 0 {
 		panic(fmt.Sprintf("flow: flow %q has empty path", label))
 	}
-	f := &Flow{label: label, size: size, remaining: size, path: path, done: done, started: e.now, engine: e, settled: e.now, heapIdx: -1}
+	var f *Flow
+	if n := len(e.free); n > 0 {
+		f = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{label: label, size: size, remaining: size, path: path, done: done, started: e.now, engine: e, settled: e.now, heapIdx: -1}
 	if size <= 0 {
 		e.stats.FlowsCompleted++
 		if e.observer != nil {
@@ -474,6 +500,10 @@ func (e *Engine) settleAll() {
 // in deterministic (doneAt, submission) order — exactly the heap's key
 // order. The forgiven residual is rate × slack, a clock-relative quantity;
 // see clockSlack for why no size- or rate-proportional term appears.
+// The finished flows go to the free list only after the whole batch has
+// been delivered, because a callback may Submit, and a flow handed out
+// again while a later callback of the same batch still reads it would be
+// corrupted.
 func (e *Engine) completeFinished() {
 	if len(e.cheap) == 0 {
 		return
@@ -510,8 +540,10 @@ func (e *Engine) completeFinished() {
 			f.done(e.now)
 		}
 	}
-	for i := range finished {
-		finished[i] = nil // release for GC; the scratch buffer is reused
+	for i, f := range finished {
+		*f = Flow{} // drop the callback and path so they can be collected
+		e.free = append(e.free, f)
+		finished[i] = nil
 	}
 	e.finScratch = finished[:0]
 }

@@ -504,8 +504,8 @@ func TestEngineAllocCeilings(t *testing.T) {
 		run      func(step func(*Engine))
 		measured float64
 	}{
-		{"EngineThroughput", runEngineThroughput, 2016},
-		{"EngineLargeScenario", runEngineLargeScenario, 6347},
+		{"EngineThroughput", runEngineThroughput, 1020},
+		{"EngineLargeScenario", runEngineLargeScenario, 4366},
 	} {
 		allocs := testing.AllocsPerRun(5, func() { tc.run(nil) })
 		ceiling := tc.measured*1.001 + 0.5

@@ -14,8 +14,9 @@ import (
 // the journal sequence number they were taken at: snap-<seq>.snap. Each
 // file carries the same 8-byte length+CRC32-C frame as a WAL record so a
 // half-written or bit-flipped snapshot is detected rather than trusted.
-// Writes go through a temp file, fsync, and os.Rename, so a snapshot is
-// either fully present or absent — never torn. The newest two snapshots
+// Writes go through a temp file, fsync, os.Rename and a directory fsync,
+// so a snapshot is either fully present or absent — never torn — and a
+// snapshot WriteSnapshot reported written survives a power loss. The newest two snapshots
 // are retained: if a crash corrupts the newest (e.g. a torn sector the
 // rename happened to survive), recovery falls back to the previous one
 // and replays a longer log tail.
@@ -63,6 +64,11 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 	if err := os.Rename(tmpName, filepath.Join(dir, snapshotName(seq))); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: %w", err)
+	}
+	// The rename is durable only once the directory is. Until then a
+	// power loss can undo it, so the older snapshots stay unpruned.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("wal: directory fsync after snapshot %d: %w", seq, err)
 	}
 	pruneSnapshots(dir)
 	return nil

@@ -162,7 +162,11 @@ func (w *WAL) recover() error {
 }
 
 // openSegment opens (or creates) segment i for appending and makes it
-// the active segment.
+// the active segment. It then fsyncs the directory: a new segment's
+// directory entry, like the truncations and removals recovery just made,
+// is durable only once the directory is, and records synced into a
+// segment whose entry a power loss drops are lost with it. A failed
+// directory fsync is sticky, like a failed segment fsync.
 func (w *WAL) openSegment(i int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -177,7 +181,29 @@ func (w *WAL) openSegment(i int) error {
 		w.f.Close()
 	}
 	w.f, w.segIndex, w.segSize = f, i, info.Size()
+	if w.opts.NoSync {
+		return nil
+	}
+	if err := syncDir(w.dir); err != nil {
+		w.syncErr = fmt.Errorf("wal: directory fsync failed, log no longer durable: %w", err)
+		return w.syncErr
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable. Tests replace it to count calls and inject
+// failures.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // scanSegment walks the frames of one segment file. It returns the byte

@@ -483,3 +483,114 @@ func TestSyncEveryBatchesFsync(t *testing.T) {
 		t.Fatalf("unsynced=%d after Sync", unsynced)
 	}
 }
+
+// stubSyncDir replaces the directory fsync for the rest of the test with
+// one that counts its calls and returns fail(call) for the call-th one.
+func stubSyncDir(t *testing.T, fail func(call int) error) *int {
+	t.Helper()
+	calls := 0
+	prev := syncDir
+	syncDir = func(string) error {
+		calls++
+		return fail(calls)
+	}
+	t.Cleanup(func() { syncDir = prev })
+	return &calls
+}
+
+// TestNewSegmentSyncsDir: every segment the log creates, the first one
+// and each rotation, is followed by a directory fsync, so its entry
+// survives a power loss along with the records synced into it.
+func TestNewSegmentSyncsDir(t *testing.T) {
+	calls := stubSyncDir(t, func(int) error { return nil })
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SegmentBytes: 256, SyncEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *calls != 1 {
+		t.Fatalf("Open made %d directory fsyncs, want 1", *calls)
+	}
+	appendN(t, w, 50)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 || *calls != len(segs) {
+		t.Fatalf("%d segments and %d directory fsyncs, want one fsync per segment", len(segs), *calls)
+	}
+}
+
+// TestFailedDirSyncIsSticky: a directory fsync that fails after a
+// rotation means the new segment may vanish on power loss, so the log
+// must refuse every later Append and Sync, as after a failed file fsync.
+// At Open the failure is returned directly.
+func TestFailedDirSyncIsSticky(t *testing.T) {
+	injected := errors.New("injected directory fsync failure")
+	stubSyncDir(t, func(call int) error {
+		if call == 2 {
+			return injected
+		}
+		return nil
+	})
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 64, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var appendErr error
+	for i := 0; i < 10 && appendErr == nil; i++ {
+		appendErr = w.Append([]byte(`{"seq":1,"type":"rotate-me"}` + "\n"))
+	}
+	if !errors.Is(appendErr, injected) {
+		t.Fatalf("append across the failed rotation returned %v, want the injected error", appendErr)
+	}
+	if err := w.Append([]byte("r")); !errors.Is(err, injected) {
+		t.Fatalf("append after a failed directory fsync returned %v", err)
+	}
+	if err := w.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("sync after a failed directory fsync returned %v", err)
+	}
+
+	stubSyncDir(t, func(int) error { return injected })
+	if _, err := Open(t.TempDir(), Options{}); !errors.Is(err, injected) {
+		t.Fatalf("Open with a failing directory fsync returned %v", err)
+	}
+}
+
+// TestWriteSnapshotSyncsDir: a snapshot is reported written only after
+// the directory fsync that makes its rename durable; a failed one is
+// returned and leaves the older snapshots unpruned.
+func TestWriteSnapshotSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	injected := errors.New("injected directory fsync failure")
+	fail := false
+	calls := stubSyncDir(t, func(int) error {
+		if fail {
+			return injected
+		}
+		return nil
+	})
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := WriteSnapshot(dir, seq, []byte(`{"ok":true}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *calls != 2 {
+		t.Fatalf("two snapshots made %d directory fsyncs, want 2", *calls)
+	}
+	fail = true
+	if err := WriteSnapshot(dir, 3, []byte(`{"ok":false}`)); !errors.Is(err, injected) {
+		t.Fatalf("WriteSnapshot returned %v, want the injected error", err)
+	}
+	seqs, err := snapshotSeqs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 3 {
+		t.Fatalf("snapshots after a failed directory fsync = %v, want 1, 2 and 3 (no pruning)", seqs)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
 	"net/http"
@@ -91,7 +92,7 @@ func serveMetrics(addr string, reg *obs.Registry, pprofOn bool) (string, func() 
 	srv := &http.Server{Handler: handler}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			obs.Warnf("psserver: metrics server: %v", err)
+			log.Printf("psserver: metrics server: %v", err)
 		}
 	}()
 	return ln.Addr().String(), srv.Close, nil
@@ -152,7 +153,7 @@ func run(addr, sizesStr string, shard, shards, workers int, syncStr, optName str
 		if err != nil {
 			// Observability must not take the shard down: warn and serve
 			// parameters anyway.
-			obs.Warnf("psserver: cannot serve metrics on %s: %v", metricsAddr, err)
+			log.Printf("psserver: cannot serve metrics on %s: %v", metricsAddr, err)
 		} else {
 			defer closeMetrics()
 			fmt.Printf("psserver: metrics on http://%s/metrics (snapshot at /debug/snapshot)\n", mBound)
@@ -190,7 +191,7 @@ func awaitShutdown(srv *ps.Server, sig <-chan os.Signal, timeout time.Duration) 
 		}
 	}()
 	if err := srv.Drain(dctx); err != nil {
-		obs.Warnf("psserver: drain cut short: %v", err)
+		log.Printf("psserver: drain cut short: %v", err)
 	}
 	stats := srv.Stats()
 	srv.Close()

@@ -75,21 +75,17 @@ func (fp FaultPlan) IsZero() bool {
 		fp.PreemptAtSec == 0 && fp.PreemptNth == 0 && len(fp.KillMasterAtSec) == 0
 }
 
-// faultState is the live injector behind a FaultPlan. Guarded by the
-// provider mutex.
+// faultState is the live injector behind a FaultPlan: its snapshot form
+// plus the RNG, which restore rebuilds from Plan.Seed and Draws. Guarded
+// by the provider mutex.
 type faultState struct {
-	plan       FaultPlan
-	rng        *rand.Rand
-	draws      int                // rng draws made (rand.Rand state is opaque; re-seed + discard restores it)
-	consec     int                // consecutive transient failures injected
-	launched   int                // instances launched since installation
-	preemptAt  map[string]float64 // instance ID -> scheduled revocation time
-	killsTaken int                // KillMasterAtSec entries already consumed
+	FaultState
+	rng *rand.Rand
 }
 
 func (f *faultState) maxConsec() int {
-	if f.plan.MaxConsecutiveTransient > 0 {
-		return f.plan.MaxConsecutiveTransient
+	if f.Plan.MaxConsecutiveTransient > 0 {
+		return f.Plan.MaxConsecutiveTransient
 	}
 	return 2
 }
@@ -97,20 +93,20 @@ func (f *faultState) maxConsec() int {
 // float64 draws from the plan's RNG, counting the draw so a snapshot can
 // record the stream position and a restore can replay to it.
 func (f *faultState) float64() float64 {
-	f.draws++
+	f.Draws++
 	return f.rng.Float64()
 }
 
 // onLaunch decides the fate of one Launch call: an injected transient
 // error, or success with a readiness delay in seconds.
 func (f *faultState) onLaunch() (delay float64, err error) {
-	if f.plan.TransientRate > 0 && f.consec < f.maxConsec() && f.float64() < f.plan.TransientRate {
-		f.consec++
-		return 0, fmt.Errorf("%w (injected, %d consecutive)", ErrTransient, f.consec)
+	if f.Plan.TransientRate > 0 && f.Consec < f.maxConsec() && f.float64() < f.Plan.TransientRate {
+		f.Consec++
+		return 0, fmt.Errorf("%w (injected, %d consecutive)", ErrTransient, f.Consec)
 	}
-	f.consec = 0
-	if f.plan.LaunchDelayMaxSec > 0 {
-		delay = f.float64() * f.plan.LaunchDelayMaxSec
+	f.Consec = 0
+	if f.Plan.LaunchDelayMaxSec > 0 {
+		delay = f.float64() * f.Plan.LaunchDelayMaxSec
 	}
 	return delay, nil
 }
@@ -118,13 +114,13 @@ func (f *faultState) onLaunch() (delay float64, err error) {
 // onInstance decides whether a freshly launched instance will be
 // preempted, returning the absolute revocation time.
 func (f *faultState) onInstance(now float64) (at float64, ok bool) {
-	ord := f.launched
-	f.launched++
-	if f.plan.PreemptAtSec > 0 && ord == f.plan.PreemptNth {
-		return f.plan.PreemptAtSec, true
+	ord := f.Launched
+	f.Launched++
+	if f.Plan.PreemptAtSec > 0 && ord == f.Plan.PreemptNth {
+		return f.Plan.PreemptAtSec, true
 	}
-	if f.plan.PreemptRate > 0 && f.float64() < f.plan.PreemptRate {
-		lo, hi := f.plan.PreemptMinSec, f.plan.PreemptMaxSec
+	if f.Plan.PreemptRate > 0 && f.float64() < f.Plan.PreemptRate {
+		lo, hi := f.Plan.PreemptMinSec, f.Plan.PreemptMaxSec
 		if hi < lo {
 			hi = lo
 		}
@@ -145,8 +141,8 @@ func (f *faultState) onInstance(now float64) (at float64, ok bool) {
 func (p *Provider) ensureFaultLocked() *faultState {
 	if p.fault == nil {
 		p.fault = &faultState{
-			rng:       rand.New(rand.NewSource(0)),
-			preemptAt: make(map[string]float64),
+			FaultState: FaultState{PreemptAt: make(map[string]float64)},
+			rng:        rand.New(rand.NewSource(0)),
 		}
 	}
 	return p.fault
@@ -163,12 +159,11 @@ func (p *Provider) SetFaultPlan(fp FaultPlan) {
 	}
 	prior := map[string]float64{}
 	if p.fault != nil {
-		prior = p.fault.preemptAt
+		prior = p.fault.PreemptAt
 	}
 	p.fault = &faultState{
-		plan:      fp,
-		rng:       rand.New(rand.NewSource(fp.Seed)),
-		preemptAt: prior,
+		FaultState: FaultState{Plan: fp, PreemptAt: prior},
+		rng:        rand.New(rand.NewSource(fp.Seed)),
 	}
 }
 
@@ -183,13 +178,13 @@ func (p *Provider) MasterKillDue() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f := p.fault
-	if f == nil || f.killsTaken >= len(f.plan.KillMasterAtSec) {
+	if f == nil || f.KillsTaken >= len(f.Plan.KillMasterAtSec) {
 		return false
 	}
-	if p.clock() < f.plan.KillMasterAtSec[f.killsTaken] {
+	if p.clock() < f.Plan.KillMasterAtSec[f.KillsTaken] {
 		return false
 	}
-	f.killsTaken++
+	f.KillsTaken++
 	return true
 }
 
@@ -200,7 +195,7 @@ func (p *Provider) MasterKillsTaken() int {
 	if p.fault == nil {
 		return 0
 	}
-	return p.fault.killsTaken
+	return p.fault.KillsTaken
 }
 
 // SetMasterKillsTaken overrides the consumed-kill count. Restart
@@ -216,7 +211,7 @@ func (p *Provider) SetMasterKillsTaken(n int) {
 	if n < 0 {
 		n = 0
 	}
-	p.fault.killsTaken = n
+	p.fault.KillsTaken = n
 }
 
 // SetJournal installs (or, with nil, removes) the flight-recorder journal
@@ -289,7 +284,7 @@ func (p *Provider) failLocked(inst *Instance, now float64) {
 	inst.TerminatedAt = now
 	p.running[inst.Type.Name]--
 	if p.fault != nil {
-		delete(p.fault.preemptAt, inst.ID)
+		delete(p.fault.PreemptAt, inst.ID)
 	}
 	provObs().preempted.Inc()
 	p.journalLocked(journal.InstancePreempted, inst, now)
@@ -298,11 +293,11 @@ func (p *Provider) failLocked(inst *Instance, now float64) {
 // applyDueLocked fires every scheduled revocation whose time has come,
 // in instance-ID order for determinism. Callers hold p.mu.
 func (p *Provider) applyDueLocked(now float64) {
-	if p.fault == nil || len(p.fault.preemptAt) == 0 {
+	if p.fault == nil || len(p.fault.PreemptAt) == 0 {
 		return
 	}
 	var due []string
-	for id, at := range p.fault.preemptAt {
+	for id, at := range p.fault.PreemptAt {
 		if at <= now {
 			due = append(due, id)
 		}
@@ -312,7 +307,7 @@ func (p *Provider) applyDueLocked(now float64) {
 		if inst, ok := p.instances[id]; ok {
 			p.failLocked(inst, now)
 		} else {
-			delete(p.fault.preemptAt, id)
+			delete(p.fault.PreemptAt, id)
 		}
 	}
 }
@@ -360,7 +355,7 @@ func (p *Provider) NextPreemption(filter map[string]string) (id string, at float
 		return "", 0, false
 	}
 	best := math.Inf(1)
-	for iid, t := range p.fault.preemptAt {
+	for iid, t := range p.fault.PreemptAt {
 		inst, live := p.instances[iid]
 		if !live || inst.State != StateRunning || !matchTags(inst.Tags, filter) {
 			continue

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"cynthia/internal/obs/journal"
@@ -183,5 +184,28 @@ func TestRatePreemptionsAreDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs differ at %d: %v vs %v", i, a, b)
 		}
+	}
+}
+
+// TestFaultStateFieldsOutsideSnapshot pins what faultState keeps beside
+// its embedded FaultState. A new field fails here until someone decides
+// whether a snapshot persists it.
+func TestFaultStateFieldsOutsideSnapshot(t *testing.T) {
+	derived := map[string]string{
+		"rng": "re-seeded from Plan.Seed and advanced Draws times on restore",
+	}
+	typ := reflect.TypeOf(faultState{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous && f.Type == reflect.TypeOf(FaultState{}) {
+			continue
+		}
+		if _, ok := derived[f.Name]; !ok {
+			t.Errorf("faultState.%s is neither in FaultState nor derived on restore", f.Name)
+		}
+		delete(derived, f.Name)
+	}
+	for name := range derived {
+		t.Errorf("allowlisted faultState.%s no longer exists", name)
 	}
 }

@@ -219,7 +219,6 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 			return nil, fmt.Errorf("cloud: no spot trace for instance type %s", typeName)
 		}
 		if price > bid {
-			obs.Debugf("cloud: spot denied: %s at %.4f/h above bid %.4f/h", typeName, price, bid)
 			return nil, fmt.Errorf("%w: %s at $%.4f/h, bid $%.4f/h", ErrSpotUnavailable, typeName, price, bid)
 		}
 	}
@@ -228,14 +227,11 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 		var ferr error
 		if delay, ferr = p.fault.onLaunch(); ferr != nil {
 			provObs().transient.Inc()
-			obs.Debugf("cloud: transient launch error for %d x %s: %v", count, typeName, ferr)
 			return nil, ferr
 		}
 	}
 	if limit, ok := p.limits[typeName]; ok && p.running[typeName]+count > limit {
 		provObs().capacity.Inc()
-		obs.Debugf("cloud: capacity denied: %d %s requested, %d running, limit %d",
-			count, typeName, p.running[typeName], limit)
 		return nil, fmt.Errorf("%w: %d running + %d requested > limit %d for %s",
 			ErrCapacity, p.running[typeName], count, limit, typeName)
 	}
@@ -258,19 +254,19 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 		p.instances[inst.ID] = inst
 		if p.fault != nil {
 			if at, ok := p.fault.onInstance(now); ok {
-				p.fault.preemptAt[inst.ID] = at
+				p.fault.PreemptAt[inst.ID] = at
 			}
 		}
 		if spot {
 			// Revocation at the first price crossing above the bid: the
 			// earlier of the market crossing and any fault-injected
-			// revocation wins. The crossing rides the same preemptAt
+			// revocation wins. The crossing rides the same PreemptAt
 			// machinery as FaultPlan, so recovery, snapshots, and the
 			// NextPreemption oracle all see it without special cases.
 			if at, ok := p.market.FirstCrossAbove(typeName, bid, now); ok {
 				f := p.ensureFaultLocked()
-				if cur, scheduled := f.preemptAt[inst.ID]; !scheduled || at < cur {
-					f.preemptAt[inst.ID] = at
+				if cur, scheduled := f.PreemptAt[inst.ID]; !scheduled || at < cur {
+					f.PreemptAt[inst.ID] = at
 				}
 			}
 		}
@@ -299,7 +295,7 @@ func (p *Provider) Terminate(id string) error {
 	inst.TerminatedAt = now
 	p.running[inst.Type.Name]--
 	if p.fault != nil {
-		delete(p.fault.preemptAt, id)
+		delete(p.fault.PreemptAt, id)
 	}
 	provObs().terminated.Inc()
 	p.journalLocked(journal.InstanceTerminated, inst, now)

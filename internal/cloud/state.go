@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"time"
@@ -9,19 +10,30 @@ import (
 // Crash-durability support: a Provider's entire simulated world — every
 // instance, the ID counter, capacity limits, and the fault injector
 // including its RNG stream position — serializes into a ProviderState
-// and restores bit-exactly. math/rand.Rand state is opaque, so instead
-// of serializing it the injector counts its draws (faultState.draws) and
-// a restore re-seeds from the plan's Seed and discards that many draws:
-// the stream continues exactly where the snapshot left it.
+// and restores bit-exactly. The live injector embeds its FaultState, so
+// every field it persists is declared once. math/rand.Rand state is
+// opaque, so instead of serializing it the injector counts its draws
+// (FaultState.Draws) and a restore re-seeds from the plan's Seed and
+// discards that many draws: the stream continues exactly where the
+// snapshot left it.
 
 // FaultState is the serializable state of a fault injector.
 type FaultState struct {
 	Plan       FaultPlan          `json:"plan"`
-	Draws      int                `json:"draws"`
-	Consec     int                `json:"consec"`
-	Launched   int                `json:"launched"`
-	PreemptAt  map[string]float64 `json:"preempt_at,omitempty"`
-	KillsTaken int                `json:"kills_taken"`
+	Draws      int                `json:"draws"`                // RNG draws made since installation
+	Consec     int                `json:"consec"`               // consecutive transient failures injected
+	Launched   int                `json:"launched"`             // instances launched since installation
+	PreemptAt  map[string]float64 `json:"preempt_at,omitempty"` // instance ID -> scheduled revocation time
+	KillsTaken int                `json:"kills_taken"`          // KillMasterAtSec entries already consumed
+}
+
+// clone deep-copies the state. PreemptAt is never nil in the copy, so a
+// restored injector can schedule into it.
+func (fs FaultState) clone() FaultState {
+	at := make(map[string]float64, len(fs.PreemptAt))
+	maps.Copy(at, fs.PreemptAt)
+	fs.PreemptAt = at
+	return fs
 }
 
 // ProviderState is the serializable world of a Provider.
@@ -49,19 +61,9 @@ func (p *Provider) ExportState() ProviderState {
 		st.Instances = append(st.Instances, snapshot(inst))
 	}
 	sort.Slice(st.Instances, func(i, j int) bool { return st.Instances[i].ID < st.Instances[j].ID })
-	if f := p.fault; f != nil {
-		fs := &FaultState{
-			Plan:       f.plan,
-			Draws:      f.draws,
-			Consec:     f.consec,
-			Launched:   f.launched,
-			KillsTaken: f.killsTaken,
-			PreemptAt:  make(map[string]float64, len(f.preemptAt)),
-		}
-		for id, at := range f.preemptAt {
-			fs.PreemptAt[id] = at
-		}
-		st.Fault = fs
+	if p.fault != nil {
+		fs := p.fault.FaultState.clone()
+		st.Fault = &fs
 	}
 	return st
 }
@@ -92,22 +94,11 @@ func (p *Provider) RestoreState(st ProviderState) {
 		p.fault = nil
 		return
 	}
-	f := &faultState{
-		plan:       st.Fault.Plan,
-		rng:        rand.New(rand.NewSource(st.Fault.Plan.Seed)),
-		consec:     st.Fault.Consec,
-		launched:   st.Fault.Launched,
-		killsTaken: st.Fault.KillsTaken,
-		preemptAt:  make(map[string]float64, len(st.Fault.PreemptAt)),
-	}
-	for id, at := range st.Fault.PreemptAt {
-		f.preemptAt[id] = at
-	}
+	f := &faultState{FaultState: st.Fault.clone(), rng: rand.New(rand.NewSource(st.Fault.Plan.Seed))}
 	// Replay the RNG stream to the snapshot's position.
-	for i := 0; i < st.Fault.Draws; i++ {
+	for i := 0; i < f.Draws; i++ {
 		f.rng.Float64()
 	}
-	f.draws = st.Fault.Draws
 	p.fault = f
 }
 

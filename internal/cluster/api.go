@@ -144,40 +144,26 @@ func toResponse(j Job) JobResponse {
 	return resp
 }
 
-// apiMetrics count response-write failures (client gone mid-response,
-// or a value that does not serialize). These were silently swallowed
-// before; now they land on a counter, with one debug log line per
-// process so a flood of disconnects cannot spam the log.
-type apiMetrics struct {
-	writeErrors *obs.Counter
-	logOnce     sync.Once
-}
-
+// writeErrors counts response-write failures: a client gone
+// mid-response, or a value that does not serialize.
 var (
-	apiOnce sync.Once
-	apiM    apiMetrics
+	apiOnce     sync.Once
+	writeErrors *obs.Counter
 )
 
 func writeErrorsCounter() *obs.Counter {
 	apiOnce.Do(func() {
-		apiM.writeErrors = obs.Default().Counter("cluster_api_write_errors",
+		writeErrors = obs.Default().Counter("cluster_api_write_errors",
 			"HTTP response encode/write failures (client disconnects, serialization errors)")
 	})
-	return apiM.writeErrors
-}
-
-func countWriteError(where string, err error) {
-	writeErrorsCounter().Inc()
-	apiM.logOnce.Do(func() {
-		obs.Debugf("cluster: api response write failed in %s: %v (further failures only counted in cluster_api_write_errors)", where, err)
-	})
+	return writeErrors
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		countWriteError("writeJSON", err)
+		writeErrorsCounter().Inc()
 	}
 }
 
@@ -289,7 +275,7 @@ func (a *API) getJournal(w http.ResponseWriter, r *http.Request) {
 		}
 		buf = journal.AppendJSONL(buf[:0], e)
 		if _, err := w.Write(buf); err != nil {
-			countWriteError("getJournal", err)
+			writeErrorsCounter().Inc()
 			return
 		}
 	}

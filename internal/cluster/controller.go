@@ -60,37 +60,10 @@ const (
 	StatusFailed       JobStatus = "failed"
 )
 
-// Job is one submitted training workload.
+// Job is one submitted training workload: its snapshot form (JobState,
+// see state.go) plus the channel its waiters block on.
 type Job struct {
-	ID string
-	// TraceID correlates every flight-recorder event the job produced
-	// across the API edge, planner, controller, cloud provider, and
-	// training simulator. Minted at the edge (or deterministically from
-	// the submission sequence when the edge supplies none).
-	TraceID  string
-	Workload *model.Workload
-	Goal     plan.Goal
-	Status   JobStatus
-	// History is every lifecycle state the job passed through, in order
-	// (a recovered job reads planning, provisioning, running, recovering,
-	// running, succeeded).
-	History []JobStatus
-	// Plan is the provisioning decision (valid from StatusProvisioning).
-	Plan plan.Plan
-	// Actual training outcome (valid once finished).
-	TrainingTime float64
-	FinalLoss    float64
-	Cost         float64
-	Err          string
-	// Recoveries counts completed recovery cycles; LostIterations is the
-	// un-checkpointed work redone across them.
-	Recoveries     int
-	LostIterations int
-	// ElasticScales counts mid-training cluster rebuilds driven by
-	// spot-price moves (not by failures).
-	ElasticScales int
-
-	seq  int           // submission order, for deterministic Jobs() listing
+	JobState
 	done chan struct{} // closed when the pipeline reaches a terminal state
 }
 
@@ -269,10 +242,10 @@ func (c *Controller) newJob(w *model.Workload, goal plan.Goal, traceID string) (
 	if traceID == "" {
 		traceID = fmt.Sprintf("trace-%06d", c.nextJob)
 	}
-	job := &Job{
-		ID: fmt.Sprintf("job-%d", c.nextJob), TraceID: traceID, seq: c.nextJob,
-		Workload: w, Goal: goal, done: make(chan struct{}),
-	}
+	job := &Job{JobState: JobState{
+		ID: fmt.Sprintf("job-%d", c.nextJob), TraceID: traceID, Seq: c.nextJob,
+		Workload: w, Goal: goal,
+	}, done: make(chan struct{})}
 	c.jobs[job.ID] = job
 	c.mu.Unlock()
 	c.jbind(job).Emit(journal.JobSubmitted,
@@ -323,7 +296,7 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 
 	prof, err := c.profileFor(w)
 	if err != nil {
-		return c.failJob(&runState{job: job, handled: map[string]bool{}}, err)
+		return c.failJob(&runState{job: job}, err)
 	}
 	mark("profile")
 	// With a spot market attached, plan against the effective catalog
@@ -332,7 +305,7 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 	evalAt := c.provider.Now()
 	cat, choices, err := c.planningCatalog()
 	if err != nil {
-		return c.failJob(&runState{job: job, handled: map[string]bool{}}, err)
+		return c.failJob(&runState{job: job}, err)
 	}
 	req := plan.Request{
 		Profile:   prof,
@@ -346,17 +319,17 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 	// Algorithm 1.
 	res, err := plan.SearchWith(context.Background(), c.provisioner, req)
 	if err != nil {
-		return c.failJob(&runState{job: job, handled: map[string]bool{}}, err)
+		return c.failJob(&runState{job: job}, err)
 	}
 	st := &runState{
+		SegmentState: SegmentState{
+			JobID: job.ID, Plan: res.Plan, Ranked: res.Ranked,
+			TotalIters: res.Plan.Iterations, LastEvalSec: evalAt,
+		},
 		job: job, w: w, goal: goal, prof: prof,
-		plan: res.Plan, ranked: res.Ranked,
-		rc:          c.Recovery.withDefaults(res.Plan.Iterations),
-		totalIters:  res.Plan.Iterations,
-		handled:     make(map[string]bool),
-		lastEvalSec: evalAt,
+		rc: c.Recovery.withDefaults(res.Plan.Iterations),
 	}
-	st.adoptChoice(choices, res.Plan.Type.Name)
+	st.adoptChoice(choices[res.Plan.Type.Name])
 	chosenFields := []journal.Field{
 		journal.F("type", res.Plan.Type.Name),
 		journal.Fint("workers", res.Plan.Workers),
@@ -368,16 +341,16 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 		journal.Fint("enumerated", res.Stats.Enumerated),
 		journal.Fint("pruned", res.Stats.Pruned),
 	}
-	if st.market == MarketSpot {
+	if st.Market == MarketSpot {
 		// Spot-only fields, appended so static runs keep their exact
 		// historical event encoding.
 		chosenFields = append(chosenFields,
 			journal.Fbool("spot", true),
-			journal.Ffloat("bid_per_hour", st.bid))
+			journal.Ffloat("bid_per_hour", st.BidPerHour))
 	}
 	jb.Emit(journal.PlanChosen, chosenFields...)
 	c.mu.Lock()
-	job.Plan = st.plan
+	job.Plan = st.Plan
 	c.mu.Unlock()
 	c.setStatus(job, StatusProvisioning)
 	mark("plan")
@@ -430,15 +403,15 @@ func (c *Controller) finishJob(st *runState) (*Job, error) {
 		return job, err
 	}
 	c.mu.Lock()
-	job.TrainingTime = st.elapsed
-	job.FinalLoss = st.finalLoss
+	job.TrainingTime = st.Elapsed
+	job.FinalLoss = st.FinalLoss
 	// Price the dockers the plan provisioned (Eq. 8), matching the
 	// planner's predicted Cost; recovered jobs accumulate every segment,
 	// restart overhead, and launch delay.
-	job.Cost = st.cost
-	job.Recoveries = st.recoveries
-	job.LostIterations = st.lost
-	if st.elapsed <= st.goal.TimeSec*1.05 {
+	job.Cost = st.Cost
+	job.Recoveries = st.Recoveries
+	job.LostIterations = st.Lost
+	if st.Elapsed <= st.goal.TimeSec*1.05 {
 		job.Status = StatusSucceeded
 	} else {
 		job.Status = StatusMissedGoal
@@ -450,12 +423,12 @@ func (c *Controller) finishJob(st *runState) (*Job, error) {
 	ctrlObs().jobs.With(string(status)).Inc()
 	c.jbind(job).Emit(journal.JobFinished,
 		journal.F("status", string(status)),
-		journal.Ffloat("training_sec", st.elapsed),
-		journal.Ffloat("final_loss", st.finalLoss),
+		journal.Ffloat("training_sec", st.Elapsed),
+		journal.Ffloat("final_loss", st.FinalLoss),
 		journal.Ffloat("cost_usd", snap.Cost),
-		journal.Fint("recoveries", st.recoveries),
-		journal.Fint("lost_iterations", st.lost))
-	c.SLO.observeJob(snap, st.burnProv, st.burnTrain, st.burnRec)
+		journal.Fint("recoveries", st.Recoveries),
+		journal.Fint("lost_iterations", st.Lost))
+	c.SLO.observeJob(snap, st.BurnProv, st.BurnTrain, st.BurnRec)
 	c.teardown(job)
 	if err := c.barrier(st, PhaseDone); err != nil {
 		return job, err
@@ -463,7 +436,7 @@ func (c *Controller) finishJob(st *runState) (*Job, error) {
 	return job, nil
 }
 
-// provision launches the cluster for st.plan (transient launches retried,
+// provision launches the cluster for st.Plan (transient launches retried,
 // capacity falling back through the ranked candidates), joins the nodes,
 // and schedules one pod per docker. The slowest instance's readiness
 // delay is charged against the deadline and the bill.
@@ -472,37 +445,50 @@ func (c *Controller) provision(st *runState) error {
 	if err != nil {
 		return err
 	}
+	maxDelay, err := c.joinAndSchedule(st, insts)
+	if err != nil {
+		return err
+	}
+	c.jbind(st.job).Emit(journal.JobProvisioned,
+		journal.F("type", st.Plan.Type.Name),
+		journal.Fint("instances", len(insts)),
+		journal.Fint("workers", st.Plan.Workers),
+		journal.Fint("ps", st.Plan.PS),
+		journal.Ffloat("delay_sec", maxDelay))
+	return nil
+}
+
+// joinAndSchedule joins freshly launched instances, schedules PS and then
+// worker pods until the job holds the plan's counts, and charges the
+// slowest instance's readiness delay, which it returns.
+func (c *Controller) joinAndSchedule(st *runState, insts []*cloud.Instance) (float64, error) {
 	token, caHash := c.master.JoinCredentials()
 	for _, inst := range insts {
 		if _, err := c.master.Join("node-"+inst.ID, inst.ID, inst.Type, c.CoresPerInstance, token, caHash); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	for i := 0; i < st.plan.PS; i++ {
-		if _, err := c.master.Schedule(PodSpec{Role: RolePS, Job: st.job.ID, TypeName: st.plan.Type.Name}); err != nil {
-			return err
-		}
+	have := map[PodRole]int{}
+	for _, pod := range c.master.Pods(st.job.ID) {
+		have[pod.Role]++
 	}
-	for i := 0; i < st.plan.Workers; i++ {
-		if _, err := c.master.Schedule(PodSpec{Role: RoleWorker, Job: st.job.ID, TypeName: st.plan.Type.Name}); err != nil {
-			return err
+	for _, want := range []struct {
+		role PodRole
+		n    int
+	}{{RolePS, st.Plan.PS}, {RoleWorker, st.Plan.Workers}} {
+		for i := have[want.role]; i < want.n; i++ {
+			if _, err := c.master.Schedule(PodSpec{Role: want.role, Job: st.job.ID, TypeName: st.Plan.Type.Name}); err != nil {
+				return 0, err
+			}
 		}
 	}
 	maxDelay := 0.0
 	for _, inst := range insts {
-		if d := inst.ReadyAt - inst.LaunchedAt; d > maxDelay {
-			maxDelay = d
-		}
+		maxDelay = max(maxDelay, inst.ReadyAt-inst.LaunchedAt)
 	}
 	c.chargeTime(st, maxDelay)
-	st.burnProv += maxDelay
-	c.jbind(st.job).Emit(journal.JobProvisioned,
-		journal.F("type", st.plan.Type.Name),
-		journal.Fint("instances", len(insts)),
-		journal.Fint("workers", st.plan.Workers),
-		journal.Fint("ps", st.plan.PS),
-		journal.Ffloat("delay_sec", maxDelay))
-	return nil
+	st.BurnProv += maxDelay
+	return maxDelay, nil
 }
 
 // teardown releases everything the job still holds: pods, nodes, and any
@@ -537,12 +523,8 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		insts, err := c.launchRetry(job, p.Type.Name, n, st.rc, spot, bid)
 		return insts, n, err
 	}
-	fallbackable := func(err error) bool {
-		return errors.Is(err, cloud.ErrCapacity) || errors.Is(err, cloud.ErrTransient) ||
-			errors.Is(err, cloud.ErrSpotUnavailable)
-	}
-	triedSpot := st.market == MarketSpot
-	insts, n, err := try(st.plan, triedSpot, st.bid)
+	triedSpot := st.Market == MarketSpot
+	insts, n, err := try(st.Plan, triedSpot, st.BidPerHour)
 	if err == nil {
 		return insts, n, nil
 	}
@@ -550,12 +532,12 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		return nil, 0, err
 	}
 	c.jbind(job).Emit(journal.CapacityFallback,
-		journal.F("type", st.plan.Type.Name), journal.F("error", err.Error()))
-	for _, cand := range st.ranked {
+		journal.F("type", st.Plan.Type.Name), journal.F("error", err.Error()))
+	for _, cand := range st.Ranked {
 		if !cand.Feasible {
 			break // sorted feasible-first; nothing usable remains
 		}
-		if !triedSpot && cand.Type.Name == st.plan.Type.Name && cand.Workers == st.plan.Workers && cand.PS == st.plan.PS {
+		if !triedSpot && cand.Type.Name == st.Plan.Type.Name && cand.Workers == st.Plan.Workers && cand.PS == st.Plan.PS {
 			continue // already tried this exact launch
 		}
 		// Fallbacks are on-demand: reprice the candidate from the base
@@ -565,8 +547,8 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		}
 		insts, n, lerr := try(cand, false, 0)
 		if lerr == nil {
-			st.plan = cand
-			st.market, st.bid = "", 0
+			st.Plan = cand
+			st.Market, st.BidPerHour = "", 0
 			c.mu.Lock()
 			job.Plan = cand
 			c.mu.Unlock()
@@ -584,6 +566,14 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		}
 	}
 	return nil, 0, fmt.Errorf("cluster: no feasible plan fits provider capacity: %w", err)
+}
+
+// fallbackable reports whether a launch error should fall back to another
+// cluster shape: no capacity, transient errors that survived the retry
+// budget, or a spot price above the bid.
+func fallbackable(err error) bool {
+	return errors.Is(err, cloud.ErrCapacity) || errors.Is(err, cloud.ErrTransient) ||
+		errors.Is(err, cloud.ErrSpotUnavailable)
 }
 
 // Job returns a snapshot of the job with the given id.
@@ -629,6 +619,6 @@ func (c *Controller) Jobs() []Job {
 	for _, j := range c.jobs {
 		out = append(out, j.snapshot())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

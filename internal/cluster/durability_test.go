@@ -15,12 +15,14 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
+	"cynthia/internal/plan"
 )
 
 // worldExport is the crash-consistent state of every layer at one
@@ -434,5 +436,56 @@ func TestRequeueWaitsForQueueSpace(t *testing.T) {
 		if !terminal(js.Status) {
 			t.Errorf("%s ended %s, want a terminal status", js.ID, js.Status)
 		}
+	}
+}
+
+// TestRunStateFieldsOutsideSnapshot pins what runState keeps beside its
+// embedded SegmentState: each entry is derived again on restore. A new
+// field fails here until someone decides whether a barrier persists it.
+func TestRunStateFieldsOutsideSnapshot(t *testing.T) {
+	derived := map[string]string{
+		"job":  "the job table entry, restored from its JobState",
+		"w":    "the job's Workload",
+		"goal": "the job's Goal",
+		"prof": "re-profiled on restore; profiling is deterministic and cached",
+		"rc":   "the controller's RecoveryConfig defaulted against TotalIters",
+	}
+	typ := reflect.TypeOf(runState{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous && f.Type == reflect.TypeOf(SegmentState{}) {
+			continue
+		}
+		if _, ok := derived[f.Name]; !ok {
+			t.Errorf("runState.%s is neither in SegmentState nor derived on restore", f.Name)
+		}
+		delete(derived, f.Name)
+	}
+	for name := range derived {
+		t.Errorf("allowlisted runState.%s no longer exists", name)
+	}
+}
+
+// TestBarrierPublishesACopy: the segment state a barrier publishes must
+// not alias the live run state, or a snapshot taken at another job's
+// barrier would see this job's live state instead of its last barrier.
+func TestBarrierPublishesACopy(t *testing.T) {
+	ctl, _ := newFaultController(t, cloud.FaultPlan{})
+	st := &runState{job: &Job{JobState: JobState{ID: "job-1"}}}
+	st.JobID = "job-1"
+	st.Ranked = []plan.Plan{{Workers: 1}}
+	st.Handled = make([]string, 1, 4)
+	st.Handled[0] = "i-2"
+	if err := ctl.barrier(st, PhaseSegment); err != nil {
+		t.Fatal(err)
+	}
+	st.Ranked[0].Workers = 9
+	st.Handled = slices.Insert(st.Handled, 0, "i-1")
+	segs := ctl.ExportState().Segments
+	if len(segs) != 1 {
+		t.Fatalf("exported %d segment states, want 1", len(segs))
+	}
+	if got := segs[0]; got.Ranked[0].Workers != 1 || !slices.Equal(got.Handled, []string{"i-2"}) {
+		t.Errorf("published state follows the live one: ranked workers %d, handled %v", got.Ranked[0].Workers, got.Handled)
 	}
 }

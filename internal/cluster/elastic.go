@@ -16,7 +16,6 @@ package cluster
 // the identical decision, and executes the scale exactly once.
 
 import (
-	"context"
 	"fmt"
 
 	"cynthia/internal/cloud"
@@ -127,12 +126,12 @@ func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice,
 // adoptChoice applies a search result's market choice to the run state:
 // spot market and bid if the chosen type was spot-priced, on-demand
 // otherwise.
-func (st *runState) adoptChoice(choices map[string]marketChoice, typeName string) {
-	if ch, ok := choices[typeName]; ok && ch.spot {
-		st.market, st.bid = MarketSpot, ch.bid
+func (st *runState) adoptChoice(ch marketChoice) {
+	if ch.spot {
+		st.Market, st.BidPerHour = MarketSpot, ch.bid
 		return
 	}
-	st.market, st.bid = "", 0
+	st.Market, st.BidPerHour = "", 0
 }
 
 // repriceCurrent refreshes the run state's plan price to the current
@@ -140,11 +139,11 @@ func (st *runState) adoptChoice(choices map[string]marketChoice, typeName string
 // cost accounting and the keep-vs-rebuild comparison both use the price
 // actually being paid now.
 func (c *Controller) repriceCurrent(st *runState) {
-	if st.market != MarketSpot {
+	if st.Market != MarketSpot {
 		return
 	}
-	if p, ok := c.Elastic.Market.SpotPrice(st.plan.Type.Name, c.provider.Now()); ok {
-		st.plan.Type.PricePerHour = p
+	if p, ok := c.Elastic.Market.SpotPrice(st.Plan.Type.Name, c.provider.Now()); ok {
+		st.Plan.Type.PricePerHour = p
 	}
 }
 
@@ -160,7 +159,7 @@ func (c *Controller) elasticSegIters(st *runState, remaining int) int {
 	if !ok {
 		return remaining
 	}
-	perIter := st.plan.PredTime / float64(st.plan.Iterations)
+	perIter := st.Plan.PredTime / float64(st.Plan.Iterations)
 	if perIter <= 0 {
 		return remaining
 	}
@@ -182,41 +181,30 @@ func (c *Controller) elasticSegIters(st *runState, remaining int) int {
 // candidate plan is enough cheaper (and still inside the budget with
 // headroom) to pay for the rebuild.
 func (c *Controller) elasticStep(st *runState) error {
-	if !c.elasticOn() || st.done >= st.totalIters {
+	if !c.elasticOn() || st.Done >= st.TotalIters {
 		return nil
 	}
 	now := c.provider.Now()
 	m := c.Elastic.Market
-	if !m.HasChangeIn(st.lastEvalSec, now) {
+	if !m.HasChangeIn(st.LastEvalSec, now) {
 		return nil
 	}
 	m.AdvanceTo(now)
-	st.lastEvalSec = now
+	st.LastEvalSec = now
 	c.repriceCurrent(st)
-	remaining := st.totalIters - st.done
-	budget := st.goal.TimeSec - st.elapsed
+	remaining := st.TotalIters - st.Done
+	budget := st.goal.TimeSec - st.Elapsed
 	if budget <= 0 {
 		return nil // past the deadline already; nothing to optimize for
 	}
-	cat, choices, err := c.planningCatalog()
-	if err != nil {
-		return nil // planning-catalog trouble never kills a running job
-	}
-	scaled := budget * float64(st.totalIters) / float64(remaining)
-	res, err := plan.SearchWith(context.Background(), c.provisioner, plan.Request{
-		Profile:   st.prof,
-		Goal:      plan.Goal{TimeSec: scaled, LossTarget: st.goal.LossTarget},
-		Predictor: c.predictor,
-		Catalog:   cat,
-		Journal:   c.jbind(st.job),
-	})
+	res, choices, err := c.residualSearch(st, remaining, budget)
 	if err != nil || !res.Plan.Feasible {
-		return nil
+		return nil // planning trouble never kills a running job
 	}
 	p := res.Plan
 	candSpot := choices[p.Type.Name].spot
-	sameShape := p.Type.Name == st.plan.Type.Name && p.Workers == st.plan.Workers && p.PS == st.plan.PS
-	if sameShape && candSpot == (st.market == MarketSpot) {
+	sameShape := p.Type.Name == st.Plan.Type.Name && p.Workers == st.Plan.Workers && p.PS == st.Plan.PS
+	if sameShape && candSpot == (st.Market == MarketSpot) {
 		return nil // already running the best plan on the best market
 	}
 	// Keep-vs-rebuild: compare the cost of finishing on the current
@@ -224,8 +212,8 @@ func (c *Controller) elasticStep(st *runState) error {
 	// overhead, and require the candidate to both clear the minimum gain
 	// and still fit the remaining budget with the planner's headroom.
 	overhead := c.scaleOverhead()
-	curSec := st.plan.PredTime * float64(remaining) / float64(st.plan.Iterations)
-	curCost := plan.Cost(st.plan.Type, st.plan.Workers, st.plan.PS, curSec)
+	curSec := st.Plan.PredTime * float64(remaining) / float64(st.Plan.Iterations)
+	curCost := plan.Cost(st.Plan.Type, st.Plan.Workers, st.Plan.PS, curSec)
 	candSec := p.PredTime * float64(remaining) / float64(p.Iterations)
 	candCost := plan.Cost(p.Type, p.Workers, p.PS, candSec+overhead)
 	if candCost >= curCost*(1-c.minGainFrac()) {
@@ -262,33 +250,29 @@ func (c *Controller) elasticStep(st *runState) error {
 // post-recovery re-provision would.
 func (c *Controller) elasticScale(st *runState, p plan.Plan, ranked []plan.Plan, ch marketChoice, overhead float64) error {
 	job := st.job
-	from := fmt.Sprintf("%dx %s + %d PS", st.plan.Workers, st.plan.Type.Name, st.plan.PS)
+	from := fmt.Sprintf("%dx %s + %d PS", st.Plan.Workers, st.Plan.Type.Name, st.Plan.PS)
 	c.teardown(job)
-	st.plan, st.ranked = p, ranked
-	if ch.spot {
-		st.market, st.bid = MarketSpot, ch.bid
-	} else {
-		st.market, st.bid = "", 0
-	}
+	st.Plan, st.Ranked = p, ranked
+	st.adoptChoice(ch)
 	c.mu.Lock()
 	job.Plan = p
 	c.mu.Unlock()
 	c.chargeTime(st, overhead)
-	st.burnRec += overhead
+	st.BurnRec += overhead
 	if err := c.provision(st); err != nil {
 		return fmt.Errorf("cluster: re-provisioning after elastic re-plan: %w", err)
 	}
-	st.scales++
+	st.Scales++
 	c.mu.Lock()
-	job.ElasticScales = st.scales
+	job.ElasticScales = st.Scales
 	c.mu.Unlock()
 	c.jbind(job).Emit(journal.ElasticScale,
 		journal.F("from", from),
-		journal.F("type", st.plan.Type.Name),
-		journal.Fint("workers", st.plan.Workers),
-		journal.Fint("ps", st.plan.PS),
-		journal.F("market", st.market),
+		journal.F("type", st.Plan.Type.Name),
+		journal.Fint("workers", st.Plan.Workers),
+		journal.Fint("ps", st.Plan.PS),
+		journal.F("market", st.Market),
 		journal.Ffloat("overhead_sec", overhead),
-		journal.Fint("scales", st.scales))
+		journal.Fint("scales", st.Scales))
 	return nil
 }

@@ -155,9 +155,9 @@ func TestSLOMetricsExports(t *testing.T) {
 
 	goal := plan.Goal{TimeSec: 1000, LossTarget: 0.2}
 	pl := plan.Plan{Cost: 2}
-	slo.observeJob(Job{Status: StatusSucceeded, Goal: goal, Plan: pl, TrainingTime: 900, Cost: 2.2}, 30, 900, 0)
-	slo.observeJob(Job{Status: StatusMissedGoal, Goal: goal, Plan: pl, TrainingTime: 1200, Cost: 3}, 30, 1200, 60)
-	slo.observeJob(Job{Status: StatusFailed, Goal: goal}, 30, 0, 0)
+	slo.observeJob(Job{JobState: JobState{Status: StatusSucceeded, Goal: goal, Plan: pl, TrainingTime: 900, Cost: 2.2}}, 30, 900, 0)
+	slo.observeJob(Job{JobState: JobState{Status: StatusMissedGoal, Goal: goal, Plan: pl, TrainingTime: 1200, Cost: 3}}, 30, 1200, 60)
+	slo.observeJob(Job{JobState: JobState{Status: StatusFailed, Goal: goal}}, 30, 0, 0)
 	slo.observeRecovery(45)
 
 	// Nil receivers are no-ops so the controller never branches.

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,22 +40,16 @@ type Pod struct {
 	Core int
 }
 
-// Node is a cluster member backed by a cloud instance.
+// Node is a cluster member backed by a cloud instance. Its snapshot form
+// is all of it (see NodeState in state.go).
 type Node struct {
-	Name       string
-	InstanceID string
-	Type       cloud.InstanceType
-	// Cores is the number of physical cores, i.e. schedulable docker
-	// slots (vCPUs/2 with hyper-threading, per the paper's testbed).
-	Cores int
-	// used marks occupied cores.
-	used []string // pod name per core, "" if free
+	NodeState
 }
 
 // FreeCores returns the number of unoccupied docker slots.
 func (n *Node) FreeCores() int {
 	free := 0
-	for _, p := range n.used {
+	for _, p := range n.Used {
 		if p == "" {
 			free++
 		}
@@ -166,7 +161,7 @@ func (m *Master) Join(name, instanceID string, t cloud.InstanceType, cores int, 
 	if _, dup := m.nodes[name]; dup {
 		return nil, fmt.Errorf("cluster: node %s already joined", name)
 	}
-	node := &Node{Name: name, InstanceID: instanceID, Type: t, Cores: cores, used: make([]string, cores)}
+	node := &Node{NodeState{Name: name, InstanceID: instanceID, Type: t, Cores: cores, Used: make([]string, cores)}}
 	m.nodes[name] = node
 	m.jemit(journal.NodeJoined, "",
 		journal.F("node", name), journal.F("instance", instanceID),
@@ -225,7 +220,7 @@ func (m *Master) Schedule(spec PodSpec) (*Pod, error) {
 	})
 	node := candidates[0]
 	core := -1
-	for c, p := range node.used {
+	for c, p := range node.Used {
 		if p == "" {
 			core = c
 			break
@@ -239,7 +234,7 @@ func (m *Master) Schedule(spec PodSpec) (*Pod, error) {
 		Node: node.Name,
 		Core: core,
 	}
-	node.used[core] = pod.Name
+	node.Used[core] = pod.Name
 	m.pods[pod.Name] = pod
 	m.jemit(journal.PodScheduled, spec.Job,
 		journal.F("pod", pod.Name), journal.F("role", string(spec.Role)),
@@ -256,7 +251,7 @@ func (m *Master) Delete(podName string) error {
 		return fmt.Errorf("cluster: no such pod %s", podName)
 	}
 	if node, ok := m.nodes[pod.Node]; ok {
-		node.used[pod.Core] = ""
+		node.Used[pod.Core] = ""
 	}
 	delete(m.pods, podName)
 	m.jemit(journal.PodDeleted, pod.Job,
@@ -271,7 +266,7 @@ func (m *Master) Nodes() []Node {
 	out := make([]Node, 0, len(m.nodes))
 	for _, n := range m.nodes {
 		cp := *n
-		cp.used = append([]string(nil), n.used...)
+		cp.Used = slices.Clone(n.Used)
 		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -112,47 +113,16 @@ func (rc RecoveryConfig) withDefaults(iters int) RecoveryConfig {
 }
 
 // runState is the mutable state of one job's trip through the pipeline,
-// threaded across training segments and recovery cycles.
+// threaded across training segments and recovery cycles. The embedded
+// SegmentState is what a durability barrier publishes; the fields beside
+// it are derived again on restore (TestRunStateFieldsOutsideSnapshot).
 type runState struct {
+	SegmentState
 	job  *Job
 	w    *model.Workload
 	goal plan.Goal
 	prof *perf.Profile
-
-	plan   plan.Plan
-	ranked []plan.Plan
-	rc     RecoveryConfig
-
-	totalIters int     // iteration budget to the loss target
-	done       int     // iterations safely completed (checkpoint-backed)
-	lost       int     // un-checkpointed iterations redone
-	elapsed    float64 // simulated seconds consumed against the deadline
-	cost       float64 // accumulated Eq. 8 cost across segments
-	finalLoss  float64
-	recoveries int
-	handled    map[string]bool // instance IDs already recovered from
-	// Per-phase deadline-budget burn, in simulated seconds (SLO export):
-	// launch delays, training segments, and recovery overhead.
-	burnProv  float64
-	burnTrain float64
-	burnRec   float64
-	// Durability bookkeeping (see state.go): the last barrier passed, the
-	// instance whose predicted preemption interrupted the current
-	// segment, and that segment's lost iterations — carried in the state
-	// so a recovery cycle interrupted by a master crash replays whole.
-	phase          Phase
-	pendingPreempt string
-	segLost        int
-	// Elastic (spot-market) state: which market the current cluster is
-	// provisioned on (MarketSpot or "" for on-demand), the standing bid,
-	// the provider-clock time prices were last evaluated at, how many
-	// price-driven segment splits this run has made (perturbs the
-	// per-segment sim seed), and how many elastic rebuilds executed.
-	market      string
-	bid         float64
-	lastEvalSec float64
-	elasticSegs int
-	scales      int
+	rc   RecoveryConfig
 }
 
 // chargeTime bills a simulated duration against the job: the deadline
@@ -163,8 +133,8 @@ func (c *Controller) chargeTime(st *runState, dt float64) {
 		return
 	}
 	c.advance(dt)
-	st.elapsed += dt
-	st.cost += plan.Cost(st.plan.Type, st.plan.Workers, st.plan.PS, dt)
+	st.Elapsed += dt
+	st.Cost += plan.Cost(st.Plan.Type, st.Plan.Workers, st.Plan.PS, dt)
 }
 
 // launchRetry launches instances, retrying transient errors with capped
@@ -207,7 +177,7 @@ func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryCo
 // instance failure triggers a recovery cycle.
 func (c *Controller) runSegments(st *runState) error {
 	jb := c.jbind(st.job)
-	for st.done < st.totalIters {
+	for st.Done < st.TotalIters {
 		// Durability barrier: everything up to here is checkpoint-backed;
 		// a master crash during the segment resumes from this point.
 		if err := c.barrier(st, PhaseSegment); err != nil {
@@ -219,23 +189,23 @@ func (c *Controller) runSegments(st *runState) error {
 		if err := c.elasticStep(st); err != nil {
 			return err
 		}
-		remaining := st.totalIters - st.done
+		remaining := st.TotalIters - st.Done
 		// An elastic run bounds the segment at the next price change-point
 		// so the optimizer sees fresh prices; a static run (or one with no
 		// change ahead) trains the whole remainder in one segment.
 		segIters := c.elasticSegIters(st, remaining)
 		segBase := c.provider.Now()
 		jb.Emit(journal.SegmentStart,
-			journal.Fint("segment", st.recoveries),
-			journal.Fint("start_iter", st.done),
+			journal.Fint("segment", st.Recoveries),
+			journal.Fint("start_iter", st.Done),
 			journal.Fint("remaining", remaining),
-			journal.F("type", st.plan.Type.Name),
-			journal.Fint("workers", st.plan.Workers),
-			journal.Fint("ps", st.plan.PS))
+			journal.F("type", st.Plan.Type.Name),
+			journal.Fint("workers", st.Plan.Workers),
+			journal.Fint("ps", st.Plan.PS))
 		opts := ddnnsim.Options{
 			Iterations:      segIters,
-			Seed:            c.SimSeed + int64(st.recoveries) + 1000003*int64(st.elasticSegs),
-			StartIteration:  st.done,
+			Seed:            c.SimSeed + int64(st.Recoveries) + 1000003*int64(st.ElasticSegs),
+			StartIteration:  st.Done,
 			LossEvery:       max(segIters/100, 1),
 			CheckpointEvery: st.rc.CheckpointEvery,
 			Journal:         jb.WithSource("ddnnsim"),
@@ -244,7 +214,7 @@ func (c *Controller) runSegments(st *runState) error {
 		// Ask the provider — the simulation's stand-in for the cloud's
 		// preemption notice — whether any of this job's instances is
 		// scheduled to die, and schedule the matching docker kill.
-		st.pendingPreempt = ""
+		st.PendingPreempt = ""
 		if id, at, ok := c.provider.NextPreemption(map[string]string{"job": st.job.ID}); ok {
 			rel := at - c.provider.Now()
 			if rel < 0 {
@@ -252,38 +222,38 @@ func (c *Controller) runSegments(st *runState) error {
 			}
 			role, idx := c.faultTarget(st.job.ID, id)
 			opts.Faults = []ddnnsim.Fault{{AtSec: rel, Role: role, Index: idx}}
-			st.pendingPreempt = id
+			st.PendingPreempt = id
 		}
-		sim, err := ddnnsim.Run(st.w, cloud.Homogeneous(st.plan.Type, st.plan.Workers, st.plan.PS), opts)
+		sim, err := ddnnsim.Run(st.w, cloud.Homogeneous(st.Plan.Type, st.Plan.Workers, st.Plan.PS), opts)
 		if err != nil {
 			return err
 		}
 		c.advance(sim.TrainingTime)
-		st.elapsed += sim.TrainingTime
-		st.burnTrain += sim.TrainingTime
-		st.cost += plan.Cost(st.plan.Type, st.plan.Workers, st.plan.PS, sim.TrainingTime)
+		st.Elapsed += sim.TrainingTime
+		st.BurnTrain += sim.TrainingTime
+		st.Cost += plan.Cost(st.Plan.Type, st.Plan.Workers, st.Plan.PS, sim.TrainingTime)
 		if sim.FinalLoss > 0 {
-			st.finalLoss = sim.FinalLoss
+			st.FinalLoss = sim.FinalLoss
 		}
 		jb.Emit(journal.SegmentEnd,
-			journal.Fint("segment", st.recoveries),
+			journal.Fint("segment", st.Recoveries),
 			journal.Fint("iterations", sim.Iterations),
 			journal.Ffloat("training_sec", sim.TrainingTime),
 			journal.Fbool("interrupted", sim.Interrupted))
 		if !sim.Interrupted {
-			st.done += sim.Iterations
-			st.pendingPreempt = ""
-			if st.done >= st.totalIters {
+			st.Done += sim.Iterations
+			st.PendingPreempt = ""
+			if st.Done >= st.TotalIters {
 				return nil
 			}
 			// Price-bounded segment finished clean: loop back through the
 			// barrier and the optimizer tick with fresh prices.
-			st.elasticSegs++
+			st.ElasticSegs++
 			continue
 		}
-		st.done += sim.CheckpointIter
-		st.lost += sim.LostIterations
-		st.segLost = sim.LostIterations
+		st.Done += sim.CheckpointIter
+		st.Lost += sim.LostIterations
+		st.SegLost = sim.LostIterations
 		rcObs().lost.Add(int64(sim.LostIterations))
 		// Durability barrier: the interrupted segment's accounting is
 		// applied; a crash from here to the end of the recovery cycle
@@ -308,17 +278,20 @@ func (c *Controller) runSegments(st *runState) error {
 func (c *Controller) recoverJob(st *runState) error {
 	job := st.job
 	wallStart := time.Now() // wall latency metric only; never journaled
-	simStart := st.elapsed
+	simStart := st.Elapsed
 	// Land the predicted revocation in the provider (the simulated
 	// segment already honoured it; forcing it here avoids floating-point
 	// dust between the two clocks) and collect everything newly dead.
-	if st.pendingPreempt != "" {
-		_ = c.provider.Preempt(st.pendingPreempt)
+	if st.PendingPreempt != "" {
+		_ = c.provider.Preempt(st.PendingPreempt)
 	}
 	var failed []cloud.Instance
 	for _, inst := range c.provider.ApplyDueFaults() {
-		if inst.Tags["job"] == job.ID && !st.handled[inst.ID] {
-			st.handled[inst.ID] = true
+		if inst.Tags["job"] != job.ID {
+			continue
+		}
+		if i, seen := slices.BinarySearch(st.Handled, inst.ID); !seen {
+			st.Handled = slices.Insert(st.Handled, i, inst.ID)
 			failed = append(failed, inst)
 		}
 	}
@@ -329,19 +302,19 @@ func (c *Controller) recoverJob(st *runState) error {
 	}
 	c.jbind(job).Emit(journal.RecoveryStart,
 		journal.F("instances", strings.Join(ids, ",")),
-		journal.Fint("checkpoint_iter", st.done),
-		journal.Fint("lost_iterations", st.segLost))
+		journal.Fint("checkpoint_iter", st.Done),
+		journal.Fint("lost_iterations", st.SegLost))
 	if st.rc.Disabled {
 		return fmt.Errorf("cluster: instance %s preempted after %d/%d iterations and recovery is disabled",
-			strings.Join(ids, ","), st.done, st.totalIters)
+			strings.Join(ids, ","), st.Done, st.TotalIters)
 	}
-	st.recoveries++
-	if st.recoveries > st.rc.MaxRecoveries {
+	st.Recoveries++
+	if st.Recoveries > st.rc.MaxRecoveries {
 		return fmt.Errorf("cluster: job exceeded %d recoveries", st.rc.MaxRecoveries)
 	}
 	c.setStatus(job, StatusRecovering)
 	c.mu.Lock()
-	job.Recoveries = st.recoveries
+	job.Recoveries = st.Recoveries
 	c.mu.Unlock()
 
 	// Free the dead nodes: their pods are gone with the instances.
@@ -356,7 +329,7 @@ func (c *Controller) recoverJob(st *runState) error {
 	}
 	// Checkpoint restore and container restart are not free.
 	c.chargeTime(st, st.rc.RestartOverheadSec)
-	st.burnRec += st.rc.RestartOverheadSec
+	st.BurnRec += st.rc.RestartOverheadSec
 	// Kill-check-only barrier: a master crash mid-recovery (the
 	// transient-server storm case — the controller dies while busiest)
 	// resumes from the PhaseRecovery barrier and re-executes this whole
@@ -372,7 +345,7 @@ func (c *Controller) recoverJob(st *runState) error {
 	if c.elasticOn() {
 		now := c.provider.Now()
 		c.Elastic.Market.AdvanceTo(now)
-		st.lastEvalSec = now
+		st.LastEvalSec = now
 		c.repriceCurrent(st)
 	}
 
@@ -380,9 +353,9 @@ func (c *Controller) recoverJob(st *runState) error {
 	// remaining iterations exceeds the remaining budget Tg' = Tg −
 	// elapsed, run Algorithm 1 again against Tg' and rebuild the cluster
 	// on the cheapest plan that still makes it.
-	remaining := st.totalIters - st.done
-	budget := st.goal.TimeSec - st.elapsed
-	predicted := st.plan.PredTime * float64(remaining) / float64(st.plan.Iterations)
+	remaining := st.TotalIters - st.Done
+	budget := st.goal.TimeSec - st.Elapsed
+	predicted := st.Plan.PredTime * float64(remaining) / float64(st.Plan.Iterations)
 	replanned := false
 	if budget > 0 && predicted > budget {
 		ok, err := c.replan(st, remaining, budget)
@@ -398,15 +371,15 @@ func (c *Controller) recoverJob(st *runState) error {
 	}
 	rcObs().recoveries.Inc()
 	rcObs().latency.Observe(time.Since(wallStart).Seconds())
-	c.SLO.observeRecovery(st.elapsed - simStart)
+	c.SLO.observeRecovery(st.Elapsed - simStart)
 	c.jbind(job).Emit(journal.RecoveryDone,
-		journal.Fint("recovery", st.recoveries),
-		journal.Fint("resume_iter", st.done),
+		journal.Fint("recovery", st.Recoveries),
+		journal.Fint("resume_iter", st.Done),
 		journal.Fint("remaining", remaining),
 		journal.Fbool("replanned", replanned),
-		journal.Ffloat("recovery_sec", st.elapsed-simStart))
+		journal.Ffloat("recovery_sec", st.Elapsed-simStart))
 	c.setStatus(job, StatusRunning)
-	st.pendingPreempt, st.segLost = "", 0
+	st.PendingPreempt, st.SegLost = "", 0
 	return nil
 }
 
@@ -417,30 +390,18 @@ func (c *Controller) recoverJob(st *runState) error {
 // could not be provisioned.
 func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, error) {
 	job := st.job
-	// The planner prices and times a full run of Iterations; scale the
-	// remaining budget to its full-run equivalent so that "feasible"
-	// means exactly "remaining iterations fit in budget seconds".
-	scaled := budget * float64(st.totalIters) / float64(remaining)
-	cat, choices, cerr := c.planningCatalog()
-	if cerr != nil {
-		return false, cerr
+	res, choices, err := c.residualSearch(st, remaining, budget)
+	if err != nil {
+		return false, err
 	}
-	req := plan.Request{
-		Profile:   st.prof,
-		Goal:      plan.Goal{TimeSec: scaled, LossTarget: st.goal.LossTarget},
-		Predictor: c.predictor,
-		Catalog:   cat,
-		Journal:   c.jbind(job),
-	}
-	res, err := plan.SearchWith(context.Background(), c.provisioner, req)
-	if err != nil || !res.Plan.Feasible {
+	if !res.Plan.Feasible {
 		// Keep the current shape; the search's plan.search.done event and
 		// the cycle's recovery.done replanned=false record the outcome.
 		return false, nil
 	}
 	p := res.Plan
-	if p.Type.Name == st.plan.Type.Name && p.Workers == st.plan.Workers && p.PS == st.plan.PS &&
-		choices[p.Type.Name].spot == (st.market == MarketSpot) {
+	if p.Type.Name == st.Plan.Type.Name && p.Workers == st.Plan.Workers && p.PS == st.Plan.PS &&
+		choices[p.Type.Name].spot == (st.Market == MarketSpot) {
 		return false, nil // same shape on the same market: just replace the dead instances
 	}
 	replanFields := []journal.Field{
@@ -458,9 +419,9 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 	}
 	c.jbind(job).Emit(journal.RecoveryReplan, replanFields...)
 	c.teardown(job)
-	st.plan, st.ranked = p, res.Ranked
-	st.adoptChoice(choices, p.Type.Name)
-	// totalIters is pinned to the original loss-target budget; the new
+	st.Plan, st.Ranked = p, res.Ranked
+	st.adoptChoice(choices[p.Type.Name])
+	// TotalIters is pinned to the original loss-target budget; the new
 	// plan only changes the cluster shape, not how much work remains.
 	c.mu.Lock()
 	job.Plan = p
@@ -471,6 +432,30 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 	return true, nil
 }
 
+// residualSearch re-runs Algorithm 1 against the residual budget. The
+// planner prices and times a full run of TotalIters, so the budget is
+// scaled to its full-run equivalent: "feasible" then means exactly
+// "the remaining iterations fit in budget seconds". A failed search
+// comes back as an infeasible zero result; only a planning-catalog
+// failure is an error.
+func (c *Controller) residualSearch(st *runState, remaining int, budget float64) (plan.Result, map[string]marketChoice, error) {
+	cat, choices, err := c.planningCatalog()
+	if err != nil {
+		return plan.Result{}, nil, err
+	}
+	res, err := plan.SearchWith(context.Background(), c.provisioner, plan.Request{
+		Profile:   st.prof,
+		Goal:      plan.Goal{TimeSec: budget * float64(st.TotalIters) / float64(remaining), LossTarget: st.goal.LossTarget},
+		Predictor: c.predictor,
+		Catalog:   cat,
+		Journal:   c.jbind(st.job),
+	})
+	if err != nil {
+		return plan.Result{}, choices, nil
+	}
+	return res, choices, nil
+}
+
 // replace launches like-for-like replacements for the dead instances,
 // joins them, and re-schedules the lost pods (the spread scheduler lands
 // them on the fresh nodes, which have the most free cores). If the type
@@ -478,52 +463,19 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 // fallback instead.
 func (c *Controller) replace(st *runState, failed []cloud.Instance) error {
 	job := st.job
-	insts, err := c.launchRetry(job, st.plan.Type.Name, len(failed), st.rc,
-		st.market == MarketSpot, st.bid)
+	insts, err := c.launchRetry(job, st.Plan.Type.Name, len(failed), st.rc,
+		st.Market == MarketSpot, st.BidPerHour)
+	if fallbackable(err) {
+		c.jbind(job).Emit(journal.CapacityFallback,
+			journal.F("type", st.Plan.Type.Name), journal.F("error", err.Error()))
+		c.teardown(job)
+		return c.provision(st)
+	}
 	if err != nil {
-		if errors.Is(err, cloud.ErrCapacity) || errors.Is(err, cloud.ErrTransient) ||
-			errors.Is(err, cloud.ErrSpotUnavailable) {
-			c.jbind(job).Emit(journal.CapacityFallback,
-				journal.F("type", st.plan.Type.Name), journal.F("error", err.Error()))
-			c.teardown(job)
-			return c.provision(st)
-		}
 		return err
 	}
-	token, caHash := c.master.JoinCredentials()
-	for _, inst := range insts {
-		if _, err := c.master.Join("node-"+inst.ID, inst.ID, inst.Type, c.CoresPerInstance, token, caHash); err != nil {
-			return err
-		}
-	}
-	var haveW, havePS int
-	for _, pod := range c.master.Pods(job.ID) {
-		switch pod.Role {
-		case RoleWorker:
-			haveW++
-		case RolePS:
-			havePS++
-		}
-	}
-	for i := havePS; i < st.plan.PS; i++ {
-		if _, err := c.master.Schedule(PodSpec{Role: RolePS, Job: job.ID, TypeName: st.plan.Type.Name}); err != nil {
-			return err
-		}
-	}
-	for i := haveW; i < st.plan.Workers; i++ {
-		if _, err := c.master.Schedule(PodSpec{Role: RoleWorker, Job: job.ID, TypeName: st.plan.Type.Name}); err != nil {
-			return err
-		}
-	}
-	maxDelay := 0.0
-	for _, inst := range insts {
-		if d := inst.ReadyAt - inst.LaunchedAt; d > maxDelay {
-			maxDelay = d
-		}
-	}
-	c.chargeTime(st, maxDelay)
-	st.burnProv += maxDelay
-	return nil
+	_, err = c.joinAndSchedule(st, insts)
+	return err
 }
 
 // faultTarget maps a failing instance to the docker the simulator should

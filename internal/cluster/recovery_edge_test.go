@@ -85,7 +85,7 @@ func TestPreemptionAfterFinalCheckpoint(t *testing.T) {
 
 // TestSimultaneousPreemptionsRecoverInOneCycle revokes every instance of
 // a multi-instance cluster at the same instant: one recovery cycle must
-// collect all of them (the handled map prevents a second cycle from
+// collect all of them (the Handled set prevents a second cycle from
 // re-recovering the same corpses) and replace the whole cluster.
 func TestSimultaneousPreemptionsRecoverInOneCycle(t *testing.T) {
 	goal := plan.Goal{TimeSec: 600, LossTarget: 0.2}

@@ -246,7 +246,7 @@ func TestJobsSortedByID(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c.nextJob++
 		id := fmt.Sprintf("job-%d", c.nextJob)
-		c.jobs[id] = &Job{ID: id, seq: c.nextJob, Status: StatusPlanning}
+		c.jobs[id] = &Job{JobState: JobState{ID: id, Seq: c.nextJob, Status: StatusPlanning}}
 	}
 	c.mu.Unlock()
 	jobs := c.Jobs()

@@ -262,7 +262,6 @@ func (m *Manager) Rebuild() (resume, queued []string, err error) {
 	var leftover []string
 	resume, queued, leftover = ctl.PendingJobs()
 	for _, id := range leftover {
-		obs.Debugf("replay: job %s finished before the crash but still held instances; tearing down", id)
 		ctl.TeardownJob(id)
 	}
 	return resume, queued, nil
@@ -300,7 +299,6 @@ func (m *Manager) Barrier(jobID string, phase cluster.Phase) error {
 	provider := m.provider
 	m.mu.Unlock()
 	if provider != nil && provider.MasterKillDue() {
-		obs.Debugf("replay: master kill due at %s barrier for %s", phase, jobID)
 		return cluster.ErrMasterKilled
 	}
 	return nil

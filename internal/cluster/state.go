@@ -3,7 +3,10 @@ package cluster
 // state.go is the durability surface of the control plane: every piece
 // of in-memory state a master crash would lose — the job table, each
 // in-flight job's segment state machine, and the node/pod registry —
-// exports to a serializable form and restores from it. The replay layer
+// exports to a serializable form and restores from it. The live structs
+// embed those forms (Job embeds JobState, runState SegmentState, Node
+// NodeState), so each persisted field is declared once and export and
+// restore only copy structs, deep-copying their slices. The replay layer
 // (internal/cluster/replay) snapshots these exports at durability
 // barriers; on restart it rebuilds the world from the newest snapshot
 // plus the write-ahead journal tail and resumes every in-flight job from
@@ -12,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cynthia/internal/cloud"
@@ -77,21 +81,34 @@ type Checkpointer interface {
 // iteration counts on named workloads, and a by-name lookup would lose
 // those overrides across a restart.
 type JobState struct {
-	ID             string          `json:"id"`
-	TraceID        string          `json:"trace_id"`
-	Workload       *model.Workload `json:"workload"`
-	Goal           plan.Goal       `json:"goal"`
-	Status         JobStatus       `json:"status"`
-	History        []JobStatus     `json:"history,omitempty"`
-	Plan           plan.Plan       `json:"plan"`
-	TrainingTime   float64         `json:"training_time"`
-	FinalLoss      float64         `json:"final_loss"`
-	Cost           float64         `json:"cost"`
-	Err            string          `json:"err,omitempty"`
-	Recoveries     int             `json:"recoveries"`
-	LostIterations int             `json:"lost_iterations"`
-	ElasticScales  int             `json:"elastic_scales,omitempty"`
-	Seq            int             `json:"seq"`
+	ID string `json:"id"`
+	// TraceID correlates every flight-recorder event the job produced
+	// across the API edge, planner, controller, cloud provider, and
+	// training simulator. Minted at the edge (or deterministically from
+	// the submission sequence when the edge supplies none).
+	TraceID  string          `json:"trace_id"`
+	Workload *model.Workload `json:"workload"`
+	Goal     plan.Goal       `json:"goal"`
+	Status   JobStatus       `json:"status"`
+	// History is every lifecycle state the job passed through, in order
+	// (a recovered job reads planning, provisioning, running, recovering,
+	// running, succeeded).
+	History []JobStatus `json:"history,omitempty"`
+	// Plan is the provisioning decision (valid from StatusProvisioning).
+	Plan plan.Plan `json:"plan"`
+	// Actual training outcome (valid once finished).
+	TrainingTime float64 `json:"training_time"`
+	FinalLoss    float64 `json:"final_loss"`
+	Cost         float64 `json:"cost"`
+	Err          string  `json:"err,omitempty"`
+	// Recoveries counts completed recovery cycles; LostIterations is the
+	// un-checkpointed work redone across them.
+	Recoveries     int `json:"recoveries"`
+	LostIterations int `json:"lost_iterations"`
+	// ElasticScales counts mid-training cluster rebuilds driven by
+	// spot-price moves (not by failures).
+	ElasticScales int `json:"elastic_scales,omitempty"`
+	Seq           int `json:"seq"` // submission order, for deterministic Jobs() listing
 }
 
 // SegmentState is the serializable segment state machine of one
@@ -101,30 +118,47 @@ type JobState struct {
 // and deadline burn, and the pending preemption of an interrupted
 // segment.
 type SegmentState struct {
-	JobID          string      `json:"job_id"`
-	Phase          Phase       `json:"phase"`
-	Plan           plan.Plan   `json:"plan"`
-	Ranked         []plan.Plan `json:"ranked,omitempty"`
-	TotalIters     int         `json:"total_iters"`
-	Done           int         `json:"done"`
-	Lost           int         `json:"lost"`
-	SegLost        int         `json:"seg_lost"`
-	PendingPreempt string      `json:"pending_preempt,omitempty"`
-	Elapsed        float64     `json:"elapsed"`
-	Cost           float64     `json:"cost"`
-	FinalLoss      float64     `json:"final_loss"`
-	Recoveries     int         `json:"recoveries"`
-	Handled        []string    `json:"handled,omitempty"`
-	BurnProv       float64     `json:"burn_prov"`
-	BurnTrain      float64     `json:"burn_train"`
-	BurnRec        float64     `json:"burn_rec"`
-	// Elastic (spot-market) state; all omitempty so static runs keep
-	// their exact historical snapshot encoding.
+	JobID      string      `json:"job_id"`
+	Phase      Phase       `json:"phase"` // the last barrier passed
+	Plan       plan.Plan   `json:"plan"`
+	Ranked     []plan.Plan `json:"ranked,omitempty"`
+	TotalIters int         `json:"total_iters"` // iteration budget to the loss target
+	Done       int         `json:"done"`        // iterations safely completed (checkpoint-backed)
+	Lost       int         `json:"lost"`        // un-checkpointed iterations redone
+	// SegLost and PendingPreempt are the interrupted segment's lost
+	// iterations and the instance whose predicted preemption interrupted
+	// it, carried so a recovery cycle cut by a master crash replays whole.
+	SegLost        int      `json:"seg_lost"`
+	PendingPreempt string   `json:"pending_preempt,omitempty"`
+	Elapsed        float64  `json:"elapsed"` // simulated seconds consumed against the deadline
+	Cost           float64  `json:"cost"`    // accumulated Eq. 8 cost across segments
+	FinalLoss      float64  `json:"final_loss"`
+	Recoveries     int      `json:"recoveries"`
+	Handled        []string `json:"handled,omitempty"` // instance IDs already recovered from, sorted
+	// Per-phase deadline-budget burn, in simulated seconds (SLO export):
+	// launch delays, training segments, and recovery overhead.
+	BurnProv  float64 `json:"burn_prov"`
+	BurnTrain float64 `json:"burn_train"`
+	BurnRec   float64 `json:"burn_rec"`
+	// Elastic (spot-market) state, all omitempty so static runs keep
+	// their exact historical snapshot encoding: the market the current
+	// cluster runs on (MarketSpot or "" for on-demand), the standing bid,
+	// the provider-clock time prices were last evaluated at, how many
+	// price-driven segment splits this run made (perturbs the per-segment
+	// sim seed), and how many elastic rebuilds executed.
 	Market      string  `json:"market,omitempty"`
 	BidPerHour  float64 `json:"bid_per_hour,omitempty"`
 	LastEvalSec float64 `json:"last_eval_sec,omitempty"`
 	ElasticSegs int     `json:"elastic_segs,omitempty"`
 	Scales      int     `json:"elastic_scales,omitempty"`
+}
+
+// clone deep-copies the slices the live run state keeps changing, so a
+// published barrier state never aliases it.
+func (ss SegmentState) clone() SegmentState {
+	ss.Ranked = slices.Clone(ss.Ranked)
+	ss.Handled = slices.Clone(ss.Handled)
+	return ss
 }
 
 // ControllerState is the serializable world of a Controller: the job
@@ -135,14 +169,15 @@ type ControllerState struct {
 	Segments []SegmentState `json:"segments,omitempty"`
 }
 
-// NodeState is the serializable form of a Node (Node keeps its core
-// occupancy unexported).
+// NodeState is the serializable form of a Node.
 type NodeState struct {
 	Name       string             `json:"name"`
 	InstanceID string             `json:"instance_id"`
 	Type       cloud.InstanceType `json:"type"`
-	Cores      int                `json:"cores"`
-	Used       []string           `json:"used"`
+	// Cores is the number of physical cores, i.e. schedulable docker
+	// slots (vCPUs/2 with hyper-threading, per the paper's testbed).
+	Cores int      `json:"cores"`
+	Used  []string `json:"used"` // pod name per core, "" if free
 }
 
 // MasterState is the serializable node/pod registry of a Master. Join
@@ -159,38 +194,6 @@ func terminal(s JobStatus) bool {
 	return s == StatusSucceeded || s == StatusMissedGoal || s == StatusFailed
 }
 
-// toSegmentState converts a live runState to its serializable form.
-func (st *runState) toSegmentState() SegmentState {
-	ss := SegmentState{
-		JobID:          st.job.ID,
-		Phase:          st.phase,
-		Plan:           st.plan,
-		Ranked:         append([]plan.Plan(nil), st.ranked...),
-		TotalIters:     st.totalIters,
-		Done:           st.done,
-		Lost:           st.lost,
-		SegLost:        st.segLost,
-		PendingPreempt: st.pendingPreempt,
-		Elapsed:        st.elapsed,
-		Cost:           st.cost,
-		FinalLoss:      st.finalLoss,
-		Recoveries:     st.recoveries,
-		BurnProv:       st.burnProv,
-		BurnTrain:      st.burnTrain,
-		BurnRec:        st.burnRec,
-		Market:         st.market,
-		BidPerHour:     st.bid,
-		LastEvalSec:    st.lastEvalSec,
-		ElasticSegs:    st.elasticSegs,
-		Scales:         st.scales,
-	}
-	for id := range st.handled {
-		ss.Handled = append(ss.Handled, id)
-	}
-	sort.Strings(ss.Handled)
-	return ss
-}
-
 // ExportState snapshots the controller world. Segment states are the
 // ones published at each job's last durability barrier — exactly the
 // points the jobs would resume from, which makes the export
@@ -200,13 +203,9 @@ func (c *Controller) ExportState() ControllerState {
 	defer c.mu.Unlock()
 	cs := ControllerState{NextJob: c.nextJob}
 	for _, j := range c.jobs {
-		cs.Jobs = append(cs.Jobs, JobState{
-			ID: j.ID, TraceID: j.TraceID, Workload: j.Workload, Goal: j.Goal,
-			Status: j.Status, History: append([]JobStatus(nil), j.History...),
-			Plan: j.Plan, TrainingTime: j.TrainingTime, FinalLoss: j.FinalLoss,
-			Cost: j.Cost, Err: j.Err, Recoveries: j.Recoveries,
-			LostIterations: j.LostIterations, ElasticScales: j.ElasticScales, Seq: j.seq,
-		})
+		js := j.JobState
+		js.History = slices.Clone(js.History)
+		cs.Jobs = append(cs.Jobs, js)
 	}
 	sort.Slice(cs.Jobs, func(i, j int) bool { return cs.Jobs[i].Seq < cs.Jobs[j].Seq })
 	for _, ss := range c.segSnaps {
@@ -226,14 +225,8 @@ func (c *Controller) RestoreState(cs ControllerState) {
 	c.nextJob = cs.NextJob
 	c.jobs = make(map[string]*Job, len(cs.Jobs))
 	for _, js := range cs.Jobs {
-		job := &Job{
-			ID: js.ID, TraceID: js.TraceID, Workload: js.Workload, Goal: js.Goal,
-			Status: js.Status, History: append([]JobStatus(nil), js.History...),
-			Plan: js.Plan, TrainingTime: js.TrainingTime, FinalLoss: js.FinalLoss,
-			Cost: js.Cost, Err: js.Err, Recoveries: js.Recoveries,
-			LostIterations: js.LostIterations, ElasticScales: js.ElasticScales,
-			seq: js.Seq, done: make(chan struct{}),
-		}
+		js.History = slices.Clone(js.History)
+		job := &Job{JobState: js, done: make(chan struct{})}
 		if terminal(job.Status) {
 			close(job.done)
 		}
@@ -266,7 +259,7 @@ func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 	for _, j := range c.jobs {
 		jobs = append(jobs, j)
 	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].seq < jobs[j].seq })
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Seq < jobs[j].Seq })
 	segs := make(map[string]bool, len(c.segSnaps))
 	for id := range c.segSnaps {
 		segs[id] = true
@@ -298,7 +291,7 @@ func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 // restart recovery: a crash between finalize and teardown leaves a
 // terminal job with live instances.
 func (c *Controller) TeardownJob(id string) {
-	c.teardown(&Job{ID: id})
+	c.teardown(&Job{JobState: JobState{ID: id}})
 }
 
 // ResumeJob continues a restored in-flight job from its last durability
@@ -322,15 +315,15 @@ func (c *Controller) ResumeJob(id string) (*Job, error) {
 	defer co.running.Add(-1)
 	st, err := c.restoreRunState(job, ss)
 	if err != nil {
-		return c.failJob(&runState{job: job, handled: map[string]bool{}}, err)
+		return c.failJob(&runState{job: job}, err)
 	}
 	run := func() (*Job, error) {
-		if st.phase == PhaseRecovery {
+		if st.Phase == PhaseRecovery {
 			if err := c.recoverJob(st); err != nil {
 				return nil, err
 			}
 		}
-		if st.phase != PhaseFinal {
+		if st.Phase != PhaseFinal {
 			if err := c.runSegments(st); err != nil {
 				return nil, err
 			}
@@ -356,23 +349,11 @@ func (c *Controller) restoreRunState(job *Job, ss SegmentState) (*runState, erro
 	if err != nil {
 		return nil, err
 	}
-	st := &runState{
-		job: job, w: job.Workload, goal: job.Goal, prof: prof,
-		plan: ss.Plan, ranked: append([]plan.Plan(nil), ss.Ranked...),
-		rc:         c.Recovery.withDefaults(ss.TotalIters),
-		totalIters: ss.TotalIters, done: ss.Done, lost: ss.Lost,
-		segLost: ss.SegLost, pendingPreempt: ss.PendingPreempt,
-		elapsed: ss.Elapsed, cost: ss.Cost, finalLoss: ss.FinalLoss,
-		recoveries: ss.Recoveries, handled: make(map[string]bool, len(ss.Handled)),
-		burnProv: ss.BurnProv, burnTrain: ss.BurnTrain, burnRec: ss.BurnRec,
-		phase:  ss.Phase,
-		market: ss.Market, bid: ss.BidPerHour, lastEvalSec: ss.LastEvalSec,
-		elasticSegs: ss.ElasticSegs, scales: ss.Scales,
-	}
-	for _, id := range ss.Handled {
-		st.handled[id] = true
-	}
-	return st, nil
+	return &runState{
+		SegmentState: ss.clone(),
+		job:          job, w: job.Workload, goal: job.Goal, prof: prof,
+		rc: c.Recovery.withDefaults(ss.TotalIters),
+	}, nil
 }
 
 // barrier publishes the job's segment state and calls the durability
@@ -381,13 +362,13 @@ func (c *Controller) restoreRunState(job *Job, ss SegmentState) (*runState, erro
 // ExportState is always crash-consistent (and a finished job's entry is
 // gone regardless of who is watching).
 func (c *Controller) barrier(st *runState, phase Phase) error {
-	st.phase = phase
+	st.Phase = phase
 	if phase != PhaseRecoveryMid && phase != PhaseElastic { // kill-check-only barriers
 		c.mu.Lock()
 		if phase == PhaseDone {
 			delete(c.segSnaps, st.job.ID)
 		} else {
-			c.segSnaps[st.job.ID] = st.toSegmentState()
+			c.segSnaps[st.job.ID] = st.SegmentState.clone()
 		}
 		c.mu.Unlock()
 	}
@@ -403,10 +384,9 @@ func (m *Master) ExportState() MasterState {
 	defer m.mu.Unlock()
 	ms := MasterState{NextPod: m.nextPod}
 	for _, n := range m.nodes {
-		ms.Nodes = append(ms.Nodes, NodeState{
-			Name: n.Name, InstanceID: n.InstanceID, Type: n.Type,
-			Cores: n.Cores, Used: append([]string(nil), n.used...),
-		})
+		ns := n.NodeState
+		ns.Used = slices.Clone(ns.Used)
+		ms.Nodes = append(ms.Nodes, ns)
 	}
 	sort.Slice(ms.Nodes, func(i, j int) bool { return ms.Nodes[i].Name < ms.Nodes[j].Name })
 	for _, p := range m.pods {
@@ -425,10 +405,8 @@ func (m *Master) RestoreState(ms MasterState) {
 	m.nextPod = ms.NextPod
 	m.nodes = make(map[string]*Node, len(ms.Nodes))
 	for _, ns := range ms.Nodes {
-		m.nodes[ns.Name] = &Node{
-			Name: ns.Name, InstanceID: ns.InstanceID, Type: ns.Type,
-			Cores: ns.Cores, used: append([]string(nil), ns.Used...),
-		}
+		ns.Used = slices.Clone(ns.Used)
+		m.nodes[ns.Name] = &Node{NodeState: ns}
 	}
 	m.pods = make(map[string]*Pod, len(ms.Pods))
 	for _, p := range ms.Pods {

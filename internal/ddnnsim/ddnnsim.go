@@ -288,8 +288,6 @@ func Run(w *model.Workload, cluster ClusterSpec, opt Options) (*Result, error) {
 					journal.Fint("checkpoint_iter", res.CheckpointIter),
 					journal.Fint("lost_iterations", res.LostIterations))
 			}
-			obs.Debugf("ddnnsim: fault %s[%d] at %.1fs after %d/%d iterations (%d checkpointed, %d lost)",
-				fault.Role, fault.Index, end, s.completed, iters, res.CheckpointIter, res.LostIterations)
 			return res, nil
 		}
 		return nil, fmt.Errorf("ddnnsim: horizon %.1fs reached after %d/%d iterations",

@@ -181,6 +181,11 @@ func New(capacity int, opts ...Option) *Journal {
 // Append assigns the event its journal and per-source sequence numbers,
 // stores it, and returns the journal-wide sequence number. Steady-state
 // appends (every source already seen, no sink) do not allocate.
+//
+// A sink write error is not returned: emitters cannot act on it, and a
+// durable sink must make it sticky instead. The WAL does, so the next
+// Sync fails and the barrier that needs this event durable refuses to
+// acknowledge.
 func (j *Journal) Append(e Event) uint64 {
 	j.mu.Lock()
 	j.seq++
@@ -201,7 +206,7 @@ func (j *Journal) Append(e Event) uint64 {
 	j.ring[slot] = e
 	if j.sink != nil {
 		j.scratch = AppendJSONL(j.scratch[:0], e)
-		_, _ = j.sink.Write(j.scratch)
+		_, _ = j.sink.Write(j.scratch) // see the doc comment
 	}
 	seq := e.Seq
 	j.mu.Unlock()

@@ -84,10 +84,12 @@ type WAL struct {
 	unsynced int   // appends since the last fsync
 	scratch  []byte
 	closed   bool
-	// syncErr is the first fsync failure. It is sticky: the records that
-	// sync covered may never reach stable storage, and a retry cannot tell,
-	// so every later Append and Sync returns it.
-	syncErr error
+	// err is the first failed segment write or fsync. It is sticky: a
+	// failed write can leave a hole or a torn frame (recovery truncates
+	// there and drops every later record), and the records a failed fsync
+	// covered may never reach stable storage. A retry cannot tell, so
+	// every later Append and Sync returns it.
+	err error
 }
 
 // segmentName formats the file name of segment i.
@@ -185,8 +187,8 @@ func (w *WAL) openSegment(i int) error {
 		return nil
 	}
 	if err := syncDir(w.dir); err != nil {
-		w.syncErr = fmt.Errorf("wal: directory fsync failed, log no longer durable: %w", err)
-		return w.syncErr
+		w.err = fmt.Errorf("wal: directory fsync failed, log no longer durable: %w", err)
+		return w.err
 	}
 	return nil
 }
@@ -263,8 +265,8 @@ func (w *WAL) Append(payload []byte) error {
 	if w.closed {
 		return errors.New("wal: closed")
 	}
-	if w.syncErr != nil {
-		return w.syncErr
+	if w.err != nil {
+		return w.err
 	}
 	if w.segSize >= w.opts.SegmentBytes && w.segSize > 0 {
 		if err := w.syncLocked(); err != nil {
@@ -285,7 +287,8 @@ func (w *WAL) Append(payload []byte) error {
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 	buf = append(buf, payload...)
 	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		w.err = fmt.Errorf("wal: write failed, log no longer durable: %w", err)
+		return w.err
 	}
 	w.scratch = buf[:0]
 	w.segSize += int64(need)
@@ -317,18 +320,18 @@ func (w *WAL) Sync() error {
 
 // syncLocked fsyncs the active segment if any append is unsynced. The
 // unsynced count is cleared only after a successful fsync; a failure is
-// recorded in syncErr and returned from then on.
+// recorded in err and returned from then on.
 func (w *WAL) syncLocked() error {
-	if w.syncErr != nil {
-		return w.syncErr
+	if w.err != nil {
+		return w.err
 	}
 	if w.unsynced == 0 || w.opts.NoSync {
 		w.unsynced = 0
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
-		w.syncErr = fmt.Errorf("wal: fsync failed, log no longer durable: %w", err)
-		return w.syncErr
+		w.err = fmt.Errorf("wal: fsync failed, log no longer durable: %w", err)
+		return w.err
 	}
 	w.unsynced = 0
 	return nil

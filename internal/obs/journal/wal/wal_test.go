@@ -333,6 +333,46 @@ func TestFailedSyncIsSticky(t *testing.T) {
 	}
 }
 
+// TestFailedWriteIsSticky: a failed segment write may leave a hole or a
+// torn frame, so no later Sync or Append may report success. Otherwise
+// the next barrier would acknowledge a log that recovery truncates.
+func TestFailedWriteIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle on the active segment: writes fail, fsync works.
+	ro, err := os.Open(filepath.Join(dir, segmentName(w.segIndex)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := w.f
+	w.f = ro
+	if err := w.Append([]byte("b")); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	w.f = rw
+	if err := w.Sync(); err == nil {
+		t.Fatal("sync succeeded after a failed write")
+	}
+	if err := w.Append([]byte("c")); err == nil {
+		t.Fatal("append succeeded after a failed write")
+	}
+	got, err := w.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || string(got[0]) != "a" {
+		t.Fatalf("log holds %q, want only %q", got, "a")
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := LatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {

@@ -1,9 +1,10 @@
 // Package obs is the repo's observability layer: a dependency-free,
 // concurrency-safe metrics registry (counters, gauges, histograms, with
 // optional label families) exposed in Prometheus text format and as JSON
-// snapshots, a structured span/event tracer that exports Chrome
-// trace_event timelines (chrome://tracing, Perfetto), and a small leveled
-// logger that is quiet by default.
+// snapshots, and a structured span/event tracer that exports Chrome
+// trace_event timelines (chrome://tracing, Perfetto). There is no logger:
+// control-plane occurrences go to the flight-recorder journal
+// (internal/obs/journal), and failures are returned or counted.
 //
 // The paper's argument rests on measured quantities — per-iteration time,
 // PS NIC/CPU saturation, straggler-induced barrier waits (Eq. 2-7) — and

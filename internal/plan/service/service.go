@@ -183,10 +183,8 @@ type Service struct {
 	cap     int
 	m       *svcMetrics
 
-	queue  chan *entry
-	wg     sync.WaitGroup
-	ctx    context.Context // cancels in-flight searches on Close
-	cancel context.CancelFunc
+	queue chan *entry
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	entries map[Key]*entry
@@ -216,15 +214,12 @@ func New(cfg Config) *Service {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		prov:    cfg.Provisioner,
 		catalog: cfg.Catalog,
 		cap:     cfg.CacheCapacity,
 		m:       newSvcMetrics(reg),
 		queue:   make(chan *entry, cfg.QueueDepth),
-		ctx:     ctx,
-		cancel:  cancel,
 		entries: make(map[Key]*entry),
 	}
 	s.lru.Init()
@@ -251,7 +246,6 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	close(s.queue)
 	s.wg.Wait()
-	s.cancel()
 }
 
 // Stats returns a snapshot of the service counters.
@@ -374,7 +368,7 @@ func (s *Service) worker() {
 // but not cached, so the next identical request retries.
 func (s *Service) runSearch(e *entry) {
 	start := time.Now()
-	res, err := plan.SearchWith(s.ctx, s.prov, e.req)
+	res, err := plan.SearchWith(context.Background(), s.prov, e.req)
 	s.m.searchSec.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
 	e.res, e.err = res, err

@@ -5,6 +5,7 @@
 //	experiments                # run everything at full scale
 //	experiments -scale 0.1     # 10x shorter runs
 //	experiments -only figure6  # one experiment
+//	experiments -format csv    # text (default), csv, markdown, or json
 //	experiments -list
 package main
 
@@ -31,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed   = fs.Int64("seed", 1, "random seed")
 		only   = fs.String("only", "", "run a single experiment id")
 		list   = fs.Bool("list", false, "list experiment ids")
-		format = fs.String("format", "text", "output format: text, csv, or json")
+		format = fs.String("format", "text", "output format: text, csv, markdown, or json")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -142,6 +142,10 @@ func setup(gpu, pprofOn bool, stateDir string) (http.Handler, *cluster.API, *clu
 // jobs after the listener closes.
 const drainTimeout = 30 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one that never finishes them cannot hold a connection.
+const readHeaderTimeout = 10 * time.Second
+
 func run(addr string, gpu, pprofOn bool, stateDir string) error {
 	handler, api, master, catalog, mgr, err := setup(gpu, pprofOn, stateDir)
 	if err != nil {
@@ -166,7 +170,7 @@ func run(addr string, gpu, pprofOn bool, stateDir string) error {
 	// plan service shuts down.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	select {

@@ -16,7 +16,6 @@ import (
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
-	"cynthia/internal/sweep"
 )
 
 func main() {
@@ -75,26 +74,26 @@ func run(workloadList, typeList, workerList, psList string, iterations, parallel
 		return err
 	}
 
-	points := sweep.Grid(ws, ts, workers, ps, iterations, seed)
+	points := grid(ws, ts, workers, ps, iterations, seed)
 	fmt.Printf("sweeping %d configurations (%d iterations each)...\n\n", len(points), iterations)
-	outcomes := sweep.Run(points, parallel)
+	outcomes := simulate(points, parallel)
 
 	fmt.Printf("%-36s %12s %10s %10s %10s %10s\n",
 		"configuration", "time(s)", "s/iter", "wkCPU", "psNIC", "cost($)")
 	for _, oc := range outcomes {
-		if oc.Err != nil {
-			fmt.Printf("%-36s ERROR: %v\n", oc.Point.Label, oc.Err)
+		if oc.err != nil {
+			fmt.Printf("%-36s ERROR: %v\n", oc.point.label, oc.err)
 			continue
 		}
-		r := oc.Result
-		spec := oc.Point.Cluster
+		r := oc.result
+		spec := oc.point.cluster
 		cost := spec.HourlyCost() * r.TrainingTime / 3600
 		fmt.Printf("%-36s %12.1f %10.3f %9.1f%% %9.1f%% %10.3f\n",
-			oc.Point.Label, r.TrainingTime, r.MeanIterTime,
+			oc.point.label, r.TrainingTime, r.MeanIterTime,
 			r.MeanWorkerCPUUtil()*100, r.PSNICUtil[0]*100, cost)
 	}
-	if best, err := sweep.Best(outcomes); err == nil {
-		fmt.Printf("\nfastest: %s (%.1fs)\n", best.Point.Label, best.Result.TrainingTime)
+	if b, err := best(outcomes); err == nil {
+		fmt.Printf("\nfastest: %s (%.1fs)\n", b.point.label, b.result.TrainingTime)
 	}
 	return nil
 }

@@ -100,7 +100,7 @@ func NewCatalog(types ...InstanceType) (*Catalog, error) {
 func (c *Catalog) ID() uint64 { return c.id }
 
 // Epoch returns the mutation epoch: 0 for a freshly built catalog,
-// incremented by every SetPrice, Upsert, or Remove. Plan caches key on
+// incremented by every SetPrice or SetSpotPrice. Plan caches key on
 // (ID, Epoch, workload fingerprint), so reading the epoch before a search
 // and keying the result on it makes stale cache entries unreachable the
 // instant the catalog changes.
@@ -119,31 +119,6 @@ func (c *Catalog) SetPrice(name string, pricePerHour float64) error {
 	}
 	t.PricePerHour = pricePerHour
 	c.types[name] = t
-	c.epoch.Add(1)
-	return nil
-}
-
-// Upsert adds or replaces one instance type and bumps the epoch.
-func (c *Catalog) Upsert(t InstanceType) error {
-	if err := validateType(t); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.types[t.Name] = t
-	c.epoch.Add(1)
-	return nil
-}
-
-// Remove deletes one instance type and bumps the epoch.
-func (c *Catalog) Remove(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.types[name]; !ok {
-		return fmt.Errorf("cloud: unknown instance type %q", name)
-	}
-	delete(c.types, name)
-	delete(c.spot, name)
 	c.epoch.Add(1)
 	return nil
 }

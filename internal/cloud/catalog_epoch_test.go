@@ -20,14 +20,11 @@ func TestCatalogEpochBumpsOnMutation(t *testing.T) {
 	if err != nil || got.PricePerHour != 0.25 {
 		t.Errorf("Lookup after SetPrice = %+v, %v", got, err)
 	}
-	if err := c.Upsert(InstanceType{Name: "x1.new", GFLOPS: 1, NetMBps: 1, PricePerHour: 1}); err != nil {
+	if err := c.SetSpotPrice(M4XLarge, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("x1.new"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Epoch() != 3 {
-		t.Errorf("epoch after SetPrice+Upsert+Remove = %d, want 3", c.Epoch())
+	if c.Epoch() != 2 {
+		t.Errorf("epoch after SetPrice+SetSpotPrice = %d, want 2", c.Epoch())
 	}
 }
 
@@ -39,11 +36,8 @@ func TestCatalogMutationValidation(t *testing.T) {
 	if err := c.SetPrice("no-such-type", 1); err == nil {
 		t.Error("repricing an unknown type accepted")
 	}
-	if err := c.Remove("no-such-type"); err == nil {
-		t.Error("removing an unknown type accepted")
-	}
-	if err := c.Upsert(InstanceType{Name: "", GFLOPS: 1, NetMBps: 1, PricePerHour: 1}); err == nil {
-		t.Error("upserting a nameless type accepted")
+	if err := c.SetSpotPrice("no-such-type", 1); err == nil {
+		t.Error("spot-pricing an unknown type accepted")
 	}
 	if c.Epoch() != 0 {
 		t.Errorf("rejected mutations bumped the epoch to %d", c.Epoch())

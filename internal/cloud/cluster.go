@@ -57,15 +57,6 @@ func (c ClusterSpec) MinWorkerGFLOPS() float64 {
 	return minC
 }
 
-// TotalWorkerGFLOPS sums worker CPU capability.
-func (c ClusterSpec) TotalWorkerGFLOPS() float64 {
-	total := 0.0
-	for _, w := range c.Workers {
-		total += w.GFLOPS
-	}
-	return total
-}
-
 // TotalPSGFLOPS sums PS CPU capability (csupply in the paper's Sec. 3).
 func (c ClusterSpec) TotalPSGFLOPS() float64 {
 	total := 0.0

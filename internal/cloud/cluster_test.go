@@ -57,10 +57,6 @@ func TestClusterAggregates(t *testing.T) {
 	if got := spec.MinWorkerGFLOPS(); got != m1.GFLOPS {
 		t.Errorf("MinWorkerGFLOPS = %v, want %v", got, m1.GFLOPS)
 	}
-	wantTotal := 2*m4.GFLOPS + 2*m1.GFLOPS
-	if got := spec.TotalWorkerGFLOPS(); math.Abs(got-wantTotal) > 1e-12 {
-		t.Errorf("TotalWorkerGFLOPS = %v, want %v", got, wantTotal)
-	}
 	if got := spec.TotalPSGFLOPS(); math.Abs(got-2*m4.GFLOPS) > 1e-12 {
 		t.Errorf("TotalPSGFLOPS = %v", got)
 	}
@@ -75,7 +71,7 @@ func TestClusterAggregates(t *testing.T) {
 
 func TestEmptyClusterAggregates(t *testing.T) {
 	var spec ClusterSpec
-	if spec.MinWorkerGFLOPS() != 0 || spec.TotalWorkerGFLOPS() != 0 ||
+	if spec.MinWorkerGFLOPS() != 0 ||
 		spec.TotalPSGFLOPS() != 0 || spec.TotalPSNetMBps() != 0 || spec.HourlyCost() != 0 {
 		t.Error("empty cluster aggregates should be zero")
 	}

@@ -188,16 +188,6 @@ func (p *Provider) MasterKillDue() bool {
 	return true
 }
 
-// MasterKillsTaken returns how many scheduled master kills have fired.
-func (p *Provider) MasterKillsTaken() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fault == nil {
-		return 0
-	}
-	return p.fault.KillsTaken
-}
-
 // SetMasterKillsTaken overrides the consumed-kill count. Restart
 // harnesses call this after restoring a snapshot: the snapshot's world
 // predates the kill that crashed it, so the count must come from the

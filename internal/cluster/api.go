@@ -34,9 +34,9 @@ import (
 // tear down) and returns the finished Job; ?wait=false returns 202 with
 // the job ID immediately. A full queue — or an overloaded plan service —
 // is 429 with Retry-After; a submission the durable tier could not record
-// is 503 with Retry-After. POST /api/plan answers through the plan
-// service's cross-request cache and reports how via the X-Cache header
-// (hit, miss, or coalesced).
+// is 503 with Retry-After. A POST body over maxRequestBody is 413.
+// POST /api/plan answers through the plan service's cross-request cache
+// and reports how via the X-Cache header (hit, miss, or coalesced).
 type API struct {
 	master     *Master
 	controller *Controller
@@ -231,17 +231,21 @@ func (a *API) getTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	events := a.master.Journal().JobEvents(id)
 	tl := journal.BuildTimeline(id, events)
+	var err error
 	switch r.URL.Query().Get("format") {
 	case "", "json":
 		writeJSON(w, http.StatusOK, tl)
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = tl.WriteText(w)
+		err = tl.WriteText(w)
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		_ = tl.WriteChromeTrace(w)
+		err = tl.WriteChromeTrace(w)
 	default:
 		writeError(w, http.StatusBadRequest, "bad format %q (want json, text, or chrome)", r.URL.Query().Get("format"))
+	}
+	if err != nil {
+		writeErrorsCounter().Inc()
 	}
 }
 
@@ -281,13 +285,17 @@ func (a *API) getJournal(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxRequestBody bounds a submission or quote body. A real payload is
+// under 200 bytes.
+const maxRequestBody = 64 << 10
+
 // decodeJobRequest parses and validates the submission/quote payload.
-func decodeJobRequest(r *http.Request) (*model.Workload, plan.Goal, error) {
+func decodeJobRequest(w http.ResponseWriter, r *http.Request) (*model.Workload, plan.Goal, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, plan.Goal{}, fmt.Errorf("bad request body: %v", err)
+		return nil, plan.Goal{}, fmt.Errorf("bad request body: %w", err)
 	}
 	if strings.TrimSpace(req.Workload) == "" {
 		return nil, plan.Goal{}, fmt.Errorf("workload is required")
@@ -303,10 +311,20 @@ func decodeJobRequest(r *http.Request) (*model.Workload, plan.Goal, error) {
 	return workload, goal, nil
 }
 
+// decodeStatus is the status for a decodeJobRequest error: 413 for an
+// oversized body, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (a *API) postJob(w http.ResponseWriter, r *http.Request) {
-	workload, goal, err := decodeJobRequest(r)
+	workload, goal, err := decodeJobRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, decodeStatus(err), "%v", err)
 		return
 	}
 	wait := true
@@ -387,9 +405,9 @@ type PlanResponse struct {
 // coalescing, admission control). Overload is 429 + Retry-After;
 // planning failures (e.g. an unreachable loss target) are 422.
 func (a *API) postPlan(w http.ResponseWriter, r *http.Request) {
-	workload, goal, err := decodeJobRequest(r)
+	workload, goal, err := decodeJobRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, decodeStatus(err), "%v", err)
 		return
 	}
 	traceID := r.Header.Get("X-Trace-ID")

@@ -124,6 +124,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected pins the request-body bound: a 1 MiB body is
+// 413 on both POST routes, and no job is registered.
+func TestOversizedBodyRejected(t *testing.T) {
+	api, _ := newTestAPI(t)
+	h := api.Handler()
+	body := `{"workload": "` + strings.Repeat("x", 1<<20) + `"}`
+	for _, path := range []string{"/api/jobs", "/api/plan"} {
+		rec, _ := doJSON(t, h, "POST", path, body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 1 MiB body = %d, want 413", path, rec.Code)
+		}
+	}
+	if jobs := api.controller.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized submission registered %d jobs", len(jobs))
+	}
+}
+
 func TestSubmitUnreachableLossReturnsJobRecord(t *testing.T) {
 	api, _ := newTestAPI(t)
 	rec, out := doJSON(t, api.Handler(), "POST", "/api/jobs",

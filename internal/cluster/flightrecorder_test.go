@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -53,6 +54,28 @@ func TestDebugTimelineEndpoint(t *testing.T) {
 	rec, _ = doJSON(t, h, "GET", "/debug/jobs/ghost/timeline", "")
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("missing job timeline = %d, want 404", rec.Code)
+	}
+}
+
+// TestTimelineWriteFailuresAreCounted pins that the text and Chrome
+// renderings count a failed write in cluster_api_write_errors, as the
+// JSON rendering does.
+func TestTimelineWriteFailuresAreCounted(t *testing.T) {
+	api, _ := newTestAPI(t)
+	h := api.Handler()
+	rec, out := doJSON(t, h, "POST", "/api/jobs",
+		`{"workload": "mnist DNN", "deadline_sec": 1800, "loss_target": 0.2}`)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
+	}
+	id := out["id"].(string)
+	for _, format := range []string{"text", "chrome"} {
+		before := writeErrorsCounter().Value()
+		req := httptest.NewRequest("GET", "/debug/jobs/"+id+"/timeline?format="+format, nil)
+		h.ServeHTTP(&failingWriter{h: http.Header{}}, req)
+		if got := writeErrorsCounter().Value(); got != before+1 {
+			t.Errorf("format=%s: write errors = %d, want %d", format, got, before+1)
+		}
 	}
 }
 

@@ -47,15 +47,8 @@ type jobQueue struct {
 	closed  bool
 }
 
-// StartQueue spins up the worker pool. It is idempotent and is called
-// lazily by the first Enqueue; call it explicitly only to front-load the
-// goroutines (e.g. before serving traffic).
-func (c *Controller) StartQueue() {
-	c.queue.qmu.Lock()
-	defer c.queue.qmu.Unlock()
-	c.startQueueLocked()
-}
-
+// startQueueLocked spins up the worker pool on the first Enqueue or
+// Requeue. It is idempotent; the caller holds qmu.
 func (c *Controller) startQueueLocked() {
 	q := &c.queue
 	if q.started {

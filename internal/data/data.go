@@ -62,13 +62,6 @@ func MnistLike(rng *rand.Rand, n int) (*Set, error) {
 	return Synthetic(rng, n, 784, 10, 4.0)
 }
 
-// CifarLike generates a small cifar-shaped dataset: 24x24x3 = 1728
-// features (the tutorial's random-crop size), 10 classes, harder
-// separation.
-func CifarLike(rng *rand.Rand, n int) (*Set, error) {
-	return Synthetic(rng, n, 1728, 10, 3.0)
-}
-
 // Split partitions the set into a training prefix and test suffix.
 func (s *Set) Split(trainFrac float64) (train, test *Set, err error) {
 	if trainFrac <= 0 || trainFrac >= 1 {

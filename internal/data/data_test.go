@@ -68,21 +68,13 @@ func TestSyntheticIsLearnable(t *testing.T) {
 	}
 }
 
-func TestMnistLikeAndCifarLike(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m, err := MnistLike(rng, 50)
+func TestMnistLike(t *testing.T) {
+	m, err := MnistLike(rand.New(rand.NewSource(4)), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.X.Cols != 784 || m.Classes != 10 {
 		t.Errorf("mnist-like shape %d/%d", m.X.Cols, m.Classes)
-	}
-	c, err := CifarLike(rng, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.X.Cols != 1728 || c.Classes != 10 {
-		t.Errorf("cifar-like shape %d/%d", c.X.Cols, c.Classes)
 	}
 }
 

@@ -215,24 +215,6 @@ func (r *Result) MeanWorkerCPUUtil() float64 {
 	return sum / float64(len(r.WorkerCPUUtil))
 }
 
-// PSNICAggregate sums the per-PS throughput series into one cluster-level
-// series (bins align because all series share the trace bin width).
-func (r *Result) PSNICAggregate() []float64 {
-	maxLen := 0
-	for _, s := range r.PSNICSeries {
-		if s.Len() > maxLen {
-			maxLen = s.Len()
-		}
-	}
-	out := make([]float64, maxLen)
-	for _, s := range r.PSNICSeries {
-		for i, v := range s.Rates() {
-			out[i] += v
-		}
-	}
-	return out
-}
-
 // Run simulates training the workload on the cluster and returns the
 // result.
 func Run(w *model.Workload, cluster ClusterSpec, opt Options) (*Result, error) {

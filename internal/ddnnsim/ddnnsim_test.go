@@ -383,25 +383,6 @@ func TestBSPIterationAccounting(t *testing.T) {
 	}
 }
 
-func TestPSNICAggregate(t *testing.T) {
-	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 4, 2), Options{Iterations: 100, TraceBin: 1})
-	if len(res.PSNICSeries) != 2 {
-		t.Fatalf("series count = %d, want 2", len(res.PSNICSeries))
-	}
-	agg := res.PSNICAggregate()
-	if len(agg) == 0 {
-		t.Fatal("empty aggregate")
-	}
-	sum := 0.0
-	for _, v := range agg {
-		sum += v
-	}
-	if sum <= 0 {
-		t.Error("aggregate throughput is zero")
-	}
-}
-
 // simRun returns the body the simulator benchmarks time and
 // TestSimAllocCeilings bounds: workload trained for 100 iterations on a
 // homogeneous m4 cluster, with the workload lookup hoisted out.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // WriteCSV emits the table as RFC 4180 CSV: a comment-ish first record
@@ -57,7 +58,7 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 		return err
 	}
 	row := func(cells []string) error {
-		_, err := fmt.Fprintf(w, "| %s |\n", join(cells, " | "))
+		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
 		return err
 	}
 	if err := row(t.Header); err != nil {
@@ -82,17 +83,6 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-func join(cells []string, sep string) string {
-	out := ""
-	for i, c := range cells {
-		if i > 0 {
-			out += sep
-		}
-		out += c
-	}
-	return out
 }
 
 // WriteAll renders tables in the requested format: "text", "csv",

@@ -28,8 +28,8 @@
 // full recompute survives only in the package's tests, as the oracle the
 // incremental allocator is checked against bit for bit.
 //
-// Flow records are recycled. Once a completion batch's callbacks and
-// observer calls have all returned, the engine puts the finished Flows on
+// Flow records are recycled. Once a completion batch's callbacks have all
+// returned, the engine puts the finished Flows on
 // a free list of its own and hands them out again from Submit, so a
 // simulation that keeps a steady number of flows in flight stops
 // allocating them. A *Flow returned by Submit is therefore valid only
@@ -180,7 +180,6 @@ type Flow struct {
 	path      []*Resource
 	rate      float64
 	done      func(now float64)
-	started   float64
 	engine    *Engine
 	seq       int64   // submission sequence: scan order and completion ties
 	settled   float64 // sim time remaining was last settled at
@@ -254,8 +253,7 @@ type Engine struct {
 	finScratch []*Flow
 	allocSizes [len(allocSizeBounds) + 1]int64 // affected flows per recompute
 
-	observer func(f *Flow, start, end float64)
-	stats    EngineStats
+	stats EngineStats
 }
 
 // compSpan delimits one connected component inside Engine.queue (resources)
@@ -280,21 +278,12 @@ type EngineStats struct {
 	AllocSkipped    int64
 	// AllocAffectedFlows totals the flows re-waterfilled across recomputes;
 	// divided by AllocRecomputes it yields the mean affected-component
-	// size, versus ActiveFlows for the full-recompute cost it replaced.
+	// size, versus the active-flow count a full recompute would touch.
 	AllocAffectedFlows int64
 }
 
 // Stats returns the engine's cumulative event counts.
 func (e *Engine) Stats() EngineStats { return e.stats }
-
-// SetFlowObserver installs a callback invoked at every flow completion
-// with the flow and its [start, end] interval in simulated seconds —
-// the hook the simulator uses to build structured trace timelines.
-// Zero-size flows (which complete during Submit) are reported too. The
-// *Flow is recycled after the call, so fn must not retain it.
-func (e *Engine) SetFlowObserver(fn func(f *Flow, start, end float64)) {
-	e.observer = fn
-}
 
 // newEngineAllocStep seeds Engine.allocStep for every engine NewEngine
 // builds, so tests can switch the allocator of engines that other packages
@@ -306,9 +295,6 @@ func NewEngine() *Engine { return &Engine{allocStep: newEngineAllocStep} }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// ActiveFlows returns the number of currently active flows.
-func (e *Engine) ActiveFlows() int { return len(e.active) }
 
 // Submit adds a flow of the given size over path, invoking done (if
 // non-nil) at the simulated instant the flow completes. A flow of size <= 0
@@ -333,12 +319,9 @@ func (e *Engine) Submit(label string, size float64, path []*Resource, done func(
 	} else {
 		f = new(Flow)
 	}
-	*f = Flow{label: label, size: size, remaining: size, path: path, done: done, started: e.now, engine: e, settled: e.now, heapIdx: -1}
+	*f = Flow{label: label, size: size, remaining: size, path: path, done: done, engine: e, settled: e.now, heapIdx: -1}
 	if size <= 0 {
 		e.stats.FlowsCompleted++
-		if e.observer != nil {
-			e.observer(f, e.now, e.now)
-		}
 		if done != nil {
 			done(e.now)
 		}
@@ -533,9 +516,6 @@ func (e *Engine) completeFinished() {
 	}
 	for _, f := range finished {
 		e.stats.FlowsCompleted++
-		if e.observer != nil {
-			e.observer(f, f.started, e.now)
-		}
 		if f.done != nil {
 			f.done(e.now)
 		}
@@ -733,9 +713,6 @@ func NewSeries(binWidth float64) *Series {
 	}
 	return &Series{binWidth: binWidth}
 }
-
-// BinWidth returns the bin width in seconds.
-func (s *Series) BinWidth() float64 { return s.binWidth }
 
 // Accumulate integrates a constant rate over [t0, t1) into the bins.
 func (s *Series) Accumulate(t0, t1, rate float64) {

@@ -147,6 +147,24 @@ func (m *MLP) LossAndGrad(x *tensor.Dense, labels []int, g *Gradients) (float64,
 	return loss, nil
 }
 
+// LossAndGradFlat is LossAndGrad with the gradient flattened into gradOut
+// (length NumParams), the layout the parameter servers exchange. It reuses
+// a cached gradient holder: an MLP replica is owned by one worker
+// goroutine.
+func (m *MLP) LossAndGradFlat(x *tensor.Dense, labels []int, gradOut []float64) (float64, error) {
+	if m.scratch == nil {
+		m.scratch = m.NewGradients()
+	}
+	loss, err := m.LossAndGrad(x, labels, m.scratch)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.FlattenGrads(m.scratch, gradOut); err != nil {
+		return 0, err
+	}
+	return loss, nil
+}
+
 // Loss computes the mean cross-entropy without gradients.
 func (m *MLP) Loss(x *tensor.Dense, labels []int) (float64, error) {
 	probs := m.Forward(x).Clone()

@@ -94,11 +94,6 @@ func F(key, value string) Field { return Field{Key: key, Value: value} }
 // Fint builds an integer field.
 func Fint(key string, v int) Field { return Field{Key: key, Value: strconv.Itoa(v)} }
 
-// Fint64 builds an int64 field.
-func Fint64(key string, v int64) Field {
-	return Field{Key: key, Value: strconv.FormatInt(v, 10)}
-}
-
 // Ffloat builds a float field using the shortest representation that
 // round-trips (the same contract encoding/json gives the golden corpus).
 func Ffloat(key string, v float64) Field {

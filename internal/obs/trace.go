@@ -84,16 +84,6 @@ func (t *Tracer) Instant(pid, tid int, cat, name string, tsSec float64) {
 		Args: map[string]any{"s": "t"}})
 }
 
-// CounterSample records a ph="C" counter event, rendered by trace viewers
-// as a stacked time series (e.g. NIC MB/s over the run).
-func (t *Tracer) CounterSample(pid int, name string, tsSec float64, values map[string]float64) {
-	args := make(map[string]any, len(values))
-	for k, v := range values {
-		args[k] = v
-	}
-	t.append(TraceEvent{Name: name, Ph: "C", Ts: tsSec * 1e6, Pid: pid, Args: args})
-}
-
 // ProcessName labels a pid track in the viewer.
 func (t *Tracer) ProcessName(pid int, name string) {
 	t.append(TraceEvent{Name: "process_name", Ph: "M", Pid: pid,

@@ -163,12 +163,6 @@ func MaxRatio(p *perf.Profile, t cloud.InstanceType) float64 {
 	return math.Min(rCPU, rNet)
 }
 
-// IterationsFor solves the loss model for the iteration budget reaching
-// the target at n workers (Eq. 15 for BSP, the ASP inversion of Eq. 1).
-func IterationsFor(w *model.Workload, lg float64, n int) (int, error) {
-	return w.IterationsToLoss(lg, n)
-}
-
 // ComputeBounds evaluates Theorem 4.1 for one instance type.
 func ComputeBounds(p *perf.Profile, t cloud.InstanceType, goal Goal) (Bounds, error) {
 	if err := p.Validate(); err != nil {

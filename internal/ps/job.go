@@ -13,14 +13,8 @@ import (
 // JobConfig describes a complete local training job: PS shards and workers
 // all run in this process over real TCP loopback connections.
 type JobConfig struct {
-	// Sizes is the MLP layer layout, e.g. [784, 512, 512, 10]. Ignored
-	// when ModelFactory is set.
+	// Sizes is the MLP layer layout, e.g. [784, 512, 512, 10].
 	Sizes []int
-	// ModelFactory, when non-nil, builds each replica (and the reference
-	// model) from a seed — the hook for training ConvNets or custom
-	// architectures. Every invocation with the same seed must produce
-	// identically initialized models.
-	ModelFactory func(seed int64) (nn.Model, error)
 	// Sync is BSP or ASP.
 	Sync model.SyncMode
 	// Workers and Servers are the cluster shape.
@@ -50,7 +44,7 @@ type JobResult struct {
 	// ServerStats holds each shard's counters.
 	ServerStats []ServerStats
 	// FinalModel is a replica loaded with the final parameters.
-	FinalModel nn.Model
+	FinalModel *nn.MLP
 	// TrainAccuracy is the final model's accuracy on the full dataset.
 	TrainAccuracy float64
 	// MeanFinalLoss averages the last mini-batch loss across workers.
@@ -67,13 +61,12 @@ func RunLocalJob(cfg JobConfig) (*JobResult, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("ps: job has no dataset")
 	}
-	factory := cfg.ModelFactory
-	if factory == nil {
-		factory = func(seed int64) (nn.Model, error) {
-			return nn.NewMLP(cfg.Sizes, rand.New(rand.NewSource(seed)))
-		}
+	// Every replica, and the reference model, starts from the same seed,
+	// so all of them are initialized identically.
+	newMLP := func() (*nn.MLP, error) {
+		return nn.NewMLP(cfg.Sizes, rand.New(rand.NewSource(cfg.Seed)))
 	}
-	ref, err := factory(cfg.Seed)
+	ref, err := newMLP()
 	if err != nil {
 		return nil, err
 	}
@@ -133,12 +126,12 @@ func RunLocalJob(cfg JobConfig) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		replica, err := factory(cfg.Seed)
+		replica, err := newMLP()
 		if err != nil {
 			return nil, err
 		}
 		wg.Add(1)
-		go func(w int, replica nn.Model, shard *data.Set) {
+		go func(w int, replica *nn.MLP, shard *data.Set) {
 			defer wg.Done()
 			stats, err := RunWorker(WorkerConfig{
 				ID:         w,
@@ -169,7 +162,7 @@ func RunLocalJob(cfg JobConfig) (*JobResult, error) {
 		copy(final[lo:hi], srv.Params())
 		res.ServerStats = append(res.ServerStats, srv.Stats())
 	}
-	fm, err := factory(cfg.Seed)
+	fm, err := newMLP()
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"cynthia/internal/nn"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,54 +229,5 @@ func TestSSPBoundedJobTrains(t *testing.T) {
 func TestNegativeStalenessRejected(t *testing.T) {
 	if _, err := NewServer(ServerConfig{Init: []float64{1}, Workers: 1, LR: 0.1, MaxStaleness: -1}); err == nil {
 		t.Error("negative staleness accepted")
-	}
-}
-
-func TestLocalJobTrainsConvNet(t *testing.T) {
-	// Real distributed training of a real CNN over TCP: the cifar10-DNN
-	// regime of the paper, end to end.
-	const h, w, c = 8, 8, 1
-	set, err := data.Synthetic(rand.New(rand.NewSource(21)), 256, h*w*c, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := func(seed int64) (nn.Model, error) {
-		cn, err := nn.NewConvNet(h, w, c, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, err
-		}
-		if err := cn.AddConv(6, 3, 1); err != nil {
-			return nil, err
-		}
-		if err := cn.AddReLU(); err != nil {
-			return nil, err
-		}
-		if err := cn.AddMaxPool(2, 2); err != nil {
-			return nil, err
-		}
-		if err := cn.AddDense(4); err != nil {
-			return nil, err
-		}
-		return cn, nil
-	}
-	res, err := RunLocalJob(JobConfig{
-		ModelFactory: factory,
-		Sync:         model.BSP,
-		Workers:      2,
-		Servers:      2,
-		Dataset:      set,
-		Batch:        16,
-		Iterations:   60,
-		LR:           0.1,
-		Seed:         8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanFinalLoss >= res.MeanInitialLoss*0.5 {
-		t.Errorf("conv loss %.3f -> %.3f", res.MeanInitialLoss, res.MeanFinalLoss)
-	}
-	if res.TrainAccuracy < 0.85 {
-		t.Errorf("conv accuracy = %v", res.TrainAccuracy)
 	}
 }

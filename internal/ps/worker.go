@@ -24,9 +24,9 @@ type WorkerConfig struct {
 	ID int
 	// Servers are the PS shard addresses, in shard order.
 	Servers []string
-	// Model is the worker's local replica — any nn.Model (MLP, ConvNet);
-	// its parameter layout defines the flat vector the shards partition.
-	Model nn.Model
+	// Model is the worker's local replica; its parameter layout defines
+	// the flat vector the shards partition.
+	Model *nn.MLP
 	// Train is this worker's data shard.
 	Train *data.Set
 	// Batch is the per-worker mini-batch size.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress bench coverage fuzz-smoke crash-smoke check
+.PHONY: all build vet test race stress bench bench-smoke coverage fuzz-smoke crash-smoke check
 
 all: check
 
@@ -29,6 +29,11 @@ stress:
 # is measured end to end by `bash cmd/cynthiabench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs every benchmark exactly once, so a benchmark that
+# panics or no longer builds fails CI instead of rotting unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # coverage enforces per-package statement-coverage floors on the search
 # core, the flow model, the training simulator, and the recovery state

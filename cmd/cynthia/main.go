@@ -143,7 +143,7 @@ func runControlled(workloadName, workloadFile string, deadline, lossTarget float
 			return err
 		}
 		provider.SetMarket(m)
-		ctl.Elastic = cluster.ElasticConfig{Enabled: true, Market: m, Strategy: strat}
+		ctl.SpotStrategy = strat
 		fmt.Printf("spot market: %d price traces (%s), %s bidding\n",
 			len(set.Traces), set.Name, strat)
 	}

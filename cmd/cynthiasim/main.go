@@ -76,7 +76,7 @@ func run(workloadName string, workers, ps int, typeName string, stragglers bool,
 	}
 	var tracer *obs.Tracer
 	if traceOut != "" {
-		tracer = obs.NewTracer()
+		tracer = new(obs.Tracer)
 		opt.Trace = tracer
 	}
 	res, err := ddnnsim.Run(w, spec, opt)

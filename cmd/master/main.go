@@ -59,10 +59,11 @@ func main() {
 // A non-empty stateDir makes the control plane durable: the journal
 // writes ahead to a WAL in that directory, the controller snapshots the
 // world at durability barriers, and — when the directory already holds
-// state — the world is rebuilt from it, queued jobs are re-enqueued,
-// and in-flight jobs resume in the background. The returned manager is
-// nil without a state dir; with one, the caller owns its final
-// snapshot and Close on shutdown.
+// state — the world is rebuilt from it and every unfinished job goes back
+// on the workqueue: in-flight jobs resume from their last barrier, queued
+// ones start from the top. The returned manager is nil without a state
+// dir; with one, the caller owns its final snapshot and Close on
+// shutdown.
 func setup(gpu, pprofOn bool, stateDir string) (http.Handler, *cluster.API, *cluster.Master, *cloud.Catalog, *replay.Manager, error) {
 	master, err := cluster.NewMaster()
 	if err != nil {
@@ -107,19 +108,15 @@ func setup(gpu, pprofOn bool, stateDir string) (http.Handler, *cluster.API, *clu
 			mgr.Close()
 			return nil, nil, nil, nil, nil, err
 		}
-		for _, id := range queued {
-			// Requeue waits for queue space, so an error means the job
-			// cannot run at all; refuse to serve rather than strand it.
+		// Requeue waits for queue space, so an error means the job cannot
+		// run at all; refuse to serve rather than strand it. Resumed jobs
+		// go first and, like queued ones, run on the workqueue, so
+		// QueueWorkers bounds them and Drain waits for them.
+		for _, id := range append(resume, queued...) {
 			if err := controller.Requeue(id); err != nil {
 				mgr.Close()
 				return nil, nil, nil, nil, nil, fmt.Errorf("requeue %s after restart: %w", id, err)
 			}
-		}
-		for _, id := range resume {
-			id := id
-			// ResumeJob blocks until the job reaches a terminal state; the
-			// outcome lands on the job record like any queued run's.
-			go func() { _, _ = controller.ResumeJob(id) }()
 		}
 	}
 	api := cluster.NewAPI(master, controller)

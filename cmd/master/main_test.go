@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,11 @@ import (
 	"testing"
 
 	"cynthia/internal/cloud"
+	"cynthia/internal/cluster"
+	"cynthia/internal/cluster/replay"
+	"cynthia/internal/model"
+	"cynthia/internal/obs/journal"
+	"cynthia/internal/plan"
 )
 
 func newTestServer(t *testing.T, gpu bool) *httptest.Server {
@@ -384,5 +390,96 @@ func TestGPUFlagSelectsExtendedCatalog(t *testing.T) {
 	}
 	if ext.Len() <= def.Len() {
 		t.Errorf("extended catalog (%d types) not larger than default (%d)", ext.Len(), def.Len())
+	}
+}
+
+// TestMetricsServed pins that the control plane's own counters are
+// readable: after one submission, GET /metrics carries the controller's
+// and the plan service's families.
+func TestMetricsServed(t *testing.T) {
+	srv := newTestServer(t, false)
+	body := `{"workload": "mnist DNN", "deadline_sec": 3600, "loss_target": 0.2}`
+	resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /api/jobs: %s", resp.Status)
+	}
+	metrics := getBody(t, srv.URL+"/metrics")
+	for _, family := range []string{"cynthia_jobs_total", "cynthia_plansvc_requests_total"} {
+		if !strings.Contains(metrics, family) {
+			t.Errorf("/metrics lacks %s", family)
+		}
+	}
+}
+
+// crashMidSegment writes a state dir in which n jobs were cut mid-segment:
+// a durable world whose fault plan kills the master at each job's first
+// segment barrier, as a crashed cmd/master leaves it.
+func crashMidSegment(t *testing.T, dir string, n int) {
+	t.Helper()
+	mgr, err := replay.Open(dir, replay.Options{Mode: replay.ModeResume, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	master, err := cluster.NewMaster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.SetJournal(journal.New(journal.DefaultCapacity, journal.WithSink(mgr)), nil)
+	provider := cloud.NewProvider(cloud.DefaultCatalog(), func() float64 { return 0 })
+	provider.SetJournal(master.Journal())
+	provider.SetFaultPlan(cloud.FaultPlan{KillMasterAtSec: make([]float64, n)})
+	ctl := cluster.NewController(master, provider, nil, "")
+	ctl.Durability = mgr
+	mgr.Attach(ctl, master, provider, master.Journal())
+	w, err := model.WorkloadByName("mnist DNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := ctl.Submit(w, plan.Goal{TimeSec: 3600, LossTarget: 0.2}); !errors.Is(err, cluster.ErrMasterKilled) {
+			t.Fatalf("job %d: err = %v, want the scheduled master kill", i+1, err)
+		}
+	}
+	// Pin the consumed kills with the jobs still mid-segment, so the
+	// restarted master does not crash again.
+	if err := mgr.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainWaitsForResumedJobs restarts a master over jobs cut
+// mid-segment. The resumed jobs run on the workqueue, so Drain — the
+// SIGTERM path before the final snapshot and WAL close — returns only
+// once every job is terminal.
+func TestDrainWaitsForResumedJobs(t *testing.T) {
+	dir := t.TempDir()
+	const jobs = 3
+	crashMidSegment(t, dir, jobs)
+	handler, api, _, _, mgr, err := setup(false, false, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+	if err := api.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []map[string]any
+	getJSON(t, srv.URL+"/api/jobs", &got)
+	if len(got) != jobs {
+		t.Fatalf("recovered %d jobs, want %d", len(got), jobs)
+	}
+	for _, j := range got {
+		if j["status"] != "succeeded" {
+			t.Errorf("job %v is %v after Drain, want succeeded", j["id"], j["status"])
+		}
 	}
 }

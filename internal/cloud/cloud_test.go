@@ -73,6 +73,19 @@ type fakeClock struct{ now float64 }
 
 func (f *fakeClock) Clock() Clock { return func() float64 { return f.now } }
 
+// describe returns the provider's snapshot of one instance, read through
+// List.
+func describe(t *testing.T, p *Provider, id string) Instance {
+	t.Helper()
+	for _, inst := range p.List(nil) {
+		if inst.ID == id {
+			return inst
+		}
+	}
+	t.Fatalf("no instance %q", id)
+	return Instance{}
+}
+
 func TestLaunchDescribeTerminate(t *testing.T) {
 	clk := &fakeClock{}
 	p := NewProvider(DefaultCatalog(), clk.Clock())
@@ -86,10 +99,7 @@ func TestLaunchDescribeTerminate(t *testing.T) {
 	if p.RunningCount(M4XLarge) != 3 || p.RunningCount("") != 3 {
 		t.Errorf("running counts: %d/%d, want 3/3", p.RunningCount(M4XLarge), p.RunningCount(""))
 	}
-	got, err := p.Describe(insts[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := describe(t, p, insts[0].ID)
 	if got.State != StateRunning || got.Tags["role"] != "worker" {
 		t.Errorf("describe = %+v", got)
 	}
@@ -97,7 +107,7 @@ func TestLaunchDescribeTerminate(t *testing.T) {
 	if err := p.Terminate(insts[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = p.Describe(insts[0].ID)
+	got = describe(t, p, insts[0].ID)
 	if got.State != StateTerminated || got.TerminatedAt != 100 {
 		t.Errorf("after terminate: %+v", got)
 	}
@@ -120,9 +130,6 @@ func TestLaunchErrors(t *testing.T) {
 	}
 	if err := p.Terminate("i-missing"); err == nil {
 		t.Error("terminate of missing instance succeeded")
-	}
-	if _, err := p.Describe("i-missing"); err == nil {
-		t.Error("describe of missing instance succeeded")
 	}
 }
 
@@ -192,33 +199,12 @@ func TestBillingPerSecond(t *testing.T) {
 	}
 }
 
-func TestTerminateAll(t *testing.T) {
-	p := NewProvider(DefaultCatalog(), (&fakeClock{}).Clock())
-	if _, err := p.Launch(M4XLarge, 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Launch(C3XLarge, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.TerminateAll(); n != 5 {
-		t.Errorf("terminated %d, want 5", n)
-	}
-	if p.RunningCount("") != 0 {
-		t.Errorf("running = %d, want 0", p.RunningCount(""))
-	}
-	if n := p.TerminateAll(); n != 0 {
-		t.Errorf("second TerminateAll stopped %d, want 0", n)
-	}
-}
-
-func TestDescribeReturnsSnapshot(t *testing.T) {
+func TestListReturnsSnapshot(t *testing.T) {
 	p := NewProvider(DefaultCatalog(), (&fakeClock{}).Clock())
 	insts, _ := p.Launch(M4XLarge, 1, map[string]string{"k": "v"})
-	snap, _ := p.Describe(insts[0].ID)
-	snap.Tags["k"] = "mutated"
-	again, _ := p.Describe(insts[0].ID)
-	if again.Tags["k"] != "v" {
-		t.Error("Describe leaked internal tag map")
+	describe(t, p, insts[0].ID).Tags["k"] = "mutated"
+	if describe(t, p, insts[0].ID).Tags["k"] != "v" {
+		t.Error("List leaked internal tag map")
 	}
 }
 

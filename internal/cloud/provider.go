@@ -302,35 +302,6 @@ func (p *Provider) Terminate(id string) error {
 	return nil
 }
 
-// TerminateAll terminates every running instance and returns how many were
-// stopped.
-func (p *Provider) TerminateAll() int {
-	p.mu.Lock()
-	ids := make([]string, 0, len(p.instances))
-	for id, inst := range p.instances {
-		if inst.State == StateRunning || inst.State == StatePending {
-			ids = append(ids, id)
-		}
-	}
-	p.mu.Unlock()
-	for _, id := range ids {
-		_ = p.Terminate(id)
-	}
-	return len(ids)
-}
-
-// Describe returns a snapshot of the instance with the given ID.
-func (p *Provider) Describe(id string) (Instance, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.applyDueLocked(p.clock())
-	inst, ok := p.instances[id]
-	if !ok {
-		return Instance{}, fmt.Errorf("cloud: no such instance %q", id)
-	}
-	return snapshot(inst), nil
-}
-
 // List returns snapshots of all instances (any state) whose tags include
 // every entry of filter, sorted by ID. A nil filter matches everything.
 func (p *Provider) List(filter map[string]string) []Instance {

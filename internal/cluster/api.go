@@ -80,7 +80,9 @@ func (a *API) Drain(ctx context.Context) error {
 	return err
 }
 
-// Handler returns the route table as an http.Handler.
+// Handler returns the route table as an http.Handler. GET /metrics serves
+// the process-wide registry, where the controller, recovery, plan
+// service, provider and replay manager keep their counters.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -94,6 +96,7 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("POST /api/plan", a.postPlan)
 	mux.HandleFunc("GET /debug/jobs/{id}/timeline", a.getTimeline)
 	mux.HandleFunc("GET /debug/journal", a.getJournal)
+	mux.Handle("GET /metrics", obs.PrometheusHandler(obs.Default()))
 	return mux
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cynthia/internal/cloud"
+	"cynthia/internal/cloud/pricing"
 	"cynthia/internal/model"
 	"cynthia/internal/obs"
 	"cynthia/internal/obs/journal"
@@ -74,6 +75,10 @@ func (j *Job) snapshot() Job {
 	return cp
 }
 
+// coresPerInstance is how many dockers fit one instance (physical cores;
+// vCPUs/2 on the paper's testbed).
+const coresPerInstance = 2
+
 // Controller drives jobs end to end: it profiles the workload once,
 // computes a provisioning plan, launches instances, joins them to the
 // master with the bootstrap token, schedules worker and PS pods, runs the
@@ -89,9 +94,6 @@ type Controller struct {
 	jobs     map[string]*Job
 	profiles map[string]*perf.Profile // workload name -> cached profile
 	nextJob  int
-	// CoresPerInstance is how many dockers fit one instance (physical
-	// cores; vCPUs/2 on the paper's testbed).
-	CoresPerInstance int
 	// Recovery tunes the failure-recovery state machine (see recovery.go);
 	// the zero value enables recovery with defaults.
 	Recovery RecoveryConfig
@@ -119,10 +121,10 @@ type Controller struct {
 	// the world there and reports scheduled master kills; nil runs the
 	// pipeline without crash durability, as before.
 	Durability Checkpointer
-	// Elastic wires a spot market into the controller and enables
-	// mid-training re-planning at price change-points (see elastic.go).
-	// The zero value keeps the controller static.
-	Elastic ElasticConfig
+	// SpotStrategy is the bidding posture the continuous optimizer plans
+	// with when the provider has a spot market attached (see elastic.go);
+	// empty means pricing.Balanced. Without a market it has no effect.
+	SpotStrategy pricing.Strategy
 	// segSnaps holds each in-flight job's segment state as published at
 	// its last durability barrier (see Controller.barrier). Guarded by mu.
 	segSnaps map[string]SegmentState
@@ -139,15 +141,14 @@ func NewController(master *Master, provider *cloud.Provider, predictor perf.Pred
 		baseType = cloud.M4XLarge
 	}
 	return &Controller{
-		master:           master,
-		provider:         provider,
-		predictor:        predictor,
-		provisioner:      plan.DefaultEngine,
-		baseType:         baseType,
-		jobs:             make(map[string]*Job),
-		profiles:         make(map[string]*perf.Profile),
-		segSnaps:         make(map[string]SegmentState),
-		CoresPerInstance: 2,
+		master:      master,
+		provider:    provider,
+		predictor:   predictor,
+		provisioner: plan.DefaultEngine,
+		baseType:    baseType,
+		jobs:        make(map[string]*Job),
+		profiles:    make(map[string]*perf.Profile),
+		segSnaps:    make(map[string]SegmentState),
 	}
 }
 
@@ -464,7 +465,7 @@ func (c *Controller) provision(st *runState) error {
 func (c *Controller) joinAndSchedule(st *runState, insts []*cloud.Instance) (float64, error) {
 	token, caHash := c.master.JoinCredentials()
 	for _, inst := range insts {
-		if _, err := c.master.Join("node-"+inst.ID, inst.ID, inst.Type, c.CoresPerInstance, token, caHash); err != nil {
+		if _, err := c.master.Join("node-"+inst.ID, inst.ID, inst.Type, coresPerInstance, token, caHash); err != nil {
 			return 0, err
 		}
 	}
@@ -519,7 +520,7 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 	job := st.job
 	try := func(p plan.Plan, spot bool, bid float64) ([]*cloud.Instance, int, error) {
 		dockers := p.Workers + p.PS
-		n := (dockers + c.CoresPerInstance - 1) / c.CoresPerInstance
+		n := (dockers + coresPerInstance - 1) / coresPerInstance
 		insts, err := c.launchRetry(job, p.Type.Name, n, st.rc, spot, bid)
 		return insts, n, err
 	}

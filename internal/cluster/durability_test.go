@@ -332,6 +332,41 @@ func TestPendingJobsLeftoverTeardown(t *testing.T) {
 	}
 }
 
+// TestPendingJobsDropsStaleSegment covers the window between a job's
+// terminal status and its Done barrier: another job's barrier snapshots
+// the job terminal with its segment state still present. The restart
+// must treat it as finished — tear down what it holds, drop the stale
+// state — rather than hand it to Requeue, which refuses finished jobs.
+func TestPendingJobsDropsStaleSegment(t *testing.T) {
+	ctl, provider := newFaultController(t, cloud.FaultPlan{})
+	w, err := model.WorkloadByName("mnist DNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.RestoreState(ControllerState{
+		NextJob: 1,
+		Jobs: []JobState{{
+			ID: "job-1", TraceID: "trace-000001", Workload: w, Goal: recoveryGoal,
+			Status: StatusFailed, History: []JobStatus{StatusFailed}, Seq: 1,
+		}},
+		Segments: []SegmentState{{JobID: "job-1", Phase: PhaseSegment}},
+	})
+	if _, err := provider.Launch(m4(t).Name, 2, map[string]string{"job": "job-1"}); err != nil {
+		t.Fatal(err)
+	}
+	resume, queued, leftover := ctl.PendingJobs()
+	if len(resume) != 0 || len(queued) != 0 || !reflect.DeepEqual(leftover, []string{"job-1"}) {
+		t.Fatalf("pending = %v %v %v, want leftover [job-1]", resume, queued, leftover)
+	}
+	if segs := ctl.ExportState().Segments; len(segs) != 0 {
+		t.Fatalf("stale segment state survived PendingJobs: %+v", segs)
+	}
+	ctl.TeardownJob("job-1")
+	if n := liveInstances(provider, "job-1"); n != 0 {
+		t.Fatalf("%d instances still live after TeardownJob", n)
+	}
+}
+
 // liveInstances counts the instances tagged with job that still bill.
 func liveInstances(p *cloud.Provider, job string) int {
 	n := 0
@@ -436,6 +471,18 @@ func TestRequeueWaitsForQueueSpace(t *testing.T) {
 		if !terminal(js.Status) {
 			t.Errorf("%s ended %s, want a terminal status", js.ID, js.Status)
 		}
+	}
+}
+
+// TestRequeueRejectsFinishedJob: a terminal job's done channel is
+// already closed, so running it again would close it twice.
+func TestRequeueRejectsFinishedJob(t *testing.T) {
+	ctl, _ := newFaultController(t, cloud.FaultPlan{})
+	ctl.RestoreState(ControllerState{NextJob: 1, Jobs: []JobState{{
+		ID: "job-1", Status: StatusSucceeded, History: []JobStatus{StatusSucceeded}, Seq: 1,
+	}}})
+	if err := ctl.Requeue("job-1"); err == nil {
+		t.Fatal("Requeue accepted a finished job")
 	}
 }
 

@@ -1,9 +1,10 @@
 package cluster
 
-// elastic.go is the continuous optimizer: with a spot market attached,
-// the controller re-evaluates the provisioning decision at price-trace
-// change-points — not just on failure — and grows, shrinks, or re-homes
-// the worker set mid-training when a different plan beats the current
+// elastic.go is the continuous optimizer: whenever the provider has a
+// spot market attached (Provider.SetMarket; the market lives nowhere
+// else), the controller re-evaluates the provisioning decision at
+// price-trace change-points — not just on failure — and grows, shrinks,
+// or re-homes the worker set mid-training when a different plan beats the current
 // one against the residual deadline budget Tg' = Tg − elapsed.
 //
 // Determinism and crash-safety rest on two properties. First, every
@@ -28,56 +29,19 @@ import (
 // string is on-demand).
 const MarketSpot = "spot"
 
-// Elastic defaults: the simulated cost of one price-driven cluster
-// rebuild (checkpoint + re-launch, cheaper than a failure recovery
-// because nothing was lost), and the minimum relative cost gain that
-// justifies paying it.
+// The simulated cost of one price-driven cluster rebuild (checkpoint +
+// re-launch, cheaper than a failure recovery because nothing was lost),
+// and the minimum relative cost gain that justifies paying it.
 const (
-	DefaultScaleOverheadSec = 15.0
-	DefaultMinGainFrac      = 0.05
+	scaleOverheadSec = 15.0
+	minGainFrac      = 0.05
 )
 
-// ElasticConfig wires the controller to a spot market and enables
-// mid-training re-planning at price-trace change-points.
-type ElasticConfig struct {
-	// Enabled turns the continuous optimizer on (a nil Market keeps it
-	// off regardless).
-	Enabled bool
-	// Market prices spot instances; it must be attached to the same
-	// provider the controller launches through.
-	Market *cloud.Market
-	// Strategy is the bidding posture (default pricing.Balanced).
-	Strategy pricing.Strategy
-	// ScaleOverheadSec is charged per elastic rebuild (default 15s).
-	ScaleOverheadSec float64
-	// MinGainFrac is the minimum relative cost improvement a candidate
-	// plan must show before a rebuild is worth its overhead (default 5%).
-	MinGainFrac float64
-}
-
-func (c *Controller) elasticOn() bool {
-	return c.Elastic.Enabled && c.Elastic.Market != nil
-}
-
-func (c *Controller) elasticStrategy() pricing.Strategy {
-	if c.Elastic.Strategy == "" {
+func (c *Controller) spotStrategy() pricing.Strategy {
+	if c.SpotStrategy == "" {
 		return pricing.Balanced
 	}
-	return c.Elastic.Strategy
-}
-
-func (c *Controller) scaleOverhead() float64 {
-	if c.Elastic.ScaleOverheadSec > 0 {
-		return c.Elastic.ScaleOverheadSec
-	}
-	return DefaultScaleOverheadSec
-}
-
-func (c *Controller) minGainFrac() float64 {
-	if c.Elastic.MinGainFrac > 0 {
-		return c.Elastic.MinGainFrac
-	}
-	return DefaultMinGainFrac
+	return c.SpotStrategy
 }
 
 // marketChoice records how the planning catalog priced one instance
@@ -97,13 +61,13 @@ type marketChoice struct {
 // whatever type the search picks.
 func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice, error) {
 	base := c.provider.Catalog()
-	if !c.elasticOn() {
+	m := c.provider.Market()
+	if m == nil {
 		return base, nil, nil
 	}
-	m := c.Elastic.Market
 	now := c.provider.Now()
 	m.AdvanceTo(now) // push current prices into the catalog spot map: epoch bump -> plan caches drop stale entries
-	strat := c.elasticStrategy()
+	strat := c.spotStrategy()
 	types := base.Types()
 	eff := make([]cloud.InstanceType, 0, len(types))
 	choices := make(map[string]marketChoice, len(types))
@@ -142,7 +106,7 @@ func (c *Controller) repriceCurrent(st *runState) {
 	if st.Market != MarketSpot {
 		return
 	}
-	if p, ok := c.Elastic.Market.SpotPrice(st.Plan.Type.Name, c.provider.Now()); ok {
+	if p, ok := c.provider.Market().SpotPrice(st.Plan.Type.Name, c.provider.Now()); ok {
 		st.Plan.Type.PricePerHour = p
 	}
 }
@@ -152,10 +116,11 @@ func (c *Controller) repriceCurrent(st *runState) {
 // with fresh prices. Returns remaining unchanged when no change is
 // ahead or the controller is static.
 func (c *Controller) elasticSegIters(st *runState, remaining int) int {
-	if !c.elasticOn() || remaining <= 0 {
+	m := c.provider.Market()
+	if m == nil || remaining <= 0 {
 		return remaining
 	}
-	next, ok := c.Elastic.Market.NextChange(c.provider.Now())
+	next, ok := m.NextChange(c.provider.Now())
 	if !ok {
 		return remaining
 	}
@@ -181,11 +146,11 @@ func (c *Controller) elasticSegIters(st *runState, remaining int) int {
 // candidate plan is enough cheaper (and still inside the budget with
 // headroom) to pay for the rebuild.
 func (c *Controller) elasticStep(st *runState) error {
-	if !c.elasticOn() || st.Done >= st.TotalIters {
+	m := c.provider.Market()
+	if m == nil || st.Done >= st.TotalIters {
 		return nil
 	}
 	now := c.provider.Now()
-	m := c.Elastic.Market
 	if !m.HasChangeIn(st.LastEvalSec, now) {
 		return nil
 	}
@@ -211,12 +176,12 @@ func (c *Controller) elasticStep(st *runState) error {
 	// cluster at today's price against the candidate plus the rebuild
 	// overhead, and require the candidate to both clear the minimum gain
 	// and still fit the remaining budget with the planner's headroom.
-	overhead := c.scaleOverhead()
+	overhead := scaleOverheadSec
 	curSec := st.Plan.PredTime * float64(remaining) / float64(st.Plan.Iterations)
 	curCost := plan.Cost(st.Plan.Type, st.Plan.Workers, st.Plan.PS, curSec)
 	candSec := p.PredTime * float64(remaining) / float64(p.Iterations)
 	candCost := plan.Cost(p.Type, p.Workers, p.PS, candSec+overhead)
-	if candCost >= curCost*(1-c.minGainFrac()) {
+	if candCost >= curCost*(1-minGainFrac) {
 		return nil
 	}
 	if candSec+overhead > budget*(1-plan.DefaultHeadroom) {

@@ -44,7 +44,7 @@ func dropSet(t *testing.T, cat *cloud.Catalog, dropAt, fraction float64) *pricin
 }
 
 // newElasticController is newFaultController plus an attached spot
-// market and the continuous optimizer enabled.
+// market, which turns the continuous optimizer on.
 func newElasticController(t *testing.T, fp cloud.FaultPlan, set *pricing.TraceSet) (*Controller, *cloud.Provider) {
 	t.Helper()
 	ctl, provider := newFaultController(t, fp)
@@ -53,7 +53,6 @@ func newElasticController(t *testing.T, fp cloud.FaultPlan, set *pricing.TraceSe
 		t.Fatal(err)
 	}
 	provider.SetMarket(m)
-	ctl.Elastic = ElasticConfig{Enabled: true, Market: m, Strategy: pricing.Balanced}
 	return ctl, provider
 }
 
@@ -191,7 +190,6 @@ func elasticResumeAll(t *testing.T, snap worldExport, set *pricing.TraceSet) *Co
 		t.Fatal(err)
 	}
 	ctl.provider.SetMarket(m)
-	ctl.Elastic = ElasticConfig{Enabled: true, Market: m, Strategy: pricing.Balanced}
 	resume, queued, leftover := ctl.PendingJobs()
 	if len(queued) != 0 || len(leftover) != 0 {
 		t.Fatalf("unexpected queued=%v leftover=%v", queued, leftover)

@@ -68,7 +68,7 @@ func (c *Controller) startQueueLocked() {
 		go func() {
 			defer q.wg.Done()
 			for job := range q.ch {
-				_, _ = c.runJob(job) // outcome lands on the job record
+				_, _ = c.resumeOrRun(job) // outcome lands on the job record
 			}
 		}()
 	}
@@ -117,11 +117,14 @@ func (c *Controller) Enqueue(w *model.Workload, goal plan.Goal, traceID string) 
 	return job, nil
 }
 
-// Requeue puts a restored StatusQueued job back on the workqueue after a
-// restart. Unlike Enqueue it registers nothing — the job already exists
-// and was acknowledged before the crash — so a full queue is not an
-// admission decision: Requeue waits for a worker to free a slot. A
-// restart can restore more queued jobs than the queue holds.
+// Requeue puts a restored non-terminal job back on the workqueue after a
+// restart: a worker resumes it from its segment state if it has one and
+// runs it from the start otherwise, so resumed jobs count against
+// QueueWorkers and DrainQueue waits for them. Unlike Enqueue it registers
+// nothing — the job already exists and was acknowledged before the crash
+// — so a full queue is not an admission decision: Requeue waits for a
+// worker to free a slot. A restart can restore more jobs than the queue
+// holds.
 func (c *Controller) Requeue(id string) error {
 	q := &c.queue
 	q.qmu.Lock()
@@ -132,9 +135,13 @@ func (c *Controller) Requeue(id string) error {
 	c.startQueueLocked()
 	c.mu.Lock()
 	job, ok := c.jobs[id]
+	finished := ok && terminal(job.Status)
 	c.mu.Unlock()
 	if !ok {
 		return errors.New("cluster: no such job " + id)
+	}
+	if finished {
+		return errors.New("cluster: job " + id + " already finished")
 	}
 	// The send may block with qmu held, so Enqueue and DrainQueue wait
 	// behind it. It always completes: workers receive without qmu, and

@@ -57,6 +57,17 @@ func rcObs() *recoveryMetrics {
 	return &rcm
 }
 
+// Recovery and launch-retry constants: a job fails on the
+// (maxRecoveries+1)-th mid-run failure, and transient launch errors are
+// retried up to retryAttempts times, sleeping retryBase, 2·retryBase, ...
+// capped at retryMax.
+const (
+	maxRecoveries = 3
+	retryAttempts = 4
+	retryBase     = 50 * time.Millisecond
+	retryMax      = time.Second
+)
+
 // RecoveryConfig tunes the controller's failure handling. The zero value
 // enables recovery with defaults; set Disabled to reproduce the
 // fail-on-first-fault behaviour.
@@ -64,9 +75,6 @@ type RecoveryConfig struct {
 	// Disabled turns recovery off: the first mid-run instance failure
 	// fails the job instead of entering StatusRecovering.
 	Disabled bool
-	// MaxRecoveries caps recovery cycles per job (default 3); one more
-	// failure fails the job.
-	MaxRecoveries int
 	// CheckpointEvery is the checkpoint cadence in iterations (default
 	// Iterations/20, at least 1): work since the last checkpoint is lost
 	// on failure and redone after recovery.
@@ -75,36 +83,17 @@ type RecoveryConfig struct {
 	// restoring the checkpoint and restarting the training containers —
 	// charged against the deadline and the bill (default 30s).
 	RestartOverheadSec float64
-	// RetryAttempts, RetryBase, and RetryMax shape the capped exponential
-	// backoff on transient launch errors: up to RetryAttempts retries,
-	// sleeping RetryBase, 2·RetryBase, ... capped at RetryMax (defaults
-	// 4, 50ms, 1s).
-	RetryAttempts int
-	RetryBase     time.Duration
-	RetryMax      time.Duration
 	// Sleep is the backoff sleeper (default time.Sleep; tests inject a
 	// no-op to keep retries instant).
 	Sleep func(time.Duration)
 }
 
 func (rc RecoveryConfig) withDefaults(iters int) RecoveryConfig {
-	if rc.MaxRecoveries <= 0 {
-		rc.MaxRecoveries = 3
-	}
 	if rc.CheckpointEvery <= 0 {
 		rc.CheckpointEvery = max(iters/20, 1)
 	}
 	if rc.RestartOverheadSec <= 0 {
 		rc.RestartOverheadSec = 30
-	}
-	if rc.RetryAttempts <= 0 {
-		rc.RetryAttempts = 4
-	}
-	if rc.RetryBase <= 0 {
-		rc.RetryBase = 50 * time.Millisecond
-	}
-	if rc.RetryMax <= 0 {
-		rc.RetryMax = time.Second
 	}
 	if rc.Sleep == nil {
 		rc.Sleep = time.Sleep
@@ -144,7 +133,7 @@ func (c *Controller) chargeTime(st *runState, dt float64) {
 // the market; a price above the bid (cloud.ErrSpotUnavailable) is not
 // transient either and also returns immediately.
 func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryConfig, spot bool, bidPerHour float64) ([]*cloud.Instance, error) {
-	delay := rc.RetryBase
+	delay := retryBase
 	var err error
 	for attempt := 0; ; attempt++ {
 		var insts []*cloud.Instance
@@ -157,7 +146,7 @@ func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryCo
 		if err == nil {
 			return insts, nil
 		}
-		if !errors.Is(err, cloud.ErrTransient) || attempt >= rc.RetryAttempts {
+		if !errors.Is(err, cloud.ErrTransient) || attempt >= retryAttempts {
 			return nil, err
 		}
 		rcObs().retries.Inc()
@@ -165,8 +154,8 @@ func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryCo
 			journal.Fint("attempt", attempt+1), journal.Fint("count", n),
 			journal.F("type", typeName), journal.F("error", err.Error()))
 		rc.Sleep(delay)
-		if delay *= 2; delay > rc.RetryMax {
-			delay = rc.RetryMax
+		if delay *= 2; delay > retryMax {
+			delay = retryMax
 		}
 	}
 }
@@ -309,8 +298,8 @@ func (c *Controller) recoverJob(st *runState) error {
 			strings.Join(ids, ","), st.Done, st.TotalIters)
 	}
 	st.Recoveries++
-	if st.Recoveries > st.rc.MaxRecoveries {
-		return fmt.Errorf("cluster: job exceeded %d recoveries", st.rc.MaxRecoveries)
+	if st.Recoveries > maxRecoveries {
+		return fmt.Errorf("cluster: job exceeded %d recoveries", maxRecoveries)
 	}
 	c.setStatus(job, StatusRecovering)
 	c.mu.Lock()
@@ -342,9 +331,9 @@ func (c *Controller) recoverJob(st *runState) error {
 	// plan: recovery may land at a different price than the segment
 	// started at, and both the deadline check and any re-plan should see
 	// the market as it is now.
-	if c.elasticOn() {
+	if m := c.provider.Market(); m != nil {
 		now := c.provider.Now()
-		c.Elastic.Market.AdvanceTo(now)
+		m.AdvanceTo(now)
 		st.LastEvalSec = now
 		c.repriceCurrent(st)
 	}

@@ -31,7 +31,7 @@ func runBaseline(t *testing.T, goal plan.Goal) *Job {
 
 func instancesOf(ctl *Controller, job *Job) int {
 	dockers := job.Plan.Workers + job.Plan.PS
-	return (dockers + ctl.CoresPerInstance - 1) / ctl.CoresPerInstance
+	return (dockers + coresPerInstance - 1) / coresPerInstance
 }
 
 func countStatus(history []JobStatus, s JobStatus) int {
@@ -95,7 +95,7 @@ func TestSimultaneousPreemptionsRecoverInOneCycle(t *testing.T) {
 	// window). The clock hook clears the fault plan once the initial
 	// preemptions have fired so the replacements are safe — otherwise
 	// they inherit the same death sentence and the job burns through
-	// MaxRecoveries.
+	// maxRecoveries.
 	master := newMaster(t)
 	now := new(float64)
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), func() float64 { return *now })

@@ -59,7 +59,7 @@ func baselineShape(t *testing.T) (nInstances int, t0 float64) {
 		t.Fatalf("baseline status = %s (%s)", job.Status, job.Err)
 	}
 	dockers := job.Plan.Workers + job.Plan.PS
-	return (dockers + ctl.CoresPerInstance - 1) / ctl.CoresPerInstance, job.TrainingTime
+	return (dockers + coresPerInstance - 1) / coresPerInstance, job.TrainingTime
 }
 
 // lastInstancePlan preempts the last-launched instance of the first

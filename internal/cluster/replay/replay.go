@@ -63,8 +63,6 @@ type Options struct {
 	// SnapshotEvery snapshots the world every Nth segment/recovery
 	// barrier (default 4). Admit and done barriers always snapshot.
 	SnapshotEvery int
-	// WAL tunes the underlying write-ahead log.
-	WAL wal.Options
 }
 
 // WorldSnapshot is the serialized control-plane world at one journal
@@ -117,7 +115,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 4
 	}
-	w, err := wal.Open(dir, opts.WAL)
+	w, err := wal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -182,9 +180,6 @@ func (m *Manager) Snapshot() *WorldSnapshot { return m.snap }
 func (m *Manager) RecoveredEvents() []journal.Event {
 	return append([]journal.Event(nil), m.events...)
 }
-
-// TailLen returns how many recovered events lie beyond the snapshot.
-func (m *Manager) TailLen() int { return len(m.tailRaw) }
 
 // Write implements the journal sink: each call carries exactly one
 // canonical JSONL line, already framed by the journal under its lock. In
@@ -348,12 +343,6 @@ func (m *Manager) SnapshotNow() error {
 	}
 	return wal.WriteSnapshot(m.dir, ws.TakenAtSeq, payload)
 }
-
-// Sync flushes the WAL to stable storage.
-func (m *Manager) Sync() error { return m.w.Sync() }
-
-// Dir returns the state directory.
-func (m *Manager) Dir() string { return m.dir }
 
 // Close flushes and closes the WAL. Further journal appends through the
 // sink will fail; take a final snapshot before closing on clean

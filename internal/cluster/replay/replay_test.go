@@ -64,9 +64,9 @@ func TestOpenEmptyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.HasState() || m.Snapshot() != nil || m.TailLen() != 0 {
+	if m.HasState() || m.Snapshot() != nil || len(m.tailRaw) != 0 {
 		t.Fatalf("fresh dir reports state: hasState=%v snap=%v tail=%d",
-			m.HasState(), m.Snapshot(), m.TailLen())
+			m.HasState(), m.Snapshot(), len(m.tailRaw))
 	}
 	if _, _, err := m.Rebuild(); err == nil {
 		t.Fatal("Rebuild before Attach succeeded")
@@ -102,8 +102,8 @@ func TestSnapshotAndReopen(t *testing.T) {
 	if got := len(w2.m.RecoveredEvents()); got != 3 {
 		t.Fatalf("recovered %d events, want 3", got)
 	}
-	if w2.m.TailLen() != 1 {
-		t.Fatalf("tail = %d, want 1", w2.m.TailLen())
+	if len(w2.m.tailRaw) != 1 {
+		t.Fatalf("tail = %d, want 1", len(w2.m.tailRaw))
 	}
 	if _, _, err := w2.m.Rebuild(); err != nil {
 		t.Fatal(err)

@@ -217,8 +217,8 @@ func (c *Controller) ExportState() ControllerState {
 
 // RestoreState rebuilds the job table and pending segment states from a
 // snapshot. Jobs already terminal come back with closed done channels;
-// in-flight jobs wait for ResumeJob (or Requeue, for PhaseAdmit jobs) to
-// continue their pipeline.
+// in-flight jobs wait for Requeue (or a direct ResumeJob) to continue
+// their pipeline.
 func (c *Controller) RestoreState(cs ControllerState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,8 +242,8 @@ func (c *Controller) RestoreState(cs ControllerState) {
 }
 
 // PendingJobs classifies the restored work: resume lists in-flight jobs
-// with a segment state (resume via ResumeJob, in submission order),
-// queued lists jobs to run from the start (re-enqueue via Requeue), and
+// with a segment state (in submission order), queued lists jobs to run
+// from the start — Requeue takes both, resume first — and
 // leftover lists terminal jobs that still hold cloud instances because
 // the crash hit between finalize and teardown.
 //
@@ -267,21 +267,29 @@ func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 	c.mu.Unlock()
 	for _, j := range jobs {
 		switch {
-		case segs[j.ID]:
-			resume = append(resume, j.ID)
-		case !terminal(j.Status):
-			if j.Status != StatusQueued {
-				c.teardown(j)
-				c.setStatus(j, StatusQueued)
+		case terminal(j.Status):
+			// A job is terminal before its Done barrier drops its segment
+			// state, so another job's barrier can snapshot both; the
+			// outcome is final and the segment state is stale.
+			if segs[j.ID] {
+				c.mu.Lock()
+				delete(c.segSnaps, j.ID)
+				c.mu.Unlock()
 			}
-			queued = append(queued, j.ID)
-		default:
 			for _, inst := range c.provider.List(map[string]string{"job": j.ID}) {
 				if inst.State == cloud.StateRunning || inst.State == cloud.StatePending {
 					leftover = append(leftover, j.ID)
 					break
 				}
 			}
+		case segs[j.ID]:
+			resume = append(resume, j.ID)
+		default:
+			if j.Status != StatusQueued {
+				c.teardown(j)
+				c.setStatus(j, StatusQueued)
+			}
+			queued = append(queued, j.ID)
 		}
 	}
 	return resume, queued, leftover
@@ -294,20 +302,32 @@ func (c *Controller) TeardownJob(id string) {
 	c.teardown(&Job{JobState: JobState{ID: id}})
 }
 
-// ResumeJob continues a restored in-flight job from its last durability
-// barrier: it rebuilds the run state from the job's SegmentState and
-// re-enters the pipeline at the recorded phase. Exactly one call per
-// restored job; jobs without a pending segment state return immediately.
+// ResumeJob continues a restored job. Exactly one call per restored job;
+// terminal jobs return immediately.
 func (c *Controller) ResumeJob(id string) (*Job, error) {
 	c.mu.Lock()
 	job, ok := c.jobs[id]
-	ss, hasSeg := c.segSnaps[id]
 	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("cluster: no such job %s", id)
 	}
-	if !hasSeg || terminal(job.Status) {
+	return c.resumeOrRun(job)
+}
+
+// resumeOrRun runs a non-terminal job to its outcome. A job with a
+// segment state continues from its last durability barrier: the run
+// state is rebuilt from the SegmentState and the pipeline re-entered at
+// the recorded phase. Any other job runs from the start.
+func (c *Controller) resumeOrRun(job *Job) (*Job, error) {
+	c.mu.Lock()
+	ss, hasSeg := c.segSnaps[job.ID]
+	done := terminal(job.Status)
+	c.mu.Unlock()
+	if done {
 		return job, nil
+	}
+	if !hasSeg {
+		return c.runJob(job)
 	}
 	defer close(job.done)
 	co := ctrlObs()

@@ -90,11 +90,6 @@ type Options struct {
 	// Seed drives the loss-curve noise. The same seed reproduces the
 	// same run exactly.
 	Seed int64
-	// Horizon, when > 0, aborts the simulation at that simulated time.
-	Horizon float64
-	// DisablePSCPU turns off parameter-server CPU costs (ablation: how
-	// much of the predicted behaviour comes from modeling the PS CPU).
-	DisablePSCPU bool
 	// NoOverlap disables the BSP computation/communication pipeline:
 	// round r+1's computation waits for round r's barrier, the behaviour
 	// of a framework without SyncReplicasOptimizer-style overlap (paper
@@ -114,10 +109,6 @@ type Options struct {
 	// barrier spans. Export it with Tracer.WriteJSON and open the file
 	// in chrome://tracing or Perfetto.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives end-of-run gauges: per-resource
-	// CPU/NIC utilization (the measured Eq. 6-7 demand/capacity terms),
-	// training time, iteration count, and engine event counters.
-	Metrics *obs.Registry
 	// Journal, when bound, receives flight-recorder events for the
 	// segment: one sim.checkpoint per CheckpointEvery crossing (stamped at
 	// the iteration's completion instant), sim.interrupted when a fault
@@ -242,38 +233,33 @@ func Run(w *model.Workload, cluster ClusterSpec, opt Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("ddnnsim: unsupported sync mode %v", w.Sync)
 	}
-	// The earliest scheduled fault halts the run at its instant, exactly
-	// like a horizon but with a graceful partial result instead of an
-	// error. The flow engine treats a non-positive horizon as unbounded,
-	// so a fault at t<=0 is clamped to a hair above zero.
+	// The earliest scheduled fault halts the run at its instant with a
+	// partial result. The flow engine treats a non-positive horizon as
+	// unbounded, so a fault at t<=0 is clamped to a hair above zero, and
+	// a run without faults goes to completion.
 	fault, stop := earliestFault(opt.Faults)
-	faultBinds := fault != nil && (opt.Horizon <= 0 || stop <= opt.Horizon)
-	if !faultBinds {
-		stop = opt.Horizon
-	}
 	end := s.eng.Run(stop)
 	s.journalCheckpoints()
 	if s.completed < iters {
-		if faultBinds {
-			res := s.result(end)
-			res.Interrupted = true
-			res.Fault = fault
-			if opt.CheckpointEvery > 0 {
-				res.CheckpointIter = s.completed - s.completed%opt.CheckpointEvery
-			}
-			res.LostIterations = s.completed - res.CheckpointIter
-			if opt.Journal.Enabled() {
-				opt.Journal.EmitAt(opt.JournalBaseSec+end, journal.SimInterrupted,
-					journal.F("role", fault.Role),
-					journal.Fint("index", fault.Index),
-					journal.Fint("completed", s.completed),
-					journal.Fint("checkpoint_iter", res.CheckpointIter),
-					journal.Fint("lost_iterations", res.LostIterations))
-			}
-			return res, nil
+		if fault == nil {
+			return nil, fmt.Errorf("ddnnsim: simulation stalled after %d/%d iterations", s.completed, iters)
 		}
-		return nil, fmt.Errorf("ddnnsim: horizon %.1fs reached after %d/%d iterations",
-			opt.Horizon, s.completed, iters)
+		res := s.result(end)
+		res.Interrupted = true
+		res.Fault = fault
+		if opt.CheckpointEvery > 0 {
+			res.CheckpointIter = s.completed - s.completed%opt.CheckpointEvery
+		}
+		res.LostIterations = s.completed - res.CheckpointIter
+		if opt.Journal.Enabled() {
+			opt.Journal.EmitAt(opt.JournalBaseSec+end, journal.SimInterrupted,
+				journal.F("role", fault.Role),
+				journal.Fint("index", fault.Index),
+				journal.Fint("completed", s.completed),
+				journal.Fint("checkpoint_iter", res.CheckpointIter),
+				journal.Fint("lost_iterations", res.LostIterations))
+		}
+		return res, nil
 	}
 	if opt.Journal.Enabled() {
 		opt.Journal.EmitAt(opt.JournalBaseSec+end, journal.SimSegmentDone,
@@ -361,16 +347,15 @@ type sim struct {
 	aspWorkers []aspWorker
 	aspLeft    int
 
-	completed  int
-	compTotal  float64
-	commTotal  float64
-	records    []IterRecord
-	perWorker  []int
-	iterEnd    []float64 // completion time per iteration, in completion order
-	nWk, nPS   int
-	shardMB    float64 // parameter MB per PS shard
-	psCPUPerMB float64
-	lossRng    *rand.Rand
+	completed int
+	compTotal float64
+	commTotal float64
+	records   []IterRecord
+	perWorker []int
+	iterEnd   []float64 // completion time per iteration, in completion order
+	nWk, nPS  int
+	shardMB   float64 // parameter MB per PS shard
+	lossRng   *rand.Rand
 }
 
 // computeNoise is the relative jitter applied to per-iteration compute
@@ -397,10 +382,6 @@ func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim
 		nPS:     cluster.NumPS(),
 	}
 	s.shardMB = w.GparamMB / float64(s.nPS)
-	s.psCPUPerMB = w.PSCPUPerMB
-	if opt.DisablePSCPU {
-		s.psCPUPerMB = 0
-	}
 	s.perWorker = make([]int, s.nWk)
 	s.iterEnd = make([]float64, 0, iters)
 	for j, t := range cluster.Workers {
@@ -469,7 +450,7 @@ func (s *sim) transfer(cat string, r, j, k int, then func(j, k int, now float64)
 	}
 	x.j, x.k, x.cat, x.then = j, k, cat, then
 	x.pending = 1
-	cpuWork := s.shardMB * s.psCPUPerMB
+	cpuWork := s.shardMB * s.w.PSCPUPerMB
 	if cpuWork > 0 {
 		x.pending = 2
 	}
@@ -875,17 +856,6 @@ func (s *sim) result(end float64) *Result {
 	}
 	if len(res.Loss) > 0 {
 		res.FinalLoss = res.Loss[len(res.Loss)-1].Loss
-	}
-	if reg := s.opt.Metrics; reg != nil {
-		cpus := append(append([]*flow.Resource(nil), s.wkCPU...), s.psCPU...)
-		flow.ExportUtilization(reg, "cynthia_sim_cpu_util",
-			"mean CPU utilization per docker over the run (measured Eq. 6 demand/capacity)", end, cpus...)
-		nics := append(append([]*flow.Resource(nil), s.wkNIC...), s.psNIC...)
-		flow.ExportUtilization(reg, "cynthia_sim_nic_util",
-			"mean NIC utilization per docker over the run (measured Eq. 7 demand/capacity)", end, nics...)
-		reg.Gauge("cynthia_sim_training_time_seconds", "simulated training makespan").Set(end)
-		reg.Gauge("cynthia_sim_iterations", "completed iterations").Set(float64(s.completed))
-		flow.ExportEngine(reg, "cynthia_sim_engine", s.eng)
 	}
 	return res
 }

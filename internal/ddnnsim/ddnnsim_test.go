@@ -53,14 +53,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestHorizonAbort(t *testing.T) {
-	w := mustWorkload(t, "mnist DNN")
-	_, err := Run(w, Homogeneous(m4, 1, 1), Options{Iterations: 1000, Horizon: 1})
-	if err == nil {
-		t.Error("horizon abort not reported")
-	}
-}
-
 func TestSingleWorkerBSPMatchesAnalytic(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	res := run(t, w, Homogeneous(m4, 1, 1), Options{Iterations: 50})
@@ -332,19 +324,6 @@ func TestLossEverySubsampling(t *testing.T) {
 	}
 	if res.Loss[0].Iter != 10 || res.Loss[9].Iter != 100 {
 		t.Errorf("subsampled iters = %d..%d", res.Loss[0].Iter, res.Loss[9].Iter)
-	}
-}
-
-func TestDisablePSCPUAblation(t *testing.T) {
-	w := mustWorkload(t, "mnist DNN")
-	on := run(t, w, Homogeneous(m4, 8, 1), Options{Iterations: 200})
-	off := run(t, w, Homogeneous(m4, 8, 1), Options{Iterations: 200, DisablePSCPU: true})
-	if off.TrainingTime >= on.TrainingTime {
-		t.Errorf("disabling PS CPU cost should speed up the bottlenecked run: %v vs %v",
-			off.TrainingTime, on.TrainingTime)
-	}
-	if off.PSCPUUtil[0] != 0 {
-		t.Errorf("PS CPU util = %v with CPU cost disabled", off.PSCPUUtil[0])
 	}
 }
 

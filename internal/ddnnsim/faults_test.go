@@ -88,18 +88,6 @@ func TestFaultAfterCompletionIsIgnored(t *testing.T) {
 	}
 }
 
-func TestHorizonErrorStillBindsUnderLaterFault(t *testing.T) {
-	w := mustWorkload(t, "mnist DNN")
-	_, err := Run(w, Homogeneous(m4, 1, 1), Options{
-		Iterations: 1000,
-		Horizon:    1,
-		Faults:     []Fault{{AtSec: 1e9, Role: "worker", Index: 0}},
-	})
-	if err == nil {
-		t.Fatal("horizon before the fault should still error")
-	}
-}
-
 func TestStartIterationOffsetsLossCurve(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	base := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 10})

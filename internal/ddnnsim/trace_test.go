@@ -31,7 +31,7 @@ func TestTraceMatchesGolden(t *testing.T) {
 		{"asp", "ResNet-32", Homogeneous(m4, 3, 2), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.NewTracerWithClock(func() float64 { return 0 })
+			tr := new(obs.Tracer)
 			run(t, mustWorkload(t, tc.workload), tc.cluster, Options{Iterations: tc.iters, Seed: 1, Trace: tr})
 			var got bytes.Buffer
 			if err := tr.WriteJSON(&got); err != nil {

@@ -68,7 +68,7 @@ func spotmarket(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			provider.SetMarket(m)
-			ctl.Elastic = cluster.ElasticConfig{Enabled: true, Market: m, Strategy: strat}
+			ctl.SpotStrategy = strat
 		}
 		job, err := ctl.Submit(w, goal)
 		if job == nil {

@@ -55,15 +55,6 @@ import (
 	"sort"
 )
 
-// allocSizeBounds buckets the affected-flow count of each recompute
-// (le semantics; one implicit overflow bucket follows). allocSizeBuckets
-// mirrors the bounds as float64 observation values for obs export, with a
-// final representative value that lands in the +Inf bucket.
-var (
-	allocSizeBounds  = [...]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-	allocSizeBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
-)
-
 // allocate runs one allocation step: the incremental allocator, unless a
 // test has installed another step in e.allocStep.
 func (e *Engine) allocate() {
@@ -266,13 +257,8 @@ func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) [
 }
 
 // noteRecompute records one allocator recompute over n affected flows in
-// the engine stats and the recompute-size histogram buckets.
+// the engine stats.
 func (e *Engine) noteRecompute(n int) {
 	e.stats.AllocRecomputes++
 	e.stats.AllocAffectedFlows += int64(n)
-	i := 0
-	for i < len(allocSizeBounds) && n > allocSizeBounds[i] {
-		i++
-	}
-	e.allocSizes[i]++
 }

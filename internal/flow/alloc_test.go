@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"cynthia/internal/obs"
 )
 
 // buildChurn constructs a randomized multi-component engine run: staggered
@@ -269,35 +267,16 @@ func TestUtilizationClampCounter(t *testing.T) {
 	}
 }
 
-// TestEngineStatsExported asserts ExportEngine publishes the allocator
-// counters and the recompute-size histogram.
+// TestEngineStatsExported asserts Engine.Stats reports the allocator
+// counters after a run that recomputes at least once.
 func TestEngineStatsExported(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("r", 5)
 	e.Submit("f", 10, []*Resource{r}, nil)
 	e.At(1, func(float64) {})
 	e.Run(0)
-
-	reg := obs.NewRegistry()
-	ExportEngine(reg, "t", e)
-	snap := map[string]obs.FamilySnapshot{}
-	for _, fs := range reg.Snapshot() {
-		snap[fs.Name] = fs
-	}
-	for _, name := range []string{"t_alloc_recomputes_total", "t_alloc_affected_flows_total"} {
-		fs, ok := snap[name]
-		if !ok || len(fs.Metrics) == 0 {
-			t.Fatalf("gauge %s not exported", name)
-		}
-		if fs.Metrics[0].Value < 1 {
-			t.Errorf("%s = %v, want >= 1", name, fs.Metrics[0].Value)
-		}
-	}
-	hist, ok := snap["t_alloc_affected_flows"]
-	if !ok || len(hist.Metrics) == 0 {
-		t.Fatal("recompute-size histogram not exported")
-	}
-	if hist.Metrics[0].Count < 1 {
-		t.Errorf("histogram count = %d, want >= 1", hist.Metrics[0].Count)
+	st := e.Stats()
+	if st.AllocRecomputes < 1 || st.AllocAffectedFlows < 1 {
+		t.Errorf("stats = %+v, want at least one recompute over one flow", st)
 	}
 }

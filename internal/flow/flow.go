@@ -41,7 +41,6 @@ package flow
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -251,7 +250,6 @@ type Engine struct {
 	spanSort   spanSorter
 	wfScratch  []*Flow // waterfill's unfrozen worklist
 	finScratch []*Flow
-	allocSizes [len(allocSizeBounds) + 1]int64 // affected flows per recompute
 
 	stats EngineStats
 }
@@ -796,47 +794,4 @@ func (s *Series) SteadyRate(warmup, cooldown float64) float64 {
 	from := int(float64(n) * warmup)
 	to := n - int(float64(n)*cooldown)
 	return s.MeanRate(from, to)
-}
-
-// Sorted returns a copy of per-bin rates sorted ascending; handy for
-// percentile readings in tests.
-func (s *Series) Sorted() []float64 {
-	out := s.Rates()
-	sort.Float64s(out)
-	return out
-}
-
-// ExportUtilization publishes each resource's mean utilization over
-// [0, now] as a labeled gauge in the registry — the measured counterpart
-// of the paper's Eq. 6-7 demand/capacity ratios. The label value is the
-// resource name (e.g. "ps0.nic").
-func ExportUtilization(reg *obs.Registry, metric, help string, now float64, resources ...*Resource) {
-	if reg == nil || len(resources) == 0 {
-		return
-	}
-	gv := reg.GaugeVec(metric, help, "resource")
-	for _, r := range resources {
-		gv.With(r.Name()).Set(r.Utilization(now))
-	}
-}
-
-// ExportEngine publishes the engine's event-loop counters as gauges under
-// the given metric prefix (<prefix>_flows_total etc.).
-func ExportEngine(reg *obs.Registry, prefix string, e *Engine) {
-	if reg == nil || e == nil {
-		return
-	}
-	st := e.Stats()
-	reg.Gauge(prefix+"_flows_total", "flows completed by the simulation engine").Set(float64(st.FlowsCompleted))
-	reg.Gauge(prefix+"_timers_total", "timers fired by the simulation engine").Set(float64(st.TimersFired))
-	reg.Gauge(prefix+"_steps_total", "event steps taken by the engine").Set(float64(st.Steps))
-	reg.Gauge(prefix+"_alloc_recomputes_total", "allocator runs that re-waterfilled an affected component").Set(float64(st.AllocRecomputes))
-	reg.Gauge(prefix+"_alloc_skipped_total", "event steps that reused the previous allocation unchanged").Set(float64(st.AllocSkipped))
-	reg.Gauge(prefix+"_alloc_affected_flows_total", "flows re-waterfilled across all allocator recomputes").Set(float64(st.AllocAffectedFlows))
-	h := reg.Histogram(prefix+"_alloc_affected_flows", "affected flows per allocator recompute", allocSizeBuckets[:len(allocSizeBounds)])
-	for i, n := range e.allocSizes {
-		if n > 0 {
-			h.ObserveN(allocSizeBuckets[i], n)
-		}
-	}
 }

@@ -356,20 +356,6 @@ func TestPropertyWorkConservation(t *testing.T) {
 	}
 }
 
-func TestSortedRates(t *testing.T) {
-	s := NewSeries(1)
-	s.Accumulate(0, 1, 3)
-	s.Accumulate(1, 2, 1)
-	s.Accumulate(2, 3, 2)
-	got := s.Sorted()
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-9) {
-			t.Fatalf("sorted = %v, want %v", got, want)
-		}
-	}
-}
-
 // benchAllocators are the allocator variants every hot-path benchmark
 // reports: "incremental" is the production allocator, "reference" the
 // pre-incremental full recompute kept as the test oracle, for comparing

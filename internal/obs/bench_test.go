@@ -28,15 +28,3 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(float64(i%1000) / 1000)
 	}
 }
-
-// BenchmarkSpanStartEnd measures one clock-driven span: two clock reads
-// plus one locked append.
-func BenchmarkSpanStartEnd(b *testing.B) {
-	tr := NewTracer()
-	sc := tr.Context(1, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := sc.Start("bench", "unit")
-		sp.End()
-	}
-}

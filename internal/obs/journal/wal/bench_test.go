@@ -15,12 +15,12 @@ func TestAppendSteadyStateZeroAlloc(t *testing.T) {
 	rec := []byte(`{"seq":1,"src":"ctl","sseq":1,"type":"bench.event","at":1.5,"fields":{"k":"v"}}` + "\n")
 	for _, tc := range []struct {
 		name string
-		opts Options
+		opts options
 	}{
-		{"NoSync", Options{SegmentBytes: 1 << 30, NoSync: true}},
-		{"SyncEvery=1", Options{SegmentBytes: 1 << 30, SyncEvery: 1}},
+		{"NoSync", options{SegmentBytes: 1 << 30, NoSync: true}},
+		{"SyncEvery=1", options{SegmentBytes: 1 << 30, SyncEvery: 1}},
 	} {
-		w, err := Open(t.TempDir(), tc.opts)
+		w, err := open(t.TempDir(), tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestAppendSteadyStateZeroAlloc(t *testing.T) {
 // BenchmarkAppend measures the pure framed-append path (no fsync), the
 // cost every journal event pays before the ring can evict it.
 func BenchmarkAppend(b *testing.B) {
-	w, err := Open(b.TempDir(), Options{SegmentBytes: 1 << 30, NoSync: true})
+	w, err := open(b.TempDir(), options{SegmentBytes: 1 << 30, NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkAppendFsyncBatched(b *testing.B) {
 	rec := []byte(`{"seq":1,"src":"ctl","sseq":1,"type":"bench.event","at":1.5,"fields":{"k":"v"}}` + "\n")
 	for _, every := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("syncEvery=%d", every), func(b *testing.B) {
-			w, err := Open(b.TempDir(), Options{SegmentBytes: 1 << 30, SyncEvery: every})
+			w, err := open(b.TempDir(), options{SegmentBytes: 1 << 30, SyncEvery: every})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -63,8 +63,8 @@ func FuzzWALRecover(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		opts := Options{NoSync: true}
-		w, err := Open(dir, opts)
+		opts := options{NoSync: true}
+		w, err := open(dir, opts)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -77,7 +77,7 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		sizes := segmentSizes(t, dir)
 
-		w, err = Open(dir, opts)
+		w, err = open(dir, opts)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}

@@ -44,8 +44,9 @@ const maxRecordBytes = 16 << 20
 // accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Options tunes a WAL.
-type Options struct {
+// options tunes a WAL. Production logs take the zero value (the
+// defaults); the package's own tests and benchmarks set the fields.
+type options struct {
 	// SegmentBytes rotates to a new segment file once the active one
 	// exceeds this size (default 4 MiB). Rotation happens between
 	// records; records never span segments.
@@ -58,7 +59,7 @@ type Options struct {
 	NoSync bool
 }
 
-func (o Options) withDefaults() Options {
+func (o options) withDefaults() options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -75,7 +76,7 @@ func (o Options) withDefaults() Options {
 // append, under its own lock).
 type WAL struct {
 	dir  string
-	opts Options
+	opts options
 
 	mu       sync.Mutex
 	f        *os.File
@@ -100,7 +101,9 @@ func segmentName(i int) string { return fmt.Sprintf("wal-%08d.log", i) }
 // truncates the log at the first bad frame, and deletes any later
 // segments — everything before the bad frame stays readable, everything
 // after it is discarded as never-durable.
-func Open(dir string, opts Options) (*WAL, error) {
+func Open(dir string) (*WAL, error) { return open(dir, options{}) }
+
+func open(dir string, opts options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // testOpts keeps segments tiny so rotation tests don't need megabytes.
-func testOpts() Options {
-	return Options{SegmentBytes: 256, SyncEvery: 4, NoSync: true}
+func testOpts() options {
+	return options{SegmentBytes: 256, SyncEvery: 4, NoSync: true}
 }
 
 func appendN(t *testing.T, w *WAL, n int) [][]byte {
@@ -41,7 +41,7 @@ func assertRecords(t *testing.T, got, want [][]byte) {
 
 func TestAppendReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 
 func TestRotationSpansSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestRotationSpansSegments(t *testing.T) {
 
 func TestReopenAppends(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := appendN(t, w, 5)
 	w.Close()
-	w, err = Open(dir, testOpts())
+	w, err = open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReopenAppends(t *testing.T) {
 
 func TestEmptyStateDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fresh") // does not exist yet
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEmptyStateDir(t *testing.T) {
 }
 
 func TestAppendRejectsBadRecords(t *testing.T) {
-	w, err := Open(t.TempDir(), testOpts())
+	w, err := open(t.TempDir(), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func lastSegment(t *testing.T, dir string) string {
 // the records for later comparison.
 func writeTorture(t *testing.T, dir string, n int) [][]byte {
 	t.Helper()
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTornFinalRecord(t *testing.T) {
 	if err := os.Truncate(seg, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTruncatedToMidHeader(t *testing.T) {
 	if err := os.Truncate(seg, info.Size()-lastLen+5); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBitFlippedCRC(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestBadFrameInvalidatesLaterSegments(t *testing.T) {
 		t.Fatalf("ReadDir returned %d records past a bad first frame", len(got))
 	}
 	// Open repairs: truncates segment 1 and deletes the later segments.
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestBadFrameInvalidatesLaterSegments(t *testing.T) {
 }
 
 func TestClosedWALRefusesAppends(t *testing.T) {
-	w, err := Open(t.TempDir(), testOpts())
+	w, err := open(t.TempDir(), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestClosedWALRefusesAppends(t *testing.T) {
 // success. A retry that returned nil would let the caller acknowledge
 // work that is not durable.
 func TestFailedSyncIsSticky(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{SyncEvery: 64})
+	w, err := open(t.TempDir(), options{SyncEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestFailedSyncIsSticky(t *testing.T) {
 // the next barrier would acknowledge a log that recovery truncates.
 func TestFailedWriteIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SyncEvery: 64})
+	w, err := open(dir, options{SyncEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestSnapshotPresentLogMissing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w, err := Open(dir, testOpts())
+	w, err := open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestSyncEveryBatchesFsync(t *testing.T) {
 	// With real fsync on, appends below the batch threshold leave the
 	// unsynced counter non-zero; Sync drains it. (Counter-level check —
 	// we can't observe the disk barrier itself portably.)
-	w, err := Open(t.TempDir(), Options{SyncEvery: 8})
+	w, err := open(t.TempDir(), options{SyncEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func stubSyncDir(t *testing.T, fail func(call int) error) *int {
 func TestNewSegmentSyncsDir(t *testing.T) {
 	calls := stubSyncDir(t, func(int) error { return nil })
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 256, SyncEvery: 4})
+	w, err := open(dir, options{SegmentBytes: 256, SyncEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestFailedDirSyncIsSticky(t *testing.T) {
 		}
 		return nil
 	})
-	w, err := Open(t.TempDir(), Options{SegmentBytes: 64, SyncEvery: 1})
+	w, err := open(t.TempDir(), options{SegmentBytes: 64, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestFailedDirSyncIsSticky(t *testing.T) {
 	}
 
 	stubSyncDir(t, func(int) error { return injected })
-	if _, err := Open(t.TempDir(), Options{}); !errors.Is(err, injected) {
+	if _, err := Open(t.TempDir()); !errors.Is(err, injected) {
 		t.Fatalf("Open with a failing directory fsync returned %v", err)
 	}
 }

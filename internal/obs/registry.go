@@ -41,25 +41,6 @@ const (
 // Prometheus client default: 1 ms to 10 s around typical RPC latencies.
 var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// LinearBuckets returns count buckets of the given width starting at start.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count buckets growing from start by factor.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64
@@ -135,67 +116,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records the value n times in one call — the bulk path for
-// components that accumulate bucket counts internally (e.g. the flow
-// engine's recompute sizes) and replay them into a registry at export
-// time. n <= 0 is a no-op.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.buckets[lo].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts
-// by attributing each bucket's mass to its upper bound; +Inf resolves to
-// the largest finite bound. Good enough for tests and snapshots.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			if len(h.bounds) > 0 {
-				return h.bounds[len(h.bounds)-1]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
 
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
@@ -218,7 +143,6 @@ type family struct {
 	kind   Kind
 	labels []string
 	bounds []float64 // histograms only
-	reg    *Registry
 
 	mu      sync.RWMutex
 	metrics map[string]any // label-values key -> *Counter/*Gauge/*Histogram
@@ -235,9 +159,6 @@ func (f *family) get(key string, make func() any) any {
 	defer f.mu.Unlock()
 	if m, ok := f.metrics[key]; ok {
 		return m
-	}
-	if cap := f.reg.seriesCap.Load(); cap > 0 && int64(len(f.metrics)) >= cap {
-		panic(fmt.Sprintf("obs: family %s exceeds the series cap (%d): unbounded label cardinality", f.name, cap))
 	}
 	m = make()
 	f.metrics[key] = m
@@ -263,20 +184,9 @@ func (f *family) sortedKeys() []string {
 // an existing name with a matching kind and label arity returns the same
 // collector, so independent components can share one registry safely.
 type Registry struct {
-	mu        sync.RWMutex
-	families  map[string]*family
-	order     []string
-	seriesCap atomic.Int64
-}
-
-// SetSeriesCap installs a per-family cardinality guard: once any single
-// family holds cap children, creating one more panics, failing fast on
-// the unbounded-label-cardinality bug class (e.g. a job ID used as a
-// label value) instead of leaking memory until the scrape dies. A cap of
-// 0 (the default) disables the guard; existing children are never
-// affected.
-func (r *Registry) SetSeriesCap(cap int) {
-	r.seriesCap.Store(int64(cap))
+	mu       sync.RWMutex
+	families map[string]*family
+	order    []string
 }
 
 // NewRegistry returns an empty registry.
@@ -304,7 +214,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 			f = &family{name: name, help: help, kind: kind,
 				labels:  append([]string(nil), labels...),
 				bounds:  append([]float64(nil), bounds...),
-				reg:     r,
 				metrics: make(map[string]any)}
 			r.families[name] = f
 			r.order = append(r.order, name)

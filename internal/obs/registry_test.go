@@ -68,59 +68,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-(0+1+1.0000001+2+3+4+5+1e9)) > 1e-6 {
 		t.Errorf("sum = %v", got)
 	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Errorf("p50 = %v, want 2", q)
-	}
 	// Unsorted and duplicated bounds are normalized.
 	h2 := r.Histogram("lat2", "", []float64{4, 1, 2, 2})
 	h2.Observe(1.5)
 	if got := h2.buckets[1].Load(); got != 1 {
 		t.Errorf("normalized bucket = %d, want 1", got)
-	}
-}
-
-// TestHistogramObserveN pins the bulk path: ObserveN(v, n) is equivalent
-// to n calls of Observe(v) for buckets, count, and sum, and non-positive
-// counts are no-ops.
-func TestHistogramObserveN(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("bulk", "", []float64{1, 2, 4})
-	h.ObserveN(2, 5)   // (1,2] bucket (le semantics: equal lands in it)
-	h.ObserveN(9, 3)   // +Inf bucket
-	h.ObserveN(1, 0)   // no-op
-	h.ObserveN(1, -10) // no-op
-	want := []int64{0, 5, 0, 3}
-	for i, w := range want {
-		if got := h.buckets[i].Load(); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d, want 8", h.Count())
-	}
-	if got := h.Sum(); got != 2*5+9*3 {
-		t.Errorf("sum = %v, want 37", got)
-	}
-	// Equivalence with the unit path.
-	u := r.Histogram("unit", "", []float64{1, 2, 4})
-	for i := 0; i < 5; i++ {
-		u.Observe(2)
-	}
-	for i := 0; i < 3; i++ {
-		u.Observe(9)
-	}
-	for i := range h.buckets {
-		if h.buckets[i].Load() != u.buckets[i].Load() {
-			t.Errorf("bucket %d: ObserveN %d != repeated Observe %d", i, h.buckets[i].Load(), u.buckets[i].Load())
-		}
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("empty", "", []float64{1})
-	if q := h.Quantile(0.9); !math.IsNaN(q) {
-		t.Errorf("empty quantile = %v, want NaN", q)
 	}
 }
 
@@ -240,16 +192,5 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("conc_hist", "", nil).Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(0, 2, 3)
-	if lin[0] != 0 || lin[1] != 2 || lin[2] != 4 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Errorf("ExponentialBuckets = %v", exp)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 )
 
 // TraceEvent is one Chrome trace_event record. Timestamps and durations
@@ -23,43 +22,14 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Tracer collects structured spans and instants and exports them as a
-// Chrome trace. Timestamps come either from the tracer's clock (wall time
-// since construction, for live systems) or are supplied explicitly in
-// simulated seconds (for the discrete-event simulator) — both end up on
-// the same microsecond timeline.
-//
-// All methods are safe for concurrent use; each goroutine that wants
-// nested Begin/End spans takes its own SpanContext.
+// Tracer collects spans and instants, each with explicit timestamps in
+// seconds (simulated seconds for the discrete-event simulator, journal
+// time for the flight recorder), and exports them as a Chrome trace on
+// one microsecond timeline. The zero value is ready to use, and all
+// methods are safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
 	events []TraceEvent
-	clock  func() float64 // seconds since some epoch
-}
-
-// NewTracer returns a tracer whose clock is wall time measured from now.
-func NewTracer() *Tracer {
-	start := time.Now()
-	return &Tracer{clock: func() float64 { return time.Since(start).Seconds() }}
-}
-
-// NewTracerWithClock returns a tracer reading the given clock (seconds).
-// Pass the simulation engine's clock to trace simulated timelines.
-func NewTracerWithClock(clock func() float64) *Tracer {
-	if clock == nil {
-		panic("obs: nil tracer clock")
-	}
-	return &Tracer{clock: clock}
-}
-
-// Now returns the tracer clock in seconds.
-func (t *Tracer) Now() float64 { return t.clock() }
-
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
 }
 
 func (t *Tracer) append(e TraceEvent) {
@@ -94,43 +64,6 @@ func (t *Tracer) ProcessName(pid int, name string) {
 func (t *Tracer) ThreadName(pid, tid int, name string) {
 	t.append(TraceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name}})
-}
-
-// SpanContext is one goroutine's (or one simulated track's) handle for
-// clock-driven Begin/End spans. A SpanContext must not be shared between
-// goroutines; the tracer behind it is safe to share.
-type SpanContext struct {
-	t        *Tracer
-	pid, tid int
-}
-
-// Context returns a span context bound to the given track.
-func (t *Tracer) Context(pid, tid int) *SpanContext {
-	return &SpanContext{t: t, pid: pid, tid: tid}
-}
-
-// Span is an open span started by SpanContext.Start.
-type Span struct {
-	sc    *SpanContext
-	cat   string
-	name  string
-	start float64
-}
-
-// Start opens a span at the current tracer clock.
-func (sc *SpanContext) Start(cat, name string) Span {
-	return Span{sc: sc, cat: cat, name: name, start: sc.t.clock()}
-}
-
-// End closes the span at the current tracer clock and records it.
-func (s Span) End() {
-	sc := s.sc
-	sc.t.Complete(sc.pid, sc.tid, s.cat, s.name, s.start, sc.t.clock())
-}
-
-// Event records an instant on this context's track at the current clock.
-func (sc *SpanContext) Event(cat, name string) {
-	sc.t.Instant(sc.pid, sc.tid, cat, name, sc.t.clock())
 }
 
 // Events returns a copy of the recorded events sorted by timestamp

@@ -11,17 +11,16 @@ import (
 )
 
 func TestTracerExplicitTimestamps(t *testing.T) {
-	clock := 0.0
-	tr := NewTracerWithClock(func() float64 { return clock })
+	var tr Tracer
 	tr.ProcessName(1, "workers")
 	tr.ThreadName(1, 0, "worker 0")
 	tr.Complete(1, 0, "compute", "comp.r0", 0, 1.5)
 	tr.Complete(1, 0, "push", "push.r0", 1.5, 2.0)
 	tr.Instant(0, 0, "barrier", "barrier.r0", 2.0)
-	if tr.Len() != 5 {
-		t.Fatalf("len = %d, want 5", tr.Len())
-	}
 	ev := tr.Events()
+	if len(ev) != 5 {
+		t.Fatalf("len = %d, want 5", len(ev))
+	}
 	// Metadata first, then by timestamp.
 	if ev[0].Ph != "M" || ev[1].Ph != "M" {
 		t.Errorf("metadata not first: %+v", ev[:2])
@@ -37,46 +36,30 @@ func TestTracerExplicitTimestamps(t *testing.T) {
 }
 
 func TestTracerNegativeDurationClamped(t *testing.T) {
-	tr := NewTracer()
+	var tr Tracer
 	tr.Complete(0, 0, "x", "backwards", 5, 3)
 	if ev := tr.Events(); ev[0].Dur != 0 || ev[0].Ts != 5e6 {
 		t.Errorf("clamped span = %+v", ev[0])
 	}
 }
 
-func TestSpanContextClockSpans(t *testing.T) {
-	clock := 0.0
-	tr := NewTracerWithClock(func() float64 { return clock })
-	sc := tr.Context(2, 7)
-	sp := sc.Start("phase", "aggregate")
-	clock = 0.25
-	sp.End()
-	sc.Event("phase", "flush")
-	ev := tr.Events()
-	if len(ev) != 2 || ev[0].Pid != 2 || ev[0].Tid != 7 || ev[0].Dur != 0.25e6 {
-		t.Errorf("events = %+v", ev)
-	}
-}
-
-// TestTracerConcurrent exercises per-goroutine span contexts under -race.
+// TestTracerConcurrent records spans from many goroutines under -race.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer()
+	var tr Tracer
 	var wg sync.WaitGroup
 	const goroutines, spans = 8, 200
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sc := tr.Context(1, g)
 			for i := 0; i < spans; i++ {
-				sp := sc.Start("work", "unit")
-				sp.End()
+				tr.Complete(1, g, "work", "unit", float64(i), float64(i+1))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tr.Len() != goroutines*spans {
-		t.Errorf("len = %d, want %d", tr.Len(), goroutines*spans)
+	if n := len(tr.Events()); n != goroutines*spans {
+		t.Errorf("len = %d, want %d", n, goroutines*spans)
 	}
 }
 
@@ -84,7 +67,7 @@ func TestTracerConcurrent(t *testing.T) {
 // monotonically ordered timestamps — the contract the cynthiasim
 // --trace-out file relies on.
 func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := NewTracer()
+	var tr Tracer
 	tr.ProcessName(1, "p")
 	tr.Complete(1, 0, "b", "second", 2, 3)
 	tr.Complete(1, 0, "a", "first", 0, 1)

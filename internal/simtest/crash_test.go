@@ -23,7 +23,7 @@ import (
 // uninterrupted run's journal: the first segment boundary, and — when
 // the run recovers — the middle of the first recovery cycle's restart
 // overhead (so the kill lands mid-StatusRecovering).
-func killPoints(s *Scenario, want *Outcome, events []journal.Event) map[string][]float64 {
+func killPoints(want *Outcome, events []journal.Event) map[string][]float64 {
 	points := map[string][]float64{}
 	for _, e := range events {
 		if e.Type == journal.SegmentEnd {
@@ -31,10 +31,7 @@ func killPoints(s *Scenario, want *Outcome, events []journal.Event) map[string][
 			break
 		}
 	}
-	overhead := 30.0 // RecoveryConfig default
-	if s.Recovery != nil && s.Recovery.RestartOverheadSec > 0 {
-		overhead = s.Recovery.RestartOverheadSec
-	}
+	const overhead = 30.0 // RecoveryConfig.RestartOverheadSec default
 	// Mid-recovery kills need an actual recovery cycle: with recovery
 	// disabled the RecoveryStart event fires but the overhead is never
 	// charged, so a kill scheduled inside it would never be reached.
@@ -87,7 +84,7 @@ func TestCrashRestartMatchesUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 			events := jrnl.Events()
-			for name, kills := range killPoints(s, want, events) {
+			for name, kills := range killPoints(want, events) {
 				name, kills := name, kills
 				t.Run(name, func(t *testing.T) {
 					res, err := RunScenarioCrashed(withKills(s, kills), t.TempDir())

@@ -60,8 +60,9 @@ func (f *FaultSpec) plan() cloud.FaultPlan {
 	}
 }
 
-// SpotSpec attaches a spot market to the scenario's provider and turns
-// on the controller's continuous optimizer (see cluster.ElasticConfig).
+// SpotSpec attaches a spot market to the scenario's provider, which turns
+// on the controller's continuous optimizer (see cluster.Controller's
+// SpotStrategy).
 type SpotSpec struct {
 	// Strategy is the bidding posture: "aggressive", "balanced", or
 	// "conservative" (default balanced).
@@ -73,9 +74,6 @@ type SpotSpec struct {
 	// Traces embeds the price traces directly in the scenario, keeping
 	// the golden file self-contained.
 	Traces *pricing.TraceSet `json:"traces,omitempty"`
-	// ScaleOverheadSec and MinGainFrac override the elastic defaults.
-	ScaleOverheadSec float64 `json:"scale_overhead_sec,omitempty"`
-	MinGainFrac      float64 `json:"min_gain_frac,omitempty"`
 }
 
 // traceSet resolves the spec's price traces, inline or from file.
@@ -91,10 +89,7 @@ func (sp *SpotSpec) traceSet() (*pricing.TraceSet, error) {
 
 // RecoverySpec selects the controller recovery knobs a scenario overrides.
 type RecoverySpec struct {
-	Disabled           bool    `json:"disabled,omitempty"`
-	MaxRecoveries      int     `json:"max_recoveries,omitempty"`
-	CheckpointEvery    int     `json:"checkpoint_every,omitempty"`
-	RestartOverheadSec float64 `json:"restart_overhead_sec,omitempty"`
+	Disabled bool `json:"disabled,omitempty"`
 }
 
 // Outcome is everything a scenario replay asserts on: the plan the search
@@ -236,9 +231,6 @@ func buildWorld(s *Scenario, sink io.Writer) (*scenarioWorld, error) {
 	ctl.Recovery.Sleep = func(time.Duration) {}
 	if s.Recovery != nil {
 		ctl.Recovery.Disabled = s.Recovery.Disabled
-		ctl.Recovery.MaxRecoveries = s.Recovery.MaxRecoveries
-		ctl.Recovery.CheckpointEvery = s.Recovery.CheckpointEvery
-		ctl.Recovery.RestartOverheadSec = s.Recovery.RestartOverheadSec
 	}
 	switch s.Provisioner {
 	case "", "cynthia":
@@ -263,13 +255,7 @@ func buildWorld(s *Scenario, sink io.Writer) (*scenarioWorld, error) {
 			return nil, fmt.Errorf("scenario %s: %v", s.Name, err)
 		}
 		provider.SetMarket(m)
-		ctl.Elastic = cluster.ElasticConfig{
-			Enabled:          true,
-			Market:           m,
-			Strategy:         strat,
-			ScaleOverheadSec: s.Spot.ScaleOverheadSec,
-			MinGainFrac:      s.Spot.MinGainFrac,
-		}
+		ctl.SpotStrategy = strat
 	}
 	return &scenarioWorld{workload: w, master: master, provider: provider, ctl: ctl, jrnl: jrnl, now: now}, nil
 }

@@ -19,10 +19,10 @@ race:
 	$(GO) test -race -shuffle=on -timeout 15m ./...
 
 # stress repeats the packages with real concurrency (TCP parameter
-# servers, the recovery state machine) to shake out timing-dependent
-# flakes before they reach CI.
+# servers, the recovery state machine, the plan service's coalescing and
+# admission) to shake out timing-dependent flakes before they reach CI.
 stress:
-	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster
+	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service
 
 # bench runs every benchmark as a developer tool; nothing is gated on it.
 # Allocation bounds are plain tests that `make test` runs, and throughput

@@ -162,7 +162,7 @@ func BenchmarkAblationBounds(b *testing.B) {
 			have := false
 			for _, t := range catalog.Types() {
 				for nps := 1; nps <= 4; nps++ {
-					for n := nps; n <= plan.DefaultMaxWorkers; n++ {
+					for n := nps; n <= plan.MaxWorkers; n++ {
 						iters, err := w.IterationsToLoss(goal.LossTarget, n)
 						if err != nil {
 							continue

@@ -245,13 +245,17 @@ func run(workloadName, workloadFile string, deadline, lossTarget float64, baseNa
 		return fmt.Errorf("unknown predictor %q", predictorName)
 	}
 
-	var prov plan.Provisioner
+	// The engine's Provision keeps Algorithm 1's early break; the
+	// marginal-gain comparator has only its one-pass Search.
+	provision := plan.DefaultEngine.Provision
 	provName := "Algorithm 1"
 	switch provisionerName {
 	case "cynthia":
-		prov = plan.DefaultEngine
 	case "optimus-mg":
-		prov = baseline.MarginalGain{}
+		provision = func(ctx context.Context, req plan.Request) (plan.Plan, error) {
+			res, err := baseline.MarginalGain{}.Search(ctx, req)
+			return res.Plan, err
+		}
 		provName = baseline.MarginalGain{}.Name()
 	default:
 		return fmt.Errorf("unknown provisioner %q", provisionerName)
@@ -264,7 +268,7 @@ func run(workloadName, workloadFile string, deadline, lossTarget float64, baseNa
 		defer cancel()
 	}
 	goal := plan.Goal{TimeSec: deadline, LossTarget: lossTarget}
-	pl, err := prov.Provision(ctx, plan.Request{Profile: p, Goal: goal, Predictor: pred, Catalog: catalog})
+	pl, err := provision(ctx, plan.Request{Profile: p, Goal: goal, Predictor: pred, Catalog: catalog})
 	if err != nil {
 		return err
 	}

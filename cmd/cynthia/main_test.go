@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,6 +32,9 @@ func TestRunErrors(t *testing.T) {
 		}},
 		{"missing workload file", func() error {
 			return run("", "/nonexistent/w.json", 3600, 0.8, "m4.xlarge", "cynthia", "cynthia", 0, false, false)
+		}},
+		{"NaN deadline", func() error { // flag.Float64 parses "NaN"
+			return run("mnist DNN", "", math.NaN(), 0.8, "m4.xlarge", "cynthia", "cynthia", 0, false, false)
 		}},
 	}
 	for _, c := range cases {

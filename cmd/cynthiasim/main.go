@@ -53,13 +53,13 @@ func run(workloadName string, workers, ps int, typeName string, stragglers bool,
 	if err != nil {
 		return err
 	}
-	spec := ddnnsim.Homogeneous(it, workers, ps)
+	spec := cloud.Homogeneous(it, workers, ps)
 	if stragglers {
 		m1, err := catalog.Lookup(cloud.M1XLarge)
 		if err != nil {
 			return err
 		}
-		spec = ddnnsim.Heterogeneous(it, m1, workers, ps)
+		spec = cloud.Heterogeneous(it, m1, workers, ps)
 	}
 	opt := ddnnsim.Options{
 		Iterations: iterations, Seed: seed, LossEvery: 1, RecordIterations: records,

@@ -144,7 +144,7 @@ func TestOptimusInterpolatesWellExtrapolatesPoorly(t *testing.T) {
 	p := perf.SyntheticProfile(w, m4)
 
 	observe := func(n int) float64 {
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: 30 * n, LossEvery: 30 * n})
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: 30 * n, LossEvery: 30 * n})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,32 +27,14 @@ import (
 // policy from the performance model.
 type MarginalGain struct{}
 
-var (
-	_ plan.Provisioner = MarginalGain{}
-	_ plan.Searcher    = MarginalGain{}
-)
+var _ plan.Provisioner = MarginalGain{}
 
 // Name identifies the strategy (for reports and CLI flags).
 func (MarginalGain) Name() string { return "Optimus-MG" }
 
-// Provision implements plan.Provisioner.
-func (g MarginalGain) Provision(ctx context.Context, req plan.Request) (plan.Plan, error) {
-	res, err := g.Search(ctx, req)
-	return res.Plan, err
-}
-
-// Candidates implements plan.Provisioner: every configuration the greedy
-// trajectories evaluated, ranked like the engine's candidate list.
-func (g MarginalGain) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
-	res, err := g.Search(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Ranked, nil
-}
-
-// Search implements plan.Searcher: one pass produces both the chosen plan
-// and the ranked trajectory.
+// Search implements plan.Provisioner: one pass produces both the chosen
+// plan and every configuration the greedy trajectories evaluated, ranked
+// like the engine's candidate list.
 func (g MarginalGain) Search(ctx context.Context, req plan.Request) (plan.Result, error) {
 	nreq, err := req.Normalize()
 	if err != nil {
@@ -113,7 +95,7 @@ func (g MarginalGain) climb(ctx context.Context, req plan.Request, t cloud.Insta
 		// PS (Constraint 11 keeps PS <= workers). Both add one docker of
 		// the same price, so the larger time reduction is the larger
 		// marginal gain per dollar.
-		if cur.Workers < req.MaxWorkers {
+		if cur.Workers < plan.MaxWorkers {
 			if c, err := plan.Evaluate(req, t, cur.Workers+1, cur.PS); err == nil {
 				trajectory = append(trajectory, c)
 				if c.PredTime < next.PredTime {

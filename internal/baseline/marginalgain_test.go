@@ -29,24 +29,26 @@ func mgRequest(t *testing.T, name string, goal plan.Goal) plan.Request {
 
 func TestMarginalGainMeetsLooseGoal(t *testing.T) {
 	req := mgRequest(t, "cifar10 DNN", plan.Goal{TimeSec: 10800, LossTarget: 0.8})
-	pl, err := MarginalGain{}.Provision(context.Background(), req)
+	res, err := MarginalGain{}.Search(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := res.Plan
 	if !pl.Feasible {
 		t.Fatalf("loose goal infeasible for marginal gain: %v", pl)
 	}
-	if pl.Workers < pl.PS || pl.Workers > plan.DefaultMaxWorkers {
+	if pl.Workers < pl.PS || pl.Workers > plan.MaxWorkers {
 		t.Errorf("malformed plan %v", pl)
 	}
 }
 
 func TestMarginalGainCandidatesRanked(t *testing.T) {
 	req := mgRequest(t, "cifar10 DNN", plan.Goal{TimeSec: 7200, LossTarget: 0.8})
-	cands, err := MarginalGain{}.Candidates(context.Background(), req)
+	res, err := MarginalGain{}.Search(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := res.Ranked
 	if len(cands) < 2 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -65,20 +67,15 @@ func TestMarginalGainCandidatesRanked(t *testing.T) {
 	}
 }
 
-func TestMarginalGainSearchMatchesProvision(t *testing.T) {
+// TestMarginalGainPlanAmongRanked: the plan Search chooses is one of the
+// configurations its greedy trajectories evaluated.
+func TestMarginalGainPlanAmongRanked(t *testing.T) {
 	req := mgRequest(t, "cifar10 DNN", plan.Goal{TimeSec: 7200, LossTarget: 0.8})
-	ctx := context.Background()
-	res, err := MarginalGain{}.Search(ctx, req)
+	res, err := MarginalGain{}.Search(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := MarginalGain{}.Provision(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan != pl {
-		t.Errorf("Search plan %v != Provision plan %v", res.Plan, pl)
-	}
+	pl := res.Plan
 	// The chosen plan appears in the ranked trajectory.
 	found := false
 	for _, c := range res.Ranked {

@@ -29,7 +29,7 @@ func CollectSamples(w *model.Workload, base cloud.InstanceType, sizes []int, ite
 		if w.Sync == model.ASP {
 			iters = itersPerRun * n // keep per-worker depth constant
 		}
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(base, n, 1), ddnnsim.Options{
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(base, n, 1), ddnnsim.Options{
 			Iterations: iters,
 			LossEvery:  iters,
 		})

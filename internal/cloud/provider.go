@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"cynthia/internal/obs"
 	"cynthia/internal/obs/journal"
@@ -104,14 +103,8 @@ type Instance struct {
 }
 
 // Clock supplies the provider's notion of time in seconds. Simulations pass
-// the engine clock; real deployments pass wall time.
+// the engine clock; real deployments pass wall time (WallClockFrom).
 type Clock func() float64
-
-// WallClock is a Clock reading the OS monotonic-ish wall time.
-func WallClock() Clock {
-	start := time.Now()
-	return func() float64 { return time.Since(start).Seconds() }
-}
 
 // ErrCapacity is returned by Launch when the provider cannot satisfy the
 // request within its configured per-type capacity limit.
@@ -136,7 +129,7 @@ type Provider struct {
 // clock. A nil clock defaults to a wall clock.
 func NewProvider(catalog *Catalog, clock Clock) *Provider {
 	if clock == nil {
-		clock = WallClock()
+		clock = WallClockFrom(0)
 	}
 	return &Provider{
 		catalog:   catalog,

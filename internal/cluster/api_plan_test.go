@@ -125,7 +125,7 @@ func TestPlanEpochBumpInvalidatesOverHTTP(t *testing.T) {
 }
 
 // stallingProvisioner blocks every search until released, so admission
-// tests can saturate worker pools deterministically.
+// tests can hold searches in flight deterministically.
 type stallingProvisioner struct {
 	started chan struct{} // receives one token per search that began
 	release chan struct{} // close to let every search return
@@ -140,15 +140,6 @@ func (p *stallingProvisioner) Search(ctx context.Context, req plan.Request) (pla
 	return plan.Result{}, fmt.Errorf("stalling provisioner: released without a plan")
 }
 
-func (p *stallingProvisioner) Provision(ctx context.Context, req plan.Request) (plan.Plan, error) {
-	res, err := p.Search(ctx, req)
-	return res.Plan, err
-}
-
-func (p *stallingProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
-	return nil, nil
-}
-
 func TestPlanOverloadReturns429(t *testing.T) {
 	master := newMaster(t)
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
@@ -156,12 +147,12 @@ func TestPlanOverloadReturns429(t *testing.T) {
 	sp := &stallingProvisioner{started: make(chan struct{}, 8), release: make(chan struct{})}
 	svc := service.New(service.Config{
 		Provisioner: sp, Catalog: provider.Catalog(),
-		Workers: 1, QueueDepth: 1, Registry: obs.NewRegistry(),
+		QueueDepth: 1, Registry: obs.NewRegistry(),
 	})
 	api := NewAPI(master, controller, WithPlanService(svc))
 	h := api.Handler()
 
-	// First question occupies the only worker; second fills the queue.
+	// The first question holds the only in-flight search slot.
 	var wg sync.WaitGroup
 	var relOnce sync.Once
 	release := func() { relOnce.Do(func() { close(sp.release) }) }
@@ -174,11 +165,9 @@ func TestPlanOverloadReturns429(t *testing.T) {
 		}()
 	}
 	post(1000)
-	<-sp.started // worker busy, queue empty
-	post(2000)
-	waitFor(t, func() bool { return svc.Stats().Misses == 2 })
+	<-sp.started
 
-	rec, _ := doJSON(t, h, "POST", "/api/plan", planBody(3000))
+	rec, _ := doJSON(t, h, "POST", "/api/plan", planBody(2000))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded plan = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -222,6 +211,11 @@ func TestAsyncSubmission(t *testing.T) {
 	})
 	if last["status"] != string(StatusSucceeded) {
 		t.Errorf("async job finished %v: %v", last["status"], last)
+	}
+	// The status turns terminal before teardown releases the instances;
+	// the job's done channel closes after it.
+	if err := api.controller.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
 	}
 	if provider.RunningCount("") != 0 {
 		t.Error("instances leaked")
@@ -403,17 +397,15 @@ func TestPlanJobStorm(t *testing.T) {
 		t.Errorf("post-bump key %v collides with a pre-bump entry", out["key"])
 	}
 
-	// Let submitted jobs finish and verify teardown.
-	waitFor(t, func() bool {
-		for _, j := range api.controller.Jobs() {
-			switch j.Status {
-			case StatusSucceeded, StatusMissedGoal, StatusFailed:
-			default:
-				return false
-			}
+	// Let submitted jobs finish and verify teardown. A job's done channel
+	// closes after teardown; its status turns terminal before.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, j := range api.controller.Jobs() {
+		if err := api.controller.Wait(ctx, j.ID); err != nil {
+			t.Fatalf("job %s: %v", j.ID, err)
 		}
-		return true
-	})
+	}
 	if provider.RunningCount("") != 0 {
 		t.Error("instances leaked after the storm")
 	}

@@ -318,7 +318,7 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 	// One exhaustive search produces both the chosen plan and the ranked
 	// candidate list, so a later capacity fallback never re-runs
 	// Algorithm 1.
-	res, err := plan.SearchWith(context.Background(), c.provisioner, req)
+	res, err := c.provisioner.Search(context.Background(), req)
 	if err != nil {
 		return c.failJob(&runState{job: job}, err)
 	}

@@ -10,22 +10,10 @@ import (
 	"cynthia/internal/plan"
 )
 
-// countingProvisioner wraps the Cynthia engine and counts which entry
-// points the controller actually exercises.
+// countingProvisioner wraps the Cynthia engine and counts the searches
+// the controller runs.
 type countingProvisioner struct {
-	provisions int32
-	candidates int32
-	searches   int32
-}
-
-func (c *countingProvisioner) Provision(ctx context.Context, req plan.Request) (plan.Plan, error) {
-	atomic.AddInt32(&c.provisions, 1)
-	return plan.DefaultEngine.Provision(ctx, req)
-}
-
-func (c *countingProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
-	atomic.AddInt32(&c.candidates, 1)
-	return plan.DefaultEngine.Candidates(ctx, req)
+	searches int32
 }
 
 func (c *countingProvisioner) Search(ctx context.Context, req plan.Request) (plan.Result, error) {
@@ -33,15 +21,10 @@ func (c *countingProvisioner) Search(ctx context.Context, req plan.Request) (pla
 	return plan.DefaultEngine.Search(ctx, req)
 }
 
-var (
-	_ plan.Provisioner = (*countingProvisioner)(nil)
-	_ plan.Searcher    = (*countingProvisioner)(nil)
-)
-
 // TestControllerFallbackNeverReSearches pins the zero-re-search
 // contract: even when the capacity fallback has to walk the ranked
 // candidates onto another instance type, the controller runs exactly one
-// search per submission and never calls Provision or Candidates again.
+// search per submission.
 func TestControllerFallbackNeverReSearches(t *testing.T) {
 	master := newMaster(t)
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
@@ -72,12 +55,6 @@ func TestControllerFallbackNeverReSearches(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&counter.searches); got != 2 {
 		t.Errorf("two submissions ran %d searches, want 2 (one each)", got)
-	}
-	if got := atomic.LoadInt32(&counter.candidates); got != 0 {
-		t.Errorf("capacity fallback re-ran Candidates %d times, want 0", got)
-	}
-	if got := atomic.LoadInt32(&counter.provisions); got != 0 {
-		t.Errorf("controller called Provision %d times, want 0 (Search covers it)", got)
 	}
 }
 

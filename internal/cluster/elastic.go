@@ -184,7 +184,7 @@ func (c *Controller) elasticStep(st *runState) error {
 	if candCost >= curCost*(1-minGainFrac) {
 		return nil
 	}
-	if candSec+overhead > budget*(1-plan.DefaultHeadroom) {
+	if candSec+overhead > budget*(1-plan.Headroom) {
 		return nil
 	}
 	ch := choices[p.Type.Name]

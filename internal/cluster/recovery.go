@@ -432,7 +432,7 @@ func (c *Controller) residualSearch(st *runState, remaining int, budget float64)
 	if err != nil {
 		return plan.Result{}, nil, err
 	}
-	res, err := plan.SearchWith(context.Background(), c.provisioner, plan.Request{
+	res, err := c.provisioner.Search(context.Background(), plan.Request{
 		Profile:   st.prof,
 		Goal:      plan.Goal{TimeSec: budget * float64(st.TotalIters) / float64(remaining), LossTarget: st.goal.LossTarget},
 		Predictor: c.predictor,

@@ -35,22 +35,6 @@ const (
 	pidPS      = 2
 )
 
-// ClusterSpec aliases cloud.ClusterSpec: the dockers of a training
-// cluster, one docker per physical core.
-type ClusterSpec = cloud.ClusterSpec
-
-// Homogeneous returns a cluster of nwk workers and nps PS dockers, all of
-// the same instance type.
-func Homogeneous(t cloud.InstanceType, nwk, nps int) ClusterSpec {
-	return cloud.Homogeneous(t, nwk, nps)
-}
-
-// Heterogeneous returns the paper's straggler cluster: ⌈n/2⌉ fast workers
-// and ⌊n/2⌋ slow workers of the given types (Fig. 1, Fig. 9).
-func Heterogeneous(fast, slow cloud.InstanceType, nwk, nps int) ClusterSpec {
-	return cloud.Heterogeneous(fast, slow, nwk, nps)
-}
-
 // Fault schedules the loss of one docker at a simulated time: a worker or
 // PS process killed mid-run, as a spot revocation of its host instance
 // would. The simulation halts at that instant — a dead PS shard wedges
@@ -208,7 +192,7 @@ func (r *Result) MeanWorkerCPUUtil() float64 {
 
 // Run simulates training the workload on the cluster and returns the
 // result.
-func Run(w *model.Workload, cluster ClusterSpec, opt Options) (*Result, error) {
+func Run(w *model.Workload, cluster cloud.ClusterSpec, opt Options) (*Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("ddnnsim: nil workload")
 	}
@@ -317,7 +301,7 @@ func earliestFault(faults []Fault) (*Fault, float64) {
 // concurrent jobs run sims concurrently.
 type sim struct {
 	w       *model.Workload
-	cluster ClusterSpec
+	cluster cloud.ClusterSpec
 	iters   int
 	opt     Options
 	eng     *flow.Engine
@@ -369,7 +353,7 @@ func (s *sim) noisyWork(work float64) float64 {
 	return work * (1 + computeNoise*(2*s.rng.Float64()-1))
 }
 
-func newSim(w *model.Workload, cluster ClusterSpec, iters int, opt Options) *sim {
+func newSim(w *model.Workload, cluster cloud.ClusterSpec, iters int, opt Options) *sim {
 	s := &sim{
 		w:       w,
 		cluster: cluster,

@@ -31,7 +31,7 @@ func mustWorkload(t *testing.T, name string) *model.Workload {
 	return w
 }
 
-func run(t *testing.T, w *model.Workload, cluster ClusterSpec, opt Options) *Result {
+func run(t *testing.T, w *model.Workload, cluster cloud.ClusterSpec, opt Options) *Result {
 	t.Helper()
 	res, err := Run(w, cluster, opt)
 	if err != nil {
@@ -42,20 +42,20 @@ func run(t *testing.T, w *model.Workload, cluster ClusterSpec, opt Options) *Res
 
 func TestRunValidation(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	if _, err := Run(nil, Homogeneous(m4, 1, 1), Options{}); err == nil {
+	if _, err := Run(nil, cloud.Homogeneous(m4, 1, 1), Options{}); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := Run(w, Homogeneous(m4, 0, 1), Options{}); err == nil {
+	if _, err := Run(w, cloud.Homogeneous(m4, 0, 1), Options{}); err == nil {
 		t.Error("zero workers accepted")
 	}
-	if _, err := Run(w, Homogeneous(m4, 1, 0), Options{}); err == nil {
+	if _, err := Run(w, cloud.Homogeneous(m4, 1, 0), Options{}); err == nil {
 		t.Error("zero PS accepted")
 	}
 }
 
 func TestSingleWorkerBSPMatchesAnalytic(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 1, 1), Options{Iterations: 50})
+	res := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{Iterations: 50})
 	// One worker, no contention: iteration time = max(comp, comm) in
 	// steady state, with comp = witer/c, comm = push+pull with PS CPU
 	// overlap per direction.
@@ -73,7 +73,7 @@ func TestSingleWorkerBSPMatchesAnalytic(t *testing.T) {
 
 func TestSingleWorkerASPMatchesAnalytic(t *testing.T) {
 	w := mustWorkload(t, "ResNet-32")
-	res := run(t, w, Homogeneous(m4, 1, 1), Options{Iterations: 20})
+	res := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{Iterations: 20})
 	// ASP single worker: strictly sequential comp + comm.
 	comp := w.WiterGFLOPs / m4.GFLOPS
 	perDir := math.Max(w.GparamMB/m4.NetMBps, w.GparamMB*w.PSCPUPerMB/m4.GFLOPS)
@@ -87,8 +87,8 @@ func TestBSPComputeScalesDown(t *testing.T) {
 	// ResNet-32 with BSP is compute-bound; doubling workers should nearly
 	// halve training time.
 	w := mustWorkload(t, "ResNet-32").WithSync(model.BSP)
-	t2 := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 30}).TrainingTime
-	t4 := run(t, w, Homogeneous(m4, 4, 1), Options{Iterations: 30}).TrainingTime
+	t2 := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 30}).TrainingTime
+	t4 := run(t, w, cloud.Homogeneous(m4, 4, 1), Options{Iterations: 30}).TrainingTime
 	ratio := t2 / t4
 	if ratio < 1.7 || ratio > 2.2 {
 		t.Errorf("2->4 worker speedup = %.2f, want ~2 (compute bound)", ratio)
@@ -102,7 +102,7 @@ func TestFigure1bMnistUShape(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	times := map[int]float64{}
 	for _, n := range []int{1, 2, 4, 8} {
-		times[n] = run(t, w, Homogeneous(m4, n, 1), Options{Iterations: 300}).TrainingTime
+		times[n] = run(t, w, cloud.Homogeneous(m4, n, 1), Options{Iterations: 300}).TrainingTime
 	}
 	if !(times[2] < times[1]) {
 		t.Errorf("1->2 workers should speed up: %v", times)
@@ -120,7 +120,7 @@ func TestFigure1bMnistUShape(t *testing.T) {
 func TestTable2UtilizationShape(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	utilAt := func(n int) (worker, ps float64) {
-		res := run(t, w, Homogeneous(m4, n, 1), Options{Iterations: 300})
+		res := run(t, w, cloud.Homogeneous(m4, n, 1), Options{Iterations: 300})
 		return res.MeanWorkerCPUUtil(), res.PSCPUUtil[0]
 	}
 	w1, _ := utilAt(1)
@@ -149,7 +149,7 @@ func TestTable2UtilizationShape(t *testing.T) {
 func TestFigure2ThroughputPlateau(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	steady := func(n int) float64 {
-		res := run(t, w, Homogeneous(m4, n, 1), Options{Iterations: 300, TraceBin: 1})
+		res := run(t, w, cloud.Homogeneous(m4, n, 1), Options{Iterations: 300, TraceBin: 1})
 		return res.PSNICSeries[0].SteadyRate(0.1, 0.1)
 	}
 	s1, s4, s8 := steady(1), steady(4), steady(8)
@@ -177,7 +177,7 @@ func TestFigure3BreakdownCrossover(t *testing.T) {
 	comp := map[int]float64{}
 	comm := map[int]float64{}
 	for _, n := range []int{9, 13, 17} {
-		res := run(t, w, Homogeneous(m4, n, 1), Options{Iterations: 100})
+		res := run(t, w, cloud.Homogeneous(m4, n, 1), Options{Iterations: 100})
 		comp[n], comm[n] = res.ComputeTime, res.CommTime
 	}
 	if !(comp[9] > comp[17]) {
@@ -198,8 +198,8 @@ func TestFigure3BreakdownCrossover(t *testing.T) {
 // time substantially at small scale.
 func TestHeterogeneousStragglersSlowBSP(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	homo := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 200}).TrainingTime
-	hetero := run(t, w, Heterogeneous(m4, m1, 2, 1), Options{Iterations: 200}).TrainingTime
+	homo := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 200}).TrainingTime
+	hetero := run(t, w, cloud.Heterogeneous(m4, m1, 2, 1), Options{Iterations: 200}).TrainingTime
 	slowdown := hetero / homo
 	if slowdown < 1.4 || slowdown > 2.2 {
 		t.Errorf("straggler slowdown = %.2f, want ~1.9 (paper: up to 84%%)", slowdown)
@@ -208,7 +208,7 @@ func TestHeterogeneousStragglersSlowBSP(t *testing.T) {
 
 func TestHeterogeneousASPFasterWorkersDoMore(t *testing.T) {
 	w := mustWorkload(t, "ResNet-32")
-	res := run(t, w, Heterogeneous(m4, m1, 4, 1), Options{Iterations: 40})
+	res := run(t, w, cloud.Heterogeneous(m4, m1, 4, 1), Options{Iterations: 40})
 	// Workers 0,1 are m4 (fast), workers 2,3 are m1 (slow).
 	fast := res.PerWorkerIterations[0] + res.PerWorkerIterations[1]
 	slow := res.PerWorkerIterations[2] + res.PerWorkerIterations[3]
@@ -228,7 +228,7 @@ func TestHeterogeneousASPFasterWorkersDoMore(t *testing.T) {
 func TestVGGNICSaturation(t *testing.T) {
 	w := mustWorkload(t, "VGG-19")
 	util := func(n int) float64 {
-		res := run(t, w, Homogeneous(m4, n, 1), Options{Iterations: 5 * n})
+		res := run(t, w, cloud.Homogeneous(m4, n, 1), Options{Iterations: 5 * n})
 		return res.PSNICUtil[0]
 	}
 	u4 := util(4)
@@ -245,15 +245,15 @@ func TestVGGNICSaturation(t *testing.T) {
 // (Fig. 10(b)) but barely help compute-bound ResNet-32 (Fig. 10(a)).
 func TestMultiPSRelievesBottleneck(t *testing.T) {
 	mnist := mustWorkload(t, "mnist DNN")
-	t1 := run(t, mnist, Homogeneous(m4, 8, 1), Options{Iterations: 200}).TrainingTime
-	t4 := run(t, mnist, Homogeneous(m4, 8, 4), Options{Iterations: 200}).TrainingTime
+	t1 := run(t, mnist, cloud.Homogeneous(m4, 8, 1), Options{Iterations: 200}).TrainingTime
+	t4 := run(t, mnist, cloud.Homogeneous(m4, 8, 4), Options{Iterations: 200}).TrainingTime
 	if speedup := t1 / t4; speedup < 1.5 {
 		t.Errorf("4 PS speedup for mnist = %.2f, want > 1.5", speedup)
 	}
 
 	resnet := mustWorkload(t, "ResNet-32")
-	r1 := run(t, resnet, Homogeneous(m4, 4, 1), Options{Iterations: 40}).TrainingTime
-	r2 := run(t, resnet, Homogeneous(m4, 4, 2), Options{Iterations: 40}).TrainingTime
+	r1 := run(t, resnet, cloud.Homogeneous(m4, 4, 1), Options{Iterations: 40}).TrainingTime
+	r2 := run(t, resnet, cloud.Homogeneous(m4, 4, 2), Options{Iterations: 40}).TrainingTime
 	if rel := math.Abs(r1-r2) / r1; rel > 0.1 {
 		t.Errorf("extra PS changed ResNet time by %.0f%%, want < 10%%", rel*100)
 	}
@@ -261,7 +261,7 @@ func TestMultiPSRelievesBottleneck(t *testing.T) {
 
 func TestLossCurveProperties(t *testing.T) {
 	w := mustWorkload(t, "cifar10 DNN")
-	res := run(t, w, Homogeneous(m4, 4, 1), Options{Iterations: 500, Seed: 1})
+	res := run(t, w, cloud.Homogeneous(m4, 4, 1), Options{Iterations: 500, Seed: 1})
 	if len(res.Loss) != 500 {
 		t.Fatalf("loss points = %d, want 500", len(res.Loss))
 	}
@@ -284,9 +284,9 @@ func TestLossCurveProperties(t *testing.T) {
 
 func TestLossCurveDeterministicBySeed(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	a := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 7})
-	b := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 7})
-	c := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 8})
+	a := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 7})
+	b := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 7})
+	c := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 100, Seed: 8})
 	if len(a.Loss) != len(b.Loss) {
 		t.Fatal("lengths differ")
 	}
@@ -309,8 +309,8 @@ func TestLossCurveDeterministicBySeed(t *testing.T) {
 
 func TestASPLossSlowerWithMoreWorkers(t *testing.T) {
 	w := mustWorkload(t, "ResNet-32")
-	l4 := run(t, w, Homogeneous(m4, 4, 1), Options{Iterations: 100, Seed: 3}).FinalLoss
-	l9 := run(t, w, Homogeneous(m4, 9, 1), Options{Iterations: 100, Seed: 3}).FinalLoss
+	l4 := run(t, w, cloud.Homogeneous(m4, 4, 1), Options{Iterations: 100, Seed: 3}).FinalLoss
+	l9 := run(t, w, cloud.Homogeneous(m4, 9, 1), Options{Iterations: 100, Seed: 3}).FinalLoss
 	if l9 <= l4 {
 		t.Errorf("ASP loss at 100 iters: n=9 (%v) should exceed n=4 (%v)", l9, l4)
 	}
@@ -318,7 +318,7 @@ func TestASPLossSlowerWithMoreWorkers(t *testing.T) {
 
 func TestLossEverySubsampling(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 1, 1), Options{Iterations: 100, LossEvery: 10})
+	res := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{Iterations: 100, LossEvery: 10})
 	if len(res.Loss) != 10 {
 		t.Errorf("loss points = %d, want 10", len(res.Loss))
 	}
@@ -328,11 +328,11 @@ func TestLossEverySubsampling(t *testing.T) {
 }
 
 func TestClusterSpecHelpers(t *testing.T) {
-	h := Homogeneous(m4, 5, 2)
+	h := cloud.Homogeneous(m4, 5, 2)
 	if h.NumWorkers() != 5 || h.NumPS() != 2 {
 		t.Errorf("homogeneous spec = %d/%d", h.NumWorkers(), h.NumPS())
 	}
-	het := Heterogeneous(m4, m1, 5, 1)
+	het := cloud.Heterogeneous(m4, m1, 5, 1)
 	fast, slow := 0, 0
 	for _, w := range het.Workers {
 		if w.Name == cloud.M4XLarge {
@@ -351,7 +351,7 @@ func TestClusterSpecHelpers(t *testing.T) {
 
 func TestBSPIterationAccounting(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 3, 1), Options{Iterations: 50})
+	res := run(t, w, cloud.Homogeneous(m4, 3, 1), Options{Iterations: 50})
 	for j, c := range res.PerWorkerIterations {
 		if c != 50 {
 			t.Errorf("worker %d executed %d rounds, want 50", j, c)
@@ -371,7 +371,7 @@ func simRun(tb testing.TB, workload string, workers, ps int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	spec := Homogeneous(m4, workers, ps)
+	spec := cloud.Homogeneous(m4, workers, ps)
 	return func() {
 		if _, err := Run(w, spec, Options{Iterations: 100}); err != nil {
 			tb.Fatal(err)
@@ -426,7 +426,7 @@ func TestSimIterationsAllocateNothing(t *testing.T) {
 		w := mustWorkload(t, tc.workload)
 		allocs := func(iters int) float64 {
 			return testing.AllocsPerRun(3, func() {
-				if _, err := Run(w, Homogeneous(m4, 8, 1), Options{Iterations: iters, LossEvery: iters}); err != nil {
+				if _, err := Run(w, cloud.Homogeneous(m4, 8, 1), Options{Iterations: iters, LossEvery: iters}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -475,8 +475,8 @@ func TestNoOverlapSlowsBSP(t *testing.T) {
 	// tcomp + tcomm.
 	w := mustWorkload(t, "cifar10 DNN")
 	const iters = 100
-	overlapped := run(t, w, Homogeneous(m4, 12, 1), Options{Iterations: iters}).TrainingTime
-	serial := run(t, w, Homogeneous(m4, 12, 1), Options{Iterations: iters, NoOverlap: true}).TrainingTime
+	overlapped := run(t, w, cloud.Homogeneous(m4, 12, 1), Options{Iterations: iters}).TrainingTime
+	serial := run(t, w, cloud.Homogeneous(m4, 12, 1), Options{Iterations: iters, NoOverlap: true}).TrainingTime
 	if serial <= overlapped*1.2 {
 		t.Errorf("no-overlap %v should clearly exceed overlapped %v", serial, overlapped)
 	}
@@ -494,7 +494,7 @@ func TestNoOverlapMatchesPaleoModel(t *testing.T) {
 	// for an unoverlapped system.
 	w := mustWorkload(t, "cifar10 DNN")
 	const iters = 100
-	serial := run(t, w, Homogeneous(m4, 12, 1), Options{Iterations: iters, NoOverlap: true}).TrainingTime
+	serial := run(t, w, cloud.Homogeneous(m4, 12, 1), Options{Iterations: iters, NoOverlap: true}).TrainingTime
 	tcomp := w.WiterGFLOPs / (12 * m4.GFLOPS)
 	tcomm := 2 * w.GparamMB * 12 / m4.NetMBps
 	paleoLike := float64(iters) * (tcomp + tcomm)
@@ -505,7 +505,7 @@ func TestNoOverlapMatchesPaleoModel(t *testing.T) {
 
 func TestIterRecordsBSP(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 3, 1), Options{Iterations: 40, RecordIterations: true})
+	res := run(t, w, cloud.Homogeneous(m4, 3, 1), Options{Iterations: 40, RecordIterations: true})
 	if len(res.IterRecords) != 40 {
 		t.Fatalf("records = %d, want 40", len(res.IterRecords))
 	}
@@ -537,7 +537,7 @@ func TestIterRecordsBSP(t *testing.T) {
 
 func TestIterRecordsASP(t *testing.T) {
 	w := mustWorkload(t, "ResNet-32")
-	res := run(t, w, Homogeneous(m4, 3, 1), Options{Iterations: 30, RecordIterations: true})
+	res := run(t, w, cloud.Homogeneous(m4, 3, 1), Options{Iterations: 30, RecordIterations: true})
 	if len(res.IterRecords) != 30 {
 		t.Fatalf("records = %d", len(res.IterRecords))
 	}
@@ -557,7 +557,7 @@ func TestIterRecordsASP(t *testing.T) {
 
 func TestIterRecordsOffByDefault(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 10})
+	res := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 10})
 	if len(res.IterRecords) != 0 {
 		t.Errorf("records captured without opt-in: %d", len(res.IterRecords))
 	}

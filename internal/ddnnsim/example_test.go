@@ -15,7 +15,7 @@ func ExampleRun() {
 	m4, _ := cloud.DefaultCatalog().Lookup(cloud.M4XLarge)
 
 	for _, n := range []int{4, 8} {
-		res, err := ddnnsim.Run(workload, ddnnsim.Homogeneous(m4, n, 1),
+		res, err := ddnnsim.Run(workload, cloud.Homogeneous(m4, n, 1),
 			ddnnsim.Options{Iterations: 500})
 		if err != nil {
 			fmt.Println("error:", err)

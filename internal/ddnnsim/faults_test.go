@@ -2,14 +2,16 @@ package ddnnsim
 
 import (
 	"testing"
+
+	"cynthia/internal/cloud"
 )
 
 func TestFaultInterruptsRun(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	full := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 100})
+	full := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 100})
 	at := full.TrainingTime / 2
 
-	res := run(t, w, Homogeneous(m4, 2, 1), Options{
+	res := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{
 		Iterations:      100,
 		CheckpointEvery: 10,
 		Faults:          []Fault{{AtSec: at, Role: "worker", Index: 1}},
@@ -36,7 +38,7 @@ func TestFaultInterruptsRun(t *testing.T) {
 
 func TestFaultWithoutCheckpointingLosesAllProgress(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 2, 1), Options{
+	res := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{
 		Iterations: 100,
 		Faults:     []Fault{{AtSec: 5, Role: "ps", Index: 0}},
 	})
@@ -51,7 +53,7 @@ func TestFaultWithoutCheckpointingLosesAllProgress(t *testing.T) {
 
 func TestEarliestFaultWins(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	res := run(t, w, Homogeneous(m4, 2, 1), Options{
+	res := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{
 		Iterations: 100,
 		Faults: []Fault{
 			{AtSec: 50, Role: "worker", Index: 0},
@@ -67,7 +69,7 @@ func TestFaultAtZeroIsClamped(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
 	// The flow engine treats horizon <= 0 as unbounded; a fault at t=0
 	// must still halt the run immediately rather than disable the stop.
-	res := run(t, w, Homogeneous(m4, 1, 1), Options{
+	res := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{
 		Iterations: 10,
 		Faults:     []Fault{{AtSec: 0, Role: "worker", Index: 0}},
 	})
@@ -78,8 +80,8 @@ func TestFaultAtZeroIsClamped(t *testing.T) {
 
 func TestFaultAfterCompletionIsIgnored(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	full := run(t, w, Homogeneous(m4, 1, 1), Options{Iterations: 20})
-	res := run(t, w, Homogeneous(m4, 1, 1), Options{
+	full := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{Iterations: 20})
+	res := run(t, w, cloud.Homogeneous(m4, 1, 1), Options{
 		Iterations: 20,
 		Faults:     []Fault{{AtSec: full.TrainingTime * 10, Role: "worker", Index: 0}},
 	})
@@ -90,8 +92,8 @@ func TestFaultAfterCompletionIsIgnored(t *testing.T) {
 
 func TestStartIterationOffsetsLossCurve(t *testing.T) {
 	w := mustWorkload(t, "mnist DNN")
-	base := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 10})
-	resumed := run(t, w, Homogeneous(m4, 2, 1), Options{Iterations: 10, StartIteration: 500})
+	base := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 10})
+	resumed := run(t, w, cloud.Homogeneous(m4, 2, 1), Options{Iterations: 10, StartIteration: 500})
 	if len(resumed.Loss) != len(base.Loss) {
 		t.Fatalf("loss lengths differ: %d vs %d", len(resumed.Loss), len(base.Loss))
 	}
@@ -113,8 +115,8 @@ func TestInterruptedRunIsDeterministic(t *testing.T) {
 		CheckpointEvery: 7,
 		Faults:          []Fault{{AtSec: 10, Role: "worker", Index: 0}},
 	}
-	a := run(t, w, Homogeneous(m4, 3, 1), opt)
-	b := run(t, w, Homogeneous(m4, 3, 1), opt)
+	a := run(t, w, cloud.Homogeneous(m4, 3, 1), opt)
+	b := run(t, w, cloud.Homogeneous(m4, 3, 1), opt)
 	if a.Iterations != b.Iterations || a.CheckpointIter != b.CheckpointIter ||
 		a.TrainingTime != b.TrainingTime || a.FinalLoss != b.FinalLoss {
 		t.Errorf("runs differ: %+v vs %+v", a, b)

@@ -13,11 +13,11 @@ import (
 )
 
 // randomCluster draws a small random cluster.
-func randomCluster(rng *rand.Rand) ClusterSpec {
+func randomCluster(rng *rand.Rand) cloud.ClusterSpec {
 	types := []cloud.InstanceType{m4, m1}
 	nwk := rng.Intn(6) + 1
 	nps := rng.Intn(2) + 1
-	spec := ClusterSpec{}
+	spec := cloud.ClusterSpec{}
 	for i := 0; i < nwk; i++ {
 		spec.Workers = append(spec.Workers, types[rng.Intn(len(types))])
 	}
@@ -155,7 +155,7 @@ func TestPropertyMorePSNeverSlower(t *testing.T) {
 		iters := 60
 		prev := math.Inf(1)
 		for _, nps := range []int{1, 2, 4} {
-			res, err := Run(w, Homogeneous(m4, 6, nps), Options{Iterations: iters, LossEvery: iters})
+			res, err := Run(w, cloud.Homogeneous(m4, 6, nps), Options{Iterations: iters, LossEvery: iters})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cynthia/internal/cloud"
 	"cynthia/internal/obs"
 )
 
@@ -24,11 +25,11 @@ func TestTraceMatchesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		workload string
-		cluster  ClusterSpec
+		cluster  cloud.ClusterSpec
 		iters    int
 	}{
-		{"bsp", "mnist DNN", Heterogeneous(m4, m1, 2, 2), 3},
-		{"asp", "ResNet-32", Homogeneous(m4, 3, 2), 4},
+		{"bsp", "mnist DNN", cloud.Heterogeneous(m4, m1, 2, 2), 3},
+		{"asp", "ResNet-32", cloud.Homogeneous(m4, 3, 2), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := new(obs.Tracer)

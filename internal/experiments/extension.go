@@ -49,7 +49,7 @@ func extensionGPU(cfg Config) ([]*Table, error) {
 		{p2, 2, 1}, {p2, 4, 1}, {p2, 8, 1},
 		{v100, 2, 1}, {v100, 4, 1}, {v100, 8, 2},
 	} {
-		row, err := predictionRow(w, prof, preds, ddnnsim.Homogeneous(c.t, c.n, c.nps), iters, cfg.Seed)
+		row, err := predictionRow(w, prof, preds, cloud.Homogeneous(c.t, c.n, c.nps), iters, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func extensionGPU(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(pl.Type, pl.Workers, pl.PS),
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(pl.Type, pl.Workers, pl.PS),
 			ddnnsim.Options{Iterations: pl.Iterations, Seed: cfg.Seed, LossEvery: pl.Iterations})
 		if err != nil {
 			return nil, err

@@ -39,7 +39,7 @@ func table1(Config) ([]*Table, error) {
 func figure1(cfg Config) ([]*Table, error) {
 	m4 := mustType(cloud.M4XLarge)
 	m1 := mustType(cloud.M1XLarge)
-	run := func(w *model.Workload, spec ddnnsim.ClusterSpec, iters int) (float64, error) {
+	run := func(w *model.Workload, spec cloud.ClusterSpec, iters int) (float64, error) {
 		res, err := ddnnsim.Run(w, spec, ddnnsim.Options{Iterations: iters, Seed: cfg.Seed, LossEvery: iters})
 		if err != nil {
 			return 0, err
@@ -63,13 +63,13 @@ func figure1(cfg Config) ([]*Table, error) {
 		t := &Table{ID: c.id, Title: c.title,
 			Header: []string{"workers", "homogeneous(s)", "heterogeneous(s)"}}
 		for _, n := range c.workers {
-			homo, err := run(w, ddnnsim.Homogeneous(m4, n, 1), iters)
+			homo, err := run(w, cloud.Homogeneous(m4, n, 1), iters)
 			if err != nil {
 				return nil, err
 			}
 			het := "N/A"
 			if n >= 2 {
-				hv, err := run(w, ddnnsim.Heterogeneous(m4, m1, n, 1), iters)
+				hv, err := run(w, cloud.Heterogeneous(m4, m1, n, 1), iters)
 				if err != nil {
 					return nil, err
 				}
@@ -99,13 +99,13 @@ func table2(cfg Config) ([]*Table, error) {
 		Header: []string{"workers", "homo PS", "homo worker", "hetero PS", "hetero worker(m4)"},
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		homo, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
+		homo, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
 		if err != nil {
 			return nil, err
 		}
 		hetPS, hetWk := "N/A", "N/A"
 		if n >= 2 {
-			het, err := ddnnsim.Run(w, ddnnsim.Heterogeneous(m4, m1, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
+			het, err := ddnnsim.Run(w, cloud.Heterogeneous(m4, m1, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +140,7 @@ func figure2(cfg Config) ([]*Table, error) {
 		Header: []string{"workers", "steady(MB/s)", "peak(MB/s)", "series(MB/s, 10 samples)"},
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1),
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1),
 			ddnnsim.Options{Iterations: iters, TraceBin: 1, LossEvery: iters})
 		if err != nil {
 			return nil, err
@@ -186,7 +186,7 @@ func figure3(cfg Config) ([]*Table, error) {
 		Header: []string{"workers", "computation(s)", "communication(s)", "training(s)"},
 	}
 	for _, n := range []int{9, 11, 13, 15, 17} {
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1), ddnnsim.Options{Iterations: iters, LossEvery: iters})
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +218,7 @@ func figure4(cfg Config) ([]*Table, error) {
 			Header: []string{"workers", "loss@25%", "loss@50%", "loss@100%", "fitted β0", "fitted β1", "R²"}}
 		var pooled []loss.Point
 		for _, n := range c.workers {
-			res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1),
+			res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1),
 				ddnnsim.Options{Iterations: iters, Seed: cfg.Seed + int64(n)})
 			if err != nil {
 				return nil, err

@@ -59,7 +59,7 @@ func table4(Config) ([]*Table, error) {
 // predictionRow runs one (workload, cluster) configuration in the
 // simulator and compares every predictor against it.
 func predictionRow(w *model.Workload, p *perf.Profile, predictors []perf.Predictor,
-	spec ddnnsim.ClusterSpec, iters int, seed int64) ([]string, error) {
+	spec cloud.ClusterSpec, iters int, seed int64) ([]string, error) {
 	obs, err := ddnnsim.Run(w, spec, ddnnsim.Options{Iterations: iters, Seed: seed, LossEvery: iters})
 	if err != nil {
 		return nil, err
@@ -115,7 +115,7 @@ func figure6(cfg Config) ([]*Table, error) {
 	ta := &Table{ID: "Figure 6(a)", Title: "VGG-19 (ASP): observed vs predicted training time",
 		Header: predictionHeader(preds)}
 	for _, n := range []int{7, 9, 12} {
-		row, err := predictionRow(vgg, vggProf, preds, ddnnsim.Homogeneous(m4, n, 1), aspIters(cfg, vgg, 12), cfg.Seed)
+		row, err := predictionRow(vgg, vggProf, preds, cloud.Homogeneous(m4, n, 1), aspIters(cfg, vgg, 12), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func figure6(cfg Config) ([]*Table, error) {
 		iters = 60
 	}
 	for _, n := range []int{4, 9, 12} {
-		row, err := predictionRow(cifar, cifarProf, preds, ddnnsim.Homogeneous(m4, n, 1), iters, cfg.Seed)
+		row, err := predictionRow(cifar, cifarProf, preds, cloud.Homogeneous(m4, n, 1), iters, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func figure7(cfg Config) ([]*Table, error) {
 		Header: []string{"workers", "steady(MB/s)", "peak(MB/s)", "NIC util"},
 	}
 	for _, n := range []int{4, 7, 9} {
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1),
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1),
 			ddnnsim.Options{Iterations: aspIters(cfg, w, n), TraceBin: 5, Seed: cfg.Seed, LossEvery: 1 << 30})
 		if err != nil {
 			return nil, err
@@ -189,7 +189,7 @@ func figure8(cfg Config) ([]*Table, error) {
 	t := &Table{ID: "Figure 8", Title: "VGG-19 (ASP) on r3.xlarge, profiled on m4.xlarge",
 		Header: predictionHeader(preds)}
 	for _, n := range []int{7, 9, 12} {
-		row, err := predictionRow(w, p, preds, ddnnsim.Homogeneous(r3, n, 1), aspIters(cfg, w, 12), cfg.Seed)
+		row, err := predictionRow(w, p, preds, cloud.Homogeneous(r3, n, 1), aspIters(cfg, w, 12), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func figure9(cfg Config) ([]*Table, error) {
 	ta := &Table{ID: "Figure 9(a)", Title: "ResNet-32 (ASP) on heterogeneous clusters",
 		Header: predictionHeader(preds)}
 	for _, n := range []int{4, 7, 9} {
-		row, err := predictionRow(resnet, rp, preds, ddnnsim.Heterogeneous(m4, m1, n, 1), aspIters(cfg, resnet, 9), cfg.Seed)
+		row, err := predictionRow(resnet, rp, preds, cloud.Heterogeneous(m4, m1, n, 1), aspIters(cfg, resnet, 9), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func figure9(cfg Config) ([]*Table, error) {
 	tb := &Table{ID: "Figure 9(b)", Title: "mnist DNN (BSP) on heterogeneous clusters",
 		Header: predictionHeader(preds)}
 	for _, n := range []int{2, 4, 8} {
-		row, err := predictionRow(mnist, mp, preds, ddnnsim.Heterogeneous(m4, m1, n, 1), iters, cfg.Seed)
+		row, err := predictionRow(mnist, mp, preds, cloud.Heterogeneous(m4, m1, n, 1), iters, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +264,7 @@ func figure10(cfg Config) ([]*Table, error) {
 			if nps > n {
 				continue
 			}
-			row, err := predictionRow(resnet, rp, preds, ddnnsim.Homogeneous(m4, n, nps), aspIters(cfg, resnet, 9), cfg.Seed)
+			row, err := predictionRow(resnet, rp, preds, cloud.Homogeneous(m4, n, nps), aspIters(cfg, resnet, 9), cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +286,7 @@ func figure10(cfg Config) ([]*Table, error) {
 		Header: predictionHeader(preds)}
 	for _, nps := range []int{1, 2, 4} {
 		for _, n := range []int{4, 8, 16} {
-			row, err := predictionRow(mnist, mp, preds, ddnnsim.Homogeneous(m4, n, nps), iters, cfg.Seed)
+			row, err := predictionRow(mnist, mp, preds, cloud.Homogeneous(m4, n, nps), iters, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -29,7 +29,7 @@ func strategyResult(w *model.Workload, prof *perf.Profile, prov plan.Provisioner
 	if prov == nil {
 		prov = plan.DefaultEngine
 	}
-	pl, err := prov.Provision(context.Background(), plan.Request{
+	found, err := prov.Search(context.Background(), plan.Request{
 		Profile:   prof,
 		Goal:      goal,
 		Predictor: pred,
@@ -38,7 +38,8 @@ func strategyResult(w *model.Workload, prof *perf.Profile, prov plan.Provisioner
 	if err != nil {
 		return plan.Plan{}, 0, 0, err
 	}
-	res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(pl.Type, pl.Workers, pl.PS),
+	pl := found.Plan
+	res, err := ddnnsim.Run(w, cloud.Homogeneous(pl.Type, pl.Workers, pl.PS),
 		ddnnsim.Options{Iterations: pl.Iterations, Seed: seed, LossEvery: pl.Iterations})
 	if err != nil {
 		return plan.Plan{}, 0, 0, err

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cynthia/internal/cloud"
 	"cynthia/internal/ddnnsim"
 	"cynthia/internal/flow"
 	"cynthia/internal/model"
@@ -22,7 +23,7 @@ const diffSeedBase = 0x5eed0d1f
 
 // runWith runs one simulation with every engine it builds using step (nil:
 // the production incremental allocator).
-func runWith(t *testing.T, step func(*flow.Engine), w *model.Workload, spec ddnnsim.ClusterSpec, opt ddnnsim.Options) *ddnnsim.Result {
+func runWith(t *testing.T, step func(*flow.Engine), w *model.Workload, spec cloud.ClusterSpec, opt ddnnsim.Options) *ddnnsim.Result {
 	t.Helper()
 	defer flow.UseAllocStepInNewEngines(step)()
 	res, err := ddnnsim.Run(w, spec, opt)

@@ -93,7 +93,7 @@ func TestFigure4FitSimulatedCurves(t *testing.T) {
 	w, _ := model.WorkloadByName("cifar10 DNN")
 	var pts []Point
 	for _, n := range []int{2, 4, 8} {
-		res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(m4, n, 1),
+		res, err := ddnnsim.Run(w, cloud.Homogeneous(m4, n, 1),
 			ddnnsim.Options{Iterations: 6000, Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)

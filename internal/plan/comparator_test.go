@@ -59,21 +59,18 @@ func TestEngineNoWorseThanMarginalGain(t *testing.T) {
 	p := perf.SyntheticProfile(w, m4)
 	req := plan.Request{Profile: p, Goal: plan.Goal{TimeSec: 5400, LossTarget: 0.8}}
 	ctx := context.Background()
+	var plans []plan.Plan
 	for _, prov := range []plan.Provisioner{plan.DefaultEngine, baseline.MarginalGain{}} {
-		pl, err := prov.Provision(ctx, req)
+		res, err := prov.Search(ctx, req)
 		if err != nil {
 			t.Fatalf("%T: %v", prov, err)
 		}
-		if pl.Workers < 1 || pl.PS < 1 || pl.Workers < pl.PS {
+		if pl := res.Plan; pl.Workers < 1 || pl.PS < 1 || pl.Workers < pl.PS {
 			t.Errorf("%T: malformed plan %v", prov, pl)
 		}
+		plans = append(plans, res.Plan)
 	}
-	cyn, _ := plan.DefaultEngine.Provision(ctx, req)
-	mg, err := baseline.MarginalGain{}.Provision(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cyn.Feasible && mg.Feasible && cyn.Cost > mg.Cost+1e-9 {
+	if cyn, mg := plans[0], plans[1]; cyn.Feasible && mg.Feasible && cyn.Cost > mg.Cost+1e-9 {
 		t.Errorf("engine cost $%.3f exceeds marginal-gain $%.3f", cyn.Cost, mg.Cost)
 	}
 }

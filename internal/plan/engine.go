@@ -15,15 +15,13 @@ import (
 // Provisioner plans cost-efficient clusters for (deadline, loss) goals.
 // It is implemented by the Cynthia Engine (Algorithm 1) and by
 // baseline.MarginalGain (the Optimus-style comparator), so the controller,
-// the pipeline, and the experiments can swap strategies freely.
+// the plan service, and the experiments can swap strategies freely.
 type Provisioner interface {
-	// Provision returns the strategy's chosen plan for the request. When
-	// no candidate meets the goal, the best-effort (fastest predicted)
-	// plan is returned with Feasible=false.
-	Provision(ctx context.Context, req Request) (Plan, error)
-	// Candidates returns every configuration the strategy considered,
-	// ranked feasible-first then by ascending cost.
-	Candidates(ctx context.Context, req Request) ([]Plan, error)
+	// Search returns the strategy's chosen plan and every configuration
+	// it considered, ranked feasible-first then by ascending cost. When
+	// no candidate meets the goal, the chosen plan is the best-effort
+	// (fastest predicted) one with Feasible=false.
+	Search(ctx context.Context, req Request) (Result, error)
 }
 
 // SearchStats summarizes how hard one search worked: how many instance
@@ -48,27 +46,9 @@ type Result struct {
 	Stats  SearchStats
 }
 
-// Searcher is the optional Provisioner extension that produces the chosen
-// plan and the ranked candidates in a single pass.
-type Searcher interface {
-	Search(ctx context.Context, req Request) (Result, error)
-}
-
-// SearchWith runs one search with prov, using its native Search when
-// available and composing Candidates+Provision otherwise.
+// SearchWith runs one search with prov.
 func SearchWith(ctx context.Context, prov Provisioner, req Request) (Result, error) {
-	if s, ok := prov.(Searcher); ok {
-		return s.Search(ctx, req)
-	}
-	ranked, err := prov.Candidates(ctx, req)
-	if err != nil {
-		return Result{}, err
-	}
-	pl, err := prov.Provision(ctx, req)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Plan: pl, Ranked: ranked}, nil
+	return prov.Search(ctx, req)
 }
 
 // Engine is the Cynthia search core implementing Algorithm 1 over the
@@ -79,10 +59,7 @@ type Engine struct{}
 // DefaultEngine backs the package-level Provision and Candidates.
 var DefaultEngine = &Engine{}
 
-var (
-	_ Provisioner = (*Engine)(nil)
-	_ Searcher    = (*Engine)(nil)
-)
+var _ Provisioner = (*Engine)(nil)
 
 // Provision runs Algorithm 1: for each instance type, compute the bounds,
 // scan the enumerator's candidates, take the first whose predicted
@@ -109,8 +86,9 @@ func (e *Engine) Candidates(ctx context.Context, req Request) ([]Plan, error) {
 	return out.ranked, nil
 }
 
-// Search runs one exhaustive scan and returns both the Algorithm 1
-// selection and the ranked candidate list.
+// Search implements Provisioner: one exhaustive scan returns both the
+// Algorithm 1 selection (the same plan Provision picks) and the ranked
+// candidate list.
 func (e *Engine) Search(ctx context.Context, req Request) (Result, error) {
 	out, err := e.search(ctx, req, true)
 	if err != nil {
@@ -159,10 +137,10 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 		return nil // unreachable loss target etc.: this type offers nothing
 	}
 	bounds := res.bounds
-	if bounds.LowerWorkers > cfg.maxWorkers {
+	if bounds.LowerWorkers > MaxWorkers {
 		// The quota alone rules this type out; still expose the quota
 		// point as a best-effort candidate.
-		cand, err := ev.evaluate(t, cfg.maxWorkers, min(bounds.PS, cfg.maxWorkers))
+		cand, err := ev.evaluate(t, MaxWorkers, min(bounds.PS, MaxWorkers))
 		if err == nil {
 			res.scanned++
 			if cand.Feasible {
@@ -209,7 +187,7 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 // candidateCount is the most candidates scanType can evaluate for a type
 // with these bounds: the exhaustive scan's share of the ranked list.
 func candidateCount(cfg normalized, t cloud.InstanceType, bounds Bounds) int {
-	if bounds.LowerWorkers > cfg.maxWorkers {
+	if bounds.LowerWorkers > MaxWorkers {
 		return 1 // the quota point
 	}
 	n := 0
@@ -233,7 +211,7 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 		return searchOut{}, err
 	}
 	types := cfg.catalog.Types()
-	searchSpace := len(types) * cfg.maxWorkers * (cfg.maxEsc + 1)
+	searchSpace := len(types) * MaxWorkers * (maxPSEscalations + 1)
 	m.searchSpace.Add(int64(searchSpace))
 	// The Enabled guards keep the hot path allocation-free when no flight
 	// recorder is attached: field construction formats numbers.
@@ -243,7 +221,7 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 			journal.Ffloat("goal_sec", cfg.goal.TimeSec),
 			journal.Ffloat("loss_target", cfg.goal.LossTarget),
 			journal.Fint("types", len(types)),
-			journal.Fint("max_workers", cfg.maxWorkers),
+			journal.Fint("max_workers", MaxWorkers),
 			journal.Fint("search_space", searchSpace))
 	}
 

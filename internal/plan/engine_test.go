@@ -13,8 +13,8 @@ import (
 )
 
 // engineRequests spans the shapes the engine must handle: single- and
-// multi-type catalogs, BSP and ASP workloads, loose and unreachable
-// deadlines, and a disabled escalation budget.
+// multi-type catalogs, BSP and ASP workloads, and loose, tight and
+// impossible deadlines.
 func engineRequests(t *testing.T) []Request {
 	t.Helper()
 	return []Request{
@@ -22,9 +22,9 @@ func engineRequests(t *testing.T) []Request {
 		{Profile: prof(t, "cifar10 DNN"), Goal: Goal{TimeSec: 3600, LossTarget: 0.6}},
 		{Profile: prof(t, "ResNet-32"), Goal: Goal{TimeSec: 5400, LossTarget: 0.6}},
 		{Profile: prof(t, "VGG-19"), Goal: Goal{TimeSec: 1800, LossTarget: 0.8}},
-		{Profile: prof(t, "mnist DNN"), Goal: Goal{TimeSec: 60, LossTarget: 0.2}, MaxWorkers: 12},
+		{Profile: prof(t, "mnist DNN"), Goal: Goal{TimeSec: 600, LossTarget: 0.2}},
 		{Profile: prof(t, "VGG-19"), Goal: Goal{TimeSec: 300, LossTarget: 0.8}}, // too tight: best effort
-		{Profile: prof(t, "cifar10 DNN"), Goal: Goal{TimeSec: 5400, LossTarget: 0.8}, MaxPSEscalations: NoEscalation},
+		{Profile: prof(t, "VGG-19"), Goal: Goal{TimeSec: 60, LossTarget: 0.8}},  // quota points only
 	}
 }
 
@@ -34,7 +34,9 @@ func engineRequests(t *testing.T) []Request {
 // abandoning the whole escalation level (the old Provision loop broke
 // out here, silently losing every legal candidate above nps).
 func TestEnumerateSkipsConstraint11(t *testing.T) {
-	cfg := normalized{maxEsc: 0, maxWorkers: 56}
+	// Ratio 0 leaves no room above the minimum PS count on the ASP
+	// workload, so every escalated level is empty.
+	cfg := normalized{profile: prof(t, "ResNet-32")}
 	bounds := Bounds{LowerWorkers: 2, UpperWorkers: 8, PS: 5}
 	var got [][2]int
 	enumerate(cfg, cloud.InstanceType{}, bounds, func(n, nps int) bool {
@@ -71,8 +73,8 @@ func TestEnumerateEscalationLevelsHonorConstraint11(t *testing.T) {
 		}
 		return true
 	})
-	if len(firstAt) != cfg.maxEsc+1 {
-		t.Fatalf("saw %d escalation levels, want %d", len(firstAt), cfg.maxEsc+1)
+	if len(firstAt) != maxPSEscalations+1 {
+		t.Fatalf("saw %d escalation levels, want %d", len(firstAt), maxPSEscalations+1)
 	}
 	for nps, n := range firstAt {
 		if want := max(bounds.LowerWorkers, nps); n != want {
@@ -170,40 +172,10 @@ func TestSearchMatchesProvisionPlusCandidates(t *testing.T) {
 	}
 }
 
-// TestNoEscalationKeepsMinimumPS: with the escalation budget disabled,
-// every candidate must keep the Theorem 4.1 minimum PS count for its
-// type.
-func TestNoEscalationKeepsMinimumPS(t *testing.T) {
-	req := Request{
-		Profile:          prof(t, "VGG-19"),
-		Goal:             Goal{TimeSec: 1800, LossTarget: 0.8},
-		MaxPSEscalations: NoEscalation,
-	}
-	cands, err := Candidates(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
-	}
-	nr, err := req.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cands {
-		bounds, err := ComputeBounds(nr.Profile, c.Type, nr.Goal)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Type.Name, err)
-		}
-		if c.PS != bounds.PS {
-			t.Errorf("%s n=%d: PS escalated to %d despite NoEscalation (minimum %d)",
-				c.Type.Name, c.Workers, c.PS, bounds.PS)
-		}
-	}
-}
-
-// TestNormalizeIdempotent: normalizing twice must not fold the headroom
-// reserve into the deadline a second time.
+// TestNormalizeIdempotent: Normalize only validates and fills in
+// defaults, so normalizing twice changes nothing and the goal stays as
+// given; the search core folds the Headroom reserve in exactly once, even
+// for a request that was already Normalized.
 func TestNormalizeIdempotent(t *testing.T) {
 	req := Request{Profile: prof(t, "cifar10 DNN"), Goal: Goal{TimeSec: 3600, LossTarget: 0.8}}
 	once, err := req.Normalize()
@@ -214,11 +186,64 @@ func TestNormalizeIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if once.Goal.TimeSec != twice.Goal.TimeSec {
-		t.Fatalf("headroom applied twice: %.1fs then %.1fs", once.Goal.TimeSec, twice.Goal.TimeSec)
+	if once.Goal != req.Goal || !reflect.DeepEqual(twice, once) {
+		t.Fatalf("Normalize not idempotent: %+v, then %+v", once, twice)
 	}
-	if want := 3600 * (1 - DefaultHeadroom); once.Goal.TimeSec != want {
-		t.Fatalf("headroom fold: got %.1fs, want %.1fs", once.Goal.TimeSec, want)
+	cfg, err := once.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3600 * (1 - float64(Headroom)); cfg.goal.TimeSec != want {
+		t.Fatalf("reserve fold: got %.1fs, want %.1fs", cfg.goal.TimeSec, want)
+	}
+}
+
+// TestImpossibleDeadlineQuotaPoint: when a deadline is so tight that
+// every type's Theorem 4.1 lower bound exceeds the MaxWorkers quota, each
+// type still offers its quota point (MaxWorkers workers, the minimum PS
+// count) as a best-effort candidate, and Provision and Search both return
+// the fastest of them, infeasible.
+func TestImpossibleDeadlineQuotaPoint(t *testing.T) {
+	req := Request{Profile: prof(t, "VGG-19"), Goal: Goal{TimeSec: 60, LossTarget: 0.8}}
+	cfg, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := cfg.catalog.Types()
+	minPS := map[string]int{}
+	for _, ty := range types {
+		b, err := ComputeBounds(cfg.profile, ty, cfg.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.LowerWorkers <= MaxWorkers {
+			t.Fatalf("%s: lower bound %d within the quota; the deadline no longer forces quota points", ty.Name, b.LowerWorkers)
+		}
+		minPS[ty.Name] = min(b.PS, MaxWorkers)
+	}
+	res, err := DefaultEngine.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Ranked) != len(types) {
+		t.Fatalf("%d candidates, want one quota point per type (%d)", len(res.Ranked), len(types))
+	}
+	fastest := res.Ranked[0]
+	for _, c := range res.Ranked {
+		if c.Feasible || c.Workers != MaxWorkers || c.PS != minPS[c.Type.Name] {
+			t.Errorf("%s: candidate %v is not the infeasible quota point (%d workers, %d PS)",
+				c.Type.Name, c, MaxWorkers, minPS[c.Type.Name])
+		}
+		if c.PredTime < fastest.PredTime {
+			fastest = c
+		}
+	}
+	pl, err := Provision(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl != fastest || res.Plan != fastest {
+		t.Errorf("Provision %v, Search %v, want the fastest quota point %v", pl, res.Plan, fastest)
 	}
 }
 

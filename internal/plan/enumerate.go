@@ -16,27 +16,23 @@ import (
 	"cynthia/internal/perf"
 )
 
-// normalized is a Request after the single defaulting pass, unpacked for
-// the search core. maxEsc is the concrete number of extra PS steps (>= 0)
-// and goal already carries the headroom reserve. fast is pred's
-// homogeneous fast path, nil when the predictor has none.
+// normalized is a Request after Normalize, unpacked for the search core.
+// goal already carries the Headroom reserve; fast is pred's homogeneous
+// fast path, nil when the predictor has none.
 type normalized struct {
-	profile    *perf.Profile
-	pred       perf.Predictor
-	fast       perf.HomogeneousPredictor
-	catalog    *cloud.Catalog
-	maxEsc     int
-	maxWorkers int
-	goal       Goal
-	journal    journal.Binding
+	profile *perf.Profile
+	pred    perf.Predictor
+	fast    perf.HomogeneousPredictor
+	catalog *cloud.Catalog
+	goal    Goal
+	journal journal.Binding
 }
 
-// Normalize validates the request and applies every default exactly once:
-// predictor, catalog, worker quota, PS-escalation budget, and the deadline
-// headroom (which is folded into Goal.TimeSec and then marked applied, so
-// the call is idempotent). Every search entry point — Provision,
-// Candidates, Evaluate, and external Provisioner implementations — goes
-// through this one path.
+// Normalize validates the request and fills in the default predictor and
+// catalog. It leaves the goal as given, so it is idempotent; the search
+// core applies the Headroom reserve. Every search entry point — Provision,
+// Candidates, Search, Evaluate, EnumerateConfigs, and external
+// Provisioner implementations — goes through this one path.
 func (req Request) Normalize() (Request, error) {
 	if req.Profile == nil {
 		return Request{}, fmt.Errorf("plan: nil profile")
@@ -47,60 +43,35 @@ func (req Request) Normalize() (Request, error) {
 	if err := req.Goal.Validate(); err != nil {
 		return Request{}, err
 	}
-	out := req
-	if out.Predictor == nil {
-		out.Predictor = perf.Cynthia{}
+	if req.Predictor == nil {
+		req.Predictor = perf.Cynthia{}
 	}
-	if out.Catalog == nil {
-		out.Catalog = cloud.DefaultCatalog()
+	if req.Catalog == nil {
+		req.Catalog = cloud.DefaultCatalog()
 	}
-	switch {
-	case out.MaxPSEscalations == 0:
-		out.MaxPSEscalations = DefaultMaxPSEscalations
-	case out.MaxPSEscalations < 0:
-		out.MaxPSEscalations = NoEscalation
-	}
-	if out.MaxWorkers <= 0 {
-		out.MaxWorkers = DefaultMaxWorkers
-	}
-	switch {
-	case out.Headroom == 0:
-		out.Headroom = DefaultHeadroom
-	case out.Headroom < 0:
-		out.Headroom = NoHeadroom
-	}
-	// A reserve of 100% or more (or NaN) would fold into a non-positive
-	// deadline; the !(x < 1) form also rejects NaN.
-	if !(out.Headroom < 1) {
-		return Request{}, fmt.Errorf("plan: headroom %v must be below 1", out.Headroom)
-	}
-	if out.Headroom != NoHeadroom {
-		out.Goal.TimeSec *= 1 - out.Headroom
-		out.Headroom = NoHeadroom // reserve folded into the goal
-	}
-	return out, nil
+	return req, nil
 }
 
-// normalize unpacks a Normalized request for the search core.
+// normalize unpacks a Normalized request for the search core and folds
+// the Headroom reserve into its deadline, once per search.
 func (req Request) normalize() (normalized, error) {
 	nr, err := req.Normalize()
 	if err != nil {
 		return normalized{}, err
 	}
-	maxEsc := nr.MaxPSEscalations
-	if maxEsc == NoEscalation {
-		maxEsc = 0
-	}
 	fast, _ := nr.Predictor.(perf.HomogeneousPredictor)
+	goal := nr.Goal
+	// Round the reserve to float64 before subtracting: the exact constant
+	// 1-Headroom is one ulp away from the float64 difference plans have
+	// always been computed with.
+	goal.TimeSec *= 1 - float64(Headroom)
 	return normalized{
-		profile:    nr.Profile,
-		pred:       nr.Predictor,
-		fast:       fast,
-		catalog:    nr.Catalog,
-		maxEsc:     maxEsc,
-		maxWorkers: nr.MaxWorkers,
-		goal:       nr.Goal,
-		journal:    nr.Journal.WithSource("plan"),
+		profile: nr.Profile,
+		pred:    nr.Predictor,
+		fast:    fast,
+		catalog: nr.Catalog,
+		goal:    goal,
+		journal: nr.Journal.WithSource("plan"),
 	}, nil
 }
 
@@ -135,7 +106,7 @@ func EnumerateConfigs(req Request, t cloud.InstanceType, yield func(workers, ps 
 		return err
 	}
 	bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
-	if err != nil || bounds.LowerWorkers > cfg.maxWorkers {
+	if err != nil || bounds.LowerWorkers > MaxWorkers {
 		return nil // this type offers no selectable candidates
 	}
 	enumerate(cfg, t, bounds, yield)
@@ -150,9 +121,9 @@ func EnumerateConfigs(req Request, t cloud.InstanceType, yield func(workers, ps 
 // abandoned (the former Provision loop broke out of the whole escalation
 // level here, silently losing every legal candidate above nps).
 func enumerate(cfg normalized, t cloud.InstanceType, bounds Bounds, yield func(n, nps int) bool) {
-	for esc := 0; esc <= cfg.maxEsc; esc++ {
+	for esc := 0; esc <= maxPSEscalations; esc++ {
 		nps := bounds.PS + esc
-		upper := min(upperWorkersFor(cfg.profile, t, bounds, nps), cfg.maxWorkers)
+		upper := min(upperWorkersFor(cfg.profile, t, bounds, nps), MaxWorkers)
 		for n := max(bounds.LowerWorkers, nps); n <= upper; n++ {
 			if !yield(n, nps) {
 				return

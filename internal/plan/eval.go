@@ -84,7 +84,7 @@ type evaluator struct {
 func newEvaluator(cfg normalized) evaluator {
 	ev := evaluator{cfg: cfg}
 	if cfg.profile.Workload.Sync == model.ASP {
-		ev.asp = make([]int, cfg.maxWorkers+1)
+		ev.asp = make([]int, MaxWorkers+1)
 	}
 	return ev
 }
@@ -154,8 +154,8 @@ func (ev *evaluator) evaluate(t cloud.InstanceType, n, nps int) (Plan, error) {
 // Evaluate prices a single explicit configuration under the request's
 // predictor and (headroom-adjusted) goal — the one-candidate entry point
 // to the engine's evaluator, for Provisioner implementations and what-if
-// tools that pick their own configurations. Normalization is idempotent,
-// so pre-Normalized requests are not defaulted twice.
+// tools that pick their own configurations. Normalize leaves the goal
+// as given, so a pre-Normalized request gets the reserve exactly once.
 func Evaluate(req Request, t cloud.InstanceType, n, nps int) (Plan, error) {
 	cfg, err := req.normalize()
 	if err != nil {

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -10,17 +12,23 @@ import (
 )
 
 // FuzzRequestNormalize drives arbitrary numeric shapes through the single
-// defaulting path every search entry point shares. Whatever the input,
-// Normalize must not panic; whenever it accepts a request, the result
-// must be fully defaulted and Normalize must be idempotent — the
-// headroom fold in particular must not compound on a second pass.
+// validation path every search entry point shares. Whatever the input,
+// Normalize must not panic. Whenever it accepts a request, the goal must
+// be finite and left as given, the defaults must be filled in, Normalize
+// must be idempotent, and Provision's early-break scan must choose the
+// same plan as the exhaustive Search.
 func FuzzRequestNormalize(f *testing.F) {
-	f.Add(0.8, 0.192, 0.037, 90.0, 0.15, false, 3600.0, 0.2, 0, 0, 0.0)
-	f.Add(30.0, 80.0, 0.012, 135.0, 0.45, true, 600.0, 0.5, 12, 2, 0.25)
-	f.Add(1.0, 1.0, 0.01, 100.0, 0.1, false, 100.0, 0.2, -3, -1, -0.5)
-	f.Add(math.Inf(1), -1.0, 0.0, 0.0, 0.0, true, 0.0, 0.0, 0, 0, math.NaN())
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(0.8, 0.192, 0.037, 90.0, 0.15, false, 3600.0, 0.2)
+	f.Add(30.0, 80.0, 0.012, 135.0, 0.45, true, 600.0, 0.5)
+	f.Add(1.0, 1.0, 0.01, 100.0, 0.1, false, 100.0, 0.2)
+	f.Add(inf, -1.0, 0.0, 0.0, 0.0, true, 0.0, 0.0)
+	f.Add(0.8, 0.192, 0.037, 90.0, 0.15, false, nan, 0.2)
+	f.Add(0.8, 0.192, 0.037, 90.0, 0.15, false, inf, 0.2)
+	f.Add(30.0, 80.0, 0.012, 135.0, 0.45, true, 600.0, nan)
+	f.Add(30.0, 80.0, 0.012, 135.0, 0.45, true, 600.0, inf)
 	f.Fuzz(func(t *testing.T, witer, gparam, pscpu, beta0, beta1 float64, asp bool,
-		timeSec, lossTarget float64, maxWorkers, maxEsc int, headroom float64) {
+		timeSec, lossTarget float64) {
 		sync := model.BSP
 		if asp {
 			sync = model.ASP
@@ -31,35 +39,37 @@ func FuzzRequestNormalize(f *testing.F) {
 			Loss: model.LossParams{Beta0: beta0, Beta1: beta1},
 		}
 		req := Request{
-			Profile:          perf.SyntheticProfile(w, cloud.DefaultCatalog().Types()[0]),
-			Goal:             Goal{TimeSec: timeSec, LossTarget: lossTarget},
-			MaxWorkers:       maxWorkers,
-			MaxPSEscalations: maxEsc,
-			Headroom:         headroom,
+			Profile: perf.SyntheticProfile(w, cloud.DefaultCatalog().Types()[0]),
+			Goal:    Goal{TimeSec: timeSec, LossTarget: lossTarget},
 		}
 		nr, err := req.Normalize()
 		if err != nil {
 			return
 		}
+		if !positiveFinite(nr.Goal.TimeSec) || !positiveFinite(nr.Goal.LossTarget) {
+			t.Fatalf("accepted a non-finite or non-positive goal %+v", nr.Goal)
+		}
 		if nr.Predictor == nil || nr.Catalog == nil {
 			t.Fatalf("accepted request missing defaults: %+v", nr)
 		}
-		if nr.MaxWorkers <= 0 {
-			t.Fatalf("normalized MaxWorkers %d not positive", nr.MaxWorkers)
-		}
-		if nr.MaxPSEscalations != NoEscalation && nr.MaxPSEscalations <= 0 {
-			t.Fatalf("normalized MaxPSEscalations %d neither concrete nor NoEscalation", nr.MaxPSEscalations)
-		}
-		if nr.Headroom != NoHeadroom {
-			t.Fatalf("headroom %v not folded into the goal", nr.Headroom)
+		if nr.Goal != req.Goal {
+			t.Fatalf("Normalize changed the goal from %+v to %+v", req.Goal, nr.Goal)
 		}
 		again, err := nr.Normalize()
 		if err != nil {
 			t.Fatalf("re-normalizing an accepted request failed: %v", err)
 		}
-		if again.Goal != nr.Goal || again.MaxWorkers != nr.MaxWorkers ||
-			again.MaxPSEscalations != nr.MaxPSEscalations || again.Headroom != nr.Headroom {
+		if !reflect.DeepEqual(again, nr) {
 			t.Fatalf("Normalize not idempotent:\n first: %+v\n again: %+v", nr, again)
+		}
+		ctx := context.Background()
+		pl, perr := DefaultEngine.Provision(ctx, nr)
+		res, serr := DefaultEngine.Search(ctx, nr)
+		if (perr == nil) != (serr == nil) {
+			t.Fatalf("Provision err=%v, Search err=%v", perr, serr)
+		}
+		if perr == nil && pl != res.Plan {
+			t.Fatalf("Provision chose %+v, Search chose %+v", pl, res.Plan)
 		}
 	})
 }

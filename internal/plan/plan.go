@@ -7,10 +7,11 @@
 //
 // The package is layered as a search engine:
 //
-//   - Request.Normalize is the single defaulting path (predictor, catalog,
-//     quota, PS escalations, headroom — applied exactly once).
+//   - Request.Normalize validates a request and fills in its predictor
+//     and catalog; the search core then folds the Headroom reserve into
+//     the deadline once.
 //   - enumerate streams the (type, nps, n) configurations honoring the
-//     Theorem 4.1 bounds, the worker quota, and Constraint (11).
+//     Theorem 4.1 bounds, the MaxWorkers quota, and Constraint (11).
 //   - evaluator prices candidates (Eq. 8 via the exported Cost), memoizing
 //     the loss-model inversion per search. When the predictor implements
 //     perf.HomogeneousPredictor (perf.Cynthia does) a candidate is priced
@@ -18,10 +19,11 @@
 //     ClusterSpec path and without allocating; other predictors see the
 //     materialised cloud.Homogeneous cluster.
 //   - Engine scans instance types serially in catalog order with context
-//     cancellation; it implements the Provisioner interface alongside
-//     baseline.MarginalGain. A per-type parallel scan was measured slower
-//     than serial at 2 procs (a type scan costs less than a goroutine
-//     hand-off) and removed.
+//     cancellation. Its Search implements the one-method Provisioner
+//     interface alongside baseline.MarginalGain; its Provision keeps
+//     Algorithm 1's early break for callers that need only the plan. A
+//     per-type parallel scan was measured slower than serial at 2 procs
+//     (a type scan costs less than a goroutine hand-off) and removed.
 //
 // Provision and Candidates are thin wrappers over DefaultEngine.
 package plan
@@ -85,16 +87,20 @@ type Goal struct {
 	LossTarget float64
 }
 
-// Validate checks the goal.
+// Validate checks the goal: both targets must be positive and finite.
 func (g Goal) Validate() error {
-	if g.TimeSec <= 0 {
-		return fmt.Errorf("plan: goal time %.1fs must be positive", g.TimeSec)
+	if !positiveFinite(g.TimeSec) {
+		return fmt.Errorf("plan: goal time %.1fs must be positive and finite", g.TimeSec)
 	}
-	if g.LossTarget <= 0 {
-		return fmt.Errorf("plan: goal loss %.3f must be positive", g.LossTarget)
+	if !positiveFinite(g.LossTarget) {
+		return fmt.Errorf("plan: goal loss %.3f must be positive and finite", g.LossTarget)
 	}
 	return nil
 }
+
+// positiveFinite rejects NaN (every comparison with it is false), ±Inf,
+// zero and negatives.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Plan is a provisioning decision.
 type Plan struct {
@@ -232,7 +238,9 @@ func ComputeBounds(p *perf.Profile, t cloud.InstanceType, goal Goal) (Bounds, er
 	}
 }
 
-// Request configures a provisioning run.
+// Request configures a provisioning run: the paper's inputs (a profile,
+// a goal and an instance catalog) plus the predictor and an optional
+// flight-recorder binding.
 type Request struct {
 	// Profile is the workload profile (from internal/profile or
 	// perf.SyntheticProfile).
@@ -246,25 +254,6 @@ type Request struct {
 	// Catalog lists candidate instance types; defaults to
 	// cloud.DefaultCatalog.
 	Catalog *cloud.Catalog
-	// MaxPSEscalations allows raising the PS count above the Theorem 4.1
-	// minimum when no worker count in range meets the goal (this is how
-	// a second PS gets provisioned for tight goals, as in Figs. 12-13).
-	// Sentinels: 0 selects DefaultMaxPSEscalations; NoEscalation (any
-	// negative value) disables escalation entirely — the PS count stays
-	// at the Theorem 4.1 minimum.
-	MaxPSEscalations int
-	// MaxWorkers caps the worker count (a cluster quota). Defaults to
-	// DefaultMaxWorkers; the ASP loss model's √n term would otherwise
-	// let absurdly large clusters "meet" impossible deadlines.
-	MaxWorkers int
-	// Headroom is the deadline safety margin: a candidate is feasible
-	// when its predicted time fits within (1-Headroom)·Tg. The
-	// analytical model is a few percent optimistic near PS saturation
-	// (transfer queueing it does not capture), so provisioning with a
-	// small reserve keeps the actual run inside the goal. Sentinels: 0
-	// selects DefaultHeadroom; NoHeadroom (any negative value) disables
-	// the reserve.
-	Headroom float64
 	// Journal, when bound, receives the search's flight-recorder events
 	// (plan.search.start, per-type bound/enumeration records, and
 	// plan.search.done with the Theorem 4.1 pruning counts), correlated
@@ -273,26 +262,31 @@ type Request struct {
 	Journal journal.Binding
 }
 
-// DefaultMaxWorkers matches the paper's 56-docker testbed.
-const DefaultMaxWorkers = 56
+// MaxWorkers caps the worker count of every candidate: the paper's
+// 56-docker testbed. Without it the ASP loss model's √n term would let
+// absurdly large clusters "meet" impossible deadlines.
+const MaxWorkers = 56
 
-// DefaultHeadroom is the default deadline safety margin.
-const DefaultHeadroom = 0.07
+// Headroom is the deadline safety margin: a candidate is feasible when
+// its predicted time fits within (1-Headroom)·Tg. The analytical model is
+// a few percent optimistic near PS saturation (transfer queueing it does
+// not capture), so provisioning with a small reserve keeps the actual run
+// inside the goal.
+const Headroom = 0.07
 
-// DefaultMaxPSEscalations is the default number of extra PS steps tried
-// above the Theorem 4.1 minimum.
-const DefaultMaxPSEscalations = 3
-
-// NoEscalation disables PS escalation when set as MaxPSEscalations (the
-// zero value means "default", so escalation needs an explicit off switch).
-const NoEscalation = -1
-
-// NoHeadroom disables the deadline reserve when set as Headroom (the zero
-// value means "default", mirroring NoEscalation).
-const NoHeadroom = -1
+// maxPSEscalations is how many PS counts above the Theorem 4.1 minimum
+// the scan tries when no worker count in range meets the goal (this is
+// how a second PS gets provisioned for tight goals, as in Figs. 12-13).
+const maxPSEscalations = 3
 
 // Provision runs Algorithm 1 on the DefaultEngine without cancellation.
 // See Engine.Provision.
 func Provision(req Request) (Plan, error) {
 	return DefaultEngine.Provision(context.Background(), req)
+}
+
+// Candidates evaluates every configuration Algorithm 1 would consider on
+// the DefaultEngine without cancellation. See Engine.Candidates.
+func Candidates(req Request) ([]Plan, error) {
+	return DefaultEngine.Candidates(context.Background(), req)
 }

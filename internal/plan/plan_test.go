@@ -50,6 +50,29 @@ func TestGoalValidation(t *testing.T) {
 	}
 }
 
+// TestGoalRejectsNonFinite: NaN compares false with everything, so a
+// "<= 0" check lets a NaN deadline through to a best-effort plan; ±Inf is
+// no deadline or loss target either. Validate, and every search entry
+// point behind it, must reject all of them.
+func TestGoalRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, g := range []Goal{
+		{TimeSec: nan, LossTarget: 0.8},
+		{TimeSec: inf, LossTarget: 0.8},
+		{TimeSec: -inf, LossTarget: 0.8},
+		{TimeSec: 3600, LossTarget: nan},
+		{TimeSec: 3600, LossTarget: inf},
+		{TimeSec: 3600, LossTarget: -inf},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", g)
+		}
+		if pl, err := Provision(Request{Profile: prof(t, "cifar10 DNN"), Goal: g}); err == nil {
+			t.Errorf("Provision accepted %+v and planned %v", g, pl)
+		}
+	}
+}
+
 func TestMaxRatioShrinksWithPSLoad(t *testing.T) {
 	m4 := lookup(t, cloud.M4XLarge)
 	light := prof(t, "ResNet-32") // tiny PS footprint

@@ -37,7 +37,7 @@ func TestPropertyProvisionInvariants(t *testing.T) {
 		if pl.Workers < 1 || pl.PS < 1 || pl.Workers < pl.PS {
 			t.Fatalf("trial %d: malformed plan %+v", trial, pl)
 		}
-		if pl.Workers > DefaultMaxWorkers {
+		if pl.Workers > MaxWorkers {
 			t.Fatalf("trial %d: quota violated: %d workers", trial, pl.Workers)
 		}
 		if pl.Iterations < 1 {
@@ -54,9 +54,9 @@ func TestPropertyProvisionInvariants(t *testing.T) {
 			t.Fatalf("trial %d: cost %.6f != Eq.8 %.6f", trial, pl.Cost, wantCost)
 		}
 		// Feasibility flag consistency with the headroom-adjusted goal.
-		if pl.Feasible && pl.PredTime > goal.TimeSec*(1-DefaultHeadroom)*1.0001 {
+		if pl.Feasible && pl.PredTime > goal.TimeSec*(1-Headroom)*1.0001 {
 			t.Fatalf("trial %d: feasible plan predicted %.1f > reserve-adjusted goal %.1f",
-				trial, pl.PredTime, goal.TimeSec*(1-DefaultHeadroom))
+				trial, pl.PredTime, goal.TimeSec*(1-Headroom))
 		}
 		// Prediction consistency: recomputing with the same predictor
 		// reproduces PredTime.
@@ -130,29 +130,6 @@ func TestPropertyBoundsOrdering(t *testing.T) {
 		if b.Iterations < 1 {
 			t.Fatalf("trial %d: bad iterations %d", trial, b.Iterations)
 		}
-	}
-}
-
-func TestHeadroomDisabled(t *testing.T) {
-	m4, _ := cloud.DefaultCatalog().Lookup(cloud.M4XLarge)
-	w, _ := model.WorkloadByName("cifar10 DNN")
-	p := perf.SyntheticProfile(w, m4)
-	goal := Goal{TimeSec: 5400, LossTarget: 0.8}
-	withReserve, err := Provision(Request{Profile: p, Goal: goal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Provision(Request{Profile: p, Goal: goal, Headroom: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Disabling the reserve can only loosen the plan (<= workers).
-	if without.Workers > withReserve.Workers {
-		t.Errorf("no-headroom plan uses more workers (%d) than reserved plan (%d)",
-			without.Workers, withReserve.Workers)
-	}
-	if !without.Feasible {
-		t.Error("no-headroom plan infeasible")
 	}
 }
 

@@ -6,7 +6,7 @@ package service
 // pipeline reads is folded into one FNV-1a hash: the profiled workload
 // (name, sync mode, loss-model coefficients, batch), the profile
 // measurements (Theorem 4.1 consumes all five), the baseline type, the
-// predictor, the goal, and the quota knobs. The catalog is deliberately
+// predictor, and the goal. The catalog is deliberately
 // NOT hashed here — it is identified by (Catalog.ID, Catalog.Epoch) in
 // the Key, so a price mutation invalidates without rehashing the types.
 
@@ -54,8 +54,8 @@ func (h *fnv64) i(v int) { h.u64(uint64(int64(v))) }
 
 // Fingerprint hashes the planning question a request poses. Requests that
 // normalize identically fingerprint identically; fingerprint the
-// Normalized form (Plan does) so defaulted and explicit knobs collapse.
-// It does not allocate.
+// Normalized form (Plan does) so a default predictor and an explicit
+// perf.Cynthia collapse. It does not allocate.
 func Fingerprint(req plan.Request) uint64 {
 	h := fnv64(fnvOffset)
 	if req.Profile != nil {
@@ -82,8 +82,5 @@ func Fingerprint(req plan.Request) uint64 {
 	}
 	h.f64(req.Goal.TimeSec)
 	h.f64(req.Goal.LossTarget)
-	h.i(req.MaxPSEscalations)
-	h.i(req.MaxWorkers)
-	h.f64(req.Headroom)
 	return uint64(h)
 }

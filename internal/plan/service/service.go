@@ -13,15 +13,17 @@
 //   - Singleflight coalescing: N identical requests arriving while the
 //     search is in flight wait on the one running search and all receive
 //     its Result. A traffic spike of one hot question costs one scan.
-//   - Admission control: fresh searches run on a bounded worker pool
-//     behind a bounded queue. When the queue is full the request is
-//     rejected immediately with ErrOverloaded instead of piling onto an
-//     unbounded backlog — the HTTP layer maps this to 429 + Retry-After.
+//   - Admission control: a fresh search runs on the goroutine of the
+//     request that missed (net/http already gives each request its own),
+//     and at most QueueDepth of them run at once. One more is rejected
+//     immediately with ErrOverloaded instead of piling onto an unbounded
+//     backlog — the HTTP layer maps this to 429 + Retry-After.
 //
 // The service emits plan.cache.hit/miss/coalesced flight-recorder events
 // on the request's journal binding (the one search a coalesced group runs
-// carries the first requester's trace ID), and exports hit/miss/queue
-// metrics on an obs registry.
+// carries the first requester's trace ID; its plan.cache.miss always
+// precedes the engine's plan.search.* events), and exports hit/miss and
+// in-flight metrics on an obs registry.
 //
 // What the cache buys end to end, measured by cmd/cynthiabench through
 // POST /api/plan on a 2-vCPU Xeon VM with perf.Cynthia's allocation-free
@@ -39,7 +41,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"time"
 
@@ -49,13 +50,18 @@ import (
 	"cynthia/internal/plan"
 )
 
-// ErrOverloaded reports that the admission queue was full and the request
-// was rejected without being planned. Callers should retry after a
-// backoff; the HTTP layer maps it to 429 Too Many Requests + Retry-After.
-var ErrOverloaded = errors.New("plan service: overloaded (admission queue full)")
+// ErrOverloaded reports that QueueDepth fresh searches were already in
+// flight and the request was rejected without being planned. Callers
+// should retry after a backoff; the HTTP layer maps it to 429 Too Many
+// Requests + Retry-After.
+var ErrOverloaded = errors.New("plan service: overloaded (too many searches in flight)")
 
 // ErrClosed reports a request against a closed service.
 var ErrClosed = errors.New("plan service: closed")
+
+// errSearchPanicked is what the waiters on a search get if the
+// provisioner panics instead of returning.
+var errSearchPanicked = errors.New("plan service: search panicked")
 
 // Outcome classifies how a request was served.
 type Outcome string
@@ -74,7 +80,7 @@ const (
 
 // Key identifies one cacheable planning question: which catalog at which
 // mutation epoch, and the fingerprint folding the workload profile, goal,
-// sync mode, predictor, and quota knobs (see Fingerprint).
+// sync mode, and predictor (see Fingerprint).
 type Key struct {
 	CatalogID   uint64
 	Epoch       uint64
@@ -90,11 +96,9 @@ type Config struct {
 	// defaults to one shared cloud.DefaultCatalog instance (a fresh
 	// catalog per request would never share cache entries).
 	Catalog *cloud.Catalog
-	// Workers bounds how many searches run concurrently; defaults to
-	// GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds how many admitted searches may wait for a worker;
-	// a full queue rejects with ErrOverloaded. Defaults to 64.
+	// QueueDepth bounds how many fresh searches may be in flight at once,
+	// each on the goroutine of the request that missed; one more is
+	// rejected with ErrOverloaded. Defaults to DefaultQueueDepth.
 	QueueDepth int
 	// CacheCapacity bounds the result cache (LRU eviction); defaults to
 	// DefaultCacheCapacity.
@@ -106,7 +110,7 @@ type Config struct {
 // DefaultCacheCapacity is the result-cache bound when Config leaves it 0.
 const DefaultCacheCapacity = 1024
 
-// DefaultQueueDepth is the admission-queue bound when Config leaves it 0.
+// DefaultQueueDepth is the in-flight search bound when Config leaves it 0.
 const DefaultQueueDepth = 64
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -134,7 +138,6 @@ type Response struct {
 // a cached result once done is closed.
 type entry struct {
 	key  Key
-	req  plan.Request // normalized; carries the first requester's journal binding
 	done chan struct{}
 	res  plan.Result
 	err  error
@@ -151,7 +154,7 @@ type svcMetrics struct {
 	errors     *obs.Counter
 	evictions  *obs.Counter
 	searchSec  *obs.Histogram
-	queueDepth *obs.Gauge
+	inflight   *obs.Gauge
 	cacheSize  *obs.Gauge
 }
 
@@ -167,9 +170,9 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 		evictions: reg.Counter("cynthia_plansvc_evictions_total",
 			"cache entries evicted by the LRU bound"),
 		searchSec: reg.Histogram("cynthia_plansvc_search_seconds",
-			"wall time of cache-miss searches run by the worker pool", nil),
-		queueDepth: reg.Gauge("cynthia_plansvc_queue_depth",
-			"searches waiting for a pool worker"),
+			"wall time of cache-miss searches", nil),
+		inflight: reg.Gauge("cynthia_plansvc_searches_inflight",
+			"fresh searches running on the goroutines of the requests that missed"),
 		cacheSize: reg.Gauge("cynthia_plansvc_cache_size",
 			"entries in the cross-request result cache"),
 	}
@@ -178,31 +181,27 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 // Service is the multi-tenant plan server. Construct with New; the zero
 // value is not usable.
 type Service struct {
-	prov    plan.Provisioner
-	catalog *cloud.Catalog
-	cap     int
-	m       *svcMetrics
+	prov        plan.Provisioner
+	catalog     *cloud.Catalog
+	cap         int
+	maxInFlight int
+	m           *svcMetrics
 
-	queue chan *entry
-	wg    sync.WaitGroup
-
-	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     list.List // completed entries, most recent at front
-	closed  bool
-	stats   Stats
+	mu       sync.Mutex
+	entries  map[Key]*entry
+	lru      list.List // completed entries, most recent at front
+	inflight int       // fresh searches running
+	closed   bool
+	stats    Stats
 }
 
-// New starts a service: its worker pool runs until Close.
+// New builds a service. It starts no goroutines.
 func New(cfg Config) *Service {
 	if cfg.Provisioner == nil {
 		cfg.Provisioner = plan.DefaultEngine
 	}
 	if cfg.Catalog == nil {
 		cfg.Catalog = cloud.DefaultCatalog()
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -215,18 +214,14 @@ func New(cfg Config) *Service {
 		reg = obs.Default()
 	}
 	s := &Service{
-		prov:    cfg.Provisioner,
-		catalog: cfg.Catalog,
-		cap:     cfg.CacheCapacity,
-		m:       newSvcMetrics(reg),
-		queue:   make(chan *entry, cfg.QueueDepth),
-		entries: make(map[Key]*entry),
+		prov:        cfg.Provisioner,
+		catalog:     cfg.Catalog,
+		cap:         cfg.CacheCapacity,
+		maxInFlight: cfg.QueueDepth,
+		m:           newSvcMetrics(reg),
+		entries:     make(map[Key]*entry),
 	}
 	s.lru.Init()
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -234,18 +229,12 @@ func New(cfg Config) *Service {
 // their own are planned against, and whose epoch keys the cache).
 func (s *Service) Catalog() *cloud.Catalog { return s.catalog }
 
-// Close drains the worker pool: queued searches still run (their waiters
-// get answers), new requests fail with ErrClosed.
+// Close makes new requests fail with ErrClosed. Searches already running
+// finish on their requests' goroutines and still answer their waiters.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.queue)
-	s.wg.Wait()
 }
 
 // Stats returns a snapshot of the service counters.
@@ -260,9 +249,12 @@ func (s *Service) Stats() Stats {
 // Plan answers one planning request. The request is normalized (so
 // default-valued and explicitly-defaulted requests share cache entries),
 // fingerprinted, and served from the cache, an in-flight identical
-// search, or a fresh search on the worker pool — see the package comment
-// for the full policy. The returned Result is shared with every other
-// request served from the same entry; treat Ranked as read-only.
+// search, or a fresh search run on the calling goroutine — see the
+// package comment for the full policy. A fresh search runs to completion
+// whatever ctx does, because coalesced requests wait on it; ctx bounds
+// only the wait on another request's search. The returned Result is
+// shared with every other request served from the same entry; treat
+// Ranked as read-only.
 func (s *Service) Plan(ctx context.Context, req plan.Request) (Response, error) {
 	if req.Catalog == nil {
 		req.Catalog = s.catalog
@@ -316,14 +308,8 @@ func (s *Service) Plan(ctx context.Context, req plan.Request) (Response, error) 
 			return s.wait(ctx, e, OutcomeCoalesced)
 		}
 	}
-	// Miss: admit a fresh search, or reject if the pool is saturated.
-	e := &entry{key: key, req: nreq, done: make(chan struct{})}
-	select {
-	case s.queue <- e:
-		s.entries[key] = e
-		s.stats.Misses++
-		s.mu.Unlock()
-	default:
+	// Miss: admit a fresh search, or reject if too many are in flight.
+	if s.inflight >= s.maxInFlight {
 		s.stats.Overloaded++
 		s.mu.Unlock()
 		s.m.overloaded.Inc()
@@ -332,12 +318,21 @@ func (s *Service) Plan(ctx context.Context, req plan.Request) (Response, error) 
 		}
 		return Response{}, ErrOverloaded
 	}
+	e := &entry{key: key, done: make(chan struct{})}
+	s.entries[key] = e
+	s.inflight++
+	s.m.inflight.Set(float64(s.inflight))
+	s.stats.Misses++
+	s.mu.Unlock()
 	s.m.misses.Inc()
-	s.m.queueDepth.Set(float64(len(s.queue)))
 	if jb.Enabled() {
 		jb.Emit(journal.PlanCacheMiss, journal.F("key", key.String()))
 	}
-	return s.wait(ctx, e, OutcomeMiss)
+	s.search(ctx, e, nreq)
+	if e.err != nil {
+		return Response{}, e.err
+	}
+	return Response{Result: e.res, Outcome: OutcomeMiss, Key: key}, nil
 }
 
 // wait blocks until the entry's search completes or the caller's context
@@ -354,25 +349,26 @@ func (s *Service) wait(ctx context.Context, e *entry, outcome Outcome) (Response
 	}
 }
 
-// worker consumes admitted searches until the queue closes.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for e := range s.queue {
-		s.m.queueDepth.Set(float64(len(s.queue)))
-		s.runSearch(e)
-	}
+// search runs one admitted search and publishes its result, even if the
+// provisioner panics (net/http recovers a handler's panic, which would
+// otherwise leave the key's waiters blocked and its admission slot taken
+// for good). The search does not stop when ctx is cancelled: coalesced
+// requests wait on it.
+func (s *Service) search(ctx context.Context, e *entry, req plan.Request) {
+	defer s.publish(e, time.Now())
+	e.err = errSearchPanicked // replaced when Search returns
+	e.res, e.err = s.prov.Search(context.WithoutCancel(ctx), req)
 }
 
-// runSearch executes one admitted search and publishes its result:
-// successes are cached (LRU-bounded), failures are published to waiters
-// but not cached, so the next identical request retries.
-func (s *Service) runSearch(e *entry) {
-	start := time.Now()
-	res, err := plan.SearchWith(context.Background(), s.prov, e.req)
+// publish releases the entry's admission slot and hands its result to the
+// waiters: successes are cached (LRU-bounded), failures are published but
+// not cached, so the next identical request retries.
+func (s *Service) publish(e *entry, start time.Time) {
 	s.m.searchSec.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
-	e.res, e.err = res, err
-	if err == nil {
+	s.inflight--
+	s.m.inflight.Set(float64(s.inflight))
+	if e.err == nil {
 		s.stats.Searches++
 		e.elem = s.lru.PushFront(e)
 		for s.lru.Len() > s.cap {

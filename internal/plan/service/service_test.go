@@ -117,15 +117,14 @@ func TestDistinctGoalsDistinctEntries(t *testing.T) {
 }
 
 // TestNormalizedRequestsShareEntries pins the dedup property: a request
-// relying on defaults and one spelling the defaults out ask the same
-// question, so the second is a hit.
+// relying on the default predictor and catalog and one spelling them out
+// ask the same question, so the second is a hit.
 func TestNormalizedRequestsShareEntries(t *testing.T) {
 	s := newTestService(t, Config{})
 	implicit := testRequest(t, s.Catalog(), 5400)
+	implicit.Catalog = nil
 	explicit := implicit
-	explicit.MaxWorkers = plan.DefaultMaxWorkers
-	explicit.MaxPSEscalations = plan.DefaultMaxPSEscalations
-	explicit.Headroom = plan.DefaultHeadroom
+	explicit.Catalog = s.Catalog()
 	explicit.Predictor = perf.Cynthia{}
 
 	if _, err := s.Plan(context.Background(), implicit); err != nil {
@@ -187,22 +186,12 @@ func (p *countingProvisioner) Search(ctx context.Context, req plan.Request) (pla
 	return plan.DefaultEngine.Search(ctx, req)
 }
 
-func (p *countingProvisioner) Provision(ctx context.Context, req plan.Request) (plan.Plan, error) {
-	res, err := p.Search(ctx, req)
-	return res.Plan, err
-}
-
-func (p *countingProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
-	res, err := p.Search(ctx, req)
-	return res.Ranked, err
-}
-
 func TestCoalescingRunsOneSearch(t *testing.T) {
 	prov := &countingProvisioner{
 		release:  make(chan struct{}),
 		inflight: make(chan struct{}, 1),
 	}
-	s := newTestService(t, Config{Provisioner: prov, Workers: 2})
+	s := newTestService(t, Config{Provisioner: prov})
 	req := testRequest(t, s.Catalog(), 5400)
 
 	const clients = 16
@@ -249,41 +238,49 @@ func TestCoalescingRunsOneSearch(t *testing.T) {
 	}
 }
 
+// TestOverloadRejects: with QueueDepth fresh searches in flight, one more
+// distinct question is rejected at once, while an identical one coalesces
+// onto the running search instead of taking a slot.
 func TestOverloadRejects(t *testing.T) {
 	prov := &countingProvisioner{
 		release:  make(chan struct{}),
 		inflight: make(chan struct{}, 1),
 	}
-	s := newTestService(t, Config{Provisioner: prov, Workers: 1, QueueDepth: 1})
-	// Occupy the single worker with a stalled search.
+	s := newTestService(t, Config{Provisioner: prov, QueueDepth: 1})
+	// Hold the single in-flight slot with a stalled search.
 	busy := testRequest(t, s.Catalog(), 5400)
-	go s.Plan(context.Background(), busy)
+	busyDone := make(chan error, 2)
+	ask := func() {
+		_, err := s.Plan(context.Background(), busy)
+		busyDone <- err
+	}
+	go ask()
 	<-prov.inflight
-	// Fill the one queue slot with a distinct question.
-	queuedDone := make(chan error, 1)
-	go func() {
-		_, err := s.Plan(context.Background(), testRequest(t, s.Catalog(), 3600))
-		queuedDone <- err
-	}()
-	// Wait for the queued entry to occupy the slot.
+	go ask()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Misses != 2 {
+	for s.Stats().Coalesced != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queued request not admitted: stats %+v", s.Stats())
+			t.Fatalf("identical request did not coalesce: stats %+v", s.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A third distinct question must be rejected, not queued.
-	_, err := s.Plan(context.Background(), testRequest(t, s.Catalog(), 1800))
+	// A distinct question must be rejected, not queued.
+	_, err := s.Plan(context.Background(), testRequest(t, s.Catalog(), 3600))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded request error = %v, want ErrOverloaded", err)
 	}
-	if s.Stats().Overloaded != 1 {
-		t.Errorf("stats = %+v, want one overloaded", s.Stats())
+	if st := s.Stats(); st.Overloaded != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want one miss and one overloaded", st)
 	}
 	close(prov.release)
-	if err := <-queuedDone; err != nil {
-		t.Fatalf("queued request failed: %v", err)
+	for range 2 {
+		if err := <-busyDone; err != nil {
+			t.Fatalf("admitted request failed: %v", err)
+		}
+	}
+	// The slot is free again.
+	if _, err := s.Plan(context.Background(), testRequest(t, s.Catalog(), 3600)); err != nil {
+		t.Fatalf("request after the slot freed: %v", err)
 	}
 }
 
@@ -304,6 +301,46 @@ func TestWaiterContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled waiter error = %v, want context.Canceled", err)
 	}
 	close(prov.release)
+}
+
+// panicOnce panics in its first search, as a buggy Provisioner would, and
+// delegates to the engine after that.
+type panicOnce struct{ fired atomic.Bool }
+
+func (p *panicOnce) Search(ctx context.Context, req plan.Request) (plan.Result, error) {
+	if !p.fired.Swap(true) {
+		panic("provisioner bug")
+	}
+	return plan.DefaultEngine.Search(ctx, req)
+}
+
+// TestPanickingSearchReleasesKey: net/http recovers a handler's panic, so
+// a search that panics on the request's goroutine must still publish an
+// error and free its admission slot, or every later identical request
+// would wait on it for good and the slot would stay taken.
+func TestPanickingSearchReleasesKey(t *testing.T) {
+	s := newTestService(t, Config{Provisioner: &panicOnce{}, QueueDepth: 1})
+	req := testRequest(t, s.Catalog(), 5400)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the provisioner's panic did not reach the caller")
+			}
+		}()
+		s.Plan(context.Background(), req)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := s.Plan(ctx, req)
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	if resp.Outcome != OutcomeMiss {
+		t.Errorf("request after the panic was served as %s, want a fresh miss", resp.Outcome)
+	}
+	if st := s.Stats(); st.Errors != 1 || st.Searches != 1 {
+		t.Errorf("stats = %+v, want one failed and one completed search", st)
+	}
 }
 
 func TestSearchErrorsAreNotCached(t *testing.T) {
@@ -371,9 +408,9 @@ func TestClosedServiceRejects(t *testing.T) {
 }
 
 // TestCacheHitJournalEvents pins the flight-recorder contract: a miss
-// emits plan.cache.miss followed by the engine's plan.search.* events; a
-// hit emits plan.cache.hit and NOTHING from the engine — the proof the
-// cached path does zero Theorem 4.1 evaluations.
+// emits plan.cache.miss, then the engine's plan.search.start and, last,
+// plan.search.done; a hit emits plan.cache.hit and NOTHING from the
+// engine — the proof the cached path does zero Theorem 4.1 evaluations.
 func TestCacheHitJournalEvents(t *testing.T) {
 	j := journal.New(256, journal.Deterministic())
 	s := newTestService(t, Config{})
@@ -382,9 +419,15 @@ func TestCacheHitJournalEvents(t *testing.T) {
 	if _, err := s.Plan(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	missEvents := typeSet(j.Since(0))
-	if !missEvents["plan.cache.miss"] || !missEvents["plan.search.start"] || !missEvents["plan.search.done"] {
-		t.Fatalf("miss journal types = %v, want cache.miss + search.start + search.done", missEvents)
+	missEvents := j.Since(0)
+	var order []string
+	for _, e := range missEvents {
+		if typ := string(e.Type); typ == "plan.cache.miss" || typ == "plan.search.start" || typ == "plan.search.done" {
+			order = append(order, typ)
+		}
+	}
+	if want := []string{"plan.cache.miss", "plan.search.start", "plan.search.done"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("miss journal order = %v, want %v", order, want)
 	}
 	before := j.Len()
 	mark := lastSeq(t, j)
@@ -516,8 +559,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}{
 		{"deadline", func(r *plan.Request) { r.Goal.TimeSec = 5401 }},
 		{"loss target", func(r *plan.Request) { r.Goal.LossTarget = 0.81 }},
-		{"worker quota", func(r *plan.Request) { r.MaxWorkers = 10 }},
-		{"escalations", func(r *plan.Request) { r.MaxPSEscalations = plan.NoEscalation }},
 		{"workload", func(r *plan.Request) { r.Profile = testProfile(t, "mnist DNN", catalog) }},
 		{"sync mode", func(r *plan.Request) {
 			p := *r.Profile

@@ -39,7 +39,7 @@ func Run(w *model.Workload, base cloud.InstanceType, iters int) (*Report, error)
 	if iters <= 0 {
 		iters = DefaultIterations
 	}
-	res, err := ddnnsim.Run(w, ddnnsim.Homogeneous(base, 1, 1), ddnnsim.Options{
+	res, err := ddnnsim.Run(w, cloud.Homogeneous(base, 1, 1), ddnnsim.Options{
 		Iterations: iters,
 		LossEvery:  iters, // only the final loss point is needed
 	})

@@ -115,29 +115,18 @@ func GenGoal(rng *rand.Rand, w *model.Workload) plan.Goal {
 }
 
 // GenRequest draws a full provisioning request: generated workload,
-// catalog, goal, and occasional non-default knobs (tight worker quota,
-// disabled escalation or headroom). The profile is the noise-free
-// synthetic profile against the catalog's first type, mirroring how the
-// controller profiles on a fixed baseline.
+// catalog, and goal. The profile is the noise-free synthetic profile
+// against the catalog's first type, mirroring how the controller profiles
+// on a fixed baseline.
 func GenRequest(rng *rand.Rand) plan.Request {
 	catalog := GenCatalog(rng)
 	w := GenWorkload(rng)
 	base := catalog.Types()[0]
-	req := plan.Request{
+	return plan.Request{
 		Profile: perf.SyntheticProfile(w, base),
 		Goal:    GenGoal(rng, w),
 		Catalog: catalog,
 	}
-	if rng.Intn(4) == 0 {
-		req.MaxWorkers = 4 + rng.Intn(24)
-	}
-	if rng.Intn(4) == 0 {
-		req.MaxPSEscalations = plan.NoEscalation
-	}
-	if rng.Intn(4) == 0 {
-		req.Headroom = plan.NoHeadroom
-	}
-	return req
 }
 
 // GenCluster draws a training cluster over the catalog: 1-12 workers and

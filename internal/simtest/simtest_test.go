@@ -13,9 +13,7 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		a, b := GenRequest(NewRand(seed)), GenRequest(NewRand(seed))
 		if !reflect.DeepEqual(a.Profile, b.Profile) || a.Goal != b.Goal ||
-			!reflect.DeepEqual(a.Catalog.Types(), b.Catalog.Types()) ||
-			a.MaxWorkers != b.MaxWorkers || a.MaxPSEscalations != b.MaxPSEscalations ||
-			a.Headroom != b.Headroom {
+			!reflect.DeepEqual(a.Catalog.Types(), b.Catalog.Types()) {
 			t.Fatalf("seed %d: GenRequest not deterministic", seed)
 		}
 		fa, fb := GenFaultPlan(NewRand(seed)), GenFaultPlan(NewRand(seed))

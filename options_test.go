@@ -29,9 +29,9 @@ func TestOptionSurfacePinned(t *testing.T) {
 			"Disabled", "CheckpointEvery", "RestartOverheadSec", "Sleep"}},
 		{reflect.TypeFor[replay.Options](), []string{"Mode", "SnapshotEvery"}},
 		{reflect.TypeFor[service.Config](), []string{
-			"Provisioner", "Catalog", "Workers", "QueueDepth", "CacheCapacity", "Registry"}},
+			"Provisioner", "Catalog", "QueueDepth", "CacheCapacity", "Registry"}},
 		{reflect.TypeFor[plan.Request](), []string{
-			"Profile", "Goal", "Predictor", "Catalog", "MaxPSEscalations", "MaxWorkers", "Headroom", "Journal"}},
+			"Profile", "Goal", "Predictor", "Catalog", "Journal"}},
 		{reflect.TypeFor[cloud.FaultPlan](), []string{
 			"Seed", "TransientRate", "MaxConsecutiveTransient", "LaunchDelayMaxSec", "PreemptRate",
 			"PreemptMinSec", "PreemptMaxSec", "PreemptAtSec", "PreemptNth", "KillMasterAtSec"}},

@@ -20,9 +20,10 @@ race:
 
 # stress repeats the packages with real concurrency (TCP parameter
 # servers, the recovery state machine, the plan service's coalescing and
-# admission) to shake out timing-dependent flakes before they reach CI.
+# admission, the workload table every request shares) to shake out
+# timing-dependent flakes before they reach CI.
 stress:
-	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service
+	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service ./internal/model
 
 # bench runs every benchmark as a developer tool; nothing is gated on it.
 # Allocation bounds are plain tests that `make test` runs, and throughput
@@ -36,12 +37,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # coverage enforces per-package statement-coverage floors on the search
-# core, the flow model, the training simulator, and the recovery state
-# machine. Floors sit a few
+# core, the flow model, the training simulator, the recovery state
+# machine, and the workload model every request shares. Floors sit a few
 # points under the measured numbers so a coverage regression fails CI
 # without turning every refactor into a fight with the gate.
 coverage:
-	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/ddnnsim:85 internal/cluster:85 internal/cluster/replay:75 internal/cloud:80 internal/cloud/pricing:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
+	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/ddnnsim:85 internal/cluster:85 internal/model:90 internal/cluster/replay:75 internal/cloud:80 internal/cloud/pricing:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		$(GO) test -count=1 -coverprofile=.cover.out ./$$pkg >/dev/null; \
 		total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/journal -run '^$$' -fuzz '^FuzzDecodeEvent$$' -fuzztime 5s
 	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 5s
 	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzLatestSnapshot$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeJobRequest$$' -fuzztime 5s
 
 # crash-smoke is the process-level durability drill: boot cmd/master with
 # a state dir, SIGKILL it with jobs in flight, restart it over the same

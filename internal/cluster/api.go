@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -298,6 +299,14 @@ func decodeJobRequest(w http.ResponseWriter, r *http.Request) (*model.Workload, 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		return nil, plan.Goal{}, fmt.Errorf("bad request body: %w", err)
+	}
+	// The body is exactly one object: anything but whitespace after it
+	// is rejected rather than silently ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
 		return nil, plan.Goal{}, fmt.Errorf("bad request body: %w", err)
 	}
 	if strings.TrimSpace(req.Workload) == "" {

@@ -73,6 +73,45 @@ func TestPlanEndpointMissThenHit(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestPlanHitPathAllocs pins what a cached quote allocates end to end
+// through API.Handler(): routing, the body decode, the workload lookup,
+// the plan service hit, and the JSON response. The request and recorder
+// are built inside the measured closure, as a server builds them per
+// request. Lower the measured count whenever a change lowers it.
+func TestPlanHitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector (see race_test.go)")
+	}
+	api, _ := newTestAPI(t)
+	h := api.Handler()
+	body := planBody(7200)
+	if rec, _ := doJSON(t, h, "POST", "/api/plan", body); rec.Code != http.StatusOK {
+		t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/plan", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("quote = %d, X-Cache %q", rec.Code, rec.Header().Get("X-Cache"))
+		}
+	})
+	// The response and the journal each print the cache key, and strconv
+	// formats a catalog ID under 100 without allocating; a test binary
+	// that has built 100 catalogs pays one allocation more per print.
+	measured := 41.0
+	if api.controller.provider.Catalog().ID() >= 100 {
+		measured += 2
+	}
+	ceiling := measured*1.001 + 0.5
+	t.Logf("POST /api/plan hit: %.0f allocs, ceiling %.1f", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("POST /api/plan hit allocates %.0f objects, above its ceiling %.1f", allocs, ceiling)
+	}
+}
+
 func doBody(t *testing.T, h http.Handler, method, path string) string {
 	t.Helper()
 	rec, _ := doJSON(t, h, method, path, "")

@@ -102,9 +102,14 @@ func TestSubmitJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubmitValidation pins the decoder both POST routes share. A body is
+// exactly one JSON object: anything but whitespace after it is 400. The
+// unreachable-loss object decodes, so the planner answers it 422 without
+// training anything.
 func TestSubmitValidation(t *testing.T) {
 	api, _ := newTestAPI(t)
 	h := api.Handler()
+	const unreachable = `{"workload": "VGG-19", "deadline_sec": 3600, "loss_target": 0.1}`
 	cases := []struct {
 		body string
 		want int
@@ -115,11 +120,21 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"workload": "NoSuchNet", "deadline_sec": 100, "loss_target": 0.5}`, http.StatusBadRequest},
 		{`{"workload": "mnist DNN", "deadline_sec": 0, "loss_target": 0.5}`, http.StatusBadRequest},
 		{`{"workload": "mnist DNN", "deadline_sec": 100, "loss_target": 0}`, http.StatusBadRequest},
+		{unreachable, http.StatusUnprocessableEntity},
+		{unreachable + "\n", http.StatusUnprocessableEntity},
+		{unreachable + " \t\r\n ", http.StatusUnprocessableEntity},
+		{unreachable + `garbage`, http.StatusBadRequest},
+		{unreachable + `{"workload": "mnist DNN"}`, http.StatusBadRequest},
+		{unreachable + `}`, http.StatusBadRequest},
+		{unreachable + ` 1`, http.StatusBadRequest},
+		{unreachable + strings.Repeat(" ", maxRequestBody), http.StatusRequestEntityTooLarge},
 	}
-	for _, c := range cases {
-		rec, _ := doJSON(t, h, "POST", "/api/jobs", c.body)
-		if rec.Code != c.want {
-			t.Errorf("body %q -> %d, want %d", c.body, rec.Code, c.want)
+	for _, path := range []string{"/api/jobs", "/api/plan"} {
+		for _, c := range cases {
+			rec, _ := doJSON(t, h, "POST", path, c.body)
+			if rec.Code != c.want {
+				t.Errorf("%s %.80q -> %d, want %d: %s", path, c.body, rec.Code, c.want, rec.Body.String())
+			}
 		}
 	}
 }

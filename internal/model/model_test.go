@@ -2,7 +2,9 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -306,6 +308,72 @@ func TestWorkloadByName(t *testing.T) {
 	if _, err := WorkloadByName("AlexNet"); err == nil {
 		t.Error("unknown workload found")
 	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := WorkloadByName("cifar10 DNN"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WorkloadByName allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestWorkloadTableIntact: every lookup shares the Table 1 workloads, so a
+// caller that wrote through one would corrupt every later answer. Each
+// shared workload must still equal a fresh build from the same NewWorkload
+// calls, and a caller reordering or overwriting the Workloads slice must
+// not disturb the table.
+func TestWorkloadTableIntact(t *testing.T) {
+	fresh := buildTable1()
+	ws := Workloads()
+	if len(ws) != len(fresh) {
+		t.Fatalf("%d workloads, want %d", len(ws), len(fresh))
+	}
+	for i, want := range fresh {
+		got, err := WorkloadByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != ws[i] {
+			t.Errorf("%s: WorkloadByName and Workloads return different pointers", want.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: shared workload was modified:\n got %+v\nwant %+v", want.Name, got, want)
+		}
+	}
+	ws[0], ws[1] = nil, ws[0]
+	for i, w := range Workloads() {
+		if w == nil || w.Name != fresh[i].Name {
+			t.Fatalf("writing the returned slice reordered the table: index %d is %v", i, w)
+		}
+	}
+}
+
+// TestWorkloadLookupConcurrent reads the shared table from many goroutines;
+// under -race it fails if a lookup, or anything derived from a workload's
+// layer graph, writes to shared state.
+func TestWorkloadLookupConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, w := range Workloads() {
+					got, err := WorkloadByName(w.Name)
+					if err != nil || got != w {
+						t.Errorf("WorkloadByName(%q) = %p, %v; want %p", w.Name, got, err, w)
+						return
+					}
+					if got.Net.ParamMB() != got.GparamMB || got.WithSync(ASP).Sync != ASP {
+						t.Errorf("%s: derived values disagree with the table", w.Name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNewWorkloadValidation(t *testing.T) {

@@ -139,10 +139,13 @@ func (w *Workload) IterationsToLoss(lg float64, n int) (int, error) {
 	return int(s + 0.999999), nil
 }
 
-// Workloads returns the four benchmark workloads of the paper's Table 1
-// with PS-overhead and loss coefficients calibrated as described in
-// DESIGN.md.
-func Workloads() []*Workload {
+// table1 holds the four benchmark workloads of the paper's Table 1, built
+// and analysed once: every lookup shares these pointers, so a workload
+// read from here must never be written through. Variants go through
+// WithSync and WithIterations, which copy.
+var table1 = buildTable1()
+
+func buildTable1() []*Workload {
 	mk := func(net *Network, batch, iters int, sync SyncMode, dataset string, psCPU float64, loss LossParams) *Workload {
 		w, err := NewWorkload(net, batch, iters, sync, dataset, psCPU, loss)
 		if err != nil {
@@ -158,9 +161,18 @@ func Workloads() []*Workload {
 	}
 }
 
-// WorkloadByName returns the Table 1 workload with the given name.
+// Workloads returns the four benchmark workloads of the paper's Table 1
+// with PS-overhead and loss coefficients calibrated as described in
+// DESIGN.md. The slice is fresh, so callers may sort or append to it, but
+// the workloads are shared and read-only.
+func Workloads() []*Workload {
+	return append([]*Workload(nil), table1...)
+}
+
+// WorkloadByName returns the Table 1 workload with the given name. The
+// workload is shared and read-only; the lookup allocates nothing.
 func WorkloadByName(name string) (*Workload, error) {
-	for _, w := range Workloads() {
+	for _, w := range table1 {
 		if w.Name == name {
 			return w, nil
 		}

@@ -28,11 +28,10 @@
 // What the cache buys end to end, measured by cmd/cynthiabench through
 // POST /api/plan on a 2-vCPU Xeon VM with perf.Cynthia's allocation-free
 // homogeneous search (~45 µs per miss): quote-hot, eight repeated
-// questions that all hit, serves a median ≈14.5k quotes/s; quote-cold,
-// every request a distinct miss, serves ≈8.7k/s. The cache is worth
-// ≈1.67×, above the 1.5× keep-or-delete line though no longer the 4.4× it
-// bought when a search cost ~700 µs. It stays because dropping it would
-// cost quote-hot about 40% of its throughput. The service has no
+// questions that all hit, serves a median ≈36.3k quotes/s; quote-cold,
+// every request a distinct miss, serves ≈14.9k/s. The cache is worth
+// ≈2.4×, above the 1.5× keep-or-delete line. It stays because dropping it
+// would cost quote-hot about 60% of its throughput. The service has no
 // cache-less mode: quote-cold is the measure of what every request would
 // pay without the cache.
 package service

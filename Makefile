@@ -37,12 +37,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # coverage enforces per-package statement-coverage floors on the search
-# core, the flow model, the training simulator, the recovery state
-# machine, and the workload model every request shares. Floors sit a few
+# core and the baseline provisioners beside it, the flow model, the
+# training simulator, the recovery state machine, and the workload model
+# every request shares. Floors sit a few
 # points under the measured numbers so a coverage regression fails CI
 # without turning every refactor into a fight with the gate.
 coverage:
-	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/ddnnsim:85 internal/cluster:85 internal/model:90 internal/cluster/replay:75 internal/cloud:80 internal/cloud/pricing:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
+	@set -e; for spec in internal/plan:80 internal/plan/service:90 internal/flow:80 internal/ddnnsim:85 internal/cluster:85 internal/model:90 internal/cluster/replay:75 internal/cloud:80 internal/cloud/pricing:80 internal/baseline:80 internal/obs:80 internal/obs/journal:80 internal/obs/journal/wal:75; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		$(GO) test -count=1 -coverprofile=.cover.out ./$$pkg >/dev/null; \
 		total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

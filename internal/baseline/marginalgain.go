@@ -32,15 +32,31 @@ var _ plan.Provisioner = MarginalGain{}
 // Name identifies the strategy (for reports and CLI flags).
 func (MarginalGain) Name() string { return "Optimus-MG" }
 
-// Search implements plan.Provisioner: one pass produces both the chosen
-// plan and every configuration the greedy trajectories evaluated, ranked
-// like the engine's candidate list.
+// Search implements plan.Provisioner: the cheapest goal-meeting final
+// allocation across types, and how many configurations the greedy
+// trajectories evaluated.
 func (g MarginalGain) Search(ctx context.Context, req plan.Request) (plan.Result, error) {
+	return g.search(ctx, req, nil)
+}
+
+// Candidates implements plan.Provisioner: every configuration the greedy
+// trajectories evaluated, ranked like the engine's candidate list.
+func (g MarginalGain) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
+	var ranked []plan.Plan
+	if _, err := g.search(ctx, req, &ranked); err != nil {
+		return nil, err
+	}
+	plan.Rank(ranked)
+	return ranked, nil
+}
+
+// search climbs every instance type and picks the winner; a non-nil
+// collect receives every trajectory, for Candidates to rank.
+func (g MarginalGain) search(ctx context.Context, req plan.Request, collect *[]plan.Plan) (plan.Result, error) {
 	nreq, err := req.Normalize()
 	if err != nil {
 		return plan.Result{}, err
 	}
-	var ranked []plan.Plan
 	var best, effort plan.Plan
 	var stats plan.SearchStats
 	haveBest, haveEffort := false, false
@@ -59,7 +75,9 @@ func (g MarginalGain) Search(ctx context.Context, req plan.Request) (plan.Result
 				stats.Feasible++
 			}
 		}
-		ranked = append(ranked, trajectory...)
+		if collect != nil {
+			*collect = append(*collect, trajectory...)
+		}
 		if final.Feasible {
 			if !haveBest || final.Cost < best.Cost {
 				best, haveBest = final, true
@@ -68,12 +86,11 @@ func (g MarginalGain) Search(ctx context.Context, req plan.Request) (plan.Result
 			effort, haveEffort = final, true
 		}
 	}
-	plan.Rank(ranked)
 	switch {
 	case haveBest:
-		return plan.Result{Plan: best, Ranked: ranked, Stats: stats}, nil
+		return plan.Result{Plan: best, Stats: stats}, nil
 	case haveEffort:
-		return plan.Result{Plan: effort, Ranked: ranked, Stats: stats}, nil
+		return plan.Result{Plan: effort, Stats: stats}, nil
 	}
 	return plan.Result{}, fmt.Errorf("baseline: no marginal-gain candidate for %s (goal %.0fs / loss %.3f)",
 		nreq.Profile.Workload.Name, req.Goal.TimeSec, req.Goal.LossTarget)

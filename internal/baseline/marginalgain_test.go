@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -44,11 +45,10 @@ func TestMarginalGainMeetsLooseGoal(t *testing.T) {
 
 func TestMarginalGainCandidatesRanked(t *testing.T) {
 	req := mgRequest(t, "cifar10 DNN", plan.Goal{TimeSec: 7200, LossTarget: 0.8})
-	res, err := MarginalGain{}.Search(context.Background(), req)
+	cands, err := MarginalGain{}.Candidates(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := res.Ranked
 	if len(cands) < 2 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -68,24 +68,30 @@ func TestMarginalGainCandidatesRanked(t *testing.T) {
 }
 
 // TestMarginalGainPlanAmongRanked: the plan Search chooses is one of the
-// configurations its greedy trajectories evaluated.
+// configurations its greedy trajectories evaluated, and Search's stats
+// count exactly the configurations Candidates ranks.
 func TestMarginalGainPlanAmongRanked(t *testing.T) {
 	req := mgRequest(t, "cifar10 DNN", plan.Goal{TimeSec: 7200, LossTarget: 0.8})
 	res, err := MarginalGain{}.Search(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := res.Plan
-	// The chosen plan appears in the ranked trajectory.
-	found := false
-	for _, c := range res.Ranked {
-		if c == pl {
-			found = true
-			break
+	ranked, err := MarginalGain{}.Candidates(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ranked, res.Plan) {
+		t.Errorf("chosen plan %v not among %d ranked candidates", res.Plan, len(ranked))
+	}
+	feasible := 0
+	for _, c := range ranked {
+		if c.Feasible {
+			feasible++
 		}
 	}
-	if !found {
-		t.Errorf("chosen plan %v not among %d ranked candidates", pl, len(res.Ranked))
+	if res.Stats.Enumerated != len(ranked) || res.Stats.Feasible != feasible {
+		t.Errorf("Search counted %d (%d feasible), Candidates ranked %d (%d feasible)",
+			res.Stats.Enumerated, res.Stats.Feasible, len(ranked), feasible)
 	}
 }
 
@@ -95,5 +101,8 @@ func TestMarginalGainCancelled(t *testing.T) {
 	cancel()
 	if _, err := (MarginalGain{}).Search(ctx, req); err == nil {
 		t.Error("cancelled search succeeded")
+	}
+	if _, err := (MarginalGain{}).Candidates(ctx, req); err == nil {
+		t.Error("cancelled candidates succeeded")
 	}
 }

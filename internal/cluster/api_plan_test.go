@@ -179,6 +179,10 @@ func (p *stallingProvisioner) Search(ctx context.Context, req plan.Request) (pla
 	return plan.Result{}, fmt.Errorf("stalling provisioner: released without a plan")
 }
 
+func (p *stallingProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
+	return nil, fmt.Errorf("stalling provisioner: no candidates")
+}
+
 func TestPlanOverloadReturns429(t *testing.T) {
 	master := newMaster(t)
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)

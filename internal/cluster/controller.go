@@ -315,16 +315,15 @@ func (c *Controller) runJob(job *Job) (*Job, error) {
 		Catalog:   cat,
 		Journal:   jb,
 	}
-	// One exhaustive search produces both the chosen plan and the ranked
-	// candidate list, so a later capacity fallback never re-runs
-	// Algorithm 1.
+	// The search answers with the chosen plan only; the capacity fallback
+	// asks for alternatives if, and only if, the launch needs them.
 	res, err := c.provisioner.Search(context.Background(), req)
 	if err != nil {
 		return c.failJob(&runState{job: job}, err)
 	}
 	st := &runState{
 		SegmentState: SegmentState{
-			JobID: job.ID, Plan: res.Plan, Ranked: res.Ranked,
+			JobID: job.ID, Plan: res.Plan,
 			TotalIters: res.Plan.Iterations, LastEvalSec: evalAt,
 		},
 		job: job, w: w, goal: goal, prof: prof,
@@ -511,11 +510,12 @@ func (c *Controller) teardown(job *Job) {
 // launchWithFallback tries the chosen plan first — on the spot market
 // when the run state says so — and then, on capacity errors (transient
 // errors that survived the retry budget, or a spot price above the
-// bid), every remaining feasible candidate from the ranked stream the
-// original search already produced (no re-search). Fallback candidates
-// launch on-demand at base-catalog prices: spot trouble must never
-// cascade into more spot trouble. On success the run state holds the
-// plan (and market) that actually launched.
+// bid), every remaining feasible candidate of the job's goal. Only this
+// rare path asks the provisioner for a candidate list. Fallback
+// candidates launch on-demand, so they are ranked and priced on the base
+// catalog: spot trouble must never cascade into more spot trouble, and
+// a fallback plan's cost is what its launch bills. On success the run
+// state holds the plan (and market) that actually launched.
 func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, error) {
 	job := st.job
 	try := func(p plan.Plan, spot bool, bid float64) ([]*cloud.Instance, int, error) {
@@ -534,17 +534,18 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 	}
 	c.jbind(job).Emit(journal.CapacityFallback,
 		journal.F("type", st.Plan.Type.Name), journal.F("error", err.Error()))
-	for _, cand := range st.Ranked {
+	ranked, cerr := c.provisioner.Candidates(context.Background(), plan.Request{
+		Profile: st.prof, Goal: st.goal, Predictor: c.predictor, Catalog: c.provider.Catalog(),
+	})
+	if cerr != nil {
+		return nil, 0, cerr
+	}
+	for _, cand := range ranked {
 		if !cand.Feasible {
 			break // sorted feasible-first; nothing usable remains
 		}
 		if !triedSpot && cand.Type.Name == st.Plan.Type.Name && cand.Workers == st.Plan.Workers && cand.PS == st.Plan.PS {
 			continue // already tried this exact launch
-		}
-		// Fallbacks are on-demand: reprice the candidate from the base
-		// catalog so cost accounting matches what will be billed.
-		if bt, lerr := c.provider.Catalog().Lookup(cand.Type.Name); lerr == nil {
-			cand.Type = bt
 		}
 		insts, n, lerr := try(cand, false, 0)
 		if lerr == nil {

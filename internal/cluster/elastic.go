@@ -206,18 +206,18 @@ func (c *Controller) elasticStep(st *runState) error {
 	if err := c.barrier(st, PhaseElastic); err != nil {
 		return err
 	}
-	return c.elasticScale(st, p, res.Ranked, ch, overhead)
+	return c.elasticScale(st, p, ch, overhead)
 }
 
 // elasticScale executes an elastic re-plan: tear the old cluster down,
 // adopt the new plan and market, charge the rebuild overhead, and
 // provision. Failure to provision fails the job the same way a
 // post-recovery re-provision would.
-func (c *Controller) elasticScale(st *runState, p plan.Plan, ranked []plan.Plan, ch marketChoice, overhead float64) error {
+func (c *Controller) elasticScale(st *runState, p plan.Plan, ch marketChoice, overhead float64) error {
 	job := st.job
 	from := fmt.Sprintf("%dx %s + %d PS", st.Plan.Workers, st.Plan.Type.Name, st.Plan.PS)
 	c.teardown(job)
-	st.Plan, st.Ranked = p, ranked
+	st.Plan = p
 	st.adoptChoice(ch)
 	c.mu.Lock()
 	job.Plan = p

@@ -408,7 +408,7 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 	}
 	c.jbind(job).Emit(journal.RecoveryReplan, replanFields...)
 	c.teardown(job)
-	st.Plan, st.Ranked = p, res.Ranked
+	st.Plan = p
 	st.adoptChoice(choices[p.Type.Name])
 	// TotalIters is pinned to the original loss-target budget; the new
 	// plan only changes the cluster shape, not how much work remains.

@@ -234,6 +234,9 @@ func TestExhaustedBudgetSkipsReplan(t *testing.T) {
 	if n := atomic.LoadInt32(&counter.searches); n != 1 {
 		t.Errorf("%d plan searches, want only the initial one", n)
 	}
+	if n := atomic.LoadInt32(&counter.candidates); n != 0 {
+		t.Errorf("%d candidate lists for a like-for-like replacement, want 0", n)
+	}
 	if n := len(jobEventsOf(jrnl, job.ID, journal.RecoveryReplan)); n != 0 {
 		t.Errorf("re-plan ran against an exhausted budget: %d recovery.replanned events", n)
 	}

@@ -3,22 +3,28 @@ package replay
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"reflect"
 	"testing"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/cluster"
+	"cynthia/internal/obs/journal/wal"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/world-snapshot.json from the current encoding")
 
 // TestSnapshotFormatPinned restores a committed snapshot into a fresh
 // controller, master and provider and exports it again: the encoding
 // must come back byte-identical, so state directories written by older
-// builds keep restoring. testdata/world-snapshot.json was written by
-// the code that still copied every persisted field by hand. It holds a
-// finished job and an elastic spot job caught at its second recovery
-// barrier under a fault plan with a consumed master kill, so every
-// SegmentState and FaultState field is set.
+// builds keep restoring. testdata/world-snapshot.json holds a finished
+// job and an elastic spot job caught at its second recovery barrier
+// under a fault plan with a consumed master kill, so every SegmentState
+// and FaultState field is set. After an intentional format change,
+// regenerate it with:
+//
+//	go test ./internal/cluster/replay -run SnapshotFormatPinned -update
 func TestSnapshotFormatPinned(t *testing.T) {
 	want, err := os.ReadFile("testdata/world-snapshot.json")
 	if err != nil {
@@ -34,6 +40,57 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	requireAllFieldsSet(t, ws.Controller.Segments[0])
 	requireAllFieldsSet(t, *ws.Provider.Fault)
 
+	got := reencode(t, &ws)
+	if *update {
+		if err := os.WriteFile("testdata/world-snapshot.json", got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-encoded snapshot differs from the committed one\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSnapshotWithRankedStillRestores: segment states used to persist
+// their plan's ranked candidate list. testdata/world-snapshot-ranked.json
+// is the world of TestSnapshotFormatPinned as those builds wrote it. A
+// state directory holding it must still open — the snapshot decoder
+// ignores the field it no longer knows — and restore to exactly the
+// world the current format pins.
+func TestSnapshotWithRankedStillRestores(t *testing.T) {
+	old, err := os.ReadFile("testdata/world-snapshot-ranked.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte(`"ranked":`)) {
+		t.Fatal("fixture holds no ranked candidate list")
+	}
+	want, err := os.ReadFile("testdata/world-snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := wal.WriteSnapshot(dir, 1, old); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("opening a state directory with ranked lists: %v", err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if m.Snapshot() == nil {
+		t.Fatal("the snapshot was not recovered")
+	}
+	if got := reencode(t, m.Snapshot()); !bytes.Equal(got, want) {
+		t.Errorf("restored world differs from the pinned format\n got %s\nwant %s", got, want)
+	}
+}
+
+// reencode restores ws into a fresh controller, master and provider and
+// encodes the world they export.
+func reencode(t *testing.T, ws *WorldSnapshot) []byte {
+	t.Helper()
 	master, err := cluster.NewMaster()
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +110,7 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("re-encoded snapshot differs from the committed one\n got %s\nwant %s", got, want)
-	}
+	return got
 }
 
 // requireAllFieldsSet fails for every zero-valued field of a struct, so

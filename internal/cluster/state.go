@@ -114,17 +114,15 @@ type JobState struct {
 // SegmentState is the serializable segment state machine of one
 // in-flight job, published at each durability barrier. It captures
 // everything runSegments/recoverJob need to continue from the barrier:
-// the surviving plan and ranked fallbacks, iteration accounting, cost
-// and deadline burn, and the pending preemption of an interrupted
-// segment.
+// the surviving plan, iteration accounting, cost and deadline burn, and
+// the pending preemption of an interrupted segment.
 type SegmentState struct {
-	JobID      string      `json:"job_id"`
-	Phase      Phase       `json:"phase"` // the last barrier passed
-	Plan       plan.Plan   `json:"plan"`
-	Ranked     []plan.Plan `json:"ranked,omitempty"`
-	TotalIters int         `json:"total_iters"` // iteration budget to the loss target
-	Done       int         `json:"done"`        // iterations safely completed (checkpoint-backed)
-	Lost       int         `json:"lost"`        // un-checkpointed iterations redone
+	JobID      string    `json:"job_id"`
+	Phase      Phase     `json:"phase"` // the last barrier passed
+	Plan       plan.Plan `json:"plan"`
+	TotalIters int       `json:"total_iters"` // iteration budget to the loss target
+	Done       int       `json:"done"`        // iterations safely completed (checkpoint-backed)
+	Lost       int       `json:"lost"`        // un-checkpointed iterations redone
 	// SegLost and PendingPreempt are the interrupted segment's lost
 	// iterations and the instance whose predicted preemption interrupted
 	// it, carried so a recovery cycle cut by a master crash replays whole.
@@ -156,7 +154,6 @@ type SegmentState struct {
 // clone deep-copies the slices the live run state keeps changing, so a
 // published barrier state never aliases it.
 func (ss SegmentState) clone() SegmentState {
-	ss.Ranked = slices.Clone(ss.Ranked)
 	ss.Handled = slices.Clone(ss.Handled)
 	return ss
 }

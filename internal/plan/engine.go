@@ -17,18 +17,21 @@ import (
 // baseline.MarginalGain (the Optimus-style comparator), so the controller,
 // the plan service, and the experiments can swap strategies freely.
 type Provisioner interface {
-	// Search returns the strategy's chosen plan and every configuration
-	// it considered, ranked feasible-first then by ascending cost. When
-	// no candidate meets the goal, the chosen plan is the best-effort
+	// Search returns the strategy's chosen plan and what the search cost.
+	// When no candidate meets the goal, the chosen plan is the best-effort
 	// (fastest predicted) one with Feasible=false.
 	Search(ctx context.Context, req Request) (Result, error)
+	// Candidates returns every configuration Search considers for req,
+	// ranked by Rank. Only callers that need alternatives to the chosen
+	// plan — the controller's capacity fallback — pay for the list.
+	Candidates(ctx context.Context, req Request) ([]Plan, error)
 }
 
 // SearchStats summarizes how hard one search worked: how many instance
 // types were scanned, how many candidates the Theorem 4.1-bounded
 // enumeration actually evaluated versus the unpruned space (Pruned is the
 // difference), and how many evaluated candidates met the goal. Strategies
-// without native stats (e.g. baseline.MarginalGain) leave the zero value.
+// without a bounded space (baseline.MarginalGain) leave Pruned zero.
 type SearchStats struct {
 	Types      int
 	Enumerated int
@@ -36,14 +39,11 @@ type SearchStats struct {
 	Feasible   int
 }
 
-// Result bundles the two products of one exhaustive search: the plan the
-// strategy selects and the full ranked candidate list. Callers that may
-// need alternatives later — the controller's capacity fallback — run one
-// Search instead of a Provision plus a re-searching Candidates.
+// Result is the answer to one search: the plan the strategy selects and
+// how many candidates it evaluated to find it.
 type Result struct {
-	Plan   Plan
-	Ranked []Plan
-	Stats  SearchStats
+	Plan  Plan
+	Stats SearchStats
 }
 
 // SearchWith runs one search with prov.
@@ -67,30 +67,31 @@ var _ Provisioner = (*Engine)(nil)
 // the cheapest such plan across types. If no candidate meets the goal
 // anywhere, the fastest predicted plan is returned with Feasible=false.
 func (e *Engine) Provision(ctx context.Context, req Request) (Plan, error) {
-	out, err := e.search(ctx, req, false)
+	out, err := e.search(ctx, req, false, nil)
 	if err != nil {
 		return Plan{}, err
 	}
 	return e.selectPlan(req, out)
 }
 
-// Candidates evaluates every configuration Algorithm 1 would consider —
-// without the early break — returning the candidates ranked by Rank. It
-// is the inspection/what-if companion to Provision: plot it, or audit why
-// a plan was (not) chosen.
+// Candidates implements Provisioner: it evaluates every configuration
+// Algorithm 1 would consider — without the early break — and returns them
+// ranked by Rank. Besides the capacity fallback, it is the inspection
+// companion to Provision: plot it, or audit why a plan was (not) chosen.
 func (e *Engine) Candidates(ctx context.Context, req Request) ([]Plan, error) {
-	out, err := e.search(ctx, req, true)
-	if err != nil {
+	var ranked []Plan
+	if _, err := e.search(ctx, req, true, &ranked); err != nil {
 		return nil, err
 	}
-	return out.ranked, nil
+	Rank(ranked)
+	return ranked, nil
 }
 
-// Search implements Provisioner: one exhaustive scan returns both the
-// Algorithm 1 selection (the same plan Provision picks) and the ranked
-// candidate list.
+// Search implements Provisioner: an exhaustive scan that counts every
+// candidate into Stats but keeps only the Algorithm 1 selection (the same
+// plan Provision picks).
 func (e *Engine) Search(ctx context.Context, req Request) (Result, error) {
-	out, err := e.search(ctx, req, true)
+	out, err := e.search(ctx, req, true, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,7 +99,7 @@ func (e *Engine) Search(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Plan: pl, Ranked: out.ranked, Stats: out.stats}, nil
+	return Result{Plan: pl, Stats: out.stats}, nil
 }
 
 // typeResult is the outcome of scanning one instance type.
@@ -119,16 +120,15 @@ type searchOut struct {
 	haveBest   bool
 	effort     Plan
 	haveEffort bool
-	ranked     []Plan
 	stats      SearchStats
 }
 
 // scanType runs the Algorithm 1 inner loops for one instance type whose
 // bounds res already holds, over the shared enumerator and evaluator.
-// Exhaustive scans (ranked != nil) append every evaluated candidate to
-// *ranked in enumeration order; otherwise the scan stops at the type's
-// first feasible candidate (Algorithm 1 line 11).
-func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, res *typeResult, ranked *[]Plan) error {
+// Exhaustive scans evaluate every candidate; otherwise the scan stops at
+// the type's first feasible candidate (Algorithm 1 line 11). A non-nil
+// collect receives every evaluated candidate in enumeration order.
+func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, res *typeResult, exhaustive bool, collect *[]Plan) error {
 	m := planObs()
 	start := time.Now()
 	defer func() { m.typeScan.With(t.Name).Observe(time.Since(start).Seconds()) }()
@@ -139,19 +139,10 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 	bounds := res.bounds
 	if bounds.LowerWorkers > MaxWorkers {
 		// The quota alone rules this type out; still expose the quota
-		// point as a best-effort candidate.
-		cand, err := ev.evaluate(t, MaxWorkers, min(bounds.PS, MaxWorkers))
-		if err == nil {
-			res.scanned++
-			if cand.Feasible {
-				res.feasibleN++
-			}
-			if ranked != nil {
-				*ranked = append(*ranked, cand)
-			}
-			if !cand.Feasible {
-				res.effort, res.haveEffort = cand, true
-			}
+		// point as a best-effort candidate (or as the type's pick, should
+		// a profile the bounds misjudge meet the goal there after all).
+		if cand, err := ev.evaluate(t, MaxWorkers, min(bounds.PS, MaxWorkers)); err == nil {
+			res.record(&cand, collect)
 		}
 		return nil
 	}
@@ -165,42 +156,41 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 		if err != nil {
 			return true
 		}
-		res.scanned++
-		if ranked != nil {
-			*ranked = append(*ranked, cand)
-		}
-		if cand.Feasible {
-			res.feasibleN++
-			if !res.haveFirst {
-				res.first, res.haveFirst = cand, true
-			}
-			return ranked != nil // early break ends the type's scan
-		}
-		if !res.haveEffort || cand.PredTime < res.effort.PredTime {
-			res.effort, res.haveEffort = cand, true
+		if res.record(&cand, collect) && !exhaustive {
+			return false // early break ends the type's scan
 		}
 		return true
 	})
 	return scanErr
 }
 
-// candidateCount is the most candidates scanType can evaluate for a type
-// with these bounds: the exhaustive scan's share of the ranked list.
-func candidateCount(cfg normalized, t cloud.InstanceType, bounds Bounds) int {
-	if bounds.LowerWorkers > MaxWorkers {
-		return 1 // the quota point
+// record books one evaluated candidate into the type's result (and onto
+// a non-nil collect) and reports whether it met the goal.
+func (res *typeResult) record(cand *Plan, collect *[]Plan) bool {
+	res.scanned++
+	if collect != nil {
+		*collect = append(*collect, *cand)
 	}
-	n := 0
-	enumerate(cfg, t, bounds, func(int, int) bool { n++; return true })
-	return n
+	if cand.Feasible {
+		res.feasibleN++
+		if !res.haveFirst {
+			res.first, res.haveFirst = *cand, true
+		}
+		return true
+	}
+	if !res.haveEffort || cand.PredTime < res.effort.PredTime {
+		res.effort, res.haveEffort = *cand, true
+	}
+	return false
 }
 
-// search computes every type's Theorem 4.1 bounds (which size the ranked
-// list exactly), scans the types in catalog order, and reduces the
-// per-type results in the same order, so ties break toward the earlier
-// type. The scan is serial: a type scan costs a few microseconds, less
-// than handing it to another goroutine.
-func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (searchOut, error) {
+// search computes every type's Theorem 4.1 bounds, scans the types in
+// catalog order, and reduces the per-type results in the same order, so
+// ties break toward the earlier type. A non-nil collect receives every
+// evaluated candidate in scan order, for Candidates to rank. The scan is
+// serial: a type scan costs a few microseconds, less than handing it to
+// another goroutine.
+func (e *Engine) search(ctx context.Context, req Request, exhaustive bool, collect *[]Plan) (searchOut, error) {
 	m := planObs()
 	start := time.Now()
 	defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
@@ -226,24 +216,12 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 	}
 
 	results := make([]typeResult, len(types))
-	total := 0
+	ev := newEvaluator(cfg)
 	for i, t := range types {
 		r := &results[i]
 		bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
 		r.bounds, r.haveBounds = bounds, err == nil
-		if r.haveBounds && exhaustive {
-			total += candidateCount(cfg, t, bounds)
-		}
-	}
-	var out searchOut
-	var ranked *[]Plan
-	if exhaustive {
-		out.ranked = make([]Plan, 0, total)
-		ranked = &out.ranked
-	}
-	ev := newEvaluator(cfg)
-	for i, t := range types {
-		if err := scanType(ctx, cfg, &ev, t, &results[i], ranked); err != nil {
+		if err := scanType(ctx, cfg, &ev, t, r, exhaustive, collect); err != nil {
 			m.outcomes.With("cancelled").Inc()
 			return searchOut{}, err
 		}
@@ -252,6 +230,7 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 	// The reduce — and every journal emission — walks per-type results in
 	// catalog order after the whole scan, so a cancelled search journals
 	// no per-type records.
+	var out searchOut
 	out.stats.Types = len(types)
 	for i, r := range results {
 		if r.haveFirst && (!out.haveBest || r.first.Cost < out.best.Cost) {
@@ -276,10 +255,6 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool) (sear
 	out.stats.Pruned = max(searchSpace-out.stats.Enumerated, 0)
 	m.scanned.Add(int64(out.stats.Enumerated))
 	m.feasible.Add(int64(out.stats.Feasible))
-	if len(out.ranked) == 0 {
-		out.ranked = nil // no candidates: nil, not a presized empty slice
-	}
-	Rank(out.ranked)
 	outcome := "none"
 	switch {
 	case out.haveBest:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -15,8 +16,9 @@ import (
 // validation path every search entry point shares. Whatever the input,
 // Normalize must not panic. Whenever it accepts a request, the goal must
 // be finite and left as given, the defaults must be filled in, Normalize
-// must be idempotent, and Provision's early-break scan must choose the
-// same plan as the exhaustive Search.
+// must be idempotent, Provision's early-break scan must choose the same
+// plan as the exhaustive Search, and Candidates must rank exactly the
+// candidates Search counted, the chosen plan among them.
 func FuzzRequestNormalize(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	f.Add(0.8, 0.192, 0.037, 90.0, 0.15, false, 3600.0, 0.2)
@@ -70,6 +72,23 @@ func FuzzRequestNormalize(f *testing.F) {
 		}
 		if perr == nil && pl != res.Plan {
 			t.Fatalf("Provision chose %+v, Search chose %+v", pl, res.Plan)
+		}
+		ranked, err := DefaultEngine.Candidates(ctx, nr)
+		if err != nil {
+			t.Fatalf("Candidates failed on an accepted request: %v", err)
+		}
+		feasible := 0
+		for _, c := range ranked {
+			if c.Feasible {
+				feasible++
+			}
+		}
+		if len(ranked) != res.Stats.Enumerated || feasible != res.Stats.Feasible {
+			t.Fatalf("Candidates ranked %d (%d feasible), Search counted %d (%d feasible)",
+				len(ranked), feasible, res.Stats.Enumerated, res.Stats.Feasible)
+		}
+		if serr == nil && (!slices.Contains(ranked, res.Plan) || ranked[0].Feasible != res.Plan.Feasible) {
+			t.Fatalf("Search chose %+v; Candidates lack it or lead with feasible=%v", res.Plan, ranked[0].Feasible)
 		}
 	})
 }

@@ -26,14 +26,17 @@
 // in-flight metrics on an obs registry.
 //
 // What the cache buys end to end, measured by cmd/cynthiabench through
-// POST /api/plan on a 2-vCPU Xeon VM with perf.Cynthia's allocation-free
-// homogeneous search (~45 µs per miss): quote-hot, eight repeated
-// questions that all hit, serves a median ≈36.3k quotes/s; quote-cold,
-// every request a distinct miss, serves ≈14.9k/s. The cache is worth
-// ≈2.4×, above the 1.5× keep-or-delete line. It stays because dropping it
-// would cost quote-hot about 60% of its throughput. The service has no
-// cache-less mode: quote-cold is the measure of what every request would
-// pay without the cache.
+// POST /api/plan on a 2-vCPU Xeon VM, with a miss that builds no
+// candidate list: quote-hot, eight repeated questions that all hit,
+// serves a median ≈18.6k quotes/s; quote-cold, every request a distinct
+// miss, serves ≈10.1k/s on the same box. The cache is worth ≈1.8×
+// (≈2.3× while every miss still built and sorted a ranked list), above
+// the 1.5× keep-or-delete line. It stays because dropping it would cost
+// quote-hot about 45% of its throughput. An entry holds only a plan and
+// its stats; with the ranked lists gone from the entries, quote-cold's
+// heap peak fell from ≈70 MB to ≈8 MB. The service has no cache-less
+// mode: quote-cold is the measure of what every request would pay
+// without the cache.
 package service
 
 import (
@@ -126,7 +129,7 @@ type Stats struct {
 }
 
 // Response is one answered planning request: the search product (chosen
-// plan, ranked candidates, search stats) plus how it was served.
+// plan and search stats) plus how it was served.
 type Response struct {
 	plan.Result
 	Outcome Outcome
@@ -251,9 +254,9 @@ func (s *Service) Stats() Stats {
 // search, or a fresh search run on the calling goroutine — see the
 // package comment for the full policy. A fresh search runs to completion
 // whatever ctx does, because coalesced requests wait on it; ctx bounds
-// only the wait on another request's search. The returned Result is
-// shared with every other request served from the same entry; treat
-// Ranked as read-only.
+// only the wait on another request's search. The returned Result holds
+// no slices, so a cached answer is copied out whole and no caller can
+// alter it.
 func (s *Service) Plan(ctx context.Context, req plan.Request) (Response, error) {
 	if req.Catalog == nil {
 		req.Catalog = s.catalog

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,8 +79,18 @@ func TestPlanMissThenHit(t *testing.T) {
 	if !reflect.DeepEqual(first.Plan, second.Plan) {
 		t.Errorf("cached plan differs from cold search:\n  cold %+v\n  hit  %+v", first.Plan, second.Plan)
 	}
-	if !reflect.DeepEqual(first.Ranked, second.Ranked) {
-		t.Error("cached ranked candidates differ from cold search")
+	if second.Stats != (plan.SearchStats{}) {
+		t.Errorf("hit reports search work %+v, want none", second.Stats)
+	}
+	// The cached plan is one of the engine's candidates for the same
+	// question, and the miss counted exactly those candidates.
+	ranked, err := plan.DefaultEngine.Candidates(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranked) != first.Stats.Enumerated || !slices.Contains(ranked, second.Plan) {
+		t.Errorf("cached plan among %d candidates: %v; the miss counted %d",
+			len(ranked), slices.Contains(ranked, second.Plan), first.Stats.Enumerated)
 	}
 	st := s.Stats()
 	if st.Searches != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -184,6 +195,10 @@ func (p *countingProvisioner) Search(ctx context.Context, req plan.Request) (pla
 		<-p.release
 	}
 	return plan.DefaultEngine.Search(ctx, req)
+}
+
+func (p *countingProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
+	return plan.DefaultEngine.Candidates(ctx, req)
 }
 
 func TestCoalescingRunsOneSearch(t *testing.T) {
@@ -312,6 +327,10 @@ func (p *panicOnce) Search(ctx context.Context, req plan.Request) (plan.Result, 
 		panic("provisioner bug")
 	}
 	return plan.DefaultEngine.Search(ctx, req)
+}
+
+func (p *panicOnce) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
+	return plan.DefaultEngine.Candidates(ctx, req)
 }
 
 // TestPanickingSearchReleasesKey: net/http recovers a handler's panic, so

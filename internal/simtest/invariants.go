@@ -37,7 +37,8 @@ func closeRel(a, b float64) bool {
 //     break + cross-type min), bit-identical in every field;
 //   - the Theorem 4.1 bounds contain the chosen (workers, ps)
 //     configuration — it appears in the enumerated stream;
-//   - the ranked candidate list is ordered feasible-first then by
+//   - the ranked list Candidates returns for the same request is the
+//     candidate set Search counted, ordered feasible-first then by
 //     ascending cost, contains the chosen plan, and agrees with it on
 //     feasibility;
 //   - the Eq. 6-7 worker utilization of the chosen cluster lies in
@@ -51,6 +52,7 @@ func closeRel(a, b float64) bool {
 // all (the engine's error path) is verified to truly have none.
 func CheckSearch(req plan.Request) (plan.Result, error) {
 	res, serr := plan.DefaultEngine.Search(context.Background(), req)
+	ranked, cerr := plan.DefaultEngine.Candidates(context.Background(), req)
 
 	nr, err := req.Normalize()
 	if err != nil {
@@ -125,7 +127,10 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 	}
 
 	// Ranked ordering and membership.
-	if err := CheckRanked(res); err != nil {
+	if cerr != nil {
+		return res, fmt.Errorf("search succeeded but candidates failed: %v", cerr)
+	}
+	if err := CheckRanked(res, ranked); err != nil {
 		return res, err
 	}
 
@@ -133,7 +138,7 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 	if err := CheckPlanModel(nr, pl); err != nil {
 		return res, err
 	}
-	for _, cand := range res.Ranked {
+	for _, cand := range ranked {
 		if !closeRel(cand.Cost, plan.Cost(cand.Type, cand.Workers, cand.PS, cand.PredTime)) {
 			return res, fmt.Errorf("ranked candidate cost %.9f violates Eq. 8: %+v", cand.Cost, cand)
 		}
@@ -141,14 +146,20 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 	return res, nil
 }
 
-// CheckRanked verifies the ranked candidate list's contract: ordered
-// feasible-first then ascending cost within each group, containing the
-// chosen plan, and agreeing with it on feasibility.
-func CheckRanked(res plan.Result) error {
+// CheckRanked verifies a ranked candidate list against the search result
+// for the same request: the list holds exactly the candidates the
+// search's Stats counted, is ordered feasible-first then ascending cost
+// within each group, contains the chosen plan, and agrees with it on
+// feasibility.
+func CheckRanked(res plan.Result, ranked []plan.Plan) error {
+	if len(ranked) != res.Stats.Enumerated {
+		return fmt.Errorf("%d ranked candidates, search enumerated %d", len(ranked), res.Stats.Enumerated)
+	}
 	seenInfeasible := false
 	prevCost := math.Inf(-1)
 	found := false
-	for i, c := range res.Ranked {
+	feasible := 0
+	for i, c := range ranked {
 		if !c.Feasible {
 			if !seenInfeasible {
 				seenInfeasible = true
@@ -164,16 +175,22 @@ func CheckRanked(res plan.Result) error {
 		if c == res.Plan {
 			found = true
 		}
+		if c.Feasible {
+			feasible++
+		}
 	}
-	if len(res.Ranked) == 0 {
+	if feasible != res.Stats.Feasible {
+		return fmt.Errorf("%d feasible ranked candidates, search counted %d", feasible, res.Stats.Feasible)
+	}
+	if len(ranked) == 0 {
 		return nil
 	}
 	if !found {
-		return fmt.Errorf("chosen plan %+v not among %d ranked candidates", res.Plan, len(res.Ranked))
+		return fmt.Errorf("chosen plan %+v not among %d ranked candidates", res.Plan, len(ranked))
 	}
-	if res.Ranked[0].Feasible != res.Plan.Feasible {
+	if ranked[0].Feasible != res.Plan.Feasible {
 		return fmt.Errorf("ranked[0].Feasible=%v disagrees with plan.Feasible=%v",
-			res.Ranked[0].Feasible, res.Plan.Feasible)
+			ranked[0].Feasible, res.Plan.Feasible)
 	}
 	return nil
 }

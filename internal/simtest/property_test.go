@@ -29,7 +29,7 @@ func TestSearchInvariants(t *testing.T) {
 			continue
 		}
 		switch {
-		case len(res.Ranked) == 0:
+		case res.Stats.Enumerated == 0:
 			failed++
 		case res.Plan.Feasible:
 			feasible++

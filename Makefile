@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 5s
 	$(GO) test ./internal/obs/journal/wal -run '^$$' -fuzz '^FuzzLatestSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeJobRequest$$' -fuzztime 5s
+	$(GO) test ./internal/flow -run '^$$' -fuzz '^FuzzAllocatorDifferential$$' -fuzztime 5s
 
 # crash-smoke is the process-level durability drill: boot cmd/master with
 # a state dir, SIGKILL it with jobs in flight, restart it over the same

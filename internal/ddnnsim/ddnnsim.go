@@ -137,10 +137,10 @@ type Result struct {
 	// MeanIterTime is TrainingTime / Iterations.
 	MeanIterTime float64
 	// ComputeTime is the summed per-iteration computation time: for BSP
-	// the slowest worker's compute per round, for ASP the mean compute
-	// duration per iteration. Because computation and communication
-	// overlap, ComputeTime + CommTime can exceed TrainingTime (as in the
-	// paper's Fig. 3).
+	// the slowest worker's compute per round, for ASP the compute
+	// duration of every iteration any worker completed. Because
+	// computation and communication overlap, ComputeTime + CommTime can
+	// exceed TrainingTime (as in the paper's Fig. 3).
 	ComputeTime float64
 	// CommTime is the summed per-iteration communication time (push +
 	// aggregate + pull), measured from first gradient byte to barrier
@@ -807,11 +807,6 @@ func (s *sim) result(end float64) *Result {
 		PSNICSeries:         s.series,
 		PerWorkerIterations: s.perWorker,
 		IterRecords:         s.records,
-	}
-	if s.w.Sync == model.ASP && s.completed > 0 {
-		// Per-iteration means for ASP (compTotal summed every iteration).
-		res.ComputeTime = s.compTotal
-		res.CommTime = s.commTotal
 	}
 	if s.completed > 0 {
 		res.MeanIterTime = end / float64(s.completed)

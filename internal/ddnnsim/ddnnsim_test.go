@@ -396,9 +396,9 @@ func TestSimAllocCeilings(t *testing.T) {
 		workers, ps int
 		measured    float64
 	}{
-		{"BSPRound", "mnist DNN", 8, 1, 261},
-		{"ASPRound", "ResNet-32", 8, 1, 174},
-		{"LargeClusterIterations", "ResNet-32", 64, 8, 1206},
+		{"BSPRound", "mnist DNN", 8, 1, 256},
+		{"ASPRound", "ResNet-32", 8, 1, 173},
+		{"LargeClusterIterations", "ResNet-32", 64, 8, 1201},
 	} {
 		allocs := testing.AllocsPerRun(3, simRun(t, tc.workload, tc.workers, tc.ps))
 		ceiling := tc.measured*1.001 + 0.5

@@ -12,8 +12,9 @@ package flow
 // with an empty dirty set reuses the previous rates verbatim — recomputing
 // an unchanged max-min allocation is idempotent, so the skip is bit-exact.
 // Otherwise a BFS closure from the dirty resources carves the affected
-// components into contiguous spans and waterfill runs over just those,
-// each component's flows sorted by submission sequence.
+// components into contiguous spans and waterfill runs over just those, in
+// whatever order the BFS discovered them: nothing on the path depends on
+// the order of a span or of any r.flows list (see waterfill).
 //
 // Bottleneck selection is a strict total order: smallest fair share first,
 // ties broken by Resource creation index. Because the order is total (no
@@ -30,8 +31,8 @@ package flow
 //
 // Everything on this path is allocation-free in steady state: epoch stamps
 // (Resource.visit / Flow.visit) replace membership maps and the queue /
-// affected / comps / worklist buffers live on the Engine and are reused
-// across events.
+// affected / comps buffers live on the Engine and are reused across
+// events.
 //
 // The pre-incremental full recompute lives on only in this package's
 // tests, as the differential oracle (alloc_reference_test.go). Tests swap
@@ -50,10 +51,7 @@ package flow
 // (128 components of 16 flows), and real ddnnsim runs were slower with it
 // and allocated more.
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // allocate runs one allocation step: the incremental allocator, unless a
 // test has installed another step in e.allocStep.
@@ -84,10 +82,9 @@ func (e *Engine) allocIncrementalStep() {
 // expandDirty carves the connected components reachable from the dirty
 // resources into contiguous spans of e.queue (resources) and e.affected
 // (flows), one compSpan per component in dirty-discovery order — which is
-// deterministic, because dirt is appended in Submit/completion order. Each
-// component's flow span is then sorted by submission sequence: that is the
-// scan order the waterfill tie-break uses, and sorting makes it
-// independent of r.flows order (which swap-removal scrambles).
+// deterministic, because dirt is appended in Submit/completion order. The
+// order inside a span follows r.flows, which swap-removal scrambles; the
+// waterfill and the re-key are both independent of it.
 func (e *Engine) expandDirty() {
 	e.allocEpoch++
 	ep := e.allocEpoch
@@ -98,10 +95,8 @@ func (e *Engine) expandDirty() {
 		if seed.visit == ep {
 			continue
 		}
-		ci := int32(len(comps))
 		r0, f0 := int32(len(queue)), int32(len(aff))
 		seed.visit = ep
-		seed.comp = ci
 		queue = append(queue, seed)
 		// BFS over the bipartite graph: resource -> crossing flows ->
 		// their paths. Flows discovered from this seed land contiguously
@@ -112,12 +107,10 @@ func (e *Engine) expandDirty() {
 					continue
 				}
 				f.visit = ep
-				f.comp = ci
 				aff = append(aff, f)
 				for _, r := range f.path {
 					if r.visit != ep {
 						r.visit = ep
-						r.comp = ci
 						queue = append(queue, r)
 					}
 				}
@@ -127,26 +120,10 @@ func (e *Engine) expandDirty() {
 	}
 	e.dirty = e.dirty[:0]
 	e.queue, e.affected, e.comps = queue, aff, comps
-	for _, c := range comps {
-		if c.f1-c.f0 > 1 {
-			e.spanSort.flows = aff[c.f0:c.f1]
-			sort.Sort(&e.spanSort)
-		}
-	}
-	e.spanSort.flows = nil
 }
 
-// spanSorter orders one component's flow span by submission sequence. It
-// lives on the Engine so sorting allocates nothing (pointer receiver into
-// the sort.Interface box).
-type spanSorter struct{ flows []*Flow }
-
-func (s *spanSorter) Len() int           { return len(s.flows) }
-func (s *spanSorter) Less(i, j int) bool { return s.flows[i].seq < s.flows[j].seq }
-func (s *spanSorter) Swap(i, j int)      { s.flows[i], s.flows[j] = s.flows[j], s.flows[i] }
-
 // runComp settles one component's accounting through e.now, then
-// waterfills it with the engine's reusable worklist buffer.
+// waterfills it.
 func (e *Engine) runComp(c compSpan) {
 	res := e.queue[c.r0:c.r1]
 	fls := e.affected[c.f0:c.f1]
@@ -156,13 +133,19 @@ func (e *Engine) runComp(c compSpan) {
 	for _, f := range fls {
 		e.settleFlow(f)
 	}
-	e.wfScratch = e.waterfill(res, fls, e.wfScratch)
+	waterfill(res, fls)
 }
 
 // rekeyAffected recomputes the completion-heap key of every flow that was
-// just settled and re-rated, in span order. The pop order the event loop
-// observes depends only on the (doneAt, seq) keys, not on re-key order.
+// just settled and re-rated. The pop order the event loop observes depends
+// only on the (doneAt, seq) keys — a total order, so the pop sequence is
+// unique whatever the heap's array layout — not on re-key order or method.
+// That frees the method to follow the cost: k heapFix calls cost
+// O(k log n), one bottom-up heapify O(n), so when at least half the heap
+// is re-keyed (every completion at a PS NIC every flow crosses) the keys
+// are all set first and the heap rebuilt once.
 func (e *Engine) rekeyAffected() {
+	rebuild := 2*len(e.affected) >= len(e.cheap)
 	for _, f := range e.affected {
 		switch {
 		case f.remaining <= 0:
@@ -172,20 +155,36 @@ func (e *Engine) rekeyAffected() {
 		default:
 			f.doneAt = math.Inf(1)
 		}
-		e.heapFix(f)
+		if !rebuild {
+			e.heapFix(f)
+		}
+	}
+	if rebuild {
+		for i := len(e.cheap)/2 - 1; i >= 0; i-- {
+			e.heapDown(i)
+		}
 	}
 }
 
 // waterfill runs progressive filling restricted to the given resources and
 // flows (one affected component). It is the same algorithm as
 // allocReference with the map-backed scratch state moved onto the Resource
-// structs: repeatedly find the bottleneck — smallest per-flow fair share,
-// ties broken by resource creation index — freeze its flows at that share,
-// charge their paths, and continue until every flow is frozen.
+// and Flow structs: repeatedly find the bottleneck — smallest per-flow
+// fair share, ties broken by resource creation index — freeze its flows
+// at that share, charge their paths, and continue until every flow is
+// frozen.
 //
-// work is a reusable buffer for the unfrozen worklist (the flow span
-// itself must survive for re-keying); the grown buffer is returned.
-func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) []*Flow {
+// No step depends on the order of resources, flows or any r.flows list,
+// which is why the spans need no sorting and the result is bit-identical
+// to the reference's submission-order scan:
+//   - the bottleneck is the minimum under a strict total order, and
+//     nflows > 0 marks exactly the resources some unfrozen flow crosses,
+//     so scanning the component's resources picks the same winner as
+//     scanning the unfrozen flows' paths;
+//   - every freeze in a round subtracts the same best from each resource
+//     on its path, so each resource sees the same sequence of
+//     subtractions whatever order its flows freeze in.
+func waterfill(resources []*Resource, flows []*Flow) {
 	for _, r := range resources {
 		r.remaining = r.capacity
 		r.nflows = 0
@@ -193,49 +192,36 @@ func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) [
 	}
 	for _, f := range flows {
 		f.rate = 0
+		f.frozen = false
 		for _, r := range f.path {
 			r.nflows++
 		}
 	}
-	unfrozen := append(work[:0], flows...)
-	for len(unfrozen) > 0 {
-		// Bottleneck = strict minimum under the (share, creation index)
-		// total order. Deterministic iteration: scan flows' paths in
-		// submission order. Because the order is total, the winner within
-		// this component is the same one the global scan would pick for
-		// it — partition independence.
+	for frozen := 0; frozen < len(flows); {
 		var bottleneck *Resource
 		best := math.Inf(1)
-		for _, f := range unfrozen {
-			for _, r := range f.path {
-				if r.nflows == 0 {
-					continue
-				}
-				share := r.remaining / float64(r.nflows)
-				if share < best || (share == best && r.index < bottleneck.index) {
-					best = share
-					bottleneck = r
-				}
+		for _, r := range resources {
+			if r.nflows == 0 {
+				continue
+			}
+			share := r.remaining / float64(r.nflows)
+			if share < best || (share == best && r.index < bottleneck.index) {
+				best = share
+				bottleneck = r
 			}
 		}
 		if bottleneck == nil {
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the fair
-		// share; charge that rate to all resources on their paths.
-		kept := unfrozen[:0]
-		for _, f := range unfrozen {
-			crosses := false
-			for _, r := range f.path {
-				if r == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				kept = append(kept, f)
+		// share; charge that rate to all resources on their paths. A path
+		// that crosses the bottleneck twice lists its flow twice.
+		for _, f := range bottleneck.flows {
+			if f.frozen {
 				continue
 			}
+			f.frozen = true
+			frozen++
 			f.rate = best
 			for _, r := range f.path {
 				r.remaining -= best
@@ -245,7 +231,6 @@ func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) [
 				r.nflows--
 			}
 		}
-		unfrozen = kept
 	}
 	for _, r := range resources {
 		r.lastRate = r.capacity - r.remaining
@@ -253,7 +238,6 @@ func (e *Engine) waterfill(resources []*Resource, flows []*Flow, work []*Flow) [
 			r.lastRate = 0
 		}
 	}
-	return unfrozen[:0]
 }
 
 // noteRecompute records one allocator recompute over n affected flows in

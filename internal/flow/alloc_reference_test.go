@@ -177,10 +177,36 @@ func (e *Engine) verifyAllocation() {
 	}
 }
 
-// allocVerifyStep runs the incremental step, then cross-checks it against
-// the reference with verifyAllocation, panicking on any bitwise
-// disagreement. It allocates, so it is for tests only.
+// verifyHeap panics unless the completion heap is sound: it holds exactly
+// one entry per active flow, every flow's heapIdx names its own slot, and
+// every parent orders before its children under cheapLess. A heap that
+// broke any of these could still pop the right flow for a while, so the
+// differential completion times alone would catch it late or never.
+func (e *Engine) verifyHeap() {
+	if len(e.cheap) != len(e.active) {
+		panic(fmt.Sprintf("flow: verify heap at t=%g: %d entries for %d active flows",
+			e.now, len(e.cheap), len(e.active)))
+	}
+	for i, f := range e.cheap {
+		if f.heapIdx != i {
+			panic(fmt.Sprintf("flow: verify heap at t=%g: flow %q in slot %d has heapIdx %d",
+				e.now, f.label, i, f.heapIdx))
+		}
+		if i > 0 {
+			if parent := e.cheap[(i-1)/2]; !cheapLess(parent, f) {
+				panic(fmt.Sprintf("flow: verify heap at t=%g: parent %q (doneAt %v, seq %d) does not order before child %q (doneAt %v, seq %d)",
+					e.now, parent.label, parent.doneAt, parent.seq, f.label, f.doneAt, f.seq))
+			}
+		}
+	}
+}
+
+// allocVerifyStep runs the incremental step, then cross-checks its rates
+// against the reference with verifyAllocation and its completion heap with
+// verifyHeap, panicking on any disagreement. It allocates, so it is for
+// tests only.
 func (e *Engine) allocVerifyStep() {
 	e.allocIncrementalStep()
 	e.verifyAllocation()
+	e.verifyHeap()
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,6 +145,128 @@ func TestCrossComponentTieBreakPartitionIndependent(t *testing.T) {
 			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 				t.Errorf("%s: flow %s rate %v (%#016x) != reference %v (%#016x)",
 					alloc.name, names[i], got[i], math.Float64bits(got[i]), ref[i], math.Float64bits(ref[i]))
+			}
+		}
+	}
+}
+
+// psRounds runs a PS-shaped load: each of n workers computes on its own
+// CPU (a one-flow component), then pushes over its NIC and the shared PS
+// NIC (one component every in-flight push joins), for the given rounds.
+// It returns every completion as (label, time) in delivery order, and
+// counts the recomputes that took each rekeyAffected branch: heapified
+// when the re-keyed flows are at least half the heap, heapFixed
+// otherwise.
+func psRounds(step func(*Engine), n, rounds int) (log []string, heapified, heapFixed int) {
+	e := NewEngine()
+	ps := NewResource("psnic", 40)
+	e.allocStep = func(e *Engine) {
+		before := e.stats.AllocRecomputes
+		step(e)
+		if e.stats.AllocRecomputes == before || len(e.affected) == 0 {
+			return
+		}
+		if 2*len(e.affected) >= len(e.cheap) {
+			heapified++
+		} else {
+			heapFixed++
+		}
+	}
+	for i := 0; i < n; i++ {
+		cpu := NewResource("cpu", 2+float64(i%3))
+		nic := NewResource("nic", 10)
+		left := rounds
+		var compute func(now float64)
+		push := func(now float64) {
+			log = append(log, fmt.Sprintf("c%d %x", i, math.Float64bits(now)))
+			e.Submit("push", 8+float64(i%4), []*Resource{nic, ps}, compute)
+		}
+		compute = func(now float64) {
+			if now > 0 {
+				log = append(log, fmt.Sprintf("p%d %x", i, math.Float64bits(now)))
+			}
+			if left--; left >= 0 {
+				e.Submit("compute", 1+float64(i%5)/4, []*Resource{cpu}, push)
+			}
+		}
+		compute(0)
+	}
+	e.Run(0)
+	return log, heapified, heapFixed
+}
+
+// TestRekeyBranchesMatchReference drives both rekeyAffected branches — the
+// one-pass heapify when a completion at the shared PS NIC re-keys most of
+// the heap, heapFix when a one-flow CPU component changes — under the
+// verify step, which checks the heap after every recompute, and requires
+// the completion sequence to match the reference step's bit for bit.
+func TestRekeyBranchesMatchReference(t *testing.T) {
+	ref, _, _ := psRounds((*Engine).allocReferenceStep, 12, 6)
+	got, heapified, heapFixed := psRounds((*Engine).allocVerifyStep, 12, 6)
+	if heapified == 0 || heapFixed == 0 {
+		t.Fatalf("recomputes took heapify %d times and heapFix %d times, want both > 0", heapified, heapFixed)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("%d completions, reference %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("completion %d = %s, reference %s", i, got[i], ref[i])
+		}
+	}
+}
+
+// TestWaterfillOrderFree pins the property that lets the allocator skip
+// sorting: waterfill's rates do not depend on the order of a component's
+// resource span, its flow span, or any r.flows list. In each of the two
+// components two resources tie exactly at fair share 10/3 (10 over 3 flow
+// crossings, 20 over 6), so only creation index picks the bottleneck, and
+// the residual shares after it round differently depending on which
+// resource froze first; two paths cross one resource twice. Every
+// permutation must reproduce the as-built rates bit for bit.
+func TestWaterfillOrderFree(t *testing.T) {
+	e := NewEngine()
+	a, b, x := NewResource("a", 10), NewResource("b", 20), NewResource("x", 7)
+	c, d := NewResource("c", 10), NewResource("d", 20)
+	all := []*Resource{a, b, x, c, d}
+	for _, path := range [][]*Resource{
+		{a, b}, {a}, {a}, {b}, {b}, {b}, {b}, {b, x}, {x},
+		{c, c}, {c, d}, {d, d}, {d}, {d}, {d},
+	} {
+		e.Submit("f", 1e9, path, nil)
+	}
+	e.expandDirty()
+	if len(e.comps) != 2 {
+		t.Fatalf("topology has %d components, want 2", len(e.comps))
+	}
+	waterfillAll := func() []uint64 {
+		var bits []uint64
+		for _, cs := range e.comps {
+			waterfill(e.queue[cs.r0:cs.r1], e.affected[cs.f0:cs.f1])
+		}
+		for _, f := range e.active {
+			bits = append(bits, math.Float64bits(f.rate))
+		}
+		for _, r := range all {
+			bits = append(bits, math.Float64bits(r.lastRate))
+		}
+		return bits
+	}
+	want := waterfillAll()
+	rng := rand.New(rand.NewSource(1))
+	for perm := 0; perm < 50; perm++ {
+		for _, r := range all {
+			rng.Shuffle(len(r.flows), func(i, j int) { r.flows[i], r.flows[j] = r.flows[j], r.flows[i] })
+		}
+		for _, cs := range e.comps {
+			res, fls := e.queue[cs.r0:cs.r1], e.affected[cs.f0:cs.f1]
+			rng.Shuffle(len(res), func(i, j int) { res[i], res[j] = res[j], res[i] })
+			rng.Shuffle(len(fls), func(i, j int) { fls[i], fls[j] = fls[j], fls[i] })
+		}
+		got := waterfillAll()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("permutation %d: value %d = %#016x, as built %#016x", perm, i, got[i], want[i])
 			}
 		}
 	}

@@ -78,7 +78,6 @@ type Resource struct {
 	// Allocator bookkeeping, maintained by the Engine (alloc.go).
 	flows     []*Flow // active flows crossing, one entry per path occurrence
 	visit     int64   // allocation-epoch stamp: in the current affected set
-	comp      int32   // component id within the current allocation epoch
 	remaining float64 // waterfill scratch: capacity not yet assigned
 	nflows    int     // waterfill scratch: unfrozen flows crossing
 }
@@ -180,13 +179,13 @@ type Flow struct {
 	rate      float64
 	done      func(now float64)
 	engine    *Engine
-	seq       int64   // submission sequence: scan order and completion ties
+	seq       int64   // submission sequence: completion-heap tie-break
 	settled   float64 // sim time remaining was last settled at
 	doneAt    float64 // predicted completion instant under the current rate
 	heapIdx   int     // position in Engine.cheap, -1 when not enqueued
 	actIdx    int     // position in Engine.active for O(1) removal
 	visit     int64   // allocation-epoch stamp: in the current affected set
-	comp      int32   // component id within the current allocation epoch
+	frozen    bool    // waterfill scratch: rate fixed in the current waterfill
 }
 
 // Label returns the diagnostic label given at submission.
@@ -239,16 +238,14 @@ type Engine struct {
 	free []*Flow
 
 	// Incremental-allocator state: dirty seeds the next recompute with the
-	// resources whose flow membership changed; queue/affected/comps and the
-	// waterfill scratch buffers are reused across events so the
-	// steady-state event loop allocates nothing.
+	// resources whose flow membership changed; the queue/affected/comps
+	// buffers are reused across events so the steady-state event loop
+	// allocates nothing.
 	allocEpoch int64
 	dirty      []*Resource
 	queue      []*Resource // affected resources, contiguous per component
 	affected   []*Flow     // affected flows, contiguous per component
 	comps      []compSpan
-	spanSort   spanSorter
-	wfScratch  []*Flow // waterfill's unfrozen worklist
 	finScratch []*Flow
 
 	stats EngineStats
@@ -528,9 +525,8 @@ func (e *Engine) completeFinished() {
 
 // dropFlow removes one occurrence of f from the resource's active-flow
 // list (a path may cross the same resource more than once, so exactly one
-// entry is removed per call). Order is not preserved: the allocator sorts
-// each affected component by submission sequence before scanning, never
-// relying on r.flows order.
+// entry is removed per call). Order is not preserved: no allocator step
+// depends on r.flows order (see waterfill).
 func (r *Resource) dropFlow(f *Flow) {
 	for i, g := range r.flows {
 		if g == f {

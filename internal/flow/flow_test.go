@@ -490,8 +490,8 @@ func TestEngineAllocCeilings(t *testing.T) {
 		run      func(step func(*Engine))
 		measured float64
 	}{
-		{"EngineThroughput", runEngineThroughput, 1020},
-		{"EngineLargeScenario", runEngineLargeScenario, 4366},
+		{"EngineThroughput", runEngineThroughput, 1019},
+		{"EngineLargeScenario", runEngineLargeScenario, 4365},
 	} {
 		allocs := testing.AllocsPerRun(5, func() { tc.run(nil) })
 		ceiling := tc.measured*1.001 + 0.5

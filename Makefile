@@ -20,10 +20,11 @@ race:
 
 # stress repeats the packages with real concurrency (TCP parameter
 # servers, the recovery state machine, the plan service's coalescing and
-# admission, the workload table every request shares) to shake out
+# admission, the workload table every request shares, concurrent
+# barriers over the durable tier's snapshot encoding cache) to shake out
 # timing-dependent flakes before they reach CI.
 stress:
-	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service ./internal/model
+	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service ./internal/model ./internal/cluster/replay
 
 # bench runs every benchmark as a developer tool; nothing is gated on it.
 # Allocation bounds are plain tests that `make test` runs, and throughput

@@ -60,6 +60,11 @@ const (
 	StateFailed
 )
 
+// Finished reports whether an instance has left the pending and running
+// states for good. A finished Instance never changes again: Terminate
+// and failLocked return early on anything but a live instance.
+func (s InstanceState) Finished() bool { return s == StateTerminated || s == StateFailed }
+
 // String implements fmt.Stringer.
 func (s InstanceState) String() string {
 	switch s {
@@ -338,7 +343,7 @@ func (p *Provider) Bill() float64 {
 	total := 0.0
 	for _, inst := range p.instances {
 		end := now
-		if inst.State == StateTerminated || inst.State == StateFailed {
+		if inst.State.Finished() {
 			end = inst.TerminatedAt
 		}
 		total += p.instanceCostLocked(inst, end)

@@ -3,7 +3,8 @@ package cloud
 import (
 	"maps"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -46,21 +47,28 @@ type ProviderState struct {
 }
 
 // ExportState snapshots the provider world for a durability snapshot.
+// A live instance's Tags are deep-copied. A finished instance's are
+// shared: nothing writes to a finished instance again, so the export is
+// as read-only as the instance and costs no allocation per instance.
 func (p *Provider) ExportState() ProviderState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := ProviderState{
 		ClockSec: p.clock(),
 		NextID:   p.nextID,
-		Limits:   make(map[string]int, len(p.limits)),
+		Limits:   maps.Clone(p.limits),
 	}
-	for k, v := range p.limits {
-		st.Limits[k] = v
+	if len(p.instances) > 0 {
+		st.Instances = make([]Instance, 0, len(p.instances))
 	}
 	for _, inst := range p.instances {
-		st.Instances = append(st.Instances, snapshot(inst))
+		if inst.State.Finished() {
+			st.Instances = append(st.Instances, *inst)
+		} else {
+			st.Instances = append(st.Instances, snapshot(inst))
+		}
 	}
-	sort.Slice(st.Instances, func(i, j int) bool { return st.Instances[i].ID < st.Instances[j].ID })
+	slices.SortFunc(st.Instances, func(a, b Instance) int { return strings.Compare(a.ID, b.ID) })
 	if p.fault != nil {
 		fs := p.fault.FaultState.clone()
 		st.Fault = &fs

@@ -467,7 +467,7 @@ func TestRequeueWaitsForQueueSpace(t *testing.T) {
 		}
 	}
 	for _, js := range ctl.ExportState().Jobs {
-		if !terminal(js.Status) {
+		if !js.Status.Terminal() {
 			t.Errorf("%s ended %s, want a terminal status", js.ID, js.Status)
 		}
 	}

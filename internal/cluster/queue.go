@@ -135,7 +135,7 @@ func (c *Controller) Requeue(id string) error {
 	c.startQueueLocked()
 	c.mu.Lock()
 	job, ok := c.jobs[id]
-	finished := ok && terminal(job.Status)
+	finished := ok && job.Status.Terminal()
 	c.mu.Unlock()
 	if !ok {
 		return errors.New("cluster: no such job " + id)

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/cluster"
@@ -105,6 +106,7 @@ type Manager struct {
 	jrnl     *journal.Journal
 	barriers int
 	closed   bool
+	enc      *snapshotEncoder // frozen-record cache and payload buffer
 }
 
 // Open recovers the state directory (creating it if empty) and returns a
@@ -119,7 +121,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: dir, opts: opts, w: w}
+	m := &Manager{dir: dir, opts: opts, w: w, enc: newSnapshotEncoder()}
 	records, err := w.ReadAll()
 	if err != nil {
 		w.Close()
@@ -239,6 +241,9 @@ func (m *Manager) Rebuild() (resume, queued []string, err error) {
 		return nil, nil, errors.New("replay: Rebuild before Attach")
 	}
 	if m.snap != nil {
+		m.mu.Lock()
+		m.enc.reset() // the restored world replaces whatever was cached
+		m.mu.Unlock()
 		provider.RestoreState(m.snap.Provider)
 		master.RestoreState(m.snap.Master)
 		ctl.RestoreState(m.snap.Controller)
@@ -299,18 +304,38 @@ func (m *Manager) Barrier(jobID string, phase cluster.Phase) error {
 	return nil
 }
 
-// snapshotFailures counts snapshots that failed at a barrier where the
-// failure is not fatal.
-func snapshotFailures() *obs.Counter {
-	return obs.Default().Counter("cynthia_replay_snapshot_failures_total",
-		"barrier snapshots that failed at a segment, recovery or done barrier")
+// replayMetrics are the durable tier's series on obs.Default().
+type replayMetrics struct {
+	// failures counts snapshots that failed at a barrier where the
+	// failure is not fatal.
+	failures *obs.Counter
+	// seconds is a whole SnapshotNow: WAL sync, export, encode, write.
+	seconds *obs.Histogram
+	// bytes is the newest snapshot's payload length.
+	bytes *obs.Gauge
 }
+
+// snapshotBuckets span a snapshot of a few KB (well under a millisecond)
+// to one of many MB on a slow disk.
+var snapshotBuckets = []float64{.00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, 1}
+
+var replayObs = sync.OnceValue(func() *replayMetrics {
+	reg := obs.Default()
+	return &replayMetrics{
+		failures: reg.Counter("cynthia_replay_snapshot_failures_total",
+			"barrier snapshots that failed at a segment, recovery or done barrier"),
+		seconds: reg.Histogram("cynthia_replay_snapshot_seconds",
+			"wall time of one world snapshot: WAL sync, export, encode and file write", snapshotBuckets),
+		bytes: reg.Gauge("cynthia_replay_snapshot_bytes",
+			"payload size of the newest world snapshot"),
+	}
+})
 
 // snapshotOrCount takes a snapshot at a barrier whose failure is not
 // fatal, counting a failure instead of returning it.
 func (m *Manager) snapshotOrCount() {
 	if err := m.SnapshotNow(); err != nil {
-		snapshotFailures().Inc()
+		replayObs().failures.Inc()
 	}
 }
 
@@ -318,7 +343,13 @@ func (m *Manager) snapshotOrCount() {
 // snapshot. The WAL is synced first: a snapshot must never reference
 // events the log has not durably written (the crash-consistency
 // invariant recovery depends on).
+//
+// The payload is json.Marshal's encoding of the world, but built by the
+// manager's snapshotEncoder, which re-encodes only live records (see
+// encode.go). In strict mode every payload is also compared with
+// json.Marshal's, and the first difference is reported by VerifyError.
 func (m *Manager) SnapshotNow() error {
+	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -337,11 +368,48 @@ func (m *Manager) SnapshotNow() error {
 		Master:     m.master.ExportState(),
 		Provider:   m.provider.ExportState(),
 	}
-	payload, err := json.Marshal(&ws)
+	payload, err := m.enc.encode(&ws)
 	if err != nil {
-		return fmt.Errorf("replay: %w", err)
+		return err
 	}
-	return wal.WriteSnapshot(m.dir, ws.TakenAtSeq, payload)
+	if m.opts.Mode == ModeStrict {
+		m.verifySplice(&ws, payload)
+	}
+	if err := wal.WriteSnapshot(m.dir, ws.TakenAtSeq, payload); err != nil {
+		return err
+	}
+	ro := replayObs()
+	ro.seconds.Observe(time.Since(start).Seconds())
+	ro.bytes.Set(float64(len(payload)))
+	return nil
+}
+
+// verifySplice records, as the VerifyError, the first snapshot whose
+// spliced payload differs from json.Marshal's encoding of the same world.
+func (m *Manager) verifySplice(ws *WorldSnapshot, payload []byte) {
+	want, err := json.Marshal(ws)
+	if err == nil && bytes.Equal(payload, want) {
+		return
+	}
+	if err == nil {
+		at := 0
+		for at < len(payload) && at < len(want) && payload[at] == want[at] {
+			at++
+		}
+		err = fmt.Errorf("replay: spliced snapshot at seq %d differs from json.Marshal at byte %d: got %q, want %q",
+			ws.TakenAtSeq, at, excerpt(payload, at), excerpt(want, at))
+	}
+	m.wmu.Lock()
+	if m.verifyErr == nil {
+		m.verifyErr = err
+	}
+	m.wmu.Unlock()
+}
+
+// excerpt returns up to 64 bytes of b around offset at.
+func excerpt(b []byte, at int) []byte {
+	lo, hi := max(0, at-32), min(len(b), at+32)
+	return b[lo:hi]
 }
 
 // Close flushes and closes the WAL. Further journal appends through the

@@ -233,11 +233,11 @@ func TestBarrierFailsWhenNotDurable(t *testing.T) {
 	if err := w.m.Barrier("job-1", cluster.PhaseAdmit); err == nil {
 		t.Fatal("admit barrier on a closed manager returned nil")
 	}
-	before := snapshotFailures().Value()
+	before := replayObs().failures.Value()
 	if err := w.m.Barrier("job-1", cluster.PhaseDone); err != nil {
 		t.Fatalf("done barrier failure was fatal: %v", err)
 	}
-	if got := snapshotFailures().Value(); got != before+1 {
+	if got := replayObs().failures.Value(); got != before+1 {
 		t.Errorf("snapshot failures = %d, want %d", got, before+1)
 	}
 }

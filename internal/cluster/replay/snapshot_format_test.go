@@ -88,7 +88,9 @@ func TestSnapshotWithRankedStillRestores(t *testing.T) {
 }
 
 // reencode restores ws into a fresh controller, master and provider and
-// encodes the world they export.
+// encodes the world they export through the production encoder, twice:
+// once with every frozen record encoded afresh and once spliced from its
+// cache. Both must agree.
 func reencode(t *testing.T, ws *WorldSnapshot) []byte {
 	t.Helper()
 	master, err := cluster.NewMaster()
@@ -100,17 +102,27 @@ func reencode(t *testing.T, ws *WorldSnapshot) []byte {
 	provider.RestoreState(ws.Provider)
 	master.RestoreState(ws.Master)
 	ctl.RestoreState(ws.Controller)
-	got, err := json.Marshal(&WorldSnapshot{
+	world := &WorldSnapshot{
 		TakenAtSeq: ws.TakenAtSeq,
 		SrcSeqs:    ws.SrcSeqs,
 		Controller: ctl.ExportState(),
 		Master:     master.ExportState(),
 		Provider:   provider.ExportState(),
-	})
+	}
+	e := newSnapshotEncoder()
+	cold, err := e.encode(world)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	cold = bytes.Clone(cold)
+	warm, err := e.encode(world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatalf("spliced encoding differs from the fresh one\n got %s\nwant %s", warm, cold)
+	}
+	return cold
 }
 
 // requireAllFieldsSet fails for every zero-valued field of a struct, so

@@ -13,10 +13,12 @@ package cluster
 // its last barrier, including jobs that were mid-StatusRecovering.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
@@ -186,8 +188,10 @@ type MasterState struct {
 	NextPod int         `json:"next_pod"`
 }
 
-// terminal reports whether a status is a job's final state.
-func terminal(s JobStatus) bool {
+// Terminal reports whether a status is a job's final state. A job's
+// JobState never changes once its status is terminal: finishJob and
+// failJob are its last writers.
+func (s JobStatus) Terminal() bool {
 	return s == StatusSucceeded || s == StatusMissedGoal || s == StatusFailed
 }
 
@@ -195,20 +199,29 @@ func terminal(s JobStatus) bool {
 // ones published at each job's last durability barrier — exactly the
 // points the jobs would resume from, which makes the export
 // crash-consistent even while other jobs mutate their live state.
+//
+// A live job's History is deep-copied. A terminal job's is shared: no
+// code appends to it again, so the export is as read-only as the job
+// and costs no allocation per finished job.
 func (c *Controller) ExportState() ControllerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs := ControllerState{NextJob: c.nextJob}
+	if len(c.jobs) > 0 {
+		cs.Jobs = make([]JobState, 0, len(c.jobs))
+	}
 	for _, j := range c.jobs {
 		js := j.JobState
-		js.History = slices.Clone(js.History)
+		if !js.Status.Terminal() {
+			js.History = slices.Clone(js.History)
+		}
 		cs.Jobs = append(cs.Jobs, js)
 	}
-	sort.Slice(cs.Jobs, func(i, j int) bool { return cs.Jobs[i].Seq < cs.Jobs[j].Seq })
+	slices.SortFunc(cs.Jobs, func(a, b JobState) int { return cmp.Compare(a.Seq, b.Seq) })
 	for _, ss := range c.segSnaps {
 		cs.Segments = append(cs.Segments, ss)
 	}
-	sort.Slice(cs.Segments, func(i, j int) bool { return cs.Segments[i].JobID < cs.Segments[j].JobID })
+	slices.SortFunc(cs.Segments, func(a, b SegmentState) int { return strings.Compare(a.JobID, b.JobID) })
 	return cs
 }
 
@@ -224,7 +237,7 @@ func (c *Controller) RestoreState(cs ControllerState) {
 	for _, js := range cs.Jobs {
 		js.History = slices.Clone(js.History)
 		job := &Job{JobState: js, done: make(chan struct{})}
-		if terminal(job.Status) {
+		if job.Status.Terminal() {
 			close(job.done)
 		}
 		c.jobs[job.ID] = job
@@ -264,7 +277,7 @@ func (c *Controller) PendingJobs() (resume, queued, leftover []string) {
 	c.mu.Unlock()
 	for _, j := range jobs {
 		switch {
-		case terminal(j.Status):
+		case j.Status.Terminal():
 			// A job is terminal before its Done barrier drops its segment
 			// state, so another job's barrier can snapshot both; the
 			// outcome is final and the segment state is stale.
@@ -318,7 +331,7 @@ func (c *Controller) ResumeJob(id string) (*Job, error) {
 func (c *Controller) resumeOrRun(job *Job) (*Job, error) {
 	c.mu.Lock()
 	ss, hasSeg := c.segSnaps[job.ID]
-	done := terminal(job.Status)
+	done := job.Status.Terminal()
 	c.mu.Unlock()
 	if done {
 		return job, nil

@@ -29,6 +29,27 @@ const snapshotsKept = 2
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
 
+// snapshotTempPattern names the temp file a snapshot is written to before
+// its rename. A crash between creating and renaming one leaves it behind;
+// removeSnapshotTemps deletes such orphans at recovery.
+const snapshotTempPattern = "snap-*.tmp"
+
+// removeSnapshotTemps deletes every snapshot temp file in dir. Only the
+// single writer may call it — at recovery, before any snapshot can be in
+// flight — since a temp file is never valid once its writer is gone.
+func removeSnapshotTemps(dir string) error {
+	orphans, err := filepath.Glob(filepath.Join(dir, snapshotTempPattern))
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, name := range orphans {
+		if err := os.Remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("wal: removing %s: %w", filepath.Base(name), err)
+		}
+	}
+	return nil
+}
+
 // WriteSnapshot durably writes payload as the snapshot at journal
 // sequence seq and prunes all but the newest two snapshots. The write is
 // atomic: a crash at any point leaves either the old snapshot set or the
@@ -37,17 +58,24 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	framed := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:8], crc32.Checksum(payload, castagnoli))
-	copy(framed[frameHeaderSize:], payload)
+	var header [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, castagnoli))
 
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	// Header and payload go to the temp file in two writes rather than
+	// through a framed copy of the payload: the file only becomes visible
+	// under its final name after the fsync, so a crash between the writes
+	// leaves nothing recovery would read.
+	tmp, err := os.CreateTemp(dir, snapshotTempPattern)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(framed); err != nil {
+	_, err = tmp.Write(header[:])
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: %w", err)

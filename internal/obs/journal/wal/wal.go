@@ -132,9 +132,12 @@ func (w *WAL) segments() ([]int, error) {
 }
 
 // recover scans the existing segments, truncating at the first bad frame
-// and deleting every later segment, then opens the active segment for
-// appending.
+// and deleting every later segment, removes snapshot temp files a crash
+// orphaned, then opens the active segment for appending.
 func (w *WAL) recover() error {
+	if err := removeSnapshotTemps(w.dir); err != nil {
+		return err
+	}
 	idx, err := w.segments()
 	if err != nil {
 		return err

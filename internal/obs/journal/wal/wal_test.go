@@ -493,6 +493,48 @@ func TestSnapshotPresentLogMissing(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesOrphanedSnapshotTemps: a crash between creating a
+// snapshot's temp file and renaming it leaves the temp file behind.
+// Recovery deletes it, and the valid snapshot beside it stays the latest.
+func TestOpenRemovesOrphanedSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	writeTorture(t, dir, 4)
+	if err := WriteSnapshot(dir, 4, []byte(`{"world":4}`)); err != nil {
+		t.Fatal(err)
+	}
+	orphan, err := os.CreateTemp(dir, snapshotTempPattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orphan.Write([]byte("\x20\x00\x00\x00torn")); err != nil {
+		t.Fatal(err)
+	}
+	orphan.Close()
+	keep := filepath.Join(dir, "notes.tmp") // not a snapshot temp file
+	if err := os.WriteFile(keep, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := os.Stat(orphan.Name()); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("orphaned temp file survived Open: stat err = %v", err)
+	}
+	if _, err := os.Stat(keep); err != nil {
+		t.Errorf("Open removed an unrelated file: %v", err)
+	}
+	payload, seq, err := LatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 4 || string(payload) != `{"world":4}` {
+		t.Fatalf("latest snapshot changed: seq=%d payload=%q", seq, payload)
+	}
+}
+
 func TestSyncEveryBatchesFsync(t *testing.T) {
 	// With real fsync on, appends below the batch threshold leave the
 	// unsynced counter non-zero; Sync drains it. (Counter-level check —

@@ -13,7 +13,8 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -55,8 +56,12 @@ func (t InstanceType) String() string {
 type Catalog struct {
 	id uint64 // process-unique identity, for cache keys
 
-	mu    sync.RWMutex
-	types map[string]InstanceType
+	mu sync.RWMutex
+	// types is sorted by name and never written in place: SetPrice
+	// installs a repriced copy, so a slice Types handed out earlier keeps
+	// the prices it was read with. Its capacity equals its length, so an
+	// append by a caller copies instead of writing into the shared array.
+	types []InstanceType
 	spot  map[string]float64 // current spot price per type, when a market is attached
 	epoch atomic.Uint64
 }
@@ -79,21 +84,28 @@ func validateType(t InstanceType) error {
 // NewCatalog returns a catalog holding the given types. Duplicate names are
 // rejected.
 func NewCatalog(types ...InstanceType) (*Catalog, error) {
-	c := &Catalog{
-		id:    catalogIDs.Add(1),
-		types: make(map[string]InstanceType, len(types)),
-		spot:  make(map[string]float64),
-	}
-	for _, t := range types {
+	sorted := slices.Clone(types)
+	slices.SortFunc(sorted, func(a, b InstanceType) int { return strings.Compare(a.Name, b.Name) })
+	for i, t := range sorted {
 		if err := validateType(t); err != nil {
 			return nil, err
 		}
-		if _, dup := c.types[t.Name]; dup {
+		if i > 0 && sorted[i-1].Name == t.Name {
 			return nil, fmt.Errorf("cloud: duplicate instance type %s", t.Name)
 		}
-		c.types[t.Name] = t
 	}
-	return c, nil
+	return &Catalog{
+		id:    catalogIDs.Add(1),
+		types: slices.Clip(sorted),
+		spot:  make(map[string]float64),
+	}, nil
+}
+
+// index finds name in the sorted types; the caller holds mu.
+func (c *Catalog) index(name string) (int, bool) {
+	return slices.BinarySearchFunc(c.types, name, func(t InstanceType, name string) int {
+		return strings.Compare(t.Name, name)
+	})
 }
 
 // ID returns the catalog's process-unique identity.
@@ -106,19 +118,22 @@ func (c *Catalog) ID() uint64 { return c.id }
 // instant the catalog changes.
 func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
-// SetPrice reprices one instance type and bumps the epoch.
+// SetPrice reprices one instance type and bumps the epoch. It installs a
+// repriced copy of the type list; slices Types returned before are left
+// as they were.
 func (c *Catalog) SetPrice(name string, pricePerHour float64) error {
 	if pricePerHour <= 0 {
 		return fmt.Errorf("cloud: price %.4f for %s must be positive", pricePerHour, name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.types[name]
+	i, ok := c.index(name)
 	if !ok {
 		return fmt.Errorf("cloud: unknown instance type %q", name)
 	}
-	t.PricePerHour = pricePerHour
-	c.types[name] = t
+	types := slices.Clone(c.types)
+	types[i].PricePerHour = pricePerHour
+	c.types = slices.Clip(types)
 	c.epoch.Add(1)
 	return nil
 }
@@ -134,7 +149,7 @@ func (c *Catalog) SetSpotPrice(name string, pricePerHour float64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.types[name]; !ok {
+	if _, ok := c.index(name); !ok {
 		return fmt.Errorf("cloud: unknown instance type %q", name)
 	}
 	c.spot[name] = pricePerHour
@@ -153,24 +168,21 @@ func (c *Catalog) SpotPrice(name string) (float64, bool) {
 // Lookup returns the instance type with the given name.
 func (c *Catalog) Lookup(name string) (InstanceType, error) {
 	c.mu.RLock()
-	t, ok := c.types[name]
-	c.mu.RUnlock()
+	defer c.mu.RUnlock()
+	i, ok := c.index(name)
 	if !ok {
 		return InstanceType{}, fmt.Errorf("cloud: unknown instance type %q", name)
 	}
-	return t, nil
+	return c.types[i], nil
 }
 
-// Types returns all instance types sorted by name.
+// Types returns all instance types sorted by name, without copying: the
+// slice is shared and read-only. Callers must not write to it; a
+// repricing replaces the catalog's list instead of changing this one.
 func (c *Catalog) Types() []InstanceType {
 	c.mu.RLock()
-	out := make([]InstanceType, 0, len(c.types))
-	for _, t := range c.types {
-		out = append(out, t)
-	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	defer c.mu.RUnlock()
+	return c.types
 }
 
 // Len returns the number of types in the catalog.

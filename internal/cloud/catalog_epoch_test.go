@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -51,8 +53,38 @@ func TestCatalogIDsAreUnique(t *testing.T) {
 	}
 }
 
+// TestCatalogTypesSnapshot: Types hands out a shared, read-only slice, so
+// SetPrice must install a repriced copy instead of writing into it. A
+// slice read before the repricing keeps the old price; the next Types
+// shows the new one, still in name order.
+func TestCatalogTypesSnapshot(t *testing.T) {
+	c := DefaultCatalog()
+	before := c.Types()
+	kept := slices.Clone(before)
+	if err := c.SetPrice(M4XLarge, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, kept) {
+		t.Fatalf("SetPrice changed a slice Types returned earlier:\n got %+v\nwant %+v", before, kept)
+	}
+	after := c.Types()
+	if !slices.IsSortedFunc(after, func(a, b InstanceType) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Fatalf("Types after SetPrice not in name order: %+v", after)
+	}
+	for i, ty := range after {
+		want := kept[i]
+		if ty.Name == M4XLarge {
+			want.PricePerHour = 0.25
+		}
+		if ty != want {
+			t.Errorf("Types()[%d] after SetPrice = %+v, want %+v", i, ty, want)
+		}
+	}
+}
+
 // TestCatalogConcurrentAccess exercises readers racing mutators; run
-// under -race this pins the locking discipline.
+// under -race this pins the locking discipline, including that no
+// repricing writes into a slice a Types reader is walking.
 func TestCatalogConcurrentAccess(t *testing.T) {
 	c := DefaultCatalog()
 	var wg sync.WaitGroup
@@ -61,7 +93,13 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_ = c.Types()
+				types := c.Types()
+				for k := 1; k < len(types); k++ {
+					if types[k-1].Name >= types[k].Name || types[k].PricePerHour <= 0 {
+						t.Errorf("Types read %+v mid-repricing", types)
+						return
+					}
+				}
 				_, _ = c.Lookup(M4XLarge)
 				_ = c.Len()
 				_ = c.Epoch()

@@ -93,12 +93,11 @@ type Options struct {
 	// barrier spans. Export it with Tracer.WriteJSON and open the file
 	// in chrome://tracing or Perfetto.
 	Trace *obs.Tracer
-	// Journal, when bound, receives flight-recorder events for the
-	// segment: one sim.checkpoint per CheckpointEvery crossing (stamped at
-	// the iteration's completion instant), sim.interrupted when a fault
-	// halts the run, and sim.segment.done on normal completion. Events are
-	// emitted after the engine run from the calling goroutine, in
-	// iteration order, so the journal is deterministic.
+	// Journal, when bound, receives one flight-recorder event for the
+	// segment: sim.interrupted (with the checkpoint iteration a restart
+	// resumes from) when a fault halts the run, or sim.segment.done on
+	// normal completion. It is emitted after the engine run from the
+	// calling goroutine, so the journal is deterministic.
 	Journal journal.Binding
 	// JournalBaseSec offsets journal timestamps onto the caller's clock:
 	// the simulation clock starts at 0 every segment, but the controller's
@@ -223,7 +222,6 @@ func Run(w *model.Workload, cluster cloud.ClusterSpec, opt Options) (*Result, er
 	// a run without faults goes to completion.
 	fault, stop := earliestFault(opt.Faults)
 	end := s.eng.Run(stop)
-	s.journalCheckpoints()
 	if s.completed < iters {
 		if fault == nil {
 			return nil, fmt.Errorf("ddnnsim: simulation stalled after %d/%d iterations", s.completed, iters)
@@ -251,23 +249,6 @@ func Run(w *model.Workload, cluster cloud.ClusterSpec, opt Options) (*Result, er
 			journal.Ffloat("training_sec", end))
 	}
 	return s.result(end), nil
-}
-
-// journalCheckpoints emits one sim.checkpoint event per CheckpointEvery
-// crossing, stamped at the crossing iteration's completion instant. The
-// emission runs after the engine from the single calling goroutine so
-// event order is deterministic.
-func (s *sim) journalCheckpoints() {
-	b := s.opt.Journal
-	every := s.opt.CheckpointEvery
-	if !b.Enabled() || every <= 0 {
-		return
-	}
-	for i := every; i <= s.completed; i += every {
-		b.EmitAt(s.opt.JournalBaseSec+s.iterEnd[i-1], journal.SimCheckpoint,
-			journal.Fint("iter", s.opt.StartIteration+i),
-			journal.Fint("segment_iter", i))
-	}
 }
 
 // earliestFault picks the first scheduled fault and its clamped instant.

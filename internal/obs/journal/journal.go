@@ -38,7 +38,6 @@ const (
 
 	// Planner (Algorithm 1 over the Theorem 4.1-bounded space).
 	PlanSearchStart Type = "plan.search.start"
-	PlanTypeScanned Type = "plan.type.scanned"
 	PlanSearchDone  Type = "plan.search.done"
 	PlanChosen      Type = "job.plan.chosen"
 
@@ -69,7 +68,6 @@ const (
 	InstanceTerminated Type = "cloud.instance.terminated"
 
 	// Training simulator.
-	SimCheckpoint  Type = "sim.checkpoint"
 	SimInterrupted Type = "sim.interrupted"
 	SimSegmentDone Type = "sim.segment.done"
 

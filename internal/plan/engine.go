@@ -1,7 +1,8 @@
 package plan
 
 // The search engine: per-instance-type scans over the shared enumerator
-// and evaluator, run serially in catalog order with context cancellation.
+// and evaluator, run serially in catalog order with context cancellation
+// and Algorithm 1's early break.
 
 import (
 	"context"
@@ -17,8 +18,10 @@ import (
 // baseline.MarginalGain (the Optimus-style comparator), so the controller,
 // the plan service, and the experiments can swap strategies freely.
 type Provisioner interface {
-	// Search returns the strategy's chosen plan and what the search cost.
-	// When no candidate meets the goal, the chosen plan is the best-effort
+	// Search returns the strategy's chosen plan and what the search cost:
+	// the candidates it evaluated to find it, which for the Engine is
+	// Algorithm 1's early-break scan, not the whole space. When no
+	// candidate meets the goal, the chosen plan is the best-effort
 	// (fastest predicted) one with Feasible=false.
 	Search(ctx context.Context, req Request) (Result, error)
 	// Candidates returns every configuration Search considers for req,
@@ -28,10 +31,13 @@ type Provisioner interface {
 }
 
 // SearchStats summarizes how hard one search worked: how many instance
-// types were scanned, how many candidates the Theorem 4.1-bounded
-// enumeration actually evaluated versus the unpruned space (Pruned is the
-// difference), and how many evaluated candidates met the goal. Strategies
-// without a bounded space (baseline.MarginalGain) leave Pruned zero.
+// types were scanned, how many candidates the search actually evaluated
+// versus the unpruned space (Pruned is the difference, which the Theorem
+// 4.1 bounds and the early break remove together), and how many evaluated
+// candidates met the goal. The Engine's Search stops each type at its
+// first feasible candidate, so its Feasible counts the types that have
+// one. Strategies without a bounded space (baseline.MarginalGain) leave
+// Pruned zero.
 type SearchStats struct {
 	Types      int
 	Enumerated int
@@ -61,37 +67,35 @@ var DefaultEngine = &Engine{}
 
 var _ Provisioner = (*Engine)(nil)
 
-// Provision runs Algorithm 1: for each instance type, compute the bounds,
-// scan the enumerator's candidates, take the first whose predicted
-// training time meets the goal (the algorithm's early break), and return
-// the cheapest such plan across types. If no candidate meets the goal
-// anywhere, the fastest predicted plan is returned with Feasible=false.
+// Provision runs Algorithm 1 and returns only its plan: Search's plan
+// without the stats.
 func (e *Engine) Provision(ctx context.Context, req Request) (Plan, error) {
-	out, err := e.search(ctx, req, false, nil)
-	if err != nil {
-		return Plan{}, err
-	}
-	return e.selectPlan(req, out)
+	res, err := e.Search(ctx, req)
+	return res.Plan, err
 }
 
 // Candidates implements Provisioner: it evaluates every configuration
 // Algorithm 1 would consider — without the early break — and returns them
 // ranked by Rank. Besides the capacity fallback, it is the inspection
-// companion to Provision: plot it, or audit why a plan was (not) chosen.
+// companion to Search: plot it, or audit why a plan was (not) chosen.
 func (e *Engine) Candidates(ctx context.Context, req Request) ([]Plan, error) {
 	var ranked []Plan
-	if _, err := e.search(ctx, req, true, &ranked); err != nil {
+	if _, err := e.search(ctx, req, &ranked); err != nil {
 		return nil, err
 	}
 	Rank(ranked)
 	return ranked, nil
 }
 
-// Search implements Provisioner: an exhaustive scan that counts every
-// candidate into Stats but keeps only the Algorithm 1 selection (the same
-// plan Provision picks).
+// Search implements Provisioner by running Algorithm 1: for each instance
+// type, compute the bounds, scan the enumerator's candidates up to the
+// first whose predicted training time meets the goal (the algorithm's
+// early break), and return the cheapest such plan across types. If no
+// candidate meets the goal anywhere, the fastest predicted plan is
+// returned with Feasible=false. Stats count the candidates evaluated, so
+// a type is scanned in full only when none of its candidates is feasible.
 func (e *Engine) Search(ctx context.Context, req Request) (Result, error) {
-	out, err := e.search(ctx, req, true, nil)
+	out, err := e.search(ctx, req, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,13 +112,11 @@ type typeResult struct {
 	haveFirst  bool
 	effort     Plan // fastest-predicted infeasible candidate
 	haveEffort bool
-	bounds     Bounds // Theorem 4.1 bounds, when computable
-	haveBounds bool
 	scanned    int // candidates evaluated for this type
 	feasibleN  int // evaluated candidates meeting the goal
 }
 
-// searchOut is the reduction of every per-type scan.
+// searchOut is the reduction of the per-type scans.
 type searchOut struct {
 	best       Plan
 	haveBest   bool
@@ -123,20 +125,31 @@ type searchOut struct {
 	stats      SearchStats
 }
 
-// scanType runs the Algorithm 1 inner loops for one instance type whose
-// bounds res already holds, over the shared enumerator and evaluator.
-// Exhaustive scans evaluate every candidate; otherwise the scan stops at
-// the type's first feasible candidate (Algorithm 1 line 11). A non-nil
-// collect receives every evaluated candidate in enumeration order.
-func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, res *typeResult, exhaustive bool, collect *[]Plan) error {
-	m := planObs()
-	start := time.Now()
-	defer func() { m.typeScan.With(t.Name).Observe(time.Since(start).Seconds()) }()
-
-	if !res.haveBounds {
-		return nil // unreachable loss target etc.: this type offers nothing
+// fold reduces one type's result into the search. Types are folded in
+// catalog order with strict comparisons, so ties break toward the earlier
+// type.
+func (out *searchOut) fold(r *typeResult) {
+	if r.haveFirst && (!out.haveBest || r.first.Cost < out.best.Cost) {
+		out.best, out.haveBest = r.first, true
 	}
-	bounds := res.bounds
+	if r.haveEffort && (!out.haveEffort || r.effort.PredTime < out.effort.PredTime) {
+		out.effort, out.haveEffort = r.effort, true
+	}
+	out.stats.Enumerated += r.scanned
+	out.stats.Feasible += r.feasibleN
+}
+
+// scanType runs the Algorithm 1 inner loops for one instance type over
+// the shared enumerator and evaluator. The scan stops at the type's first
+// feasible candidate (Algorithm 1 line 11) unless collect is non-nil:
+// then it evaluates every candidate and appends each to collect in
+// enumeration order. A type whose Theorem 4.1 bounds cannot be computed
+// (an unreachable loss target, say) offers nothing.
+func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.InstanceType, res *typeResult, collect *[]Plan) error {
+	bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
+	if err != nil {
+		return nil
+	}
 	if bounds.LowerWorkers > MaxWorkers {
 		// The quota alone rules this type out; still expose the quota
 		// point as a best-effort candidate (or as the type's pick, should
@@ -156,8 +169,8 @@ func scanType(ctx context.Context, cfg normalized, ev *evaluator, t cloud.Instan
 		if err != nil {
 			return true
 		}
-		if res.record(&cand, collect) && !exhaustive {
-			return false // early break ends the type's scan
+		if res.record(&cand, collect) && collect == nil {
+			return false // Algorithm 1 line 11: the first feasible candidate ends the type's scan
 		}
 		return true
 	})
@@ -184,20 +197,20 @@ func (res *typeResult) record(cand *Plan, collect *[]Plan) bool {
 	return false
 }
 
-// search computes every type's Theorem 4.1 bounds, scans the types in
-// catalog order, and reduces the per-type results in the same order, so
-// ties break toward the earlier type. A non-nil collect receives every
-// evaluated candidate in scan order, for Candidates to rank. The scan is
-// serial: a type scan costs a few microseconds, less than handing it to
-// another goroutine.
-func (e *Engine) search(ctx context.Context, req Request, exhaustive bool, collect *[]Plan) (searchOut, error) {
+// search scans the types in catalog order and folds each type's result
+// into the reduction as soon as its scan ends. A nil collect runs
+// Algorithm 1's early break; a non-nil one scans everything and receives
+// every evaluated candidate in scan order, for Candidates to rank. The
+// scan is serial: a type scan costs a few microseconds, less than handing
+// it to another goroutine.
+func (e *Engine) search(ctx context.Context, req Request, collect *[]Plan) (searchOut, error) {
 	m := planObs()
 	start := time.Now()
 	defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
 
 	cfg, err := req.normalize()
 	if err != nil {
-		m.outcomes.With("error").Inc()
+		m.errored.Inc()
 		return searchOut{}, err
 	}
 	types := cfg.catalog.Types()
@@ -215,54 +228,27 @@ func (e *Engine) search(ctx context.Context, req Request, exhaustive bool, colle
 			journal.Fint("search_space", searchSpace))
 	}
 
-	results := make([]typeResult, len(types))
-	ev := newEvaluator(cfg)
-	for i, t := range types {
-		r := &results[i]
-		bounds, err := ComputeBounds(cfg.profile, t, cfg.goal)
-		r.bounds, r.haveBounds = bounds, err == nil
-		if err := scanType(ctx, cfg, &ev, t, r, exhaustive, collect); err != nil {
-			m.outcomes.With("cancelled").Inc()
-			return searchOut{}, err
+	out := searchOut{stats: SearchStats{Types: len(types)}}
+	ev := evaluator{cfg: cfg}
+	for _, t := range types {
+		var r typeResult
+		if err := scanType(ctx, cfg, &ev, t, &r, collect); err != nil {
+			m.cancelled.Inc()
+			return searchOut{}, err // a cancelled search journals no plan.search.done
 		}
-	}
-
-	// The reduce — and every journal emission — walks per-type results in
-	// catalog order after the whole scan, so a cancelled search journals
-	// no per-type records.
-	var out searchOut
-	out.stats.Types = len(types)
-	for i, r := range results {
-		if r.haveFirst && (!out.haveBest || r.first.Cost < out.best.Cost) {
-			out.best, out.haveBest = r.first, true
-		}
-		if r.haveEffort && (!out.haveEffort || r.effort.PredTime < out.effort.PredTime) {
-			out.effort, out.haveEffort = r.effort, true
-		}
-		out.stats.Enumerated += r.scanned
-		out.stats.Feasible += r.feasibleN
-		if cfg.journal.Enabled() && r.haveBounds {
-			cfg.journal.Emit(journal.PlanTypeScanned,
-				journal.F("type", types[i].Name),
-				journal.Fint("lower_workers", r.bounds.LowerWorkers),
-				journal.Fint("upper_workers", r.bounds.UpperWorkers),
-				journal.Fint("min_ps", r.bounds.PS),
-				journal.Ffloat("ratio", r.bounds.Ratio),
-				journal.Fint("enumerated", r.scanned),
-				journal.Fint("feasible", r.feasibleN))
-		}
+		out.fold(&r)
 	}
 	out.stats.Pruned = max(searchSpace-out.stats.Enumerated, 0)
 	m.scanned.Add(int64(out.stats.Enumerated))
 	m.feasible.Add(int64(out.stats.Feasible))
-	outcome := "none"
-	switch {
-	case out.haveBest:
-		outcome = "feasible"
-	case out.haveEffort:
-		outcome = "best_effort"
-	}
 	if cfg.journal.Enabled() {
+		outcome := "none"
+		switch {
+		case out.haveBest:
+			outcome = "feasible"
+		case out.haveEffort:
+			outcome = "best_effort"
+		}
 		cfg.journal.Emit(journal.PlanSearchDone,
 			journal.Fint("enumerated", out.stats.Enumerated),
 			journal.Fint("pruned", out.stats.Pruned),
@@ -277,13 +263,13 @@ func (e *Engine) selectPlan(req Request, out searchOut) (Plan, error) {
 	m := planObs()
 	switch {
 	case out.haveBest:
-		m.outcomes.With("feasible").Inc()
+		m.feasibleRuns.Inc()
 		return out.best, nil
 	case out.haveEffort:
-		m.outcomes.With("best_effort").Inc()
+		m.bestEffort.Inc()
 		return out.effort, nil
 	}
-	m.outcomes.With("error").Inc()
+	m.errored.Inc()
 	return Plan{}, fmt.Errorf("plan: no provisioning candidate for %s (goal %.0fs / loss %.3f)",
 		req.Profile.Workload.Name, req.Goal.TimeSec, req.Goal.LossTarget)
 }

@@ -145,10 +145,33 @@ func TestProvisionIsCheapestFirstFeasible(t *testing.T) {
 	}
 }
 
+// earlyBreakCounts reconstructs, from a ranked candidate list, what
+// Algorithm 1's early break evaluates: per type in catalog order, the
+// candidates in scan order up to and including the first feasible one,
+// or all of them when none is feasible; feasible counts the types that
+// have one.
+func earlyBreakCounts(types []cloud.InstanceType, ranked []Plan) (enumerated, feasible int) {
+	byType := map[string][]Plan{}
+	for _, c := range ranked {
+		byType[c.Type.Name] = append(byType[c.Type.Name], c)
+	}
+	for _, it := range types {
+		for _, c := range scanOrder(byType[it.Name]) {
+			enumerated++
+			if c.Feasible {
+				feasible++
+				break
+			}
+		}
+	}
+	return enumerated, feasible
+}
+
 // TestSearchMatchesProvisionPlusCandidates checks that Search picks the
-// plan Provision picks and counts exactly the candidates Candidates
-// ranks — the contract the controller's on-demand capacity fallback
-// relies on.
+// plan Provision picks, that the plan is among the candidates Candidates
+// ranks, and that Stats count exactly what the early break evaluates:
+// each type's candidates up to its first feasible one, never more than
+// Candidates ranks.
 func TestSearchMatchesProvisionPlusCandidates(t *testing.T) {
 	ctx := context.Background()
 	for i, req := range engineRequests(t) {
@@ -167,9 +190,21 @@ func TestSearchMatchesProvisionPlusCandidates(t *testing.T) {
 		if res.Plan != pl {
 			t.Errorf("req %d: Search plan %+v != Provision %+v", i, res.Plan, pl)
 		}
-		if res.Stats.Enumerated != len(ranked) || !slices.Contains(ranked, res.Plan) {
-			t.Errorf("req %d: Search enumerated %d, Candidates ranked %d (chosen plan among them: %v)",
-				i, res.Stats.Enumerated, len(ranked), slices.Contains(ranked, res.Plan))
+		if !slices.Contains(ranked, res.Plan) {
+			t.Errorf("req %d: Search plan %+v not among the %d ranked candidates", i, res.Plan, len(ranked))
+		}
+		nr, err := req.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enumerated, feasible := earlyBreakCounts(nr.Catalog.Types(), ranked)
+		if res.Stats.Enumerated != enumerated || res.Stats.Feasible != feasible {
+			t.Errorf("req %d: Search counted %d evaluated, %d feasible; the early break evaluates %d, %d feasible",
+				i, res.Stats.Enumerated, res.Stats.Feasible, enumerated, feasible)
+		}
+		if res.Stats.Enumerated > len(ranked) {
+			t.Errorf("req %d: Search evaluated %d candidates, more than the %d Candidates ranks",
+				i, res.Stats.Enumerated, len(ranked))
 		}
 	}
 }
@@ -267,33 +302,30 @@ func TestProvisionCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchAllocs pins the allocation-free scan: one exhaustive search
-// of the Section 5.3 request (cifar10 DNN @ 5400 s over the default
-// catalog, 224 candidates) allocates a bounded handful of objects, none
-// per candidate: the default catalog and the per-type results. Search
-// builds no candidate list, so it costs what Provision, the package-level
-// entry point BenchmarkSection53Provision times, costs. Candidates adds
-// the list's append growth and the Rank keys. Each ceiling is the count
-// measured when it was set plus 0.1% + 0.5 slack, so one more allocation
-// fails.
+// TestSearchAllocs pins the allocation-free search on the path
+// production takes: a shared catalog and no flight recorder. Search and
+// Provision allocate nothing; Candidates pays for its list's append
+// growth and the Rank keys. Each ceiling is the count measured when it
+// was set plus 0.1% + 0.5 slack, so one more allocation fails.
 func TestSearchAllocs(t *testing.T) {
 	req := section53Request(t)
+	req.Catalog = cloud.DefaultCatalog()
 	ctx := context.Background()
-	res, err := DefaultEngine.Search(ctx, req)
+	ranked, err := DefaultEngine.Candidates(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Enumerated < 100 {
-		t.Fatalf("only %d candidates: the request no longer exercises the scan", res.Stats.Enumerated)
+	if len(ranked) < 100 {
+		t.Fatalf("only %d candidates: the request no longer exercises the scan", len(ranked))
 	}
 	for _, tc := range []struct {
 		name     string
 		run      func() error
 		measured float64
 	}{
-		{"Search", func() error { _, err := DefaultEngine.Search(ctx, req); return err }, 9},
-		{"Provision", func() error { _, err := Provision(req); return err }, 9},
-		{"Candidates", func() error { _, err := DefaultEngine.Candidates(ctx, req); return err }, 19},
+		{"Search", func() error { _, err := DefaultEngine.Search(ctx, req); return err }, 0},
+		{"Provision", func() error { _, err := Provision(req); return err }, 0},
+		{"Candidates", func() error { _, err := DefaultEngine.Candidates(ctx, req); return err }, 10},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if err := tc.run(); err != nil {
@@ -301,11 +333,42 @@ func TestSearchAllocs(t *testing.T) {
 			}
 		})
 		ceiling := tc.measured*1.001 + 0.5
-		t.Logf("%s: %.0f allocs for %d candidates, ceiling %.1f", tc.name, allocs, res.Stats.Enumerated, ceiling)
+		t.Logf("%s: %.0f allocs, ceiling %.1f", tc.name, allocs, ceiling)
 		if allocs > ceiling {
 			t.Errorf("%s allocates %.0f objects, above its ceiling %.1f", tc.name, allocs, ceiling)
 		}
 	}
+}
+
+// BenchmarkSearchColdMix times the quote-cold miss in process: Search
+// cycles the four Table 1 workloads at their quote-cold loss targets over
+// deadlines 1 800–10 800 s on one shared catalog, so no two consecutive
+// requests ask the same question. It reports the candidates one search
+// evaluates.
+func BenchmarkSearchColdMix(b *testing.B) {
+	catalog := cloud.DefaultCatalog()
+	mix := []struct {
+		workload string
+		loss     float64
+	}{{"ResNet-32", 0.6}, {"mnist DNN", 0.2}, {"VGG-19", 0.8}, {"cifar10 DNN", 0.8}}
+	var reqs []Request
+	for i := 0; i < 64; i++ {
+		c := mix[i%len(mix)]
+		deadline := 1800 + float64(i*9000/63)
+		reqs = append(reqs, Request{Profile: prof(b, c.workload), Goal: Goal{TimeSec: deadline, LossTarget: c.loss}, Catalog: catalog})
+	}
+	ctx := context.Background()
+	enumerated := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := DefaultEngine.Search(ctx, reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		enumerated += res.Stats.Enumerated
+	}
+	b.ReportMetric(float64(enumerated)/float64(b.N), "candidates/op")
 }
 
 // TestRankMatchesSliceStable: the index-permutation Rank orders plans

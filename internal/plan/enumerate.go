@@ -1,7 +1,7 @@
 package plan
 
 // The candidate enumerator: the one source of truth for which (type, nps,
-// n) configurations Algorithm 1 considers. Provision (first-feasible early
+// n) configurations Algorithm 1 considers. Search (first-feasible early
 // break) and Candidates (exhaustive, ranked) both consume this stream, so
 // the Theorem 4.1 bounds, the worker quota, and Constraint (11) are
 // applied in exactly one place.
@@ -95,7 +95,8 @@ func upperWorkersFor(p *perf.Profile, t cloud.InstanceType, bounds Bounds, nps i
 // worker counts ascending — until yield returns false or the space is
 // exhausted. It normalizes the request through the same single defaulting
 // path the engine uses, so the stream is exactly the candidate set a
-// Provision or Candidates run would evaluate for that type. A type whose
+// Candidates run evaluates for that type; Search evaluates its prefix up
+// to the first feasible configuration. A type whose
 // Theorem 4.1 bounds are unsatisfiable, or whose lower bound exceeds the
 // worker quota, yields nothing. The test harness (internal/simtest) audits
 // the engine against this stream: the chosen plan must be the cheapest

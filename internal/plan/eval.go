@@ -74,19 +74,12 @@ func Rank(plans []Plan) {
 
 // evaluator prices candidates for one search run. Its memo holds the
 // iteration budgets solved so far: one BSP budget, or ASP budgets indexed
-// by worker count (0 = not yet solved).
+// by worker count (0 = not yet solved). The memo is an array, so an
+// evaluator lives on its search's stack; the zero memo is ready to use.
 type evaluator struct {
 	cfg normalized
 	bsp int
-	asp []int
-}
-
-func newEvaluator(cfg normalized) evaluator {
-	ev := evaluator{cfg: cfg}
-	if cfg.profile.Workload.Sync == model.ASP {
-		ev.asp = make([]int, MaxWorkers+1)
-	}
-	return ev
+	asp [MaxWorkers + 1]int
 }
 
 // iterations returns the iteration budget reaching the loss target at n
@@ -161,6 +154,6 @@ func Evaluate(req Request, t cloud.InstanceType, n, nps int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	ev := newEvaluator(cfg)
+	ev := evaluator{cfg: cfg}
 	return ev.evaluate(t, n, nps)
 }

@@ -18,12 +18,14 @@
 //     from (type, n, nps) in closed form, bit-identical to the
 //     ClusterSpec path and without allocating; other predictors see the
 //     materialised cloud.Homogeneous cluster.
-//   - Engine scans instance types serially in catalog order with context
-//     cancellation. Its Search implements the one-method Provisioner
-//     interface alongside baseline.MarginalGain; its Provision keeps
-//     Algorithm 1's early break for callers that need only the plan. A
-//     per-type parallel scan was measured slower than serial at 2 procs
-//     (a type scan costs less than a goroutine hand-off) and removed.
+//   - Engine scans instance types serially in the catalog's name order
+//     with context cancellation. Its Search runs Algorithm 1's early
+//     break, ending each type's scan at its first feasible candidate, and
+//     folds each type into the answer as its scan ends; on a shared
+//     catalog without a flight recorder it allocates nothing. Candidates,
+//     the rare capacity fallback, is the only exhaustive scan. A per-type
+//     parallel scan was measured slower than serial at 2 procs (a type
+//     scan costs less than a goroutine hand-off) and removed.
 //
 // Provision and Candidates are thin wrappers over DefaultEngine.
 package plan
@@ -42,16 +44,19 @@ import (
 )
 
 // planMetrics instrument Algorithm 1 on the default registry: how long a
-// search takes (overall and per instance type), how many candidates the
-// bounded search actually evaluated versus the unpruned search space (the
-// Theorem 4.1 pruning effectiveness), and how runs conclude.
+// search takes, how many candidates the search actually evaluated versus
+// the unpruned search space (the Theorem 4.1 bounds and the early break
+// together), and how runs conclude. The outcome children are resolved
+// once, so a search makes no labelled lookup.
 type planMetrics struct {
-	latency     *obs.Histogram
-	typeScan    *obs.HistogramVec
-	scanned     *obs.Counter
-	feasible    *obs.Counter
-	searchSpace *obs.Counter
-	outcomes    *obs.CounterVec
+	latency      *obs.Histogram
+	scanned      *obs.Counter
+	feasible     *obs.Counter
+	searchSpace  *obs.Counter
+	feasibleRuns *obs.Counter
+	bestEffort   *obs.Counter
+	errored      *obs.Counter
+	cancelled    *obs.Counter
 }
 
 var (
@@ -62,19 +67,21 @@ var (
 func planObs() *planMetrics {
 	metricsOnce.Do(func() {
 		reg := obs.Default()
+		outcomes := reg.CounterVec("cynthia_plan_total",
+			"Provision runs by outcome", "outcome")
 		metrics = planMetrics{
 			latency: reg.Histogram("cynthia_plan_latency_seconds",
 				"wall time of one Provision (Algorithm 1) run", nil),
-			typeScan: reg.HistogramVec("cynthia_plan_type_scan_seconds",
-				"wall time of one per-instance-type candidate scan", nil, "type"),
 			scanned: reg.Counter("cynthia_plan_candidates_scanned_total",
 				"candidate configurations evaluated by the bounded search"),
 			feasible: reg.Counter("cynthia_plan_candidates_feasible_total",
 				"evaluated candidates that met the goal"),
 			searchSpace: reg.Counter("cynthia_plan_search_space_total",
-				"unpruned candidate count (types x worker quota x PS escalations); scanned/search_space is the Theorem 4.1 pruning ratio"),
-			outcomes: reg.CounterVec("cynthia_plan_total",
-				"Provision runs by outcome", "outcome"),
+				"unpruned candidate count (types x worker quota x PS escalations); scanned/search_space is the pruning ratio"),
+			feasibleRuns: outcomes.With("feasible"),
+			bestEffort:   outcomes.With("best_effort"),
+			errored:      outcomes.With("error"),
+			cancelled:    outcomes.With("cancelled"),
 		}
 	})
 	return &metrics
@@ -254,11 +261,10 @@ type Request struct {
 	// Catalog lists candidate instance types; defaults to
 	// cloud.DefaultCatalog.
 	Catalog *cloud.Catalog
-	// Journal, when bound, receives the search's flight-recorder events
-	// (plan.search.start, per-type bound/enumeration records, and
-	// plan.search.done with the Theorem 4.1 pruning counts), correlated
-	// with the caller's trace and job IDs. Events are emitted in catalog
-	// order after the whole scan.
+	// Journal, when bound, receives the search's flight-recorder events,
+	// correlated with the caller's trace and job IDs: plan.search.start
+	// before the scan and plan.search.done, with the evaluated and pruned
+	// counts, after it. A cancelled search journals no plan.search.done.
 	Journal journal.Binding
 }
 

@@ -26,17 +26,17 @@
 // in-flight metrics on an obs registry.
 //
 // What the cache buys end to end, measured by cmd/cynthiabench through
-// POST /api/plan on a 2-vCPU Xeon VM, with a miss that builds no
-// candidate list: quote-hot, eight repeated questions that all hit,
-// serves a median ≈18.6k quotes/s; quote-cold, every request a distinct
-// miss, serves ≈10.1k/s on the same box. The cache is worth ≈1.8×
-// (≈2.3× while every miss still built and sorted a ranked list), above
-// the 1.5× keep-or-delete line. It stays because dropping it would cost
-// quote-hot about 45% of its throughput. An entry holds only a plan and
-// its stats; with the ranked lists gone from the entries, quote-cold's
-// heap peak fell from ≈70 MB to ≈8 MB. The service has no cache-less
-// mode: quote-cold is the measure of what every request would pay
-// without the cache.
+// POST /api/plan on a 2-vCPU Xeon VM: quote-hot, eight repeated
+// questions that all hit, against quote-cold, every request a distinct
+// miss. The cache was worth ≈1.8× while a miss scanned every candidate.
+// Since a miss runs Algorithm 1's early break (≈4.6 candidates, ~2 µs,
+// no allocation), four interleaved runs read quote-hot at 19.5k–22.8k
+// quotes/s against quote-cold's 15.1k–17.4k: 1.13–1.37×, below the 1.5×
+// keep-or-delete line. Deleting the LRU and the coalescing (keeping the
+// QueueDepth admission) is the next simplification; until then an entry
+// holds only a plan and its stats. The service has no cache-less mode:
+// quote-cold is the measure of what every request would pay without the
+// cache.
 package service
 
 import (

@@ -35,11 +35,13 @@ func closeRel(a, b float64) bool {
 //   - the chosen plan is the cheapest across instance types of each
 //     type's first feasible candidate in scan order (Algorithm 1's early
 //     break + cross-type min), bit-identical in every field;
+//   - the search's Stats count exactly the candidates the early break
+//     evaluates, and the types with a feasible one;
 //   - the Theorem 4.1 bounds contain the chosen (workers, ps)
 //     configuration — it appears in the enumerated stream;
-//   - the ranked list Candidates returns for the same request is the
-//     candidate set Search counted, ordered feasible-first then by
-//     ascending cost, contains the chosen plan, and agrees with it on
+//   - the ranked list Candidates returns for the same request holds at
+//     least the candidates Search counted, is ordered feasible-first then
+//     by ascending cost, contains the chosen plan, and agrees with it on
 //     feasibility;
 //   - the Eq. 6-7 worker utilization of the chosen cluster lies in
 //     (0, 1];
@@ -63,32 +65,37 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 	}
 
 	// Reconstruct Algorithm 1 independently: per type, walk the exact
-	// candidate stream and record the first feasible configuration and
-	// the fastest infeasible one.
+	// candidate stream up to the first feasible configuration. A type
+	// whose Theorem 4.1 lower bound exceeds the worker quota offers its
+	// quota point alone.
 	var best plan.Plan
 	haveBest := false
-	enumerated := 0
+	enumerated, feasibleTypes := 0, 0
+	goal := nr.Goal
+	goal.TimeSec *= 1 - float64(plan.Headroom) // the reserve the engine folds in
 	for _, t := range nr.Catalog.Types() {
-		firstFound := false
-		err := plan.EnumerateConfigs(nr, t, func(n, nps int) bool {
-			if firstFound {
-				return false // scan of this type is decided
-			}
+		// take evaluates one candidate and reports whether the type's
+		// scan goes on.
+		take := func(n, nps int) bool {
 			cand, err := plan.Evaluate(nr, t, n, nps)
 			if err != nil {
 				return true
 			}
 			enumerated++
-			if cand.Feasible {
-				firstFound = true
-				if !haveBest || cand.Cost < best.Cost {
-					best, haveBest = cand, true
-				}
-				return false
+			if !cand.Feasible {
+				return true
 			}
-			return true
-		})
-		if err != nil {
+			feasibleTypes++
+			if !haveBest || cand.Cost < best.Cost {
+				best, haveBest = cand, true
+			}
+			return false
+		}
+		if b, err := plan.ComputeBounds(nr.Profile, t, goal); err == nil && b.LowerWorkers > plan.MaxWorkers {
+			take(plan.MaxWorkers, min(b.PS, plan.MaxWorkers))
+			continue
+		}
+		if err := plan.EnumerateConfigs(nr, t, take); err != nil {
 			return res, fmt.Errorf("enumerating %s: %v", t.Name, err)
 		}
 	}
@@ -100,6 +107,11 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 		return res, nil // genuinely empty search space
 	}
 	pl := res.Plan
+
+	if res.Stats.Enumerated != enumerated || res.Stats.Feasible != feasibleTypes {
+		return res, fmt.Errorf("search counted %d evaluated (%d feasible); the early break evaluates %d (%d types feasible)",
+			res.Stats.Enumerated, res.Stats.Feasible, enumerated, feasibleTypes)
+	}
 
 	// Cheapest first-feasible, bit-for-bit.
 	if haveBest != pl.Feasible {
@@ -147,12 +159,12 @@ func CheckSearch(req plan.Request) (plan.Result, error) {
 }
 
 // CheckRanked verifies a ranked candidate list against the search result
-// for the same request: the list holds exactly the candidates the
-// search's Stats counted, is ordered feasible-first then ascending cost
-// within each group, contains the chosen plan, and agrees with it on
-// feasibility.
+// for the same request: the list holds at least the candidates (and the
+// feasible ones) the search's Stats counted, is ordered feasible-first
+// then ascending cost within each group, contains the chosen plan, and
+// agrees with it on feasibility.
 func CheckRanked(res plan.Result, ranked []plan.Plan) error {
-	if len(ranked) != res.Stats.Enumerated {
+	if len(ranked) < res.Stats.Enumerated {
 		return fmt.Errorf("%d ranked candidates, search enumerated %d", len(ranked), res.Stats.Enumerated)
 	}
 	seenInfeasible := false
@@ -179,7 +191,7 @@ func CheckRanked(res plan.Result, ranked []plan.Plan) error {
 			feasible++
 		}
 	}
-	if feasible != res.Stats.Feasible {
+	if feasible < res.Stats.Feasible {
 		return fmt.Errorf("%d feasible ranked candidates, search counted %d", feasible, res.Stats.Feasible)
 	}
 	if len(ranked) == 0 {

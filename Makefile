@@ -21,7 +21,7 @@ race:
 # stress repeats the packages with real concurrency (TCP parameter
 # servers, the recovery state machine, the plan service's coalescing and
 # admission, the workload table every request shares, concurrent
-# barriers over the durable tier's snapshot encoding cache) to shake out
+# barriers over the durable tier's snapshot slots) to shake out
 # timing-dependent flakes before they reach CI.
 stress:
 	$(GO) test -race -count=3 -shuffle=on -timeout 15m ./internal/ps ./internal/cluster ./internal/plan/service ./internal/model ./internal/cluster/replay

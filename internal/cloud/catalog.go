@@ -62,7 +62,7 @@ type Catalog struct {
 	// the prices it was read with. Its capacity equals its length, so an
 	// append by a caller copies instead of writing into the shared array.
 	types []InstanceType
-	spot  map[string]float64 // current spot price per type, when a market is attached
+	spot  map[string]float64 // current spot price per type; nil until the first SetSpotPrice
 	epoch atomic.Uint64
 }
 
@@ -94,11 +94,7 @@ func NewCatalog(types ...InstanceType) (*Catalog, error) {
 			return nil, fmt.Errorf("cloud: duplicate instance type %s", t.Name)
 		}
 	}
-	return &Catalog{
-		id:    catalogIDs.Add(1),
-		types: slices.Clip(sorted),
-		spot:  make(map[string]float64),
-	}, nil
+	return &Catalog{id: catalogIDs.Add(1), types: slices.Clip(sorted)}, nil
 }
 
 // index finds name in the sorted types; the caller holds mu.
@@ -151,6 +147,9 @@ func (c *Catalog) SetSpotPrice(name string, pricePerHour float64) error {
 	defer c.mu.Unlock()
 	if _, ok := c.index(name); !ok {
 		return fmt.Errorf("cloud: unknown instance type %q", name)
+	}
+	if c.spot == nil {
+		c.spot = make(map[string]float64)
 	}
 	c.spot[name] = pricePerHour
 	c.epoch.Add(1)
@@ -211,6 +210,13 @@ const (
 // on m4.xlarge (Fig. 2) and ~110 MB/s on r3.xlarge (Fig. 7). Prices are
 // 2019-era us-east-1 on-demand rates.
 func DefaultCatalog() *Catalog {
+	return &Catalog{id: catalogIDs.Add(1), types: defaultTypes()}
+}
+
+// defaultTypes is the validated, name-sorted type list every
+// DefaultCatalog starts from. Sharing it is safe: a catalog never writes
+// its list in place, and SetPrice installs a repriced copy.
+var defaultTypes = sync.OnceValue(func() []InstanceType {
 	c, err := NewCatalog(
 		InstanceType{
 			Name: M4XLarge, CPUModel: "Intel Xeon E5-2686 v4",
@@ -236,5 +242,5 @@ func DefaultCatalog() *Catalog {
 	if err != nil {
 		panic(err) // static data; cannot fail
 	}
-	return c
-}
+	return c.types
+})

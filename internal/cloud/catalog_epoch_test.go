@@ -58,7 +58,7 @@ func TestCatalogIDsAreUnique(t *testing.T) {
 // slice read before the repricing keeps the old price; the next Types
 // shows the new one, still in name order.
 func TestCatalogTypesSnapshot(t *testing.T) {
-	c := DefaultCatalog()
+	c, other := DefaultCatalog(), DefaultCatalog()
 	before := c.Types()
 	kept := slices.Clone(before)
 	if err := c.SetPrice(M4XLarge, 0.25); err != nil {
@@ -66,6 +66,11 @@ func TestCatalogTypesSnapshot(t *testing.T) {
 	}
 	if !slices.Equal(before, kept) {
 		t.Fatalf("SetPrice changed a slice Types returned earlier:\n got %+v\nwant %+v", before, kept)
+	}
+	// Every DefaultCatalog starts from one shared list; repricing one
+	// must not reach another.
+	if got := other.Types(); !slices.Equal(got, kept) {
+		t.Fatalf("repricing one DefaultCatalog changed another:\n got %+v\nwant %+v", got, kept)
 	}
 	after := c.Types()
 	if !slices.IsSortedFunc(after, func(a, b InstanceType) int { return strings.Compare(a.Name, b.Name) }) {
@@ -79,6 +84,15 @@ func TestCatalogTypesSnapshot(t *testing.T) {
 		if ty != want {
 			t.Errorf("Types()[%d] after SetPrice = %+v, want %+v", i, ty, want)
 		}
+	}
+	if _, ok := other.SpotPrice(M4XLarge); ok {
+		t.Fatal("a fresh catalog reports a spot price")
+	}
+	if err := c.SetSpotPrice(M4XLarge, 0.07); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := other.SpotPrice(M4XLarge); ok {
+		t.Fatal("a spot price set on one DefaultCatalog reached another")
 	}
 }
 

@@ -34,9 +34,12 @@ package replay
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -106,8 +109,23 @@ type Manager struct {
 	jrnl     *journal.Journal
 	barriers int
 	closed   bool
-	enc      *snapshotEncoder // frozen-record cache and payload buffer
+	snaps    *wal.Snapshots
+	frozen   map[frozenKey]bool // the records in the snapshots' frozen region
+	// Reused by every snapshot to collect and encode the live part.
+	buf       bytes.Buffer
+	enc       *json.Encoder
+	liveJobs  []cluster.JobState
+	liveInsts []cloud.Instance
 }
+
+// frozenKey names a frozen record by its kind tag, which prefixes the
+// record's JSON, and its ID.
+type frozenKey struct {
+	kind byte
+	id   string
+}
+
+const frozenJob, frozenInstance = 'j', 'i'
 
 // Open recovers the state directory (creating it if empty) and returns a
 // manager ready to Attach. WAL recovery truncates at the first bad
@@ -121,7 +139,8 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: dir, opts: opts, w: w, enc: newSnapshotEncoder()}
+	m := &Manager{dir: dir, opts: opts, w: w, frozen: make(map[frozenKey]bool)}
+	m.enc = json.NewEncoder(&m.buf)
 	records, err := w.ReadAll()
 	if err != nil {
 		w.Close()
@@ -137,21 +156,16 @@ func Open(dir string, opts Options) (*Manager, error) {
 		}
 		m.events = append(m.events, e)
 	}
-	payload, _, err := wal.LatestSnapshot(dir)
-	switch {
-	case err == nil:
-		var ws WorldSnapshot
-		if jerr := json.Unmarshal(payload, &ws); jerr != nil {
-			w.Close()
-			return nil, fmt.Errorf("replay: decoding snapshot: %w", jerr)
-		}
-		m.snap = &ws
-	case errors.Is(err, wal.ErrNoSnapshot):
-		// Replay from genesis.
-	default:
+	// The snapshot writer opens no file before its first write.
+	snaps, snap, err := wal.OpenSnapshots(dir)
+	if err == nil && snap != nil {
+		m.snap, err = assemble(snap.Frozen, snap.Live, m.frozen)
+	}
+	if err != nil {
 		w.Close()
 		return nil, err
 	}
+	m.snaps = snaps
 	cut := uint64(0)
 	if m.snap != nil {
 		cut = m.snap.TakenAtSeq
@@ -167,6 +181,38 @@ func Open(dir string, opts Options) (*Manager, error) {
 		m.pending = m.tailRaw
 	}
 	return m, nil
+}
+
+// assemble decodes a snapshot: the live part with the frozen records
+// merged back in, jobs by Seq and instances by ID as the exports order
+// them. It adds the frozen records' keys to ids.
+func assemble(frozen, live []byte, ids map[frozenKey]bool) (*WorldSnapshot, error) {
+	var ws WorldSnapshot
+	ctl, prov := &ws.Controller, &ws.Provider
+	err := json.Unmarshal(live, &ws)
+	if err == nil {
+		err = wal.Records(frozen, func(rec []byte) (err error) {
+			switch rec[0] {
+			case frozenJob:
+				var js cluster.JobState
+				err = json.Unmarshal(rec[1:], &js)
+				ctl.Jobs, ids[frozenKey{frozenJob, js.ID}] = append(ctl.Jobs, js), true
+			case frozenInstance:
+				var inst cloud.Instance
+				err = json.Unmarshal(rec[1:], &inst)
+				prov.Instances, ids[frozenKey{frozenInstance, inst.ID}] = append(prov.Instances, inst), true
+			default:
+				err = fmt.Errorf("unknown frozen record kind %q", rec[0])
+			}
+			return err
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("replay: decoding snapshot: %w", err)
+	}
+	slices.SortFunc(ctl.Jobs, func(a, b cluster.JobState) int { return cmp.Compare(a.Seq, b.Seq) })
+	slices.SortFunc(prov.Instances, func(a, b cloud.Instance) int { return strings.Compare(a.ID, b.ID) })
+	return &ws, nil
 }
 
 // HasState reports whether the directory held anything to recover — a
@@ -241,9 +287,6 @@ func (m *Manager) Rebuild() (resume, queued []string, err error) {
 		return nil, nil, errors.New("replay: Rebuild before Attach")
 	}
 	if m.snap != nil {
-		m.mu.Lock()
-		m.enc.reset() // the restored world replaces whatever was cached
-		m.mu.Unlock()
 		provider.RestoreState(m.snap.Provider)
 		master.RestoreState(m.snap.Master)
 		ctl.RestoreState(m.snap.Controller)
@@ -311,8 +354,10 @@ type replayMetrics struct {
 	failures *obs.Counter
 	// seconds is a whole SnapshotNow: WAL sync, export, encode, write.
 	seconds *obs.Histogram
-	// bytes is the newest snapshot's payload length.
+	// bytes is the newest snapshot's size: frozen region plus live part.
 	bytes *obs.Gauge
+	// written counts the bytes snapshot writes put in slot files.
+	written *obs.Counter
 }
 
 // snapshotBuckets span a snapshot of a few KB (well under a millisecond)
@@ -325,9 +370,11 @@ var replayObs = sync.OnceValue(func() *replayMetrics {
 		failures: reg.Counter("cynthia_replay_snapshot_failures_total",
 			"barrier snapshots that failed at a segment, recovery or done barrier"),
 		seconds: reg.Histogram("cynthia_replay_snapshot_seconds",
-			"wall time of one world snapshot: WAL sync, export, encode and file write", snapshotBuckets),
+			"wall time of one world snapshot: WAL sync, export, encode and slot write", snapshotBuckets),
 		bytes: reg.Gauge("cynthia_replay_snapshot_bytes",
-			"payload size of the newest world snapshot"),
+			"size of the newest world snapshot: frozen records plus live part"),
+		written: reg.Counter("cynthia_replay_snapshot_written_bytes_total",
+			"bytes world snapshots wrote to their slot files"),
 	}
 })
 
@@ -344,10 +391,11 @@ func (m *Manager) snapshotOrCount() {
 // events the log has not durably written (the crash-consistency
 // invariant recovery depends on).
 //
-// The payload is json.Marshal's encoding of the world, but built by the
-// manager's snapshotEncoder, which re-encodes only live records (see
-// encode.go). In strict mode every payload is also compared with
-// json.Marshal's, and the first difference is reported by VerifyError.
+// Terminal jobs and finished instances never change again: each is
+// encoded once, into the slots' frozen region, and a snapshot encodes
+// only the rest. In strict mode every snapshot is decoded again and
+// compared with the world, and the first difference is reported by
+// VerifyError.
 func (m *Manager) SnapshotNow() error {
 	start := time.Now()
 	m.mu.Lock()
@@ -368,36 +416,87 @@ func (m *Manager) SnapshotNow() error {
 		Master:     m.master.ExportState(),
 		Provider:   m.provider.ExportState(),
 	}
-	payload, err := m.enc.encode(&ws)
+	live, err := m.split(&ws)
+	if err != nil {
+		return err
+	}
+	written, err := m.snaps.Write(ws.TakenAtSeq, live)
 	if err != nil {
 		return err
 	}
 	if m.opts.Mode == ModeStrict {
-		m.verifySplice(&ws, payload)
-	}
-	if err := wal.WriteSnapshot(m.dir, ws.TakenAtSeq, payload); err != nil {
-		return err
+		m.verifySnapshot(&ws, live)
 	}
 	ro := replayObs()
 	ro.seconds.Observe(time.Since(start).Seconds())
-	ro.bytes.Set(float64(len(payload)))
+	ro.bytes.Set(float64(len(m.snaps.Frozen()) + len(live)))
+	ro.written.Add(int64(written))
 	return nil
 }
 
-// verifySplice records, as the VerifyError, the first snapshot whose
-// spliced payload differs from json.Marshal's encoding of the same world.
-func (m *Manager) verifySplice(ws *WorldSnapshot, payload []byte) {
+// split freezes the terminal jobs and finished instances of ws the
+// frozen region lacks and returns the rest of ws encoded, aliasing
+// m.buf. The region belongs to the world Rebuild restored, which only
+// ever gains frozen records.
+func (m *Manager) split(ws *WorldSnapshot) ([]byte, error) {
+	m.liveJobs = m.liveJobs[:0]
+	for i := range ws.Controller.Jobs {
+		js := &ws.Controller.Jobs[i]
+		if !js.Status.Terminal() {
+			m.liveJobs = append(m.liveJobs, *js)
+		} else if err := m.freeze(frozenKey{frozenJob, js.ID}, js); err != nil {
+			return nil, err
+		}
+	}
+	m.liveInsts = m.liveInsts[:0]
+	for i := range ws.Provider.Instances {
+		inst := &ws.Provider.Instances[i]
+		if !inst.State.Finished() {
+			m.liveInsts = append(m.liveInsts, *inst)
+		} else if err := m.freeze(frozenKey{frozenInstance, inst.ID}, inst); err != nil {
+			return nil, err
+		}
+	}
+	live := *ws
+	live.Controller.Jobs, live.Provider.Instances = m.liveJobs, m.liveInsts
+	m.buf.Reset()
+	if err := m.enc.Encode(&live); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	return m.buf.Bytes()[:m.buf.Len()-1], nil // Encode ends with a newline
+}
+
+// freeze appends record v to the frozen region, tagged with its kind,
+// unless the region holds it already.
+func (m *Manager) freeze(key frozenKey, v any) error {
+	if m.frozen[key] {
+		return nil
+	}
+	rec, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	m.snaps.Freeze(append([]byte{key.kind}, rec...))
+	m.frozen[key] = true
+	return nil
+}
+
+// verifySnapshot records, as the VerifyError, the first snapshot that
+// does not assemble to a world encoding as json.Marshal encodes ws.
+func (m *Manager) verifySnapshot(ws *WorldSnapshot, live []byte) {
 	want, err := json.Marshal(ws)
-	if err == nil && bytes.Equal(payload, want) {
+	back, aerr := assemble(m.snaps.Frozen(), live, make(map[frozenKey]bool))
+	got, gerr := json.Marshal(back)
+	if err = errors.Join(err, aerr, gerr); err == nil && bytes.Equal(got, want) {
 		return
 	}
 	if err == nil {
 		at := 0
-		for at < len(payload) && at < len(want) && payload[at] == want[at] {
+		for at < len(got) && at < len(want) && got[at] == want[at] {
 			at++
 		}
-		err = fmt.Errorf("replay: spliced snapshot at seq %d differs from json.Marshal at byte %d: got %q, want %q",
-			ws.TakenAtSeq, at, excerpt(payload, at), excerpt(want, at))
+		err = fmt.Errorf("replay: snapshot at seq %d reassembles to a world that differs from the exported one at byte %d: got %q, want %q",
+			ws.TakenAtSeq, at, excerpt(got, at), excerpt(want, at))
 	}
 	m.wmu.Lock()
 	if m.verifyErr == nil {
@@ -423,5 +522,5 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	return m.w.Close()
+	return errors.Join(m.w.Close(), m.snaps.Close())
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -109,42 +110,115 @@ func FuzzWALRecover(f *testing.F) {
 	})
 }
 
-// FuzzLatestSnapshot reads an arbitrary snapshot file. The result must be
-// ErrNoSnapshot exactly when the bytes are not one well-formed frame, and
-// otherwise the frame's payload, whose length and CRC match its header.
+// FuzzLatestSnapshot reads a state directory whose two slot files and
+// one older build's snapshot file hold arbitrary bytes. It must not
+// panic, and what it returns must be what a reference reading of the
+// three files, recomputing every CRC, picks: the payload of a valid slot
+// of the highest generation; with no valid slot, the payload of a valid
+// older snapshot file; and otherwise ErrNoSnapshot.
 func FuzzLatestSnapshot(f *testing.F) {
-	valid := frame([]byte(`{"world":1}`))
-	flipped := append([]byte(nil), valid...)
-	flipped[frameHeaderSize] ^= 0x01
-	f.Add([]byte{})
-	f.Add(valid)
-	f.Add(flipped)
-	f.Add(valid[:len(valid)-1])
-	f.Add(append(valid, 0))
-	f.Add(frame(nil))
-	// One directory for every input: each holds at most this one file,
-	// which the next input overwrites, and skipping a fresh directory per
-	// input keeps minimization fast.
-	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
+	seedDir := f.TempDir()
+	s, _, err := OpenSnapshots(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Freeze([]byte(`j{"id":"job-1"}`))
+	if _, err := s.Write(1, []byte(`{"world":1}`)); err != nil {
+		f.Fatal(err)
+	}
+	s.Freeze([]byte(`i{"id":"i-1"}`))
+	if _, err := s.Write(2, []byte(`{"world":2}`)); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	var slots [2][]byte
+	for i := range slots {
+		if slots[i], err = os.ReadFile(filepath.Join(seedDir, slotName(i))); err != nil {
+			f.Fatal(err)
 		}
-		wellFormed := len(data) >= frameHeaderSize &&
-			int(binary.LittleEndian.Uint32(data[0:4])) == len(data)-frameHeaderSize &&
-			crc32.Checksum(data[frameHeaderSize:], castagnoli) == binary.LittleEndian.Uint32(data[4:8])
-		payload, seq, err := LatestSnapshot(dir)
+	}
+	legacy := frame([]byte(`{"world":0}`))
+	flip := func(b []byte, at int) []byte {
+		b = bytes.Clone(b)
+		b[at] ^= 0x01
+		return b
+	}
+	f.Add(slots[0], slots[1], legacy)
+	f.Add(slots[0], flip(slots[1], len(slots[1])-1), legacy)             // torn live part
+	f.Add(slots[0], flip(slots[1], slotHeaderSize+1), legacy)            // torn frozen region
+	f.Add(flip(slots[0], 17), slots[1][:len(slots[1])-1], legacy)        // torn header, truncated slot
+	f.Add([]byte{}, []byte{}, legacy)                                    // older build only
+	f.Add(slots[1], slots[1], flip(legacy, frameHeaderSize))             // one generation twice
+	f.Add(append(bytes.Clone(slots[0]), 0), []byte("garbage"), []byte{}) // trailing bytes
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, slot0, slot1, old []byte) {
+		for name, data := range map[string][]byte{
+			slotName(0): slot0, slotName(1): slot1, "snap-0000000000000001.snap": old,
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want [][]byte
+		best := uint64(0)
+		for _, data := range [][]byte{slot0, slot1} {
+			payload, gen, ok := referenceSlot(data)
+			switch {
+			case !ok || (len(want) > 0 && gen < best):
+			case len(want) > 0 && gen == best:
+				want = append(want, payload)
+			default:
+				want, best = [][]byte{payload}, gen
+			}
+		}
+		wellFormed := len(old) > frameHeaderSize &&
+			int(binary.LittleEndian.Uint32(old[0:4])) == len(old)-frameHeaderSize &&
+			crc32.Checksum(old[frameHeaderSize:], castagnoli) == binary.LittleEndian.Uint32(old[4:8])
+		if len(want) == 0 && wellFormed {
+			want = [][]byte{old[frameHeaderSize:]}
+		}
+		payload, _, err := LatestSnapshot(dir)
 		switch {
 		case errors.Is(err, ErrNoSnapshot):
-			if wellFormed {
-				t.Fatal("a well-formed snapshot was rejected")
+			if len(want) > 0 {
+				t.Fatalf("a valid snapshot was rejected; want %q", want)
 			}
 		case err != nil:
 			t.Fatalf("LatestSnapshot: %v", err)
-		case !wellFormed:
-			t.Fatalf("a malformed snapshot was accepted: payload %q", payload)
-		case seq != 1 || !bytes.Equal(payload, data[frameHeaderSize:]):
-			t.Fatalf("got seq %d payload %q, want seq 1 payload %q", seq, payload, data[frameHeaderSize:])
+		case !slices.ContainsFunc(want, func(w []byte) bool { return bytes.Equal(w, payload) }):
+			t.Fatalf("returned payload %q, want one of %q", payload, want)
 		}
 	})
+}
+
+// referenceSlot reads a slot file as its layout describes it: every
+// field at its offset, every CRC recomputed, including each frozen
+// record's. It returns the frozen region and live part as one payload.
+func referenceSlot(data []byte) (payload []byte, gen uint64, ok bool) {
+	le := binary.LittleEndian
+	if len(data) < 48 || string(data[:4]) != "CYSS" || le.Uint32(data[4:]) != 1 ||
+		crc32.Checksum(data[:44], castagnoli) != le.Uint32(data[44:]) {
+		return nil, 0, false
+	}
+	frozenLen, liveLen := le.Uint64(data[24:]), uint64(le.Uint32(data[36:]))
+	if frozenLen > uint64(len(data)-48) || liveLen > uint64(len(data)-48)-frozenLen {
+		return nil, 0, false
+	}
+	frozen, live := data[48:48+frozenLen], data[48+frozenLen:48+frozenLen+liveLen]
+	if crc32.Checksum(frozen, castagnoli) != le.Uint32(data[32:]) ||
+		crc32.Checksum(live, castagnoli) != le.Uint32(data[40:]) {
+		return nil, 0, false
+	}
+	for rest := frozen; len(rest) > 0; {
+		if len(rest) < 8 {
+			return nil, 0, false
+		}
+		n := uint64(le.Uint32(rest))
+		if n == 0 || 8+n > uint64(len(rest)) || crc32.Checksum(rest[8:8+n], castagnoli) != le.Uint32(rest[4:]) {
+			return nil, 0, false
+		}
+		rest = rest[8+n:]
+	}
+	gen = le.Uint64(data[16:])
+	return data[48 : 48+frozenLen+liveLen], gen, gen != 0 // no write has generation 0
 }

@@ -1,15 +1,17 @@
 // Package wal is the durable sink behind the flight recorder: a
 // segmented, append-only write-ahead log of canonical journal JSONL
-// lines, plus atomically rotated state snapshots. Together they make the
-// control plane crash-durable: every journal event is CRC-framed and
-// fsynced (batched) to disk before the ring can evict it, and a restart
-// rebuilds the world from the newest valid snapshot plus the log tail.
+// lines, plus state snapshots in two slot files rewritten in place.
+// Together they make the control plane crash-durable: every journal
+// event is CRC-framed and fsynced (batched) to disk before the ring can
+// evict it, and a restart rebuilds the world from the newest valid
+// snapshot plus the log tail.
 //
 // On-disk layout of a state directory:
 //
 //	wal-00000001.log   framed records, oldest segment
 //	wal-00000002.log   ... newest segment (actively appended)
-//	snap-<seq>.snap    CRC-framed state snapshots (newest two kept)
+//	slot-0.snap        snapshot slots: the newest snapshot and the one
+//	slot-1.snap        before it
 //
 // Each record is framed as an 8-byte header — 4-byte little-endian
 // payload length, 4-byte CRC32-C (Castagnoli) of the payload — followed
@@ -18,6 +20,17 @@
 // truncated segment, or a bit flip anywhere invalidates that frame and
 // everything after it, which is exactly the prefix-durability a WAL
 // promises.
+//
+// A slot file is a 48-byte little-endian header (magic "CYSS", version,
+// journal sequence, write generation, the frozen region's 8-byte length
+// and CRC32-C, the live part's length and CRC32-C, a CRC32-C of the
+// header's first 44 bytes), then the frozen region, records that never
+// change again framed like WAL records in the order they froze, then the
+// live part, the rest of the world. Bytes after the live part are left
+// from a longer earlier write. Older builds wrote each snapshot as one
+// frame in snap-<seq>.snap, through a temp file snap-*.tmp; such a file
+// is read only while no slot is valid, and the first slot write deletes
+// them.
 package wal
 
 import (
@@ -30,6 +43,9 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
+
+	"cynthia/internal/obs"
 )
 
 // frameHeaderSize is the per-record framing overhead: 4 bytes payload
@@ -132,12 +148,9 @@ func (w *WAL) segments() ([]int, error) {
 }
 
 // recover scans the existing segments, truncating at the first bad frame
-// and deleting every later segment, removes snapshot temp files a crash
-// orphaned, then opens the active segment for appending.
+// and deleting every later segment, then opens the active segment for
+// appending.
 func (w *WAL) recover() error {
-	if err := removeSnapshotTemps(w.dir); err != nil {
-		return err
-	}
 	idx, err := w.segments()
 	if err != nil {
 		return err
@@ -335,7 +348,10 @@ func (w *WAL) syncLocked() error {
 		w.unsynced = 0
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
+	start := time.Now()
+	err := w.f.Sync()
+	fsyncSeconds().Observe(time.Since(start).Seconds())
+	if err != nil {
 		w.err = fmt.Errorf("wal: fsync failed, log no longer durable: %w", err)
 		return w.err
 	}
@@ -343,30 +359,22 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
+// fsyncBuckets span a fast local disk's fsync to a stalled network disk's.
+var fsyncBuckets = []float64{.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .1, 1}
+
+var fsyncSeconds = sync.OnceValue(func() *obs.Histogram {
+	return obs.Default().Histogram("cynthia_wal_fsync_seconds",
+		"wall time of one WAL segment fsync", fsyncBuckets)
+})
+
 // ReadAll returns every durable record across all segments, in append
 // order. It re-reads from disk, so it also sees records written before
 // this process opened the log.
 func (w *WAL) ReadAll() ([][]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	idx, err := w.segments()
-	if err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	for _, i := range idx {
-		if _, _, err := scanSegment(filepath.Join(w.dir, segmentName(i)), func(p []byte) error {
-			out = append(out, p)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return ReadDir(w.dir)
 }
-
-// Dir returns the state directory the log lives in.
-func (w *WAL) Dir() string { return w.dir }
 
 // Close flushes and closes the active segment. Further appends fail.
 func (w *WAL) Close() error {

@@ -373,177 +373,17 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := LatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("empty dir: want ErrNoSnapshot, got %v", err)
-	}
-	if err := WriteSnapshot(dir, 10, []byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(dir, 20, []byte(`{"a":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	payload, seq, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 20 || string(payload) != `{"a":2}` {
-		t.Fatalf("got seq=%d payload=%q", seq, payload)
-	}
-}
-
-func TestSnapshotPruning(t *testing.T) {
-	dir := t.TempDir()
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := WriteSnapshot(dir, seq*10, []byte(fmt.Sprintf(`{"s":%d}`, seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != snapshotsKept {
-		t.Fatalf("kept %d snapshots, want %d", len(snaps), snapshotsKept)
-	}
-	_, seq, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 50 {
-		t.Fatalf("latest seq %d, want 50", seq)
-	}
-}
-
-func TestCorruptSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteSnapshot(dir, 10, []byte(`{"good":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(dir, 20, []byte(`{"bad":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest snapshot's payload.
-	newest := filepath.Join(dir, snapshotName(20))
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[frameHeaderSize+1] ^= 0x80
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	payload, seq, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 10 || string(payload) != `{"good":true}` {
-		t.Fatalf("fallback returned seq=%d payload=%q", seq, payload)
-	}
-	// The corrupt snapshot must be gone so the next boot doesn't retry it.
-	if _, err := os.Stat(newest); !os.IsNotExist(err) {
-		t.Errorf("corrupt snapshot still present (err=%v)", err)
-	}
-}
-
-func TestAllCorruptSnapshotsIsNoSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteSnapshot(dir, 10, []byte(`{"x":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapshotName(10))
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("want ErrNoSnapshot, got %v", err)
-	}
-}
-
-// TestSnapshotPresentLogMissing is the restart shape where the log was
-// pruned (or lost) but a snapshot survived: WAL recovery must come up
-// empty and clean, ready for new appends starting after the snapshot.
-func TestSnapshotPresentLogMissing(t *testing.T) {
-	dir := t.TempDir()
-	writeTorture(t, dir, 8)
-	if err := WriteSnapshot(dir, 8, []byte(`{"world":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	for _, s := range segs {
-		if err := os.Remove(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, err := open(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if recs, _ := w.ReadAll(); len(recs) != 0 {
-		t.Fatalf("log reappeared with %d records", len(recs))
-	}
-	payload, seq, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 8 || string(payload) != `{"world":1}` {
-		t.Fatalf("snapshot lost: seq=%d payload=%q", seq, payload)
-	}
-}
-
-// TestOpenRemovesOrphanedSnapshotTemps: a crash between creating a
-// snapshot's temp file and renaming it leaves the temp file behind.
-// Recovery deletes it, and the valid snapshot beside it stays the latest.
-func TestOpenRemovesOrphanedSnapshotTemps(t *testing.T) {
-	dir := t.TempDir()
-	writeTorture(t, dir, 4)
-	if err := WriteSnapshot(dir, 4, []byte(`{"world":4}`)); err != nil {
-		t.Fatal(err)
-	}
-	orphan, err := os.CreateTemp(dir, snapshotTempPattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orphan.Write([]byte("\x20\x00\x00\x00torn")); err != nil {
-		t.Fatal(err)
-	}
-	orphan.Close()
-	keep := filepath.Join(dir, "notes.tmp") // not a snapshot temp file
-	if err := os.WriteFile(keep, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := open(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := os.Stat(orphan.Name()); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("orphaned temp file survived Open: stat err = %v", err)
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Errorf("Open removed an unrelated file: %v", err)
-	}
-	payload, seq, err := LatestSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 4 || string(payload) != `{"world":4}` {
-		t.Fatalf("latest snapshot changed: seq=%d payload=%q", seq, payload)
-	}
-}
-
 func TestSyncEveryBatchesFsync(t *testing.T) {
 	// With real fsync on, appends below the batch threshold leave the
 	// unsynced counter non-zero; Sync drains it. (Counter-level check —
-	// we can't observe the disk barrier itself portably.)
+	// we can't observe the disk barrier itself portably.) The fsync
+	// histogram observes that one fsync, not the appends.
 	w, err := open(t.TempDir(), options{SyncEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	fsyncs := fsyncSeconds().Count()
 	for i := 0; i < 3; i++ {
 		if err := w.Append([]byte("r")); err != nil {
 			t.Fatal(err)
@@ -563,6 +403,12 @@ func TestSyncEveryBatchesFsync(t *testing.T) {
 	w.mu.Unlock()
 	if unsynced != 0 {
 		t.Fatalf("unsynced=%d after Sync", unsynced)
+	}
+	if err := w.Sync(); err != nil { // nothing unsynced: no fsync
+		t.Fatal(err)
+	}
+	if got := fsyncSeconds().Count() - fsyncs; got != 1 {
+		t.Fatalf("fsync histogram observed %d fsyncs, want 1", got)
 	}
 }
 
@@ -640,39 +486,5 @@ func TestFailedDirSyncIsSticky(t *testing.T) {
 	stubSyncDir(t, func(int) error { return injected })
 	if _, err := Open(t.TempDir()); !errors.Is(err, injected) {
 		t.Fatalf("Open with a failing directory fsync returned %v", err)
-	}
-}
-
-// TestWriteSnapshotSyncsDir: a snapshot is reported written only after
-// the directory fsync that makes its rename durable; a failed one is
-// returned and leaves the older snapshots unpruned.
-func TestWriteSnapshotSyncsDir(t *testing.T) {
-	dir := t.TempDir()
-	injected := errors.New("injected directory fsync failure")
-	fail := false
-	calls := stubSyncDir(t, func(int) error {
-		if fail {
-			return injected
-		}
-		return nil
-	})
-	for seq := uint64(1); seq <= 2; seq++ {
-		if err := WriteSnapshot(dir, seq, []byte(`{"ok":true}`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if *calls != 2 {
-		t.Fatalf("two snapshots made %d directory fsyncs, want 2", *calls)
-	}
-	fail = true
-	if err := WriteSnapshot(dir, 3, []byte(`{"ok":false}`)); !errors.Is(err, injected) {
-		t.Fatalf("WriteSnapshot returned %v, want the injected error", err)
-	}
-	seqs, err := snapshotSeqs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 3 {
-		t.Fatalf("snapshots after a failed directory fsync = %v, want 1, 2 and 3 (no pruning)", seqs)
 	}
 }

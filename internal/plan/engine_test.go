@@ -305,10 +305,14 @@ func TestProvisionCancelled(t *testing.T) {
 // TestSearchAllocs pins the allocation-free search on the path
 // production takes: a shared catalog and no flight recorder. Search and
 // Provision allocate nothing; Candidates pays for its list's append
-// growth and the Rank keys. Each ceiling is the count measured when it
-// was set plus 0.1% + 0.5 slack, so one more allocation fails.
+// growth and the Rank keys. A request without a catalog pays for one
+// DefaultCatalog, which shares its type list. Each ceiling is the count
+// measured when it was set plus 0.1% + 0.5 slack, so one more
+// allocation fails.
 func TestSearchAllocs(t *testing.T) {
 	req := section53Request(t)
+	noCatalog := req
+	noCatalog.Catalog = nil
 	req.Catalog = cloud.DefaultCatalog()
 	ctx := context.Background()
 	ranked, err := DefaultEngine.Candidates(ctx, req)
@@ -325,6 +329,7 @@ func TestSearchAllocs(t *testing.T) {
 	}{
 		{"Search", func() error { _, err := DefaultEngine.Search(ctx, req); return err }, 0},
 		{"Provision", func() error { _, err := Provision(req); return err }, 0},
+		{"Provision without a catalog", func() error { _, err := Provision(noCatalog); return err }, 1},
 		{"Candidates", func() error { _, err := DefaultEngine.Candidates(ctx, req); return err }, 10},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {

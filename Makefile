@@ -19,8 +19,8 @@ race:
 	$(GO) test -race -shuffle=on -timeout 15m ./...
 
 # stress repeats the packages with real concurrency (TCP parameter
-# servers, the recovery state machine, the plan service's coalescing and
-# admission, the workload table every request shares, concurrent
+# servers, the recovery state machine, the plan service's admission
+# bound, the workload table every request shares, concurrent
 # barriers over the durable tier's snapshot slots) to shake out
 # timing-dependent flakes before they reach CI.
 stress:

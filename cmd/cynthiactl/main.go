@@ -84,8 +84,8 @@ func run(server string, args []string) error {
 		defer resp.Body.Close()
 		return dump(resp)
 	case "plan":
-		// Quote a submission without provisioning: the master answers
-		// from the plan service and reports how in the X-Cache header.
+		// Quote a submission without provisioning: the master runs the
+		// search through its plan service.
 		fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 		workload := fs.String("workload", "cifar10 DNN", "workload name")
 		deadline := fs.Float64("deadline", 5400, "deadline in seconds")
@@ -98,9 +98,6 @@ func run(server string, args []string) error {
 			return err
 		}
 		defer resp.Body.Close()
-		if c := resp.Header.Get("X-Cache"); c != "" {
-			fmt.Printf("cache: %s\n", c)
-		}
 		return dump(resp)
 	case "timeline":
 		fs := flag.NewFlagSet("timeline", flag.ContinueOnError)

@@ -51,8 +51,8 @@ func TestSubmitAndGetJob(t *testing.T) {
 
 func TestPlanQuote(t *testing.T) {
 	addr := startMaster(t)
-	// Quote twice (second answer comes from the plan cache), then check
-	// no job was registered by either.
+	// Quote twice (each runs a search), then check no job was registered
+	// by either.
 	for i := 0; i < 2; i++ {
 		if err := run(addr, []string{"plan", "-workload", "mnist DNN", "-deadline", "1800", "-loss", "0.2"}); err != nil {
 			t.Fatalf("plan failed: %v", err)

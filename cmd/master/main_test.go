@@ -228,25 +228,32 @@ func TestPprofFlagMountsProfiles(t *testing.T) {
 }
 
 // TestPlanEndpointServed pins that the plan service is wired into the
-// served mux: a repeated quote comes back from the cache with no job
-// registered.
+// served mux: a repeated quote runs a search each time, answers the same
+// plan both times, and registers no job.
 func TestPlanEndpointServed(t *testing.T) {
 	srv := newTestServer(t, false)
 	body := `{"workload": "mnist DNN", "deadline_sec": 3600, "loss_target": 0.2}`
-	var cache []string
+	var quotes []map[string]any
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(srv.URL+"/api/plan", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /api/plan: %s", resp.Status)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /api/plan: %s, %v", resp.Status, err)
 		}
-		cache = append(cache, resp.Header.Get("X-Cache"))
+		if out["search_stats"].(map[string]any)["enumerated"].(float64) == 0 {
+			t.Errorf("quote %d ran no search: %v", i, out)
+		}
+		quotes = append(quotes, out)
 	}
-	if cache[0] != "miss" || cache[1] != "hit" {
-		t.Errorf("X-Cache sequence = %v, want [miss hit]", cache)
+	for _, k := range []string{"instance_type", "workers", "ps", "iterations", "predicted_sec", "cost_usd"} {
+		if quotes[0][k] != quotes[1][k] {
+			t.Errorf("%s: first quote %v, second %v", k, quotes[0][k], quotes[1][k])
+		}
 	}
 	var jobs []map[string]any
 	getJSON(t, srv.URL+"/api/jobs", &jobs)

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // InstanceType describes one catalog entry. Capacities are per docker
@@ -49,13 +48,10 @@ func (t InstanceType) String() string {
 }
 
 // Catalog is a set of instance types keyed by name. A catalog may be
-// mutated after construction (spot repricing, new families coming online);
-// every mutation bumps its epoch, which cross-request plan caches fold
-// into their keys so cached plans computed against stale prices can never
-// be served again. All methods are safe for concurrent use.
+// repriced after construction (on-demand and spot prices); a search reads
+// the prices current when it runs. All methods are safe for concurrent
+// use.
 type Catalog struct {
-	id uint64 // process-unique identity, for cache keys
-
 	mu sync.RWMutex
 	// types is sorted by name and never written in place: SetPrice
 	// installs a repriced copy, so a slice Types handed out earlier keeps
@@ -63,13 +59,7 @@ type Catalog struct {
 	// append by a caller copies instead of writing into the shared array.
 	types []InstanceType
 	spot  map[string]float64 // current spot price per type; nil until the first SetSpotPrice
-	epoch atomic.Uint64
 }
-
-// catalogIDs hands each catalog a process-unique identity, so caches
-// keyed on (catalog, epoch) never confuse two catalogs that happen to
-// share an epoch count.
-var catalogIDs atomic.Uint64
 
 func validateType(t InstanceType) error {
 	if t.Name == "" {
@@ -94,7 +84,7 @@ func NewCatalog(types ...InstanceType) (*Catalog, error) {
 			return nil, fmt.Errorf("cloud: duplicate instance type %s", t.Name)
 		}
 	}
-	return &Catalog{id: catalogIDs.Add(1), types: slices.Clip(sorted)}, nil
+	return &Catalog{types: slices.Clip(sorted)}, nil
 }
 
 // index finds name in the sorted types; the caller holds mu.
@@ -104,19 +94,8 @@ func (c *Catalog) index(name string) (int, bool) {
 	})
 }
 
-// ID returns the catalog's process-unique identity.
-func (c *Catalog) ID() uint64 { return c.id }
-
-// Epoch returns the mutation epoch: 0 for a freshly built catalog,
-// incremented by every SetPrice or SetSpotPrice. Plan caches key on
-// (ID, Epoch, workload fingerprint), so reading the epoch before a search
-// and keying the result on it makes stale cache entries unreachable the
-// instant the catalog changes.
-func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
-
-// SetPrice reprices one instance type and bumps the epoch. It installs a
-// repriced copy of the type list; slices Types returned before are left
-// as they were.
+// SetPrice reprices one instance type. It installs a repriced copy of
+// the type list; slices Types returned before are left as they were.
 func (c *Catalog) SetPrice(name string, pricePerHour float64) error {
 	if pricePerHour <= 0 {
 		return fmt.Errorf("cloud: price %.4f for %s must be positive", pricePerHour, name)
@@ -130,15 +109,12 @@ func (c *Catalog) SetPrice(name string, pricePerHour float64) error {
 	types := slices.Clone(c.types)
 	types[i].PricePerHour = pricePerHour
 	c.types = slices.Clip(types)
-	c.epoch.Add(1)
 	return nil
 }
 
 // SetSpotPrice records the current spot-market price of one instance
-// type and bumps the epoch, so plan caches keyed on (ID, Epoch) drop
-// entries computed against the stale price. The on-demand price
-// (PricePerHour) is untouched; consumers that want the spot price read
-// it explicitly via SpotPrice.
+// type. The on-demand price (PricePerHour) is untouched; consumers that
+// want the spot price read it explicitly via SpotPrice.
 func (c *Catalog) SetSpotPrice(name string, pricePerHour float64) error {
 	if pricePerHour <= 0 {
 		return fmt.Errorf("cloud: spot price %.4f for %s must be positive", pricePerHour, name)
@@ -152,7 +128,6 @@ func (c *Catalog) SetSpotPrice(name string, pricePerHour float64) error {
 		c.spot = make(map[string]float64)
 	}
 	c.spot[name] = pricePerHour
-	c.epoch.Add(1)
 	return nil
 }
 
@@ -210,7 +185,7 @@ const (
 // on m4.xlarge (Fig. 2) and ~110 MB/s on r3.xlarge (Fig. 7). Prices are
 // 2019-era us-east-1 on-demand rates.
 func DefaultCatalog() *Catalog {
-	return &Catalog{id: catalogIDs.Add(1), types: defaultTypes()}
+	return &Catalog{types: defaultTypes()}
 }
 
 // defaultTypes is the validated, name-sorted type list every

@@ -7,9 +7,9 @@ package cloud
 // master re-deriving a decision at the same provider-clock instant
 // reads exactly the prices the crashed master saw; nothing about market
 // position needs to live in a snapshot. AdvanceTo is the only mutating
-// call: it pushes the current prices into the catalog's spot map, whose
-// epoch bump is what invalidates cached plans — it never feeds back
-// into decisions, which always read the trace directly.
+// call: it pushes the current prices into the catalog's spot map, where
+// Catalog.SpotPrice reports them; that map never feeds back into
+// decisions, which always read the trace directly.
 
 import (
 	"errors"
@@ -32,7 +32,7 @@ type Market struct {
 
 // NewMarket validates the trace set against the catalog (every traced
 // type must exist) and applies the time-zero prices to the catalog's
-// spot map, bumping its epoch once per type.
+// spot map.
 func NewMarket(catalog *Catalog, set *pricing.TraceSet) (*Market, error) {
 	if catalog == nil || set == nil {
 		return nil, fmt.Errorf("cloud: market needs a catalog and a trace set")
@@ -100,10 +100,8 @@ func (m *Market) SpotCost(name string, t0, t1 float64) (float64, bool) {
 }
 
 // AdvanceTo pushes every type's spot price as of the given time into
-// the catalog's spot map and returns how many prices moved. Each move
-// bumps the catalog epoch, invalidating cached plans priced against the
-// old market. Idempotent: advancing twice to the same time moves
-// nothing the second call.
+// the catalog's spot map and returns how many prices moved. Idempotent:
+// advancing twice to the same time moves nothing the second call.
 func (m *Market) AdvanceTo(now float64) int {
 	moves := 0
 	for _, tr := range m.set.Traces {

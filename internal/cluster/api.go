@@ -36,8 +36,7 @@ import (
 // the job ID immediately. A full queue — or an overloaded plan service —
 // is 429 with Retry-After; a submission the durable tier could not record
 // is 503 with Retry-After. A POST body over maxRequestBody is 413.
-// POST /api/plan answers through the plan service's cross-request cache
-// and reports how via the X-Cache header (hit, miss, or coalesced).
+// POST /api/plan runs one search per quote through the plan service.
 type API struct {
 	master     *Master
 	controller *Controller
@@ -68,7 +67,7 @@ func NewAPI(master *Master, controller *Controller, opts ...APIOption) *API {
 	return a
 }
 
-// PlanService exposes the quote cache (stats, shutdown).
+// PlanService exposes the plan service behind quotes (stats, shutdown).
 func (a *API) PlanService() *service.Service { return a.plans }
 
 // Drain stops admitting new work and waits for what is already in
@@ -387,10 +386,8 @@ func (a *API) postJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, toResponse(snap))
 }
 
-// PlanResponse is the wire form of a quote: the plan the search chose,
-// how the cache answered (mirrored in the X-Cache header), and the
-// search and service counters behind the answer. search_stats is all
-// zeros on cache hits — the quote cost no Theorem 4.1 evaluations.
+// PlanResponse is the wire form of a quote: the plan the search chose and
+// the counts of the search that chose it.
 type PlanResponse struct {
 	Workload     string  `json:"workload"`
 	InstanceType string  `json:"instance_type"`
@@ -400,8 +397,6 @@ type PlanResponse struct {
 	PredTimeSec  float64 `json:"predicted_sec"`
 	CostUSD      float64 `json:"cost_usd"`
 	Feasible     bool    `json:"feasible"`
-	Cache        string  `json:"cache"`
-	Key          string  `json:"key"`
 	TraceID      string  `json:"trace_id"`
 	SearchStats  struct {
 		Types      int `json:"types"`
@@ -409,13 +404,12 @@ type PlanResponse struct {
 		Pruned     int `json:"pruned"`
 		Feasible   int `json:"feasible"`
 	} `json:"search_stats"`
-	Service service.Stats `json:"service"`
 }
 
 // postPlan quotes a submission without provisioning anything: same
-// payload as POST /api/jobs, answered by the plan service (cache,
-// coalescing, admission control). Overload is 429 + Retry-After;
-// planning failures (e.g. an unreachable loss target) are 422.
+// payload as POST /api/jobs, answered by the plan service. Overload and
+// a drained service are 429 + Retry-After, like a full or closed job
+// queue; planning failures (e.g. an unreachable loss target) are 422.
 func (a *API) postPlan(w http.ResponseWriter, r *http.Request) {
 	workload, goal, err := decodeJobRequest(w, r)
 	if err != nil {
@@ -433,7 +427,7 @@ func (a *API) postPlan(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := a.plans.Plan(r.Context(), preq)
 	if err != nil {
-		if errors.Is(err, service.ErrOverloaded) {
+		if errors.Is(err, service.ErrOverloaded) || errors.Is(err, service.ErrClosed) {
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 			return
@@ -450,16 +444,12 @@ func (a *API) postPlan(w http.ResponseWriter, r *http.Request) {
 		PredTimeSec:  res.Plan.PredTime,
 		CostUSD:      res.Plan.Cost,
 		Feasible:     res.Plan.Feasible,
-		Cache:        string(res.Outcome),
-		Key:          res.Key.String(),
 		TraceID:      traceID,
-		Service:      a.plans.Stats(),
 	}
 	resp.SearchStats.Types = res.Stats.Types
 	resp.SearchStats.Enumerated = res.Stats.Enumerated
 	resp.SearchStats.Pruned = res.Stats.Pruned
 	resp.SearchStats.Feasible = res.Stats.Feasible
-	w.Header().Set("X-Cache", string(res.Outcome))
 	w.Header().Set("X-Trace-ID", traceID)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,9 +1,10 @@
 package cluster
 
 // HTTP-level tests for the plan service endpoint and async submission:
-// the quote path (X-Cache semantics, epoch invalidation), the admission
-// edges (429 + Retry-After from both the plan service and the job
-// queue), and a mixed read/write storm that -race keeps honest.
+// the quote path (answers equal a direct search, repricing reaches the
+// next quote), the admission edges (429 + Retry-After from both the plan
+// service and the job queue), and a mixed read/write storm that -race
+// keeps honest.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"cynthia/internal/cloud"
+	"cynthia/internal/model"
 	"cynthia/internal/obs"
 	"cynthia/internal/plan"
 	"cynthia/internal/plan/service"
@@ -26,43 +28,64 @@ func planBody(deadline float64) string {
 	return fmt.Sprintf(`{"workload": "cifar10 DNN", "deadline_sec": %g, "loss_target": 0.8}`, deadline)
 }
 
+// directQuote is the plan a direct Search returns for planBody(deadline)
+// against the API's controller: the answer a quote must serve.
+func directQuote(t *testing.T, api *API, deadline float64) plan.Result {
+	t.Helper()
+	w, err := model.WorkloadByName("cifar10 DNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := api.controller.PlanRequest(w, plan.Goal{TimeSec: deadline, LossTarget: 0.8}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.DefaultEngine.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameQuote reports how a decoded PlanResponse differs from want, or "".
+func sameQuote(out map[string]any, want plan.Result) string {
+	p := want.Plan
+	got := fmt.Sprint(out["instance_type"], out["workers"], out["ps"], out["iterations"], out["predicted_sec"], out["cost_usd"], out["feasible"])
+	if exp := fmt.Sprint(p.Type.Name, float64(p.Workers), float64(p.PS), float64(p.Iterations), p.PredTime, p.Cost, p.Feasible); got != exp {
+		return fmt.Sprintf("quote %s, a direct search plans %s", got, exp)
+	}
+	return ""
+}
+
+// TestPlanEndpointMissThenHit: every quote runs a search, so asking twice
+// answers twice with the direct search's plan and its real search counts,
+// and the reply carries nothing about a cache.
 func TestPlanEndpointMissThenHit(t *testing.T) {
 	api, _ := newTestAPI(t)
 	h := api.Handler()
-
-	rec, miss := doJSON(t, h, "POST", "/api/plan", planBody(7200))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Cache"); got != "miss" {
-		t.Errorf("first X-Cache = %q, want miss", got)
-	}
-	if miss["instance_type"] == "" || miss["workers"].(float64) < 1 || miss["feasible"] != true {
-		t.Errorf("plan fields: %v", miss)
-	}
-	if miss["search_stats"].(map[string]any)["enumerated"].(float64) == 0 {
-		t.Errorf("miss reported no enumeration: %v", miss["search_stats"])
-	}
-
-	rec, hit := doJSON(t, h, "POST", "/api/plan", planBody(7200))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Cache"); got != "hit" {
-		t.Errorf("second X-Cache = %q, want hit", got)
-	}
-	// The cached answer is the same plan, served with zero Theorem 4.1
-	// evaluations (all-zero search stats).
-	for _, k := range []string{"instance_type", "workers", "ps", "iterations", "predicted_sec", "cost_usd", "key"} {
-		if miss[k] != hit[k] {
-			t.Errorf("%s: miss=%v hit=%v", k, miss[k], hit[k])
+	want := directQuote(t, api, 7200)
+	for i := range 2 {
+		rec, out := doJSON(t, h, "POST", "/api/plan", planBody(7200))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
+		}
+		if diff := sameQuote(out, want); diff != "" {
+			t.Errorf("quote %d: %s", i, diff)
+		}
+		if got := out["search_stats"].(map[string]any)["enumerated"].(float64); int(got) != want.Stats.Enumerated || got == 0 {
+			t.Errorf("quote %d enumerated %v, a direct search %d", i, got, want.Stats.Enumerated)
+		}
+		for _, k := range []string{"cache", "key", "service"} {
+			if _, ok := out[k]; ok {
+				t.Errorf("quote %d carries %q", i, k)
+			}
+		}
+		if rec.Header().Get("X-Cache") != "" {
+			t.Errorf("quote %d sent an X-Cache header", i)
 		}
 	}
-	if hit["search_stats"].(map[string]any)["enumerated"].(float64) != 0 {
-		t.Errorf("hit reported search work: %v", hit["search_stats"])
-	}
-	if hit["service"].(map[string]any)["hits"].(float64) < 1 {
-		t.Errorf("service stats missing the hit: %v", hit["service"])
+	if got := api.PlanService().Stats().Searches; got != 2 {
+		t.Errorf("two quotes ran %d searches", got)
 	}
 	// Nothing was provisioned for either quote.
 	if strings.TrimSpace(doBody(t, h, "GET", "/api/nodes")) != "[]" {
@@ -76,11 +99,12 @@ func TestPlanEndpointMissThenHit(t *testing.T) {
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 
-// TestPlanHitPathAllocs pins what a cached quote allocates end to end
-// through API.Handler(): routing, the body decode, the workload lookup,
-// the plan service hit, and the JSON response. The request and recorder
-// are built inside the measured closure, as a server builds them per
-// request. Lower the measured count whenever a change lowers it.
+// TestPlanHitPathAllocs pins what a quote allocates end to end through
+// API.Handler(): routing, the body decode, the workload lookup, the
+// search behind the plan service's admission, the journal events and the
+// JSON response. The request and recorder are built inside the measured
+// closure, as a server builds them per request. Lower the measured count
+// whenever a change lowers it.
 func TestPlanHitPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are randomized under the race detector (see race_test.go)")
@@ -94,21 +118,15 @@ func TestPlanHitPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/plan", strings.NewReader(body)))
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
-			t.Fatalf("quote = %d, X-Cache %q", rec.Code, rec.Header().Get("X-Cache"))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("quote = %d", rec.Code)
 		}
 	})
-	// The response and the journal each print the cache key, and strconv
-	// formats a catalog ID under 100 without allocating; a test binary
-	// that has built 100 catalogs pays one allocation more per print.
-	measured := 41.0
-	if api.controller.provider.Catalog().ID() >= 100 {
-		measured += 2
-	}
+	const measured = 43.0
 	ceiling := measured*1.001 + 0.5
-	t.Logf("POST /api/plan hit: %.0f allocs, ceiling %.1f", allocs, ceiling)
+	t.Logf("POST /api/plan: %.0f allocs, ceiling %.1f", allocs, ceiling)
 	if allocs > ceiling {
-		t.Errorf("POST /api/plan hit allocates %.0f objects, above its ceiling %.1f", allocs, ceiling)
+		t.Errorf("POST /api/plan allocates %.0f objects, above its ceiling %.1f", allocs, ceiling)
 	}
 }
 
@@ -135,6 +153,8 @@ func TestPlanEndpointValidationAndFailure(t *testing.T) {
 	}
 }
 
+// TestPlanEpochBumpInvalidatesOverHTTP: a quote after SetPrice is
+// priced at the new rate.
 func TestPlanEpochBumpInvalidatesOverHTTP(t *testing.T) {
 	api, provider := newTestAPI(t)
 	h := api.Handler()
@@ -143,23 +163,18 @@ func TestPlanEpochBumpInvalidatesOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("plan = %d", rec.Code)
 	}
-	if err := provider.Catalog().SetPrice(cloud.M4XLarge, 99); err != nil {
+	if err := provider.Catalog().SetPrice(before["instance_type"].(string), 99); err != nil {
 		t.Fatal(err)
 	}
-	// A hit must never outlive a catalog mutation: the first quote after
-	// the bump re-searches under a new key.
 	rec, after := doJSON(t, h, "POST", "/api/plan", planBody(7200))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("plan = %d", rec.Code)
 	}
-	if got := rec.Header().Get("X-Cache"); got != "miss" {
-		t.Errorf("post-bump X-Cache = %q, want miss", got)
+	if diff := sameQuote(after, directQuote(t, api, 7200)); diff != "" {
+		t.Errorf("after repricing: %s", diff)
 	}
-	if before["key"] == after["key"] {
-		t.Errorf("cache key survived the epoch bump: %v", after["key"])
-	}
-	if after["search_stats"].(map[string]any)["enumerated"].(float64) == 0 {
-		t.Error("post-bump quote did not re-search")
+	if after["instance_type"] == before["instance_type"] && after["cost_usd"] == before["cost_usd"] {
+		t.Errorf("quote did not react to repricing %v at $99/h: %v", before["instance_type"], after)
 	}
 }
 
@@ -213,6 +228,22 @@ func TestPlanOverloadReturns429(t *testing.T) {
 	rec, _ := doJSON(t, h, "POST", "/api/plan", planBody(2000))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded plan = %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+}
+
+// TestPlanAfterDrainReturns429: a drained API turns quotes away like
+// job submissions, with 429 + Retry-After, not as unprocessable.
+func TestPlanAfterDrainReturns429(t *testing.T) {
+	api, _ := newTestAPI(t)
+	if err := api.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := doJSON(t, api.Handler(), "POST", "/api/plan", planBody(7200))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("post-drain quote = %d: %s", rec.Code, rec.Body.String())
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
@@ -334,8 +365,9 @@ func TestWriteFailuresAreCounted(t *testing.T) {
 
 // TestPlanJobStorm mixes concurrent quotes and submissions through a
 // live httptest server. Under -race this pins the locking discipline;
-// the assertions pin that coalesced/cached quotes serve bit-identical
-// plans and that a catalog mutation invalidates every live entry.
+// the assertions pin that every quote serves the plan a direct search
+// returns, that each runs its own search, and that a repricing reaches
+// the next quote.
 func TestPlanJobStorm(t *testing.T) {
 	api, provider := newTestAPI(t)
 	srv := httptest.NewServer(api.Handler())
@@ -354,12 +386,11 @@ func TestPlanJobStorm(t *testing.T) {
 	}
 
 	deadlines := []float64{5400, 7200, 9000}
-	const clients = 12
-	var (
-		mu      sync.Mutex
-		plans   = map[string]string{} // cache key -> canonical plan JSON
-		outcome = map[string]int{}
-	)
+	wants := make([]plan.Result, len(deadlines))
+	for k, d := range deadlines {
+		wants[k] = directQuote(t, api, d)
+	}
+	const clients, quotes = 12, 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*16)
 	for i := 0; i < clients; i++ {
@@ -382,9 +413,9 @@ func TestPlanJobStorm(t *testing.T) {
 					return
 				}
 			}
-			for n := 0; n < 8; n++ {
-				d := deadlines[(i+n)%len(deadlines)]
-				resp, out, err := post("/api/plan", planBody(d))
+			for n := 0; n < quotes; n++ {
+				k := (i + n) % len(deadlines)
+				resp, out, err := post("/api/plan", planBody(deadlines[k]))
 				if err != nil {
 					errs <- err
 					return
@@ -393,18 +424,9 @@ func TestPlanJobStorm(t *testing.T) {
 					errs <- fmt.Errorf("plan = %d: %v", resp.StatusCode, out)
 					return
 				}
-				canon, _ := json.Marshal(map[string]any{
-					"type": out["instance_type"], "workers": out["workers"], "ps": out["ps"],
-					"iters": out["iterations"], "pred": out["predicted_sec"], "cost": out["cost_usd"],
-				})
-				key, _ := out["key"].(string)
-				mu.Lock()
-				if prev, ok := plans[key]; ok && prev != string(canon) {
-					errs <- fmt.Errorf("key %s served two plans:\n%s\n%s", key, prev, canon)
+				if diff := sameQuote(out, wants[k]); diff != "" {
+					errs <- fmt.Errorf("deadline %.0f: %s", deadlines[k], diff)
 				}
-				plans[key] = string(canon)
-				outcome[resp.Header.Get("X-Cache")]++
-				mu.Unlock()
 			}
 		}(i)
 	}
@@ -413,31 +435,20 @@ func TestPlanJobStorm(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if len(plans) != len(deadlines) {
-		t.Errorf("distinct cache keys = %d, want %d", len(plans), len(deadlines))
-	}
-	if outcome["hit"] == 0 {
-		t.Errorf("storm produced no cache hits: %v", outcome)
-	}
-	// The plan service searched once per distinct question, no matter
-	// how many clients asked — everything else was a hit or coalesced.
-	if got := api.PlanService().Stats().Searches; got != uint64(len(deadlines)) {
-		t.Errorf("service searches = %d, want %d", got, len(deadlines))
+	// Every admitted quote ran its own search; job submissions plan in
+	// the controller, not through the service.
+	if st := api.PlanService().Stats(); st.Searches != clients*quotes || st.Requests != st.Searches {
+		t.Errorf("service stats = %+v, want %d quotes, each searched", st, clients*quotes)
 	}
 
-	// Epoch bump: no cached answer survives a price change.
+	// A repricing reaches the next quote.
 	if err := provider.Catalog().SetPrice(cloud.M4XLarge, 42); err != nil {
 		t.Fatal(err)
 	}
-	resp, out, err := post("/api/plan", planBody(5400))
-	if err != nil {
+	if _, out, err := post("/api/plan", planBody(5400)); err != nil {
 		t.Fatal(err)
-	}
-	if resp.Header.Get("X-Cache") != "miss" {
-		t.Errorf("post-bump X-Cache = %q, want miss", resp.Header.Get("X-Cache"))
-	}
-	if _, seen := plans[out["key"].(string)]; seen {
-		t.Errorf("post-bump key %v collides with a pre-bump entry", out["key"])
+	} else if diff := sameQuote(out, directQuote(t, api, 5400)); diff != "" {
+		t.Errorf("after repricing: %s", diff)
 	}
 
 	// Let submitted jobs finish and verify teardown. A job's done channel

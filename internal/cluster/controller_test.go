@@ -93,17 +93,17 @@ func TestControllerCandidatesOnlyOnFallback(t *testing.T) {
 		t.Errorf("two submissions ran %d searches and %d candidate lists, want 2 and 1", s, c)
 	}
 
-	// Quote misses answer with the plan alone.
+	// Quotes answer with the plan alone.
 	svc := service.New(service.Config{Provisioner: counter, Catalog: provider.Catalog(), Registry: obs.NewRegistry()})
 	t.Cleanup(svc.Close)
 	h := NewAPI(master, ctl, WithPlanService(svc)).Handler()
 	for _, d := range []float64{3600, 5400, 9000} {
-		if rec, _ := doJSON(t, h, "POST", "/api/plan", planBody(d)); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
-			t.Fatalf("quote %.0f: %d, X-Cache %q", d, rec.Code, rec.Header().Get("X-Cache"))
+		if rec, _ := doJSON(t, h, "POST", "/api/plan", planBody(d)); rec.Code != http.StatusOK {
+			t.Fatalf("quote %.0f: %d", d, rec.Code)
 		}
 	}
 	if s, c := count(); s != 5 || c != 1 {
-		t.Errorf("three quote misses moved the counts to %d searches and %d candidate lists, want 5 and 1", s, c)
+		t.Errorf("three quotes moved the counts to %d searches and %d candidate lists, want 5 and 1", s, c)
 	}
 }
 

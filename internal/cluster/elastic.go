@@ -66,7 +66,7 @@ func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice,
 		return base, nil, nil
 	}
 	now := c.provider.Now()
-	m.AdvanceTo(now) // push current prices into the catalog spot map: epoch bump -> plan caches drop stale entries
+	m.AdvanceTo(now) // push current prices into the catalog spot map, where Catalog.SpotPrice reports them
 	strat := c.spotStrategy()
 	types := base.Types()
 	eff := make([]cloud.InstanceType, 0, len(types))

@@ -41,11 +41,8 @@ const (
 	PlanSearchDone  Type = "plan.search.done"
 	PlanChosen      Type = "job.plan.chosen"
 
-	// Plan service (cross-request result cache + admission control).
-	PlanCacheHit       Type = "plan.cache.hit"
-	PlanCacheMiss      Type = "plan.cache.miss"
-	PlanCacheCoalesced Type = "plan.cache.coalesced"
-	PlanRejected       Type = "plan.rejected"
+	// Plan service admission control.
+	PlanRejected Type = "plan.rejected"
 
 	// Controller provisioning and recovery state machine.
 	JobProvisioned   Type = "job.provisioned"

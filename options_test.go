@@ -29,7 +29,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 			"Disabled", "CheckpointEvery", "RestartOverheadSec", "Sleep"}},
 		{reflect.TypeFor[replay.Options](), []string{"Mode", "SnapshotEvery"}},
 		{reflect.TypeFor[service.Config](), []string{
-			"Provisioner", "Catalog", "QueueDepth", "CacheCapacity", "Registry"}},
+			"Provisioner", "Catalog", "QueueDepth", "Registry"}},
 		{reflect.TypeFor[plan.Request](), []string{
 			"Profile", "Goal", "Predictor", "Catalog", "Journal"}},
 		{reflect.TypeFor[cloud.FaultPlan](), []string{

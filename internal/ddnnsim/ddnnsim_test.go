@@ -1,7 +1,9 @@
 package ddnnsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -396,9 +398,9 @@ func TestSimAllocCeilings(t *testing.T) {
 		workers, ps int
 		measured    float64
 	}{
-		{"BSPRound", "mnist DNN", 8, 1, 256},
-		{"ASPRound", "ResNet-32", 8, 1, 173},
-		{"LargeClusterIterations", "ResNet-32", 64, 8, 1201},
+		{"BSPRound", "mnist DNN", 8, 1, 225},
+		{"ASPRound", "ResNet-32", 8, 1, 130},
+		{"LargeClusterIterations", "ResNet-32", 64, 8, 959},
 	} {
 		allocs := testing.AllocsPerRun(3, simRun(t, tc.workload, tc.workers, tc.ps))
 		ceiling := tc.measured*1.001 + 0.5
@@ -465,6 +467,38 @@ func BenchmarkLargeClusterIterations(b *testing.B) {
 		run()
 	}
 	b.ReportMetric(100*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
+}
+
+// BenchmarkJobsWideShapes times the clusters the end-to-end job workloads
+// plan (cifar10 at 18x2 and 22x3, ResNet-32 ASP at 16x1, mnist at 2x1),
+// each at the iteration count of its planned job, reported as simulated
+// iterations per wall-clock second. It is a developer tool for the
+// simulator's share of a job, not a gate.
+func BenchmarkJobsWideShapes(b *testing.B) {
+	for _, tc := range []struct {
+		workload           string
+		workers, ps, iters int
+	}{
+		{"cifar10 DNN", 18, 2, 889},
+		{"cifar10 DNN", 22, 3, 889},
+		{"ResNet-32", 16, 1, 3750},
+		{"mnist DNN", 2, 1, 1800},
+	} {
+		w, err := model.WorkloadByName(tc.workload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := cloud.Homogeneous(m4, tc.workers, tc.ps)
+		b.Run(fmt.Sprintf("%s/%dx%d", strings.Fields(tc.workload)[0], tc.workers, tc.ps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(w, spec, Options{Iterations: tc.iters, LossEvery: tc.iters}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tc.iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
+		})
+	}
 }
 
 var _ = catalog // keep the package-level catalog referenced

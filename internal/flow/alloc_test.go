@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -153,25 +154,11 @@ func TestCrossComponentTieBreakPartitionIndependent(t *testing.T) {
 // psRounds runs a PS-shaped load: each of n workers computes on its own
 // CPU (a one-flow component), then pushes over its NIC and the shared PS
 // NIC (one component every in-flight push joins), for the given rounds.
-// It returns every completion as (label, time) in delivery order, and
-// counts the recomputes that took each rekeyAffected branch: heapified
-// when the re-keyed flows are at least half the heap, heapFixed
-// otherwise.
-func psRounds(step func(*Engine), n, rounds int) (log []string, heapified, heapFixed int) {
+// It returns every completion as (label, time) in delivery order.
+func psRounds(step func(*Engine), n, rounds int) (log []string) {
 	e := NewEngine()
+	e.allocStep = step
 	ps := NewResource("psnic", 40)
-	e.allocStep = func(e *Engine) {
-		before := e.stats.AllocRecomputes
-		step(e)
-		if e.stats.AllocRecomputes == before || len(e.affected) == 0 {
-			return
-		}
-		if 2*len(e.affected) >= len(e.cheap) {
-			heapified++
-		} else {
-			heapFixed++
-		}
-	}
 	for i := 0; i < n; i++ {
 		cpu := NewResource("cpu", 2+float64(i%3))
 		nic := NewResource("nic", 10)
@@ -192,26 +179,84 @@ func psRounds(step func(*Engine), n, rounds int) (log []string, heapified, heapF
 		compute(0)
 	}
 	e.Run(0)
-	return log, heapified, heapFixed
+	return log
 }
 
-// TestRekeyBranchesMatchReference drives both rekeyAffected branches — the
-// one-pass heapify when a completion at the shared PS NIC re-keys most of
-// the heap, heapFix when a one-flow CPU component changes — under the
-// verify step, which checks the heap after every recompute, and requires
-// the completion sequence to match the reference step's bit for bit.
-func TestRekeyBranchesMatchReference(t *testing.T) {
-	ref, _, _ := psRounds((*Engine).allocReferenceStep, 12, 6)
-	got, heapified, heapFixed := psRounds((*Engine).allocVerifyStep, 12, 6)
-	if heapified == 0 || heapFixed == 0 {
-		t.Fatalf("recomputes took heapify %d times and heapFix %d times, want both > 0", heapified, heapFixed)
+// coincidentBatch submits flows that all complete inside one clock slack
+// of t = 1000 but in a different order than they were submitted: five
+// one-flow components and one two-flow component, with completion times
+// spread over three ulps and two exact ties that only the submission
+// order breaks. It returns each completion as (label, time) in delivery
+// order.
+func coincidentBatch(step func(*Engine)) (log []string) {
+	e := NewEngine()
+	e.allocStep = step
+	ulps := func(n int) float64 {
+		x := 1000.0
+		for ; n > 0; n-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		return x
 	}
-	if len(got) != len(ref) {
-		t.Fatalf("%d completions, reference %d", len(got), len(ref))
+	shared := NewResource("shared", 2)
+	for _, fl := range []struct {
+		label string
+		ulps  int
+		res   *Resource
+	}{
+		{"a", 2, nil}, {"b", 0, nil}, {"c", 3, nil}, {"d", 0, shared},
+		{"e", 1, nil}, {"f", 0, nil}, {"g", 1, shared},
+	} {
+		res := fl.res // two flows share it at rate 1 each
+		if res == nil {
+			res = NewResource(fl.label, 1)
+		}
+		label := fl.label
+		e.Submit(label, ulps(fl.ulps), []*Resource{res}, func(now float64) {
+			log = append(log, fmt.Sprintf("%s %x", label, math.Float64bits(now)))
+		})
 	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("completion %d = %s, reference %s", i, got[i], ref[i])
+	e.Run(0)
+	return log
+}
+
+// TestCoincidentDeliveryMatchesReference pins the completion heap's
+// delivery order: flows due inside one clock slack, in different
+// components and within one, are delivered in one batch in exact (doneAt,
+// submission) order, whatever component record held them, bit for bit as
+// under the reference step. The PS-shaped rounds cover the same property
+// under churn, with the verify step checking the records after every
+// recompute.
+func TestCoincidentDeliveryMatchesReference(t *testing.T) {
+	got := coincidentBatch((*Engine).allocVerifyStep)
+	var order []string
+	for _, l := range got {
+		order = append(order, strings.Fields(l)[0])
+	}
+	// b, d, f tie at exactly 1000 (submission order), then e and g one ulp
+	// later, a at two ulps and c at three; all at the batch's clock.
+	if want := "b d f e g a c"; strings.Join(order, " ") != want {
+		t.Fatalf("delivery order %v, want %s", order, want)
+	}
+	for _, l := range got {
+		if when := strings.Fields(l)[1]; when != fmt.Sprintf("%x", math.Float64bits(1000)) {
+			t.Fatalf("completion %s delivered at %s, want the batch clock 1000", l, when)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		ref, got []string
+	}{
+		{"coincident", coincidentBatch((*Engine).allocReferenceStep), got},
+		{"psRounds", psRounds((*Engine).allocReferenceStep, 12, 6), psRounds((*Engine).allocVerifyStep, 12, 6)},
+	} {
+		if len(tc.got) != len(tc.ref) {
+			t.Fatalf("%s: %d completions, reference %d", tc.name, len(tc.got), len(tc.ref))
+		}
+		for i := range tc.ref {
+			if tc.got[i] != tc.ref[i] {
+				t.Fatalf("%s: completion %d = %s, reference %s", tc.name, i, tc.got[i], tc.ref[i])
+			}
 		}
 	}
 }

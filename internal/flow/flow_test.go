@@ -491,7 +491,7 @@ func TestEngineAllocCeilings(t *testing.T) {
 		measured float64
 	}{
 		{"EngineThroughput", runEngineThroughput, 1019},
-		{"EngineLargeScenario", runEngineLargeScenario, 4365},
+		{"EngineLargeScenario", runEngineLargeScenario, 4361},
 	} {
 		allocs := testing.AllocsPerRun(5, func() { tc.run(nil) })
 		ceiling := tc.measured*1.001 + 0.5

@@ -187,8 +187,9 @@ func (in fuzzInput) horizon(arg byte) fuzzInput {
 }
 
 // fuzzSeeds are the corpus the fuzzer starts from: the ring and sparse
-// benchmark topologies cut to 8 resources, and the crafted
-// cross-component tie-break case of TestCrossComponentTieBreakPartitionIndependent.
+// benchmark topologies cut to 8 resources, the crafted cross-component
+// tie-break case of TestCrossComponentTieBreakPartitionIndependent, and a
+// batch of coincident completions across components.
 func fuzzSeeds() [][]byte {
 	const long, mid, trigger = 7, 5, 1
 	ring := newFuzzInput(4, 4, 4, 4, 4, 4, 4, 4)
@@ -212,5 +213,16 @@ func fuzzSeeds() [][]byte {
 		op(opSubmit, long, 0, 2).
 		horizon(0).
 		op(opSubmit, 2, 0, 0, 2)
-	return [][]byte{ring, sparse, tie}
+	// Six flows in five components complete at exactly t = 1, one of them
+	// submitted by a timer at 0.5, so one batch pops several records and
+	// only the submission order breaks the ties; the chained flow
+	// resubmits into a component whose record was just popped.
+	coincide := newFuzzInput(0, 0, 1, 3, 0).
+		op(opSubmit, 3, 0, 0).
+		op(opSubmit, 3, 0, 2).
+		op(opChain, 3, 0, 1).
+		op(opSubmit, 5, 0, 3).
+		op(opSubmit, 3, 0, 2).
+		op(opTimer, 2, 4, 4)
+	return [][]byte{ring, sparse, tie, coincide}
 }

@@ -178,11 +178,11 @@ func TestSpotInstancesSurviveStateRoundTrip(t *testing.T) {
 	if _, err := p.LaunchSpot(M4XLarge, 2, 0.20, map[string]string{"job": "j"}); err != nil {
 		t.Fatal(err)
 	}
-	st := p.ExportState()
+	st := p.ExportState(nil)
 	p2 := NewProvider(m.Catalog(), func() float64 { return *now })
 	p2.SetMarket(m)
 	p2.RestoreState(st)
-	if !reflect.DeepEqual(st, p2.ExportState()) {
+	if !reflect.DeepEqual(st, p2.ExportState(nil)) {
 		t.Fatal("provider state with spot instances did not round-trip")
 	}
 	// The restored world still fires the crossing revocation.

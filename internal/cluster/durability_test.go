@@ -51,7 +51,7 @@ func (k *crashAt) Barrier(jobID string, phase Phase) error {
 	k.count++
 	k.phases = append(k.phases, phase)
 	if phase != PhaseRecoveryMid && phase != PhaseElastic {
-		k.snap = worldExport{k.ctl.ExportState(), k.master.ExportState(), k.provider.ExportState()}
+		k.snap = worldExport{k.ctl.ExportState(nil), k.master.ExportState(), k.provider.ExportState(nil)}
 	}
 	if k.killAt > 0 && k.count == k.killAt {
 		return ErrMasterKilled
@@ -120,7 +120,7 @@ func TestKillResumeAtEveryBarrier(t *testing.T) {
 	if job0.Recoveries == 0 {
 		t.Fatal("scenario produced no recovery; the sweep would skip the recovery barriers")
 	}
-	want := worldExport{ctl0.ExportState(), k0.master.ExportState(), k0.provider.ExportState()}
+	want := worldExport{ctl0.ExportState(nil), k0.master.ExportState(), k0.provider.ExportState(nil)}
 
 	seen := map[Phase]bool{}
 	for killAt := 1; killAt <= k0.count; killAt++ {
@@ -132,7 +132,7 @@ func TestKillResumeAtEveryBarrier(t *testing.T) {
 			t.Fatalf("killAt=%d (%s): err = %v, want ErrMasterKilled", killAt, phase, err)
 		}
 		ctl2 := resumeAll(t, k1.snap)
-		got := ctl2.ExportState()
+		got := ctl2.ExportState(nil)
 		if !reflect.DeepEqual(got, want.ctl) {
 			t.Errorf("killAt=%d (%s): controller state diverged from uninterrupted run\n got %+v\nwant %+v",
 				killAt, phase, got, want.ctl)
@@ -192,7 +192,7 @@ func mustSubmitKilled(t *testing.T, ctl *Controller) (*Job, error) {
 	return ctl.Submit(w, recoveryGoal)
 }
 
-func exportProvider(c *Controller) cloud.ProviderState { return c.provider.ExportState() }
+func exportProvider(c *Controller) cloud.ProviderState { return c.provider.ExportState(nil) }
 
 // TestDoubleCrashResume kills the master mid-recovery, kills the
 // restarted master again during the resume (before any new snapshot),
@@ -207,7 +207,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	if job0.Status != StatusSucceeded {
 		t.Fatalf("uninterrupted status = %s", job0.Status)
 	}
-	want := ctl0.ExportState()
+	want := ctl0.ExportState(nil)
 
 	// First crash: at the kill-check inside the recovery cycle, the
 	// hardest restart shape (mid-StatusRecovering).
@@ -241,7 +241,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	}
 
 	ctl3 := resumeAll(t, k2.snap)
-	if got := ctl3.ExportState(); !reflect.DeepEqual(got, want) {
+	if got := ctl3.ExportState(nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("after double crash, state diverged\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -266,7 +266,7 @@ func TestKillAtAdmitRequeues(t *testing.T) {
 	if err := ctl0.Wait(ctx, job0.ID); err != nil {
 		t.Fatal(err)
 	}
-	want := ctl0.ExportState()
+	want := ctl0.ExportState(nil)
 
 	ctl1, k1 := newDurableWorld(t, cloud.FaultPlan{}, 1)
 	if _, err := ctl1.Enqueue(w, recoveryGoal, ""); !errors.Is(err, ErrMasterKilled) {
@@ -287,7 +287,7 @@ func TestKillAtAdmitRequeues(t *testing.T) {
 	if err := ctl2.Wait(ctx, queued[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl2.ExportState(); !reflect.DeepEqual(got, want) {
+	if got := ctl2.ExportState(nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("requeued run diverged\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -357,7 +357,7 @@ func TestPendingJobsDropsStaleSegment(t *testing.T) {
 	if len(resume) != 0 || len(queued) != 0 || !reflect.DeepEqual(leftover, []string{"job-1"}) {
 		t.Fatalf("pending = %v %v %v, want leftover [job-1]", resume, queued, leftover)
 	}
-	if segs := ctl.ExportState().Segments; len(segs) != 0 {
+	if segs := ctl.ExportState(nil).Segments; len(segs) != 0 {
 		t.Fatalf("stale segment state survived PendingJobs: %+v", segs)
 	}
 	ctl.TeardownJob("job-1")
@@ -390,8 +390,8 @@ func TestRestartMidProvisioningRequeues(t *testing.T) {
 		advance(dt)
 		// The first clock charge after launch is the readiness delay,
 		// paid while the job is still provisioning.
-		if cs := ctl.ExportState(); snap == nil && cs.Jobs[0].Status == StatusProvisioning {
-			snap = &worldExport{cs, ctl.master.ExportState(), provider.ExportState()}
+		if cs := ctl.ExportState(nil); snap == nil && cs.Jobs[0].Status == StatusProvisioning {
+			snap = &worldExport{cs, ctl.master.ExportState(), provider.ExportState(nil)}
 		}
 	}
 	want := mustSubmit(t, ctl, recoveryGoal)
@@ -421,7 +421,7 @@ func TestRestartMidProvisioningRequeues(t *testing.T) {
 	if err := ctl2.Wait(ctx, want.ID); err != nil {
 		t.Fatal(err)
 	}
-	got := ctl2.ExportState().Jobs[0]
+	got := ctl2.ExportState(nil).Jobs[0]
 	if got.Status != want.Status {
 		t.Errorf("requeued job ended %s (%s), want %s", got.Status, got.Err, want.Status)
 	}
@@ -466,7 +466,7 @@ func TestRequeueWaitsForQueueSpace(t *testing.T) {
 			t.Fatalf("wait %s: %v", id, err)
 		}
 	}
-	for _, js := range ctl.ExportState().Jobs {
+	for _, js := range ctl.ExportState(nil).Jobs {
 		if !js.Status.Terminal() {
 			t.Errorf("%s ended %s, want a terminal status", js.ID, js.Status)
 		}
@@ -525,7 +525,7 @@ func TestBarrierPublishesACopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Handled = slices.Insert(st.Handled, 0, "i-1")
-	segs := ctl.ExportState().Segments
+	segs := ctl.ExportState(nil).Segments
 	if len(segs) != 1 {
 		t.Fatalf("exported %d segment states, want 1", len(segs))
 	}

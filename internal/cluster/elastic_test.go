@@ -127,10 +127,10 @@ func TestElasticFlatParityMatchesStatic(t *testing.T) {
 	if jobS.Status != jobE.Status {
 		t.Fatalf("status diverged: static %s, elastic %s", jobS.Status, jobE.Status)
 	}
-	if got, want := ctlE.ExportState(), ctlS.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := ctlE.ExportState(nil), ctlS.ExportState(nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("controller state diverged on flat parity trace\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := provE.ExportState(), provS.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := provE.ExportState(nil), provS.ExportState(nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("provider state diverged on flat parity trace\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -226,7 +226,7 @@ func TestElasticKillResumeAtEveryBarrier(t *testing.T) {
 	if job0.Recoveries == 0 {
 		t.Fatal("scenario produced no recovery; the sweep would skip the recovery barriers")
 	}
-	want := worldExport{ctl0.ExportState(), k0.master.ExportState(), k0.provider.ExportState()}
+	want := worldExport{ctl0.ExportState(nil), k0.master.ExportState(), k0.provider.ExportState(nil)}
 	var running int
 	for _, inst := range want.provider.Instances {
 		if inst.State == cloud.StateRunning {
@@ -247,7 +247,7 @@ func TestElasticKillResumeAtEveryBarrier(t *testing.T) {
 			t.Fatalf("killAt=%d (%s): err = %v, want ErrMasterKilled", killAt, phase, err)
 		}
 		ctl2 := elasticResumeAll(t, k1.snap, set)
-		if got := ctl2.ExportState(); !reflect.DeepEqual(got, want.ctl) {
+		if got := ctl2.ExportState(nil); !reflect.DeepEqual(got, want.ctl) {
 			t.Errorf("killAt=%d (%s): controller state diverged from uninterrupted run\n got %+v\nwant %+v",
 				killAt, phase, got, want.ctl)
 		}

@@ -203,9 +203,9 @@ func marshalWorld(t *testing.T, tw *testWorld) []byte {
 	want, err := json.Marshal(&WorldSnapshot{
 		TakenAtSeq: tw.jrnl.LastSeq(),
 		SrcSeqs:    tw.jrnl.SrcSeqs(),
-		Controller: tw.ctl.ExportState(),
+		Controller: tw.ctl.ExportState(nil),
 		Master:     tw.master.ExportState(),
-		Provider:   tw.provider.ExportState(),
+		Provider:   tw.provider.ExportState(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,9 +248,9 @@ func export(tw *testWorld) *WorldSnapshot {
 	return &WorldSnapshot{
 		TakenAtSeq: tw.jrnl.LastSeq(),
 		SrcSeqs:    tw.jrnl.SrcSeqs(),
-		Controller: tw.ctl.ExportState(),
+		Controller: tw.ctl.ExportState(nil),
 		Master:     tw.master.ExportState(),
-		Provider:   tw.provider.ExportState(),
+		Provider:   tw.provider.ExportState(nil),
 	}
 }
 
@@ -559,5 +559,42 @@ func TestSnapshotAllocsIndependentOfHistory(t *testing.T) {
 	if large > small+snapshotAllocCeiling {
 		t.Errorf("a snapshot over 500 finished jobs allocates %.0f objects, over 50 %.0f: more than %d apart",
 			large, small, snapshotAllocCeiling)
+	}
+}
+
+// TestBarrierExportSkipsFrozen: once the frozen region holds a terminal
+// job or a finished instance, a barrier's exports leave it out, so a
+// snapshot copies, sorts and scans only the live records; the whole
+// export still carries them.
+func TestBarrierExportSkipsFrozen(t *testing.T) {
+	tw := newWorld(t, t.TempDir(), Options{Mode: ModeStrict})
+	w := newModelWorld(t, 5)
+	for jobs, insts := w.frozen(); jobs < 3 || insts < 3; jobs, insts = w.frozen() {
+		w.step()
+	}
+	w.load(tw)
+	if err := tw.m.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, insts := w.frozen()
+	cs, ps := tw.ctl.ExportState(tw.m.jobFrozen), tw.provider.ExportState(tw.m.instFrozen)
+	for _, js := range cs.Jobs {
+		if js.Status.Terminal() {
+			t.Errorf("barrier export carries frozen job %s (%s)", js.ID, js.Status)
+		}
+	}
+	for _, inst := range ps.Instances {
+		if inst.State.Finished() {
+			t.Errorf("barrier export carries frozen instance %s (%s)", inst.ID, inst.State)
+		}
+	}
+	if got := len(tw.ctl.ExportState(nil).Jobs) - len(cs.Jobs); got != jobs {
+		t.Errorf("barrier export left out %d jobs, the frozen region holds %d", got, jobs)
+	}
+	if got := len(tw.provider.ExportState(nil).Instances) - len(ps.Instances); got != insts {
+		t.Errorf("barrier export left out %d instances, the frozen region holds %d", got, insts)
+	}
+	if err := tw.m.VerifyError(); err != nil {
+		t.Fatal(err)
 	}
 }

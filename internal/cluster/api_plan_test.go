@@ -234,6 +234,57 @@ func TestPlanOverloadReturns429(t *testing.T) {
 	}
 }
 
+// ctxProvisioner runs every search until its request's context ends and
+// returns the context's error, as the engine's scan does when its caller
+// gives up.
+type ctxProvisioner struct{ started chan struct{} }
+
+func (p *ctxProvisioner) Search(ctx context.Context, req plan.Request) (plan.Result, error) {
+	p.started <- struct{}{}
+	<-ctx.Done()
+	return plan.Result{}, fmt.Errorf("plan: search stopped: %w", ctx.Err())
+}
+
+func (p *ctxProvisioner) Candidates(ctx context.Context, req plan.Request) ([]plan.Plan, error) {
+	return nil, ctx.Err()
+}
+
+// TestPlanCanceledMidSearch: a quote whose caller goes away mid-search is
+// counted as canceled, not as a failed search, and is not answered as an
+// unprocessable question.
+func TestPlanCanceledMidSearch(t *testing.T) {
+	master := newMaster(t)
+	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
+	controller := NewController(master, provider, nil, "")
+	reg := obs.NewRegistry()
+	cp := &ctxProvisioner{started: make(chan struct{}, 1)}
+	svc := service.New(service.Config{Provisioner: cp, Catalog: provider.Catalog(), Registry: reg})
+	api := NewAPI(master, controller, WithPlanService(svc))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest("POST", "/api/plan", strings.NewReader(planBody(5400))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		api.Handler().ServeHTTP(rec, req)
+	}()
+	<-cp.started
+	cancel()
+	<-served
+	if rec.Code == http.StatusUnprocessableEntity || rec.Body.Len() != 0 {
+		t.Errorf("canceled quote answered %d: %q", rec.Code, rec.Body.String())
+	}
+	if st := svc.Stats(); st.Canceled != 1 || st.Errors != 0 {
+		t.Errorf("stats = %+v, want one canceled search and no failed one", st)
+	}
+	outcomes := reg.CounterVec("cynthia_plansvc_requests_total", "", "outcome")
+	if c, e := outcomes.With("canceled").Value(), outcomes.With("error").Value(); c != 1 || e != 0 {
+		t.Errorf("requests_total{outcome=canceled} = %d, {outcome=error} = %d, want 1 and 0", c, e)
+	}
+}
+
 // TestPlanAfterDrainReturns429: a drained API turns quotes away like
 // job submissions, with 429 + Retry-After, not as unprocessable.
 func TestPlanAfterDrainReturns429(t *testing.T) {

@@ -9,7 +9,9 @@
 // quote (DESIGN.md §11 has the measurements).
 //
 // A rejected request journals plan.rejected; an admitted one journals
-// only the engine's plan.search.start and plan.search.done.
+// only the engine's plan.search.start and plan.search.done. An admitted
+// search that stops because its request's context ended is counted under
+// outcome "canceled", not "error": the caller gave up, nothing failed.
 package service
 
 import (
@@ -57,11 +59,14 @@ type Config struct {
 const DefaultQueueDepth = 64
 
 // Stats is a snapshot of the service counters. An admitted request's
-// search either returns a plan (Searches) or fails (Errors).
+// search either returns a plan (Searches), stops because its request's
+// context ended (Canceled: the caller gave up, nothing failed), or fails
+// (Errors).
 type Stats struct {
 	Requests   uint64
 	Overloaded uint64
 	Errors     uint64
+	Canceled   uint64
 	Searches   uint64
 	// Hits and Evictions are always zero: the service has no cache.
 	// cmd/cynthiabench still derives its plansvc.hit_ratio and
@@ -75,6 +80,7 @@ type svcMetrics struct {
 	ok         *obs.Counter
 	overloaded *obs.Counter
 	errors     *obs.Counter
+	canceled   *obs.Counter
 	searchSec  *obs.Histogram
 	inflight   *obs.Gauge
 }
@@ -86,6 +92,7 @@ func newSvcMetrics(reg *obs.Registry) svcMetrics {
 		ok:         outcomes.With("ok"),
 		overloaded: outcomes.With("overloaded"),
 		errors:     outcomes.With("error"),
+		canceled:   outcomes.With("canceled"),
 		searchSec: reg.Histogram("cynthia_plansvc_search_seconds",
 			"wall time of admitted searches", nil),
 		inflight: reg.Gauge("cynthia_plansvc_searches_inflight",
@@ -177,22 +184,28 @@ func (s *Service) Plan(ctx context.Context, req plan.Request) (res plan.Result, 
 	// The slot is released even if the provisioner panics: net/http
 	// recovers a handler's panic, which would otherwise leave it taken for
 	// good.
-	defer s.release(time.Now(), &err)
+	defer s.release(ctx, time.Now(), &err)
 	err = errSearchPanicked // replaced when Search returns
 	return s.prov.Search(ctx, req)
 }
 
-// release frees a finished search's admission slot and counts its outcome.
-func (s *Service) release(start time.Time, err *error) {
+// release frees a finished search's admission slot and counts its
+// outcome. A search that failed with its request context's own error
+// ended because the caller went away, and is counted as canceled.
+func (s *Service) release(ctx context.Context, start time.Time, err *error) {
 	s.m.searchSec.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inflight--
 	s.m.inflight.Set(float64(s.inflight))
-	if *err != nil {
+	switch {
+	case *err != nil && ctx.Err() != nil && errors.Is(*err, ctx.Err()):
+		s.stats.Canceled++
+		s.m.canceled.Inc()
+	case *err != nil:
 		s.stats.Errors++
 		s.m.errors.Inc()
-	} else {
+	default:
 		s.stats.Searches++
 		s.m.ok.Inc()
 	}

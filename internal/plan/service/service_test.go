@@ -220,16 +220,22 @@ func TestOverloadRejects(t *testing.T) {
 }
 
 // TestSearchGetsRequestContext: the search runs under the request's own
-// context, so a request whose caller has gone stops its scan.
+// context, so a request whose caller has gone stops its scan, and the
+// search is counted as canceled, not as failed.
 func TestSearchGetsRequestContext(t *testing.T) {
-	s := newTestService(t, Config{})
+	reg := obs.NewRegistry()
+	s := newTestService(t, Config{Registry: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Plan(ctx, testRequest(t, s.Catalog(), 5400)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled request error = %v, want context.Canceled", err)
 	}
-	if st := s.Stats(); st.Errors != 1 || st.Searches != 0 {
-		t.Errorf("stats = %+v, want one failed search", st)
+	if st := s.Stats(); st != (Stats{Requests: 1, Canceled: 1}) {
+		t.Errorf("stats = %+v, want one canceled search", st)
+	}
+	outcomes := reg.CounterVec("cynthia_plansvc_requests_total", "", "outcome")
+	if c, e := outcomes.With("canceled").Value(), outcomes.With("error").Value(); c != 1 || e != 0 {
+		t.Errorf("requests_total{outcome=canceled} = %d, {outcome=error} = %d, want 1 and 0", c, e)
 	}
 }
 

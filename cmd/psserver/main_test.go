@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -60,6 +61,33 @@ func startShard(t *testing.T) (*ps.Server, string) {
 	return srv, bound
 }
 
+// fetchOnce runs one protocol round trip over conn as the shard's worker
+// 0: a hello, then a sync with an empty gradient, which the server
+// answers with its parameters. Once it returns, the server holds conn.
+// Frames are internal/ps's wire format: type (hello 1, sync 2, params 3),
+// payload length as 4 bytes little-endian, payload.
+func fetchOnce(t *testing.T, conn net.Conn) {
+	t.Helper()
+	frame := func(typ byte, payload []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{typ}, uint32(len(payload))), payload...)
+	}
+	hello := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 0), 8) // worker 0, 8 params
+	fetch := binary.LittleEndian.AppendUint32(nil, 0)                                      // step 0, no gradient
+	if _, err := conn.Write(append(frame(1, hello), frame(2, fetch)...)); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, 5)
+	if _, err := io.ReadFull(conn, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr[0] != 3 { // params
+		t.Fatalf("fetch answered with frame type %d, want params", hdr[0])
+	}
+	if _, err := io.ReadFull(conn, make([]byte, binary.LittleEndian.Uint32(hdr[1:]))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAwaitShutdownDrainsWorkers pins the graceful path: after the first
 // signal no new worker can connect, a live connection keeps the server
 // up, and shutdown completes once the worker disconnects on its own.
@@ -69,6 +97,7 @@ func TestAwaitShutdownDrainsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fetchOnce(t, conn) // the server holds conn before the signal
 	sig := make(chan os.Signal, 2)
 	done := make(chan struct{})
 	go func() {

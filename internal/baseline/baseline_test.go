@@ -113,7 +113,7 @@ func TestOptimusRecoversSyntheticBSPModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := o.Theta()
+	th := o.theta
 	if math.Abs(th[0]-4) > 1e-6 || math.Abs(th[1]-0.1) > 1e-6 || math.Abs(th[2]-0.05) > 1e-6 {
 		t.Errorf("theta = %v, want [4 0.1 0.05]", th)
 	}

@@ -87,9 +87,6 @@ func features(sync model.SyncMode, n, p int) []float64 {
 // Name implements perf.Predictor.
 func (*Optimus) Name() string { return "Optimus" }
 
-// Theta exposes the fitted coefficients (for reporting).
-func (o *Optimus) Theta() []float64 { return append([]float64(nil), o.theta...) }
-
 // IterTime implements perf.Predictor. The compute-dependent terms scale
 // with the ratio of sampled to target worker speed; heterogeneous clusters
 // are pessimistically represented by their slowest worker, since the model

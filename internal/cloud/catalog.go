@@ -1,6 +1,8 @@
-// Package cloud models an IaaS provider: an instance-type catalog with CPU,
-// network, and price attributes, and a simulated control plane that
-// launches, describes, and terminates instances with per-second billing.
+// Package cloud models an IaaS provider: an immutable instance-type
+// catalog with CPU, network, and on-demand price attributes, a spot
+// market whose prices come from replayable traces, and a simulated
+// control plane that launches, describes, and terminates instances with
+// per-second billing.
 //
 // The catalog stands in for Amazon EC2 in the Cynthia paper. Cynthia only
 // consumes instance *attributes* — CPU processing capability (GFLOPS per
@@ -47,18 +49,13 @@ func (t InstanceType) String() string {
 	return fmt.Sprintf("%s (%.1f GFLOPS, %.0f MB/s, $%.3f/h)", t.Name, t.GFLOPS, t.NetMBps, t.PricePerHour)
 }
 
-// Catalog is a set of instance types keyed by name. A catalog may be
-// repriced after construction (on-demand and spot prices); a search reads
-// the prices current when it runs. All methods are safe for concurrent
-// use.
+// Catalog is a set of instance types keyed by name. It is immutable after
+// construction, so all methods are safe for concurrent use without a lock.
+// Spot prices are not catalog state: a Market reads them from its traces.
 type Catalog struct {
-	mu sync.RWMutex
-	// types is sorted by name and never written in place: SetPrice
-	// installs a repriced copy, so a slice Types handed out earlier keeps
-	// the prices it was read with. Its capacity equals its length, so an
+	// types is sorted by name. Its capacity equals its length, so an
 	// append by a caller copies instead of writing into the shared array.
 	types []InstanceType
-	spot  map[string]float64 // current spot price per type; nil until the first SetSpotPrice
 }
 
 func validateType(t InstanceType) error {
@@ -87,63 +84,11 @@ func NewCatalog(types ...InstanceType) (*Catalog, error) {
 	return &Catalog{types: slices.Clip(sorted)}, nil
 }
 
-// index finds name in the sorted types; the caller holds mu.
-func (c *Catalog) index(name string) (int, bool) {
-	return slices.BinarySearchFunc(c.types, name, func(t InstanceType, name string) int {
-		return strings.Compare(t.Name, name)
-	})
-}
-
-// SetPrice reprices one instance type. It installs a repriced copy of
-// the type list; slices Types returned before are left as they were.
-func (c *Catalog) SetPrice(name string, pricePerHour float64) error {
-	if pricePerHour <= 0 {
-		return fmt.Errorf("cloud: price %.4f for %s must be positive", pricePerHour, name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.index(name)
-	if !ok {
-		return fmt.Errorf("cloud: unknown instance type %q", name)
-	}
-	types := slices.Clone(c.types)
-	types[i].PricePerHour = pricePerHour
-	c.types = slices.Clip(types)
-	return nil
-}
-
-// SetSpotPrice records the current spot-market price of one instance
-// type. The on-demand price (PricePerHour) is untouched; consumers that
-// want the spot price read it explicitly via SpotPrice.
-func (c *Catalog) SetSpotPrice(name string, pricePerHour float64) error {
-	if pricePerHour <= 0 {
-		return fmt.Errorf("cloud: spot price %.4f for %s must be positive", pricePerHour, name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.index(name); !ok {
-		return fmt.Errorf("cloud: unknown instance type %q", name)
-	}
-	if c.spot == nil {
-		c.spot = make(map[string]float64)
-	}
-	c.spot[name] = pricePerHour
-	return nil
-}
-
-// SpotPrice returns the last spot price recorded for the type, if any.
-func (c *Catalog) SpotPrice(name string) (float64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p, ok := c.spot[name]
-	return p, ok
-}
-
 // Lookup returns the instance type with the given name.
 func (c *Catalog) Lookup(name string) (InstanceType, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	i, ok := c.index(name)
+	i, ok := slices.BinarySearchFunc(c.types, name, func(t InstanceType, name string) int {
+		return strings.Compare(t.Name, name)
+	})
 	if !ok {
 		return InstanceType{}, fmt.Errorf("cloud: unknown instance type %q", name)
 	}
@@ -151,20 +96,11 @@ func (c *Catalog) Lookup(name string) (InstanceType, error) {
 }
 
 // Types returns all instance types sorted by name, without copying: the
-// slice is shared and read-only. Callers must not write to it; a
-// repricing replaces the catalog's list instead of changing this one.
-func (c *Catalog) Types() []InstanceType {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.types
-}
+// slice is shared and read-only. Callers must not write to it.
+func (c *Catalog) Types() []InstanceType { return c.types }
 
 // Len returns the number of types in the catalog.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.types)
-}
+func (c *Catalog) Len() int { return len(c.types) }
 
 // Default instance names used throughout the reproduction.
 const (
@@ -189,8 +125,7 @@ func DefaultCatalog() *Catalog {
 }
 
 // defaultTypes is the validated, name-sorted type list every
-// DefaultCatalog starts from. Sharing it is safe: a catalog never writes
-// its list in place, and SetPrice installs a repriced copy.
+// DefaultCatalog shares; a catalog never writes its list.
 var defaultTypes = sync.OnceValue(func() []InstanceType {
 	c, err := NewCatalog(
 		InstanceType{

@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,24 @@ func TestCatalogTypesSorted(t *testing.T) {
 		if types[i-1].Name >= types[i].Name {
 			t.Fatalf("types not sorted: %s >= %s", types[i-1].Name, types[i].Name)
 		}
+	}
+}
+
+// TestCatalogTypesSnapshot: Types hands out the catalog's own list, in
+// name order, with no spare capacity, so a caller's append copies instead
+// of writing into the shared array; and every DefaultCatalog shares one
+// list.
+func TestCatalogTypesSnapshot(t *testing.T) {
+	c, other := DefaultCatalog(), DefaultCatalog()
+	types := c.Types()
+	if !slices.IsSortedFunc(types, func(a, b InstanceType) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Fatalf("Types not in name order: %+v", types)
+	}
+	if cap(types) != len(types) {
+		t.Fatalf("Types has cap %d for len %d; an append would write into the shared array", cap(types), len(types))
+	}
+	if len(types) == 0 || &other.Types()[0] != &types[0] {
+		t.Fatal("two DefaultCatalogs do not share one type list")
 	}
 }
 

@@ -123,7 +123,7 @@ func TestWatchDeliversLifecycleEvents(t *testing.T) {
 	}
 	clk.set(10)
 	p.ApplyDueFaults()
-	events := jrnl.Events()
+	events := jrnl.Since(0)
 	if len(events) != 2 {
 		t.Fatalf("%d events, want 2: %+v", len(events), events)
 	}

@@ -1,15 +1,13 @@
 package cloud
 
-// The spot market. A Market binds a pricing.TraceSet (per-type
-// piecewise-constant spot-price functions of simulated time) to a
-// Catalog. All planning-relevant reads — SpotPrice, FirstCrossAbove,
-// SpotCost — are STATELESS functions of (trace, time), so a restarted
-// master re-deriving a decision at the same provider-clock instant
-// reads exactly the prices the crashed master saw; nothing about market
-// position needs to live in a snapshot. AdvanceTo is the only mutating
-// call: it pushes the current prices into the catalog's spot map, where
-// Catalog.SpotPrice reports them; that map never feeds back into
-// decisions, which always read the trace directly.
+// The spot market. A Market holds a pricing.TraceSet: per-type
+// piecewise-constant spot-price functions of simulated time, each for a
+// type of the catalog it was built against. Every read — SpotPrice,
+// FirstCrossAbove, SpotCost, NextChange — is a stateless function of
+// (trace, time), so a restarted master re-deriving a decision at the
+// same provider-clock instant reads exactly the prices the crashed
+// master saw; nothing about market position lives in a snapshot, and a
+// Market has no mutating method.
 
 import (
 	"errors"
@@ -26,13 +24,11 @@ var ErrSpotUnavailable = errors.New("cloud: spot price above bid")
 
 // Market prices spot instances for a provider from replayable traces.
 type Market struct {
-	catalog *Catalog
-	set     *pricing.TraceSet
+	set *pricing.TraceSet
 }
 
-// NewMarket validates the trace set against the catalog (every traced
-// type must exist) and applies the time-zero prices to the catalog's
-// spot map.
+// NewMarket validates the trace set against the catalog: every traced
+// type must exist in it.
 func NewMarket(catalog *Catalog, set *pricing.TraceSet) (*Market, error) {
 	if catalog == nil || set == nil {
 		return nil, fmt.Errorf("cloud: market needs a catalog and a trace set")
@@ -45,16 +41,8 @@ func NewMarket(catalog *Catalog, set *pricing.TraceSet) (*Market, error) {
 			return nil, fmt.Errorf("cloud: market trace for %s: %v", tr.Type, err)
 		}
 	}
-	m := &Market{catalog: catalog, set: set}
-	m.AdvanceTo(0)
-	return m, nil
+	return &Market{set: set}, nil
 }
-
-// Catalog returns the catalog this market reprices.
-func (m *Market) Catalog() *Catalog { return m.catalog }
-
-// Traces returns the underlying trace set.
-func (m *Market) Traces() *pricing.TraceSet { return m.set }
 
 // SpotPrice returns the spot price of the named type at the given
 // provider-clock time, read straight from the trace.
@@ -97,21 +85,4 @@ func (m *Market) SpotCost(name string, t0, t1 float64) (float64, bool) {
 		return 0, false
 	}
 	return tr.CostBetween(t0, t1), true
-}
-
-// AdvanceTo pushes every type's spot price as of the given time into
-// the catalog's spot map and returns how many prices moved. Idempotent:
-// advancing twice to the same time moves nothing the second call.
-func (m *Market) AdvanceTo(now float64) int {
-	moves := 0
-	for _, tr := range m.set.Traces {
-		price := tr.PriceAt(now)
-		if cur, ok := m.catalog.SpotPrice(tr.Type); ok && cur == price {
-			continue
-		}
-		if err := m.catalog.SetSpotPrice(tr.Type, price); err == nil {
-			moves++
-		}
-	}
-	return moves
 }

@@ -29,13 +29,12 @@ func marketWorld(t *testing.T) (*Provider, *Market, *float64) {
 }
 
 func TestNewMarketAppliesInitialPrices(t *testing.T) {
-	_, m, _ := marketWorld(t)
-	cat := m.Catalog()
-	if got, ok := cat.SpotPrice(M4XLarge); !ok || got != 0.06 {
-		t.Fatalf("spot price after NewMarket = %v, %v; want 0.06", got, ok)
+	p, m, _ := marketWorld(t)
+	if got, ok := m.SpotPrice(M4XLarge, 0); !ok || got != 0.06 {
+		t.Fatalf("spot price at time zero = %v, %v; want 0.06", got, ok)
 	}
-	if got, _ := cat.Lookup(M4XLarge); got.PricePerHour != 0.20 {
-		t.Fatalf("applying spot prices moved the on-demand price to %v", got.PricePerHour)
+	if got, _ := p.Catalog().Lookup(M4XLarge); got.PricePerHour != 0.20 {
+		t.Fatalf("building a market moved the on-demand price to %v", got.PricePerHour)
 	}
 }
 
@@ -49,25 +48,16 @@ func TestNewMarketRejectsUnknownType(t *testing.T) {
 	}
 }
 
-// TestMarketAdvanceToIdempotentEpochBumps: AdvanceTo moves a catalog
-// spot price only when the trace has moved, and counts each move once.
-func TestMarketAdvanceToIdempotentEpochBumps(t *testing.T) {
+// TestMarketSpotPriceFollowsTrace: the spot price at a time is the
+// trace's price then, however often and in whatever order it is read.
+func TestMarketSpotPriceFollowsTrace(t *testing.T) {
 	_, m, _ := marketWorld(t)
-	cat := m.Catalog()
-	if moves := m.AdvanceTo(100); moves != 0 {
-		t.Fatalf("AdvanceTo(100) before any change moved %d prices", moves)
-	}
-	if got, _ := cat.SpotPrice(M4XLarge); got != 0.06 {
-		t.Fatalf("spot price before the spike = %v, want 0.06", got)
-	}
-	if moves := m.AdvanceTo(700); moves != 1 {
-		t.Fatalf("AdvanceTo(700) across the spike moved %d prices, want 1", moves)
-	}
-	if got, _ := cat.SpotPrice(M4XLarge); got != 0.40 {
-		t.Fatalf("spot price after spike = %v, want 0.40", got)
-	}
-	if moves := m.AdvanceTo(700); moves != 0 {
-		t.Fatal("AdvanceTo is not idempotent")
+	for _, c := range []struct{ at, want float64 }{
+		{100, 0.06}, {700, 0.40}, {700, 0.40}, {100, 0.06}, {1400, 0.07},
+	} {
+		if got, ok := m.SpotPrice(M4XLarge, c.at); !ok || got != c.want {
+			t.Fatalf("SpotPrice(%v) = %v, %v; want %v", c.at, got, ok, c.want)
+		}
 	}
 }
 
@@ -151,8 +141,8 @@ func TestLaunchSpotRequiresMarketAndTrace(t *testing.T) {
 	if _, err := p.LaunchSpot(M4XLarge, 1, 0, nil); err == nil {
 		t.Fatal("spot launch with zero bid succeeded")
 	}
-	_, m, _ := marketWorld(t)
-	p2 := NewProvider(m.Catalog(), func() float64 { return 0 })
+	p1, m, _ := marketWorld(t)
+	p2 := NewProvider(p1.Catalog(), func() float64 { return 0 })
 	p2.SetMarket(m)
 	if _, err := p2.LaunchSpot(C3XLarge, 1, 0.2, nil); err == nil {
 		t.Fatal("spot launch for an untraced type succeeded")
@@ -179,7 +169,7 @@ func TestSpotInstancesSurviveStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.ExportState(nil)
-	p2 := NewProvider(m.Catalog(), func() float64 { return *now })
+	p2 := NewProvider(p.Catalog(), func() float64 { return *now })
 	p2.SetMarket(m)
 	p2.RestoreState(st)
 	if !reflect.DeepEqual(st, p2.ExportState(nil)) {

@@ -144,13 +144,3 @@ func GenerateSet(name string, onDemand map[string]float64, g GenSpec) (*TraceSet
 	}
 	return ts, nil
 }
-
-// FlatSet builds a trace set where every type's spot price is a fixed
-// fraction of its on-demand price and never moves. fraction = 1 yields
-// the parity market the flat-trace metamorphic relation runs against.
-func FlatSet(name string, onDemand map[string]float64, fraction float64) (*TraceSet, error) {
-	if fraction <= 0 {
-		return nil, fmt.Errorf("pricing: FlatSet needs a positive fraction")
-	}
-	return GenerateSet(name, onDemand, GenSpec{Kind: "flat", Base: fraction, Min: fraction, Max: fraction})
-}

@@ -167,20 +167,6 @@ func (ts *TraceSet) NextChange(after float64) (float64, bool) {
 	return best, ok
 }
 
-// Marshal renders the set in its canonical indented JSON form with a
-// trailing newline — the exact bytes Save writes and Load expects, so a
-// load/save cycle of a canonical file is byte-identical.
-func (ts *TraceSet) Marshal() ([]byte, error) {
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(ts, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // LoadTraceSet reads and validates a trace-set JSON file.
 func LoadTraceSet(path string) (*TraceSet, error) {
 	data, err := os.ReadFile(path)
@@ -195,13 +181,4 @@ func LoadTraceSet(path string) (*TraceSet, error) {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return ts, nil
-}
-
-// Save writes the set in canonical form.
-func (ts *TraceSet) Save(path string) error {
-	data, err := ts.Marshal()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -176,12 +177,16 @@ func TestTraceSetJSONRoundTripByteIdentical(t *testing.T) {
 
 func TestTraceSetLoadSave(t *testing.T) {
 	od := map[string]float64{"m4.xlarge": 0.20, "m1.xlarge": 0.35}
-	ts, err := FlatSet("flat-half", od, 0.5)
+	ts, err := GenerateSet("flat-half", od, GenSpec{Kind: "flat", Base: 0.5, Min: 0.5, Max: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ts.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "set.json")
-	if err := ts.Save(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadTraceSet(path)
@@ -189,7 +194,7 @@ func TestTraceSetLoadSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ts, back) {
-		t.Fatal("Load(Save(ts)) != ts")
+		t.Fatal("Load(Marshal(ts)) != ts")
 	}
 	if tr, ok := back.Lookup("m4.xlarge"); !ok || tr.PriceAt(0) != 0.1 {
 		t.Fatalf("Lookup(m4.xlarge) = %+v, %v; want flat 0.1", tr, ok)

@@ -1,10 +1,10 @@
 package cluster
 
 // HTTP-level tests for the plan service endpoint and async submission:
-// the quote path (answers equal a direct search, repricing reaches the
-// next quote), the admission edges (429 + Retry-After from both the plan
-// service and the job queue), and a mixed read/write storm that -race
-// keeps honest.
+// the quote path (answers equal a direct search, on the default catalog
+// and on a repriced one), the admission edges (429 + Retry-After from
+// both the plan service and the job queue), and a mixed read/write
+// storm that -race keeps honest.
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -153,25 +154,41 @@ func TestPlanEndpointValidationAndFailure(t *testing.T) {
 	}
 }
 
-// TestPlanEpochBumpInvalidatesOverHTTP: a quote after SetPrice is
-// priced at the new rate.
-func TestPlanEpochBumpInvalidatesOverHTTP(t *testing.T) {
-	api, provider := newTestAPI(t)
-	h := api.Handler()
-
-	rec, before := doJSON(t, h, "POST", "/api/plan", planBody(7200))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("plan = %d", rec.Code)
+// repricedAPI builds a test API on a copy of base with the named type at
+// the given hourly price. A catalog is immutable, so a price change is a
+// provider built on a new catalog.
+func repricedAPI(t *testing.T, base *cloud.Catalog, name string, price float64) *API {
+	t.Helper()
+	types := slices.Clone(base.Types())
+	for i := range types {
+		if types[i].Name == name {
+			types[i].PricePerHour = price
+		}
 	}
-	if err := provider.Catalog().SetPrice(before["instance_type"].(string), 99); err != nil {
+	catalog, err := cloud.NewCatalog(types...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec, after := doJSON(t, h, "POST", "/api/plan", planBody(7200))
+	api, _ := newTestAPIOn(t, catalog)
+	return api
+}
+
+// TestPlanAtNewPriceOverHTTP: a quote from a provider built on a catalog
+// at a new price equals a direct search on that catalog, and reacts to
+// the price.
+func TestPlanAtNewPriceOverHTTP(t *testing.T) {
+	api, provider := newTestAPI(t)
+	rec, before := doJSON(t, api.Handler(), "POST", "/api/plan", planBody(7200))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("plan = %d", rec.Code)
 	}
-	if diff := sameQuote(after, directQuote(t, api, 7200)); diff != "" {
-		t.Errorf("after repricing: %s", diff)
+	repriced := repricedAPI(t, provider.Catalog(), before["instance_type"].(string), 99)
+	rec, after := doJSON(t, repriced.Handler(), "POST", "/api/plan", planBody(7200))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan = %d", rec.Code)
+	}
+	if diff := sameQuote(after, directQuote(t, repriced, 7200)); diff != "" {
+		t.Errorf("at the new price: %s", diff)
 	}
 	if after["instance_type"] == before["instance_type"] && after["cost_usd"] == before["cost_usd"] {
 		t.Errorf("quote did not react to repricing %v at $99/h: %v", before["instance_type"], after)
@@ -417,8 +434,8 @@ func TestWriteFailuresAreCounted(t *testing.T) {
 // TestPlanJobStorm mixes concurrent quotes and submissions through a
 // live httptest server. Under -race this pins the locking discipline;
 // the assertions pin that every quote serves the plan a direct search
-// returns, that each runs its own search, and that a repricing reaches
-// the next quote.
+// returns, that each runs its own search, and that a provider built on a
+// repriced catalog quotes at the new price.
 func TestPlanJobStorm(t *testing.T) {
 	api, provider := newTestAPI(t)
 	srv := httptest.NewServer(api.Handler())
@@ -492,14 +509,13 @@ func TestPlanJobStorm(t *testing.T) {
 		t.Errorf("service stats = %+v, want %d quotes, each searched", st, clients*quotes)
 	}
 
-	// A repricing reaches the next quote.
-	if err := provider.Catalog().SetPrice(cloud.M4XLarge, 42); err != nil {
-		t.Fatal(err)
-	}
-	if _, out, err := post("/api/plan", planBody(5400)); err != nil {
-		t.Fatal(err)
-	} else if diff := sameQuote(out, directQuote(t, api, 5400)); diff != "" {
-		t.Errorf("after repricing: %s", diff)
+	// A provider built on a repriced catalog quotes what a direct search
+	// on that catalog returns.
+	repriced := repricedAPI(t, provider.Catalog(), cloud.M4XLarge, 42)
+	if rec, out := doJSON(t, repriced.Handler(), "POST", "/api/plan", planBody(5400)); rec.Code != http.StatusOK {
+		t.Fatalf("plan at the new price = %d", rec.Code)
+	} else if diff := sameQuote(out, directQuote(t, repriced, 5400)); diff != "" {
+		t.Errorf("at the new price: %s", diff)
 	}
 
 	// Let submitted jobs finish and verify teardown. A job's done channel

@@ -13,8 +13,13 @@ import (
 
 func newTestAPI(t *testing.T) (*API, *cloud.Provider) {
 	t.Helper()
+	return newTestAPIOn(t, cloud.DefaultCatalog())
+}
+
+func newTestAPIOn(t *testing.T, catalog *cloud.Catalog) (*API, *cloud.Provider) {
+	t.Helper()
 	master := newMaster(t)
-	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
+	provider := cloud.NewProvider(catalog, nil)
 	controller := NewController(master, provider, nil, "")
 	return NewAPI(master, controller), provider
 }

@@ -66,7 +66,6 @@ func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice,
 		return base, nil, nil
 	}
 	now := c.provider.Now()
-	m.AdvanceTo(now) // push current prices into the catalog spot map, where Catalog.SpotPrice reports them
 	strat := c.spotStrategy()
 	types := base.Types()
 	eff := make([]cloud.InstanceType, 0, len(types))
@@ -154,7 +153,6 @@ func (c *Controller) elasticStep(st *runState) error {
 	if !m.HasChangeIn(st.LastEvalSec, now) {
 		return nil
 	}
-	m.AdvanceTo(now)
 	st.LastEvalSec = now
 	c.repriceCurrent(st)
 	remaining := st.TotalIters - st.Done

@@ -37,7 +37,7 @@ func dropSet(t *testing.T, cat *cloud.Catalog, dropAt, fraction float64) *pricin
 			{AtSec: dropAt, Price: fraction * it.PricePerHour},
 		}})
 	}
-	if _, err := set.Marshal(); err != nil { // Marshal validates and sorts
+	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return set
@@ -75,7 +75,7 @@ func staticBaseline(t *testing.T) *Job {
 func TestElasticFlatDiscountAdoptsSpot(t *testing.T) {
 	base := staticBaseline(t)
 	cat := cloud.DefaultCatalog()
-	set, err := pricing.FlatSet("discount", odMap(cat), 0.5)
+	set, err := pricing.GenerateSet("discount", odMap(cat), pricing.GenSpec{Kind: "flat", Base: 0.5, Min: 0.5, Max: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestElasticFlatParityMatchesStatic(t *testing.T) {
 	ctlS, provS := newFaultController(t, fp)
 	jobS := mustSubmit(t, ctlS, recoveryGoal)
 
-	set, err := pricing.FlatSet("parity", odMap(cloud.DefaultCatalog()), 1.0)
+	set, err := pricing.GenerateSet("parity", odMap(cloud.DefaultCatalog()), pricing.GenSpec{Kind: "flat", Base: 1, Min: 1, Max: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

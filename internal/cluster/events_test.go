@@ -48,7 +48,7 @@ func TestEventsRecordLifecycle(t *testing.T) {
 	if err := m.Drain("n1"); err != nil {
 		t.Fatal(err)
 	}
-	events := jrnl.Events()
+	events := jrnl.Since(0)
 	want := []struct {
 		typ         journal.Type
 		key, object string
@@ -86,7 +86,7 @@ func TestControllerEmitsJobEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	types := map[journal.Type]bool{}
-	for _, e := range master.Journal().Events() {
+	for _, e := range master.Journal().Since(0) {
 		types[e.Type] = true
 	}
 	for _, want := range []journal.Type{journal.JobSubmitted, journal.PlanChosen, journal.JobFinished,

@@ -160,7 +160,7 @@ func TestMasterSetJournal(t *testing.T) {
 	if master.Journal() != jrnl {
 		t.Fatal("Journal() did not return the attached journal")
 	}
-	events := jrnl.Events()
+	events := jrnl.Since(0)
 	if len(events) == 0 || events[0].Type != journal.NodeJoined {
 		t.Fatalf("events = %v", events)
 	}

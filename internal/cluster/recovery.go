@@ -331,10 +331,8 @@ func (c *Controller) recoverJob(st *runState) error {
 	// plan: recovery may land at a different price than the segment
 	// started at, and both the deadline check and any re-plan should see
 	// the market as it is now.
-	if m := c.provider.Market(); m != nil {
-		now := c.provider.Now()
-		m.AdvanceTo(now)
-		st.LastEvalSec = now
+	if c.provider.Market() != nil {
+		st.LastEvalSec = c.provider.Now()
 		c.repriceCurrent(st)
 	}
 

@@ -109,8 +109,8 @@ func TestSnapshotAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resume mode keeps the tail as history and continues numbering.
-	if w2.jrnl.LastSeq() != 3 || w2.jrnl.Len() != 3 {
-		t.Fatalf("journal lastSeq=%d len=%d, want 3/3", w2.jrnl.LastSeq(), w2.jrnl.Len())
+	if w2.jrnl.LastSeq() != 3 || len(w2.jrnl.Since(0)) != 3 {
+		t.Fatalf("journal lastSeq=%d len=%d, want 3/3", w2.jrnl.LastSeq(), len(w2.jrnl.Since(0)))
 	}
 	w2.emit("ctl", journal.JobFinished, 3)
 	if w2.jrnl.LastSeq() != 4 {
@@ -139,8 +139,8 @@ func TestStrictModeVerifiesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Strict mode rewound the journal to the snapshot...
-	if w2.jrnl.LastSeq() != 1 || w2.jrnl.Len() != 1 {
-		t.Fatalf("strict rebuild: lastSeq=%d len=%d, want 1/1", w2.jrnl.LastSeq(), w2.jrnl.Len())
+	if w2.jrnl.LastSeq() != 1 || len(w2.jrnl.Since(0)) != 1 {
+		t.Fatalf("strict rebuild: lastSeq=%d len=%d, want 1/1", w2.jrnl.LastSeq(), len(w2.jrnl.Since(0)))
 	}
 	if err := w2.m.VerifyError(); err == nil {
 		t.Fatal("tail not yet re-emitted, want pending VerifyError")

@@ -62,27 +62,6 @@ func MnistLike(rng *rand.Rand, n int) (*Set, error) {
 	return Synthetic(rng, n, 784, 10, 4.0)
 }
 
-// Split partitions the set into a training prefix and test suffix.
-func (s *Set) Split(trainFrac float64) (train, test *Set, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("data: train fraction %v out of (0,1)", trainFrac)
-	}
-	cut := int(float64(s.Len()) * trainFrac)
-	if cut < 1 || cut >= s.Len() {
-		return nil, nil, fmt.Errorf("data: split leaves an empty side")
-	}
-	return s.Slice(0, cut), s.Slice(cut, s.Len()), nil
-}
-
-// Slice returns rows [lo, hi) as a new Set sharing storage.
-func (s *Set) Slice(lo, hi int) *Set {
-	return &Set{
-		X:       tensor.FromSlice(hi-lo, s.X.Cols, s.X.Data[lo*s.X.Cols:hi*s.X.Cols]),
-		Labels:  s.Labels[lo:hi],
-		Classes: s.Classes,
-	}
-}
-
 // Shard returns worker w's 1/n interleaved shard (data parallelism: each
 // worker trains on a disjoint subset).
 func (s *Set) Shard(w, n int) (*Set, error) {

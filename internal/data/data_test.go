@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cynthia/internal/nn"
+	"cynthia/internal/tensor"
 )
 
 func TestSyntheticValidation(t *testing.T) {
@@ -61,7 +62,10 @@ func TestSyntheticIsLearnable(t *testing.T) {
 		if _, err := m.LossAndGrad(x, labels, g); err != nil {
 			t.Fatal(err)
 		}
-		m.ApplySGD(g, 0.1)
+		for l := range m.W {
+			tensor.Axpy(-0.1, g.W[l].Data, m.W[l].Data)
+			tensor.Axpy(-0.1, g.B[l], m.B[l])
+		}
 	}
 	if acc := m.Accuracy(s.X, s.Labels); acc < 0.9 {
 		t.Errorf("accuracy = %v after training, want > 0.9", acc)

@@ -214,10 +214,48 @@ func (e *Engine) verifyRecords() {
 
 // allocVerifyStep runs the incremental step, then cross-checks its rates
 // against the reference with verifyAllocation and its completion heap with
-// verifyRecords, panicking on any disagreement. It allocates, so it is for
-// tests only.
+// verifyRecords, panicking on any disagreement. On its first call it
+// installs a deliveryCheck as the engine's step, which does the same and
+// also checks the order of every completion batch. It allocates, so it is
+// for tests only.
 func (e *Engine) allocVerifyStep() {
+	d := &deliveryCheck{wrapped: make(map[*Flow]int64)}
+	e.allocStep = d.run
+	d.run(e)
+}
+
+// deliveryCheck holds one engine's verify-step state. The step wraps the
+// callback of every flow it files, so that each completion checks its
+// own place in its batch: every batch completeFinished delivers must be
+// strictly increasing in (doneAt, seq). The check compares the delivered
+// flows themselves, so it does not rest on the sort in completeFinished,
+// which the reference step shares.
+type deliveryCheck struct {
+	wrapped map[*Flow]int64 // flow -> the seq its callback was wrapped for
+	batch   int64           // the Steps count the last delivery ran in
+	lastAt  float64         // doneAt of the last delivered flow
+	lastSeq int64           // seq of the last delivered flow
+}
+
+func (d *deliveryCheck) run(e *Engine) {
 	e.allocIncrementalStep()
 	e.verifyAllocation()
 	e.verifyRecords()
+	for _, f := range e.active {
+		if d.wrapped[f] == f.seq {
+			continue
+		}
+		d.wrapped[f] = f.seq
+		done := f.done
+		f.done = func(now float64) {
+			if e.stats.Steps == d.batch && (f.doneAt < d.lastAt || f.doneAt == d.lastAt && f.seq < d.lastSeq) {
+				panic(fmt.Sprintf("flow: verify delivery at t=%g: flow (%v, %d) delivered after (%v, %d) in one batch",
+					e.now, f.doneAt, f.seq, d.lastAt, d.lastSeq))
+			}
+			d.batch, d.lastAt, d.lastSeq = e.stats.Steps, f.doneAt, f.seq
+			if done != nil {
+				done(now)
+			}
+		}
+	}
 }

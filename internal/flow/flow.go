@@ -95,52 +95,19 @@ func NewResource(name string, capacity float64) *Resource {
 	return &Resource{name: name, capacity: capacity, index: resourceSeq.Add(1)}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the resource capacity in service units per second.
-func (r *Resource) Capacity() float64 { return r.capacity }
-
-// BusyIntegral returns the total service delivered so far, in service
-// units, including the not-yet-settled interval since the last rate
-// change. Dividing by (capacity × elapsed time) yields mean utilization.
-func (r *Resource) BusyIntegral() float64 {
-	bi := r.busyIntegral
-	if r.owner != nil && r.lastRate > 0 {
-		if dt := r.owner.now - r.settledAt; dt > 0 {
-			bi += r.lastRate * dt
-		}
-	}
-	return bi
-}
-
 // utilClampTolerance separates genuine accounting drift from the ulp-level
 // float noise of summing many per-step busy intervals: ratios within it of
 // 1 clamp silently as before, anything above is counted as a clamp event.
 const utilClampTolerance = 1e-9
 
-var (
-	utilClamps   atomic.Int64
-	clampOnce    sync.Once
-	clampCounter *obs.Counter
-)
-
-// noteUtilizationClamp records one masked accounting-drift event, both in
-// the package counter (UtilizationClamps) and in the default obs registry.
-func noteUtilizationClamp() {
-	utilClamps.Add(1)
-	clampOnce.Do(func() {
-		clampCounter = obs.Default().Counter("cynthia_flow_util_clamp_total",
-			"Resource.Utilization ratios above 1 that were clamped (accounting drift)")
-	})
-	clampCounter.Inc()
-}
-
-// UtilizationClamps returns the process-wide count of Utilization calls
-// whose busy/capacity ratio exceeded 1 by more than the float-noise
-// tolerance and was clamped. Such clamps mask accounting drift in the
-// engine; the golden corpus asserts the count stays zero.
-func UtilizationClamps() int64 { return utilClamps.Load() }
+// clampCounter counts, in the default obs registry, the Utilization
+// ratios that exceeded 1 by more than utilClampTolerance and were clamped.
+// Such clamps mask accounting drift in the engine; the golden corpus
+// asserts the count stays zero.
+var clampCounter = sync.OnceValue(func() *obs.Counter {
+	return obs.Default().Counter("cynthia_flow_util_clamp_total",
+		"Resource.Utilization ratios above 1 that were clamped (accounting drift)")
+})
 
 // Utilization returns the mean utilization of the resource over [0, now],
 // in [0, 1]; see MeanUtilization. The not-yet-settled accrual interval is
@@ -160,15 +127,14 @@ func (r *Resource) Utilization(now float64) float64 {
 // capacity that delivered busy service units over [0, now], in [0, 1]. It
 // returns 0 if now is not positive. Ratios above 1 indicate accounting
 // drift: they are still clamped (preserving the historical return value),
-// but recorded via UtilizationClamps and the cynthia_flow_util_clamp_total
-// counter instead of being silently masked.
+// but counted by clampCounter instead of being silently masked.
 func MeanUtilization(busy, capacity, now float64) float64 {
 	if now <= 0 {
 		return 0
 	}
 	u := busy / (capacity * now)
 	if u > 1+utilClampTolerance {
-		noteUtilizationClamp()
+		clampCounter().Inc()
 	}
 	return math.Min(u, 1)
 }
@@ -199,27 +165,6 @@ type Flow struct {
 	visit     int64    // allocation-epoch stamp: in the current affected set
 	frozen    bool     // waterfill scratch: rate fixed in the current waterfill
 }
-
-// Label returns the diagnostic label given at submission.
-func (f *Flow) Label() string { return f.label }
-
-// Remaining returns the work left, in service units, including progress
-// accrued since the flow's component was last settled.
-func (f *Flow) Remaining() float64 {
-	rem := f.remaining
-	if f.engine != nil && f.rate > 0 {
-		if dt := f.engine.now - f.settled; dt > 0 {
-			rem -= f.rate * dt
-			if rem < 0 {
-				rem = 0
-			}
-		}
-	}
-	return rem
-}
-
-// Rate returns the most recently allocated rate.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // Engine is a discrete-event fluid simulator. The zero value is not usable;
 // use NewEngine.
@@ -294,9 +239,6 @@ type EngineStats struct {
 	// size, versus the active-flow count a full recompute would touch.
 	AllocAffectedFlows int64
 }
-
-// Stats returns the engine's cumulative event counts.
-func (e *Engine) Stats() EngineStats { return e.stats }
 
 // newEngineAllocStep seeds Engine.allocStep for every engine NewEngine
 // builds, so tests can switch the allocator of engines that other packages
@@ -383,17 +325,6 @@ func (e *Engine) At(t float64, fn func(now float64)) {
 	e.timers.push(timer{at: t, seq: e.seq, fn: fn})
 }
 
-// After schedules fn to run d seconds from the current simulated time.
-func (e *Engine) After(d float64, fn func(now float64)) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
-}
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // clockSlack returns the event-coincidence tolerance at simulated time t:
 // events within this window of the clock are treated as simultaneous. It
 // is clock-relative — a few ulps of t — with a 1e-12 floor near zero, so
@@ -418,8 +349,8 @@ func clockSlack(t float64) float64 {
 // Run processes events until no active flows or timers remain, until the
 // optional horizon (seconds, <= 0 means none) is reached, or until Stop is
 // called. It returns the final simulated time. Lazy accounting is settled
-// through the final time before returning, so BusyIntegral/Utilization and
-// attached Series are exact at the returned instant.
+// through the final time before returning, so Utilization and attached
+// Series are exact at the returned instant.
 func (e *Engine) Run(horizon float64) float64 {
 	e.stopped = false
 	for !e.stopped {
@@ -796,17 +727,6 @@ func (s *Series) Accumulate(t0, t1, rate float64) {
 			s.bins[b] += rate * (hi - lo)
 		}
 	}
-}
-
-// Len returns the number of bins.
-func (s *Series) Len() int { return len(s.bins) }
-
-// Rate returns the mean rate in bin i (service units per second).
-func (s *Series) Rate(i int) float64 {
-	if i < 0 || i >= len(s.bins) {
-		return 0
-	}
-	return s.bins[i] / s.binWidth
 }
 
 // Rates returns the mean rate of every bin.

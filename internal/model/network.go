@@ -94,15 +94,3 @@ func (n *Network) FwdGFLOPsPerSample() float64 {
 func (n *Network) IterGFLOPs(batch int) float64 {
 	return BackwardFactor * n.FwdGFLOPsPerSample() * float64(batch)
 }
-
-// OutputShape returns the network's final activation shape.
-func (n *Network) OutputShape() (Shape, error) {
-	stats, err := n.Analyze()
-	if err != nil {
-		return Shape{}, err
-	}
-	if len(stats) == 0 {
-		return n.Input, nil
-	}
-	return stats[len(stats)-1].Out, nil
-}

@@ -34,7 +34,7 @@ func BenchmarkJournalAppendParallel(b *testing.B) {
 }
 
 // BenchmarkAppendJSONL measures the canonical encoder with a reused
-// buffer, the sink/WriteJSONL fast path.
+// buffer, the sink fast path.
 func BenchmarkAppendJSONL(b *testing.B) {
 	e := Event{
 		Seq: 42, Source: "controller", SourceSeq: 7,

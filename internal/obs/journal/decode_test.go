@@ -111,15 +111,15 @@ func TestJournalRoundTripThroughSink(t *testing.T) {
 	}
 	restored := New(8, Deterministic())
 	restored.Restore(events, j.LastSeq(), j.SrcSeqs())
-	if restored.Len() != 3 || restored.LastSeq() != 3 {
-		t.Fatalf("restored len=%d lastSeq=%d", restored.Len(), restored.LastSeq())
+	if len(restored.Since(0)) != 3 || restored.LastSeq() != 3 {
+		t.Fatalf("restored len=%d lastSeq=%d", len(restored.Since(0)), restored.LastSeq())
 	}
 	// Continued appends must keep both counters contiguous.
 	seq := restored.Append(Event{Source: "ctl", Type: JobFinished, At: 3, Job: "job-1"})
 	if seq != 4 {
 		t.Fatalf("post-restore seq=%d, want 4", seq)
 	}
-	evs := restored.Events()
+	evs := restored.Since(0)
 	if last := evs[len(evs)-1]; last.SourceSeq != 3 {
 		t.Fatalf("ctl source seq=%d, want 3 (2 before restore + 1 after)", last.SourceSeq)
 	}
@@ -156,7 +156,7 @@ func TestRestoreCountersTakePrecedence(t *testing.T) {
 	if seq != 10 {
 		t.Fatalf("next seq=%d, want 10", seq)
 	}
-	if evs := j.Events(); evs[len(evs)-1].SourceSeq != 6 {
+	if evs := j.Since(0); evs[len(evs)-1].SourceSeq != 6 {
 		t.Fatalf("ctl sseq=%d, want 6", evs[len(evs)-1].SourceSeq)
 	}
 }

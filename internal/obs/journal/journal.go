@@ -203,13 +203,6 @@ func (j *Journal) Append(e Event) uint64 {
 	return seq
 }
 
-// Len returns the number of retained events.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.count
-}
-
 // LastSeq returns the sequence number of the most recent append (0 when
 // nothing was ever appended).
 func (j *Journal) LastSeq() uint64 {
@@ -217,9 +210,6 @@ func (j *Journal) LastSeq() uint64 {
 	defer j.mu.Unlock()
 	return j.seq
 }
-
-// Events returns every retained event in append order.
-func (j *Journal) Events() []Event { return j.Since(0) }
 
 // Since returns the retained events with Seq > after, in append order.
 func (j *Journal) Since(after uint64) []Event {
@@ -248,26 +238,6 @@ func (j *Journal) JobEvents(job string) []Event {
 		}
 	}
 	return out
-}
-
-// WriteJSONL writes every retained event in the canonical JSONL encoding.
-// In deterministic mode the output is byte-identical across replays of the
-// same scenario.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	j.mu.Lock()
-	events := make([]Event, 0, j.count)
-	for i := 0; i < j.count; i++ {
-		events = append(events, j.ring[(j.start+i)%len(j.ring)])
-	}
-	j.mu.Unlock()
-	var buf []byte
-	for _, e := range events {
-		buf = AppendJSONL(buf[:0], e)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 const hexDigits = "0123456789abcdef"

@@ -16,7 +16,7 @@ func TestAppendAssignsSequences(t *testing.T) {
 	j.Append(Event{Source: "b", Type: PlanSearchStart, At: 2})
 	j.Append(Event{Source: "a", Type: JobFinished, At: 3})
 
-	events := j.Events()
+	events := j.Since(0)
 	if len(events) != 3 {
 		t.Fatalf("len = %d, want 3", len(events))
 	}
@@ -34,15 +34,15 @@ func TestAppendAssignsSequences(t *testing.T) {
 	if events[1].SourceSeq != 1 {
 		t.Errorf("source b seq = %d, want 1", events[1].SourceSeq)
 	}
-	if j.LastSeq() != 3 || j.Len() != 3 {
-		t.Errorf("LastSeq/Len = %d/%d, want 3/3", j.LastSeq(), j.Len())
+	if j.LastSeq() != 3 || len(j.Since(0)) != 3 {
+		t.Errorf("LastSeq/Len = %d/%d, want 3/3", j.LastSeq(), len(j.Since(0)))
 	}
 }
 
 func TestWallClockStampedByDefault(t *testing.T) {
 	j := New(4)
 	j.Append(Event{Source: "a", Type: JobSubmitted})
-	if e := j.Events()[0]; e.WallNs == 0 {
+	if e := j.Since(0)[0]; e.WallNs == 0 {
 		t.Error("default journal did not stamp WallNs")
 	}
 }
@@ -52,7 +52,7 @@ func TestRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		j.Append(Event{Source: "s", Type: JobStatus, At: float64(i)})
 	}
-	events := j.Events()
+	events := j.Since(0)
 	if len(events) != 4 {
 		t.Fatalf("retained %d events, want 4", len(events))
 	}
@@ -144,7 +144,7 @@ func TestSinkReceivesEvictedEvents(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
 	if len(lines) != 5 {
-		t.Fatalf("sink has %d lines, want 5 (ring only retains %d)", len(lines), j.Len())
+		t.Fatalf("sink has %d lines, want 5 (ring only retains %d)", len(lines), len(j.Since(0)))
 	}
 	if !strings.Contains(lines[0], `"seq":1`) || !strings.Contains(lines[4], `"seq":5`) {
 		t.Errorf("sink lines = %v", lines)
@@ -170,7 +170,7 @@ func TestBindingClockAndContext(t *testing.T) {
 	b := Bind(j, "controller", "t-9", "job-9").WithClock(func() float64 { return now })
 	b.Emit(JobSubmitted)
 	b.WithSource("plan").Emit(PlanSearchStart)
-	events := j.Events()
+	events := j.Since(0)
 	if events[0].At != 7.5 || events[0].Trace != "t-9" || events[0].Job != "job-9" {
 		t.Errorf("event = %+v", events[0])
 	}
@@ -235,7 +235,7 @@ func TestConcurrentWriters(t *testing.T) {
 	close(stop)
 	reader.Wait()
 
-	events := j.Events()
+	events := j.Since(0)
 	if len(events) != writers*perWriter {
 		t.Fatalf("retained %d events, want %d", len(events), writers*perWriter)
 	}

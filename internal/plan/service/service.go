@@ -137,9 +137,6 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Catalog returns the catalog requests without their own are planned on.
-func (s *Service) Catalog() *cloud.Catalog { return s.catalog }
-
 // Close makes new requests fail with ErrClosed. Searches already running
 // finish on their requests' goroutines.
 func (s *Service) Close() {

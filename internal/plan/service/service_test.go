@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,27 +128,35 @@ func TestNormalizedRequestsShareEntries(t *testing.T) {
 	}
 }
 
-// TestEpochBumpInvalidates: a quote after a price change is priced at
-// the new rate.
-func TestEpochBumpInvalidates(t *testing.T) {
+// TestQuoteAtNewPrice: a catalog is immutable, so a price change is a new
+// catalog. A service built on a catalog where the first quote's type
+// costs 100x answers what a direct search on that catalog returns, and
+// reacts to the price.
+func TestQuoteAtNewPrice(t *testing.T) {
 	catalog := cloud.DefaultCatalog()
-	s := newTestService(t, Config{Catalog: catalog})
-	req := testRequest(t, catalog, 5400)
-
-	first, err := s.Plan(context.Background(), req)
+	first, err := newTestService(t, Config{Catalog: catalog}).Plan(context.Background(), testRequest(t, catalog, 5400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Make the chosen type wildly expensive.
-	if err := catalog.SetPrice(first.Plan.Type.Name, first.Plan.Type.PricePerHour*100); err != nil {
-		t.Fatal(err)
+	types := slices.Clone(catalog.Types())
+	for i := range types {
+		if types[i].Name == first.Plan.Type.Name {
+			types[i].PricePerHour *= 100
+		}
 	}
-	second, err := s.Plan(context.Background(), req)
+	repriced, err := cloud.NewCatalog(types...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := testRequest(t, repriced, 5400)
+	req.Catalog = nil // planned on the service's catalog
+	second, err := newTestService(t, Config{Catalog: repriced}).Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Catalog = repriced
 	if want := direct(t, req); second != want {
-		t.Errorf("quote after repricing = %+v, a direct search returns %+v", second, want)
+		t.Errorf("quote at the new price = %+v, a direct search returns %+v", second, want)
 	}
 	if second.Plan.Type.Name == first.Plan.Type.Name && second.Plan.Cost == first.Plan.Cost {
 		t.Errorf("plan did not react to a 100x repricing: %+v", second.Plan)
@@ -315,7 +324,7 @@ func TestCacheHitJournalEvents(t *testing.T) {
 	req := testRequest(t, s.Catalog(), 5400)
 	for _, trace := range []string{"trace-a", "trace-b"} {
 		req.Journal = journal.Bind(j, "test", trace, "")
-		mark := j.Len()
+		mark := len(j.Since(0))
 		if _, err := s.Plan(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}

@@ -266,13 +266,6 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// Version returns the number of applied updates.
-func (s *Server) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
-
 // Params returns a copy of the current shard parameters.
 func (s *Server) Params() []float64 {
 	s.mu.Lock()

@@ -79,11 +79,8 @@ func TestCrashRestartMatchesUninterrupted(t *testing.T) {
 			if err != nil && want == nil {
 				t.Fatalf("uninterrupted run: %v", err)
 			}
-			var wantJSONL bytes.Buffer
-			if err := jrnl.WriteJSONL(&wantJSONL); err != nil {
-				t.Fatal(err)
-			}
-			events := jrnl.Events()
+			wantJSONL := journalJSONL(jrnl)
+			events := jrnl.Since(0)
 			for name, kills := range killPoints(want, events) {
 				name, kills := name, kills
 				t.Run(name, func(t *testing.T) {
@@ -97,9 +94,9 @@ func TestCrashRestartMatchesUninterrupted(t *testing.T) {
 					if !reflect.DeepEqual(res.Outcome, want) {
 						t.Errorf("outcome diverged after crash+restart\n got %+v\nwant %+v", res.Outcome, want)
 					}
-					if !bytes.Equal(res.WALBytes, wantJSONL.Bytes()) {
+					if !bytes.Equal(res.WALBytes, wantJSONL) {
 						t.Errorf("durable journal diverged after crash+restart: got %d bytes, want %d\n%s",
-							len(res.WALBytes), wantJSONL.Len(), firstDiff(res.WALBytes, wantJSONL.Bytes()))
+							len(res.WALBytes), len(wantJSONL), firstDiff(res.WALBytes, wantJSONL))
 					}
 				})
 			}

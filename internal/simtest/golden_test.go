@@ -7,7 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"cynthia/internal/flow"
+	"cynthia/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden scenario expectations in place")
@@ -76,7 +76,9 @@ func TestGoldenCorpusNoUtilizationClamps(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no golden scenarios found")
 	}
-	before := flow.UtilizationClamps()
+	// flow counts its clamps in the default registry.
+	clamps := obs.Default().Counter("cynthia_flow_util_clamp_total", "")
+	before := clamps.Value()
 	for _, path := range paths {
 		s, err := LoadScenario(path)
 		if err != nil {
@@ -86,7 +88,7 @@ func TestGoldenCorpusNoUtilizationClamps(t *testing.T) {
 			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
 	}
-	if delta := flow.UtilizationClamps() - before; delta != 0 {
+	if delta := clamps.Value() - before; delta != 0 {
 		t.Errorf("golden corpus produced %d utilization clamps, want 0 (accounting drift)", delta)
 	}
 }

@@ -280,7 +280,7 @@ func earliestFault(faults []Fault) (*Fault, float64) {
 
 // sim holds the live simulation state.
 //
-// A simulated iteration allocates nothing once the sim is warm. Flow and
+// A simulated iteration allocates nothing once the sim is warm. Trace
 // span labels are built only when Options.Trace is set; every flow path
 // is built once, in newSim; transfers come from a free list of records
 // (xfer); and the BSP and ASP protocols run as per-worker state machines
@@ -360,11 +360,11 @@ func newSim(w *model.Workload, cluster cloud.ClusterSpec, iters int, opt Options
 	s.wkCPU = make([]workerCPU, s.nWk)
 	for j, t := range cluster.Workers {
 		s.wkCPU[j].capacity = t.GFLOPS
-		s.wkNIC = append(s.wkNIC, flow.NewResource(fmt.Sprintf("wk%d.nic", j), t.NetMBps))
+		s.wkNIC = append(s.wkNIC, flow.NewResource(t.NetMBps))
 	}
-	for k, t := range cluster.PS {
-		s.psCPU = append(s.psCPU, flow.NewResource(fmt.Sprintf("ps%d.cpu", k), t.GFLOPS))
-		nic := flow.NewResource(fmt.Sprintf("ps%d.nic", k), t.NetMBps)
+	for _, t := range cluster.PS {
+		s.psCPU = append(s.psCPU, flow.NewResource(t.GFLOPS))
+		nic := flow.NewResource(t.NetMBps)
 		if opt.TraceBin > 0 {
 			s.series = append(s.series, nic.Record(opt.TraceBin))
 		}
@@ -438,7 +438,7 @@ type xfer struct {
 	pending          int // flows still running
 	begin            float64
 	cat              string // trace category: "push" or "pull"
-	label            string // flow and span name; "" unless tracing
+	label            string // span name; "" unless tracing
 	then             func(j, k int, now float64)
 	nicDone, cpuDone func(now float64)
 }
@@ -468,17 +468,13 @@ func (s *sim) transfer(cat string, r, j, k int, then func(j, k int, now float64)
 	if s.opt.Trace != nil {
 		x.label = xferLabel(cat, r, j, k)
 	}
-	s.eng.Submit(x.label, s.shardMB, s.nicPaths[j*s.nPS+k], x.nicDone)
+	s.eng.Submit(s.shardMB, s.nicPaths[j*s.nPS+k], x.nicDone)
 	if cpuWork > 0 {
-		cpuLabel := ""
-		if s.opt.Trace != nil {
-			cpuLabel = x.label + ".cpu"
-		}
-		s.eng.Submit(cpuLabel, cpuWork, s.psCPU[k:k+1:k+1], x.cpuDone)
+		s.eng.Submit(cpuWork, s.psCPU[k:k+1:k+1], x.cpuDone)
 	}
 }
 
-// xferLabel names a transfer's NIC flow and span: push.r3.w1.p0 for BSP
+// xferLabel names a transfer's NIC span: push.r3.w1.p0 for BSP
 // round 3, push.w1.p0 under ASP (r < 0).
 func xferLabel(cat string, r, j, k int) string {
 	if r < 0 {

@@ -398,9 +398,9 @@ func TestSimAllocCeilings(t *testing.T) {
 		workers, ps int
 		measured    float64
 	}{
-		{"BSPRound", "mnist DNN", 8, 1, 225},
-		{"ASPRound", "ResNet-32", 8, 1, 130},
-		{"LargeClusterIterations", "ResNet-32", 64, 8, 959},
+		{"BSPRound", "mnist DNN", 8, 1, 215},
+		{"ASPRound", "ResNet-32", 8, 1, 120},
+		{"LargeClusterIterations", "ResNet-32", 64, 8, 879},
 	} {
 		allocs := testing.AllocsPerRun(3, simRun(t, tc.workload, tc.workers, tc.ps))
 		ceiling := tc.measured*1.001 + 0.5

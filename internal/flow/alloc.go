@@ -70,29 +70,39 @@ func (e *Engine) allocate() {
 
 // allocIncrementalStep re-runs waterfilling over the connected components
 // reachable from the dirty resources, or skips entirely when no flow
-// membership changed. Steady-state cost is zero allocations.
+// membership changed. It walks each dirty component twice: expandDirty's
+// BFS, then waterfill. Steady-state cost is zero allocations.
 func (e *Engine) allocIncrementalStep() {
 	if len(e.dirty) == 0 {
-		e.stats.AllocSkipped++
 		return
 	}
 	e.expandDirty()
 	for _, c := range e.comps {
-		e.runComp(c)
+		e.waterfill(c)
 	}
-	e.rekeyAffected()
-	e.noteRecompute(len(e.affected))
 }
 
 // expandDirty carves the connected components reachable from the dirty
 // resources into contiguous spans of e.queue (resources) and e.affected
 // (flows), one compSpan per component in dirty-discovery order — which is
 // deterministic, because dirt is appended in Submit/completion order. The
-// order inside a span follows r.flows, which swap-removal scrambles; the
-// waterfill and the re-key are both independent of it. A dirty resource
-// whose last flow left gets no span: it is settled through now and its
-// rate zeroed here, which is all a waterfill of an empty component did,
-// so every span holds at least one flow.
+// order inside a span follows r.flows, which swap-removal scrambles;
+// waterfill is independent of it.
+//
+// The BFS also does everything a waterfill needs done first, at the
+// moment it discovers a resource or flow: it settles the accounting
+// through now (before the waterfill overwrites the rate it accrued at),
+// seeds the waterfill scratch, and picks the component's record. A
+// component's flows were in at most a few live records — each wholly
+// inside it, since a live record has lost no flow — or in none (new
+// flows, and those left by a popped record). The first live record the
+// BFS meets is kept and rebuilt by the waterfill; any other is removed
+// from the heap and pooled. Which record survives changes no output: the
+// delivery order depends only on the flows' keys.
+//
+// A dirty resource whose last flow left gets no span: it is settled
+// through now and its rate zeroed here, which is all a waterfill of an
+// empty component did, so every span holds at least one flow.
 func (e *Engine) expandDirty() {
 	e.allocEpoch++
 	ep := e.allocEpoch
@@ -103,14 +113,14 @@ func (e *Engine) expandDirty() {
 		if seed.visit == ep {
 			continue
 		}
-		seed.visit = ep
+		e.discover(seed, ep)
 		if len(seed.flows) == 0 {
-			e.settleResource(seed)
 			seed.lastRate = 0
 			continue
 		}
 		r0, f0 := int32(len(queue)), int32(len(aff))
 		queue = append(queue, seed)
+		var rec *compRec
 		// BFS over the bipartite graph: resource -> crossing flows ->
 		// their paths. Flows discovered from this seed land contiguously
 		// in aff[f0:], resources in queue[r0:].
@@ -121,82 +131,40 @@ func (e *Engine) expandDirty() {
 				}
 				f.visit = ep
 				aff = append(aff, f)
-				for _, r := range f.path {
-					if r.visit != ep {
-						r.visit = ep
-						queue = append(queue, r)
+				e.settleFlow(f)
+				f.frozen = false
+				if old := f.rec; old != nil && old != rec && old.idx >= 0 {
+					if rec == nil {
+						rec = old
+					} else {
+						e.freeRec(e.cheap.remove(old.idx))
 					}
 				}
-			}
-		}
-		comps = append(comps, compSpan{r0: r0, r1: int32(len(queue)), f0: f0, f1: int32(len(aff))})
-	}
-	e.dirty = e.dirty[:0]
-	e.queue, e.affected, e.comps = queue, aff, comps
-}
-
-// runComp settles one component's accounting through e.now, then
-// waterfills it.
-func (e *Engine) runComp(c compSpan) {
-	res := e.queue[c.r0:c.r1]
-	fls := e.affected[c.f0:c.f1]
-	for _, r := range res {
-		e.settleResource(r)
-	}
-	for _, f := range fls {
-		e.settleFlow(f)
-	}
-	waterfill(res, fls)
-}
-
-// rekeyAffected recomputes the completion time of every flow that was
-// just settled and re-rated, and files each affected component as one
-// record keyed by its earliest (doneAt, seq) flow. A component's flows
-// were in at most a few live records — each wholly inside it, since a
-// live record has lost no flow — or in none (new flows, and those left by
-// a popped record). The first live record found is rebuilt in place and
-// re-keyed; any other is removed from the heap and pooled. The delivery
-// order the event loop observes depends only on the flows' keys, not on
-// which record holds them.
-func (e *Engine) rekeyAffected() {
-	for _, c := range e.comps {
-		fls := e.affected[c.f0:c.f1]
-		var rec *compRec
-		first := fls[0]
-		for _, f := range fls {
-			switch {
-			case f.remaining <= 0:
-				f.doneAt = e.now
-			case f.rate > 0:
-				f.doneAt = e.now + f.remaining/f.rate
-			default:
-				f.doneAt = math.Inf(1)
-			}
-			if doneLess(f, first) {
-				first = f
-			}
-			if old := f.rec; old != nil && old != rec && old.idx >= 0 {
-				if rec == nil {
-					rec = old
-				} else {
-					e.freeRec(e.cheap.remove(old.idx))
+				for _, r := range f.path {
+					if r.visit != ep {
+						e.discover(r, ep)
+						queue = append(queue, r)
+					}
+					r.nflows++
 				}
 			}
 		}
 		if rec == nil {
 			rec = e.newRec()
 		}
-		rec.head = nil
-		for _, f := range fls {
-			f.rec, f.recNext, rec.head = rec, rec.head, f
-		}
-		rec.first = first
-		if rec.idx < 0 {
-			e.cheap.push(rec)
-		} else {
-			e.cheap.fix(rec.idx)
-		}
+		comps = append(comps, compSpan{r0: r0, r1: int32(len(queue)), f0: f0, f1: int32(len(aff)), rec: rec})
 	}
+	e.dirty = e.dirty[:0]
+	e.queue, e.affected, e.comps = queue, aff, comps
+}
+
+// discover stamps a resource into the current affected set, settles its
+// accounting through now and seeds its waterfill scratch.
+func (e *Engine) discover(r *Resource, ep int64) {
+	r.visit = ep
+	e.settleResource(r)
+	r.remaining = r.capacity
+	r.nflows = 0
 }
 
 // newRec returns a pooled record, or a new one, outside the heap.
@@ -215,13 +183,19 @@ func (e *Engine) freeRec(rec *compRec) {
 	rec.next, e.recFree = e.recFree, rec
 }
 
-// waterfill runs progressive filling restricted to the given resources and
-// flows (one affected component). It is the same algorithm as
-// allocReference with the map-backed scratch state moved onto the Resource
-// and Flow structs: repeatedly find the bottleneck — smallest per-flow
-// fair share, ties broken by resource creation index — freeze its flows
-// at that share, charge their paths, and continue until every flow is
-// frozen.
+// waterfill runs progressive filling over one component that expandDirty
+// has settled and seeded: repeatedly find the bottleneck — smallest
+// per-flow fair share, ties broken by resource creation index — freeze
+// its flows at that share, charge their paths, and continue until every
+// flow is frozen. It is the same algorithm as allocReference with the
+// map-backed scratch state moved onto the Resource and Flow structs.
+//
+// Freezing a flow fixes its rate, so the freeze also sets the flow's
+// completion time and links it into the component's record; a resource's
+// lastRate is set when its last crossing flow freezes, since its
+// remaining capacity cannot change after that. The record goes into the
+// completion heap keyed by its earliest (doneAt, seq) flow, so a step's
+// heap upkeep is one re-key per component, not one per flow.
 //
 // No step depends on the order of resources, flows or any r.flows list,
 // which is why the spans need no sorting and the result is bit-identical
@@ -232,21 +206,13 @@ func (e *Engine) freeRec(rec *compRec) {
 //     scanning the unfrozen flows' paths;
 //   - every freeze in a round subtracts the same best from each resource
 //     on its path, so each resource sees the same sequence of
-//     subtractions whatever order its flows freeze in.
-func waterfill(resources []*Resource, flows []*Flow) {
-	for _, r := range resources {
-		r.remaining = r.capacity
-		r.nflows = 0
-		r.lastRate = 0
-	}
-	for _, f := range flows {
-		f.rate = 0
-		f.frozen = false
-		for _, r := range f.path {
-			r.nflows++
-		}
-	}
-	for frozen := 0; frozen < len(flows); {
+//     subtractions whatever order its flows freeze in;
+//   - the record's key is the minimum under doneLess, a total order.
+func (e *Engine) waterfill(c compSpan) {
+	resources := e.queue[c.r0:c.r1]
+	rec := c.rec
+	rec.head, rec.first = nil, nil
+	for frozen := c.f1 - c.f0; frozen > 0; {
 		var bottleneck *Resource
 		best := math.Inf(1)
 		for _, r := range resources {
@@ -270,28 +236,35 @@ func waterfill(resources []*Resource, flows []*Flow) {
 				continue
 			}
 			f.frozen = true
-			frozen++
+			frozen--
 			f.rate = best
+			switch {
+			case f.remaining <= 0:
+				f.doneAt = e.now
+			case best > 0:
+				f.doneAt = e.now + f.remaining/best
+			default:
+				f.doneAt = math.Inf(1)
+			}
+			f.rec, f.recNext, rec.head = rec, rec.head, f
+			if rec.first == nil || doneLess(f, rec.first) {
+				rec.first = f
+			}
 			for _, r := range f.path {
 				r.remaining -= best
 				if r.remaining < 0 {
 					r.remaining = 0
 				}
-				r.nflows--
+				if r.nflows--; r.nflows == 0 {
+					// remaining never exceeds capacity, so this is >= 0.
+					r.lastRate = r.capacity - r.remaining
+				}
 			}
 		}
 	}
-	for _, r := range resources {
-		r.lastRate = r.capacity - r.remaining
-		if r.lastRate < 0 {
-			r.lastRate = 0
-		}
+	if rec.idx < 0 {
+		e.cheap.push(rec)
+	} else {
+		e.cheap.fix(rec.idx)
 	}
-}
-
-// noteRecompute records one allocator recompute over n affected flows in
-// the engine stats.
-func (e *Engine) noteRecompute(n int) {
-	e.stats.AllocRecomputes++
-	e.stats.AllocAffectedFlows += int64(n)
 }

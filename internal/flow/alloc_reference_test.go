@@ -7,7 +7,10 @@ package flow
 // builds) and compares the results bit for bit. The reference recompute
 // rewrites unaffected components' rates with bit-identical values (the
 // restriction property in alloc.go), so it settles only the dirty
-// components, exactly as the incremental step does.
+// components, exactly as the incremental step does. It shares expandDirty,
+// which settles and picks each component's record, with the incremental
+// step; it computes rates and completion keys and files the records with
+// its own code.
 
 import (
 	"fmt"
@@ -20,33 +23,55 @@ import (
 // float sequences match it exactly; the reference merely computes every
 // rate from scratch instead of only the affected ones.
 func (e *Engine) allocReferenceStep() {
-	if len(e.dirty) > 0 {
-		e.expandDirty()
-		for _, c := range e.comps {
-			res := e.queue[c.r0:c.r1]
-			for _, r := range res {
-				e.settleResource(r)
-			}
-			for _, f := range e.affected[c.f0:c.f1] {
-				e.settleFlow(f)
-			}
-		}
-		e.allocReference()
-		e.rekeyAffected()
-	} else {
+	if len(e.dirty) == 0 {
 		// No membership change: the recompute is idempotent and rewrites
 		// every rate with identical bits, so neither settlement nor
 		// re-keying is needed.
 		e.allocReference()
+		return
 	}
-	e.noteRecompute(len(e.active))
+	e.expandDirty()
+	e.allocReference()
+	e.rekeyReference()
+}
+
+// rekeyReference recomputes the completion time of every flow expandDirty
+// settled and allocReference re-rated, and files each affected component
+// as one record, the one expandDirty picked, keyed by its earliest
+// (doneAt, seq) flow. It links a component's flows in span order, where
+// the incremental waterfill links them in freeze order, so a delivery
+// that depended on the order inside a record would differ between the two.
+func (e *Engine) rekeyReference() {
+	for _, c := range e.comps {
+		rec := c.rec
+		rec.head, rec.first = nil, nil
+		for _, f := range e.affected[c.f0:c.f1] {
+			switch {
+			case f.remaining <= 0:
+				f.doneAt = e.now
+			case f.rate > 0:
+				f.doneAt = e.now + f.remaining/f.rate
+			default:
+				f.doneAt = math.Inf(1)
+			}
+			f.rec, f.recNext, rec.head = rec, rec.head, f
+			if rec.first == nil || doneLess(f, rec.first) {
+				rec.first = f
+			}
+		}
+		if rec.idx < 0 {
+			e.cheap.push(rec)
+		} else {
+			e.cheap.fix(rec.idx)
+		}
+	}
 }
 
 // allocReference is the pre-incremental allocator, kept verbatim apart
 // from the shared bottleneck total order: a full map-backed recompute over
 // every active flow, scanned in submission order. It writes only f.rate
 // and r.lastRate, so running it never corrupts the incremental bookkeeping
-// (remaining/nflows are re-initialized by every waterfill).
+// (remaining/nflows are re-seeded by every expandDirty).
 func (e *Engine) allocReference() {
 	type resState struct {
 		res       *Resource
@@ -155,15 +180,15 @@ func (e *Engine) verifyAllocation() {
 	for i, f := range e.active {
 		if math.Float64bits(f.rate) != math.Float64bits(rates[i]) {
 			panic(fmt.Sprintf(
-				"flow: verify mismatch at t=%g: flow %q incremental rate %v (%#016x) != reference %v (%#016x)",
-				e.now, f.label, rates[i], math.Float64bits(rates[i]), f.rate, math.Float64bits(f.rate)))
+				"flow: verify mismatch at t=%g: flow %d incremental rate %v (%#016x) != reference %v (%#016x)",
+				e.now, f.seq, rates[i], math.Float64bits(rates[i]), f.rate, math.Float64bits(f.rate)))
 		}
 	}
 	for r, inc := range resRates {
 		if math.Float64bits(r.lastRate) != math.Float64bits(inc) {
 			panic(fmt.Sprintf(
-				"flow: verify mismatch at t=%g: resource %q incremental lastRate %v (%#016x) != reference %v (%#016x)",
-				e.now, r.name, inc, math.Float64bits(inc), r.lastRate, math.Float64bits(r.lastRate)))
+				"flow: verify mismatch at t=%g: resource %d incremental lastRate %v (%#016x) != reference %v (%#016x)",
+				e.now, r.index, inc, math.Float64bits(inc), r.lastRate, math.Float64bits(r.lastRate)))
 		}
 	}
 }
@@ -186,10 +211,10 @@ func (e *Engine) verifyRecords() {
 		first := rec.head
 		for f := rec.head; f != nil; f = f.recNext {
 			if f.rec != rec {
-				panic(fmt.Sprintf("flow: verify heap at t=%g: flow %q in the record of slot %d names another record", e.now, f.label, i))
+				panic(fmt.Sprintf("flow: verify heap at t=%g: flow %d in the record of slot %d names another record", e.now, f.seq, i))
 			}
 			if f.actIdx >= len(e.active) || e.active[f.actIdx] != f {
-				panic(fmt.Sprintf("flow: verify heap at t=%g: record in slot %d holds inactive flow %q", e.now, i, f.label))
+				panic(fmt.Sprintf("flow: verify heap at t=%g: record in slot %d holds inactive flow %d", e.now, i, f.seq))
 			}
 			if doneLess(f, first) {
 				first = f
@@ -197,8 +222,8 @@ func (e *Engine) verifyRecords() {
 			filed++
 		}
 		if rec.first != first {
-			panic(fmt.Sprintf("flow: verify heap at t=%g: record in slot %d keyed by a flow other than its earliest, %q (%v, %d)",
-				e.now, i, first.label, first.doneAt, first.seq))
+			panic(fmt.Sprintf("flow: verify heap at t=%g: record in slot %d keyed by a flow other than its earliest, (%v, %d)",
+				e.now, i, first.doneAt, first.seq))
 		}
 		if i > 0 {
 			if parent := e.cheap[(i-1)/2]; !doneLess(parent.first, rec.first) {
@@ -219,7 +244,7 @@ func (e *Engine) verifyRecords() {
 // also checks the order of every completion batch. It allocates, so it is
 // for tests only.
 func (e *Engine) allocVerifyStep() {
-	d := &deliveryCheck{wrapped: make(map[*Flow]int64)}
+	d := newDeliveryCheck()
 	e.allocStep = d.run
 	d.run(e)
 }
@@ -232,12 +257,20 @@ func (e *Engine) allocVerifyStep() {
 // which the reference step shares.
 type deliveryCheck struct {
 	wrapped map[*Flow]int64 // flow -> the seq its callback was wrapped for
-	batch   int64           // the Steps count the last delivery ran in
+	steps   int64           // allocation steps run so far: one per event step
+	batch   int64           // the step the last delivery ran in
 	lastAt  float64         // doneAt of the last delivered flow
 	lastSeq int64           // seq of the last delivered flow
 }
 
+func newDeliveryCheck() *deliveryCheck {
+	return &deliveryCheck{wrapped: make(map[*Flow]int64)}
+}
+
+// run is the verify step itself: the incremental step, its rates and
+// records cross-checked, and every flow's callback wrapped.
 func (d *deliveryCheck) run(e *Engine) {
+	d.steps++
 	e.allocIncrementalStep()
 	e.verifyAllocation()
 	e.verifyRecords()
@@ -248,11 +281,11 @@ func (d *deliveryCheck) run(e *Engine) {
 		d.wrapped[f] = f.seq
 		done := f.done
 		f.done = func(now float64) {
-			if e.stats.Steps == d.batch && (f.doneAt < d.lastAt || f.doneAt == d.lastAt && f.seq < d.lastSeq) {
+			if d.steps == d.batch && (f.doneAt < d.lastAt || f.doneAt == d.lastAt && f.seq < d.lastSeq) {
 				panic(fmt.Sprintf("flow: verify delivery at t=%g: flow (%v, %d) delivered after (%v, %d) in one batch",
 					e.now, f.doneAt, f.seq, d.lastAt, d.lastSeq))
 			}
-			d.batch, d.lastAt, d.lastSeq = e.stats.Steps, f.doneAt, f.seq
+			d.batch, d.lastAt, d.lastSeq = d.steps, f.doneAt, f.seq
 			if done != nil {
 				done(now)
 			}

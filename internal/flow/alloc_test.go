@@ -11,18 +11,40 @@ import (
 // buildChurn constructs a randomized multi-component engine run: staggered
 // arrivals over disjoint and overlapping paths, with completion-driven
 // resubmission. Identical construction for every allocation step (nil is
-// the incremental allocator), so completion times are comparable bit for
-// bit across allocators.
-func buildChurn(seed int64, step func(*Engine)) (end float64, completions []float64) {
+// the incremental allocator), so completions are comparable bit for bit
+// across allocators. Each completion is recorded as (flow id, time bits)
+// in delivery order, so a batch delivered in another order diverges too.
+//
+// Odd seeds draw quantized values: power-of-two capacities, sizes in
+// halves and arrival times in quarters. Flows in different components
+// then finish at exactly the same instant, so one completion batch pops
+// several records and only (doneAt, seq) order fixes the delivery order.
+// Even seeds draw continuous values, which give near-ties instead.
+func buildChurn(seed int64, step func(*Engine)) (end float64, completions []string) {
 	rng := rand.New(rand.NewSource(seed))
+	quantized := seed%2 == 1
+	draw := func(lo, span, quantum float64) float64 {
+		if quantized {
+			return lo + quantum*float64(rng.Intn(int(span/quantum)+1))
+		}
+		return lo + rng.Float64()*span
+	}
 	e := NewEngine()
 	e.allocStep = step
 	nRes := 4 + rng.Intn(12)
 	resources := make([]*Resource, nRes)
 	for i := range resources {
-		resources[i] = NewResource("r", 1+rng.Float64()*99)
+		if quantized {
+			resources[i] = NewResource(float64(int(1) << rng.Intn(4)))
+		} else {
+			resources[i] = NewResource(1 + rng.Float64()*99)
+		}
 	}
-	record := func(now float64) { completions = append(completions, now) }
+	record := func(id int) func(now float64) {
+		return func(now float64) {
+			completions = append(completions, fmt.Sprintf("%d@%x", id, math.Float64bits(now)))
+		}
+	}
 	randPath := func() []*Resource {
 		var path []*Resource
 		for _, r := range resources {
@@ -37,22 +59,23 @@ func buildChurn(seed int64, step func(*Engine)) (end float64, completions []floa
 	}
 	nFlows := 8 + rng.Intn(56)
 	for i := 0; i < nFlows; i++ {
-		size := rng.Float64()*40 + 0.5
+		size := draw(0.5, 40, 0.5)
 		path := randPath()
 		if rng.Intn(2) == 0 {
-			e.Submit("f", size, path, record)
+			e.Submit(size, path, record(i))
 		} else {
-			at := rng.Float64() * 20
-			e.At(at, func(now float64) { e.Submit("g", size, path, record) })
+			at := draw(0, 20, 0.25)
+			e.At(at, func(now float64) { e.Submit(size, path, record(i)) })
 		}
 	}
 	// A few completion-chained resubmissions to churn mid-run.
 	for i := 0; i < 5; i++ {
-		size := rng.Float64()*10 + 0.5
+		size := draw(0.5, 10, 0.5)
 		path := randPath()
-		e.Submit("h", size, path, func(now float64) {
-			record(now)
-			e.Submit("h2", size/2, path, record)
+		id := nFlows + i
+		e.Submit(size, path, func(now float64) {
+			record(id)(now)
+			e.Submit(size/2, path, record(-1-id)) // negative ids: resubmissions
 		})
 	}
 	end = e.Run(0)
@@ -73,8 +96,8 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 			t.Fatalf("seed %d: completion count diverged: reference %d, incremental %d", seed, len(refC), len(c))
 		}
 		for i := range refC {
-			if math.Float64bits(refC[i]) != math.Float64bits(c[i]) {
-				t.Fatalf("seed %d: completion %d diverged: reference %v, incremental %v", seed, i, refC[i], c[i])
+			if refC[i] != c[i] {
+				t.Fatalf("seed %d: completion %d diverged: reference %s, incremental %s", seed, i, refC[i], c[i])
 			}
 		}
 		// The verify step re-checks every recompute internally and panics
@@ -100,19 +123,18 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 func tieBreakRates(step func(*Engine)) [4]float64 {
 	e := NewEngine()
 	e.allocStep = step
-	x := NewResource("x", 1+1.8e-15)
-	r1 := NewResource("r1", 2+1.8e-15)
-	r2 := NewResource("r2", 2.0)
-	fB := e.Submit("fB", 1e6, []*Resource{x}, nil)
+	x := NewResource(1+1.8e-15)
+	r1 := NewResource(2+1.8e-15)
+	r2 := NewResource(2.0)
+	fB := e.Submit(1e6, []*Resource{x}, nil)
 	// g0 is the trigger: its completion dirties only component A, forcing
 	// the incremental allocator onto the component-local scan while the
 	// reference rescans everything.
-	e.Submit("g0", 1e-6, []*Resource{r1}, nil)
-	g1 := e.Submit("g1", 1e6, []*Resource{r1}, nil)
-	g2 := e.Submit("g2", 1e6, []*Resource{r1, r2}, nil)
-	g3 := e.Submit("g3", 1e6, []*Resource{r2}, nil)
-	e.At(1, func(float64) { e.Stop() })
-	e.Run(0)
+	e.Submit(1e-6, []*Resource{r1}, nil)
+	g1 := e.Submit(1e6, []*Resource{r1}, nil)
+	g2 := e.Submit(1e6, []*Resource{r1, r2}, nil)
+	g3 := e.Submit(1e6, []*Resource{r2}, nil)
+	e.Run(1)
 	return [4]float64{fB.Rate(), g1.Rate(), g2.Rate(), g3.Rate()}
 }
 
@@ -158,22 +180,22 @@ func TestCrossComponentTieBreakPartitionIndependent(t *testing.T) {
 func psRounds(step func(*Engine), n, rounds int) (log []string) {
 	e := NewEngine()
 	e.allocStep = step
-	ps := NewResource("psnic", 40)
+	ps := NewResource(40)
 	for i := 0; i < n; i++ {
-		cpu := NewResource("cpu", 2+float64(i%3))
-		nic := NewResource("nic", 10)
+		cpu := NewResource(2+float64(i%3))
+		nic := NewResource(10)
 		left := rounds
 		var compute func(now float64)
 		push := func(now float64) {
 			log = append(log, fmt.Sprintf("c%d %x", i, math.Float64bits(now)))
-			e.Submit("push", 8+float64(i%4), []*Resource{nic, ps}, compute)
+			e.Submit(8+float64(i%4), []*Resource{nic, ps}, compute)
 		}
 		compute = func(now float64) {
 			if now > 0 {
 				log = append(log, fmt.Sprintf("p%d %x", i, math.Float64bits(now)))
 			}
 			if left--; left >= 0 {
-				e.Submit("compute", 1+float64(i%5)/4, []*Resource{cpu}, push)
+				e.Submit(1+float64(i%5)/4, []*Resource{cpu}, push)
 			}
 		}
 		compute(0)
@@ -198,7 +220,7 @@ func coincidentBatch(step func(*Engine)) (log []string) {
 		}
 		return x
 	}
-	shared := NewResource("shared", 2)
+	shared := NewResource(2)
 	for _, fl := range []struct {
 		label string
 		ulps  int
@@ -209,10 +231,10 @@ func coincidentBatch(step func(*Engine)) (log []string) {
 	} {
 		res := fl.res // two flows share it at rate 1 each
 		if res == nil {
-			res = NewResource(fl.label, 1)
+			res = NewResource(1)
 		}
 		label := fl.label
-		e.Submit(label, ulps(fl.ulps), []*Resource{res}, func(now float64) {
+		e.Submit(ulps(fl.ulps), []*Resource{res}, func(now float64) {
 			log = append(log, fmt.Sprintf("%s %x", label, math.Float64bits(now)))
 		})
 	}
@@ -268,17 +290,20 @@ func TestCoincidentDeliveryMatchesReference(t *testing.T) {
 // crossings, 20 over 6), so only creation index picks the bottleneck, and
 // the residual shares after it round differently depending on which
 // resource froze first; two paths cross one resource twice. Every
-// permutation must reproduce the as-built rates bit for bit.
+// permutation must reproduce the as-built rates bit for bit. Each
+// permutation re-runs expandDirty over every resource, as a step that
+// dirtied them all would, so the waterfill starts from freshly seeded
+// scratch state and the BFS meets the shuffled r.flows lists too.
 func TestWaterfillOrderFree(t *testing.T) {
 	e := NewEngine()
-	a, b, x := NewResource("a", 10), NewResource("b", 20), NewResource("x", 7)
-	c, d := NewResource("c", 10), NewResource("d", 20)
+	a, b, x := NewResource(10), NewResource(20), NewResource(7)
+	c, d := NewResource(10), NewResource(20)
 	all := []*Resource{a, b, x, c, d}
 	for _, path := range [][]*Resource{
 		{a, b}, {a}, {a}, {b}, {b}, {b}, {b}, {b, x}, {x},
 		{c, c}, {c, d}, {d, d}, {d}, {d}, {d},
 	} {
-		e.Submit("f", 1e9, path, nil)
+		e.Submit(1e9, path, nil)
 	}
 	e.expandDirty()
 	if len(e.comps) != 2 {
@@ -287,7 +312,7 @@ func TestWaterfillOrderFree(t *testing.T) {
 	waterfillAll := func() []uint64 {
 		var bits []uint64
 		for _, cs := range e.comps {
-			waterfill(e.queue[cs.r0:cs.r1], e.affected[cs.f0:cs.f1])
+			e.waterfill(cs)
 		}
 		for _, f := range e.active {
 			bits = append(bits, math.Float64bits(f.rate))
@@ -303,6 +328,8 @@ func TestWaterfillOrderFree(t *testing.T) {
 		for _, r := range all {
 			rng.Shuffle(len(r.flows), func(i, j int) { r.flows[i], r.flows[j] = r.flows[j], r.flows[i] })
 		}
+		e.dirty = append(e.dirty, all...)
+		e.expandDirty()
 		for _, cs := range e.comps {
 			res, fls := e.queue[cs.r0:cs.r1], e.affected[cs.f0:cs.f1]
 			rng.Shuffle(len(res), func(i, j int) { res[i], res[j] = res[j], res[i] })
@@ -322,20 +349,45 @@ func TestWaterfillOrderFree(t *testing.T) {
 // paths, freed capacity, multi-resource bottlenecks.
 func TestAllocVerifyMatchesOnDirectedScenarios(t *testing.T) {
 	e := NewEngine()
-	e.allocStep = (*Engine).allocVerifyStep
-	r1 := NewResource("r1", 10)
-	r2 := NewResource("r2", 4)
-	slow := NewResource("slow", 1)
-	e.Submit("A", 40, []*Resource{r1}, nil)
-	e.Submit("B", 10, []*Resource{r1, r2}, nil)
-	e.Submit("C", 10, []*Resource{r2}, nil)
-	e.Submit("D", 3, []*Resource{slow, r1}, func(now float64) {
-		e.Submit("E", 5, []*Resource{r2, slow}, nil)
+	n := countSteps(e, newDeliveryCheck().run)
+	r1 := NewResource(10)
+	r2 := NewResource(4)
+	slow := NewResource(1)
+	e.Submit(40, []*Resource{r1}, nil)
+	e.Submit(10, []*Resource{r1, r2}, nil)
+	e.Submit(10, []*Resource{r2}, nil)
+	e.Submit(3, []*Resource{slow, r1}, func(now float64) {
+		e.Submit(5, []*Resource{r2, slow}, nil)
 	})
 	e.Run(0)
-	if got := e.Stats().AllocRecomputes; got == 0 {
+	if n.recomputes == 0 {
 		t.Fatal("verify run performed no recomputes")
 	}
+}
+
+// stepCounts counts what the allocation steps of one engine did: how many
+// steps ran, how many found no membership change and skipped, how many
+// recomputed, and how many flows the recomputes re-waterfilled in total.
+type stepCounts struct {
+	steps, skipped, recomputes, affected int
+}
+
+// countSteps installs step, wrapped to count into the returned stepCounts,
+// as e's allocation step. Run calls the step once per event step.
+func countSteps(e *Engine, step func(*Engine)) *stepCounts {
+	n := &stepCounts{}
+	e.allocStep = func(e *Engine) {
+		n.steps++
+		if len(e.dirty) == 0 {
+			n.skipped++
+			step(e)
+			return
+		}
+		n.recomputes++
+		step(e)
+		n.affected += len(e.affected)
+	}
+	return n
 }
 
 // TestAllocSkipReusesAllocation asserts the incremental allocator skips
@@ -343,19 +395,18 @@ func TestAllocVerifyMatchesOnDirectedScenarios(t *testing.T) {
 // and that the skipped allocation is still correct.
 func TestAllocSkipReusesAllocation(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("r", 10)
-	f := e.Submit("f", 100, []*Resource{r}, nil)
+	r := NewResource(10)
+	n := countSteps(e, (*Engine).allocIncrementalStep)
+	f := e.Submit(100, []*Resource{r}, nil)
 	for i := 1; i <= 5; i++ {
 		e.At(float64(i), func(float64) {}) // timer-only steps: no membership change
 	}
-	e.At(6, func(float64) { e.Stop() })
-	e.Run(0)
-	st := e.Stats()
-	if st.AllocSkipped == 0 {
-		t.Errorf("expected skipped allocations on timer-only steps, got stats %+v", st)
+	e.Run(6)
+	if n.skipped == 0 {
+		t.Errorf("expected skipped allocations on timer-only steps, got counts %+v", *n)
 	}
-	if st.AllocRecomputes == 0 {
-		t.Errorf("expected at least one recompute, got stats %+v", st)
+	if n.recomputes == 0 {
+		t.Errorf("expected at least one recompute, got counts %+v", *n)
 	}
 	if f.Rate() != 10 {
 		t.Errorf("flow rate = %v, want 10", f.Rate())
@@ -393,20 +444,21 @@ func TestAllocateSteadyStateZeroAllocs(t *testing.T) {
 // component does not re-waterfill flows in another.
 func TestAffectedComponentIsLocal(t *testing.T) {
 	e := NewEngine()
-	ra := NewResource("a", 10)
-	rb := NewResource("b", 10)
-	e.Submit("a1", 1e9, []*Resource{ra}, nil)
-	e.Submit("a2", 1e9, []*Resource{ra}, nil)
-	e.Submit("b1", 1e9, []*Resource{rb}, nil)
+	n := countSteps(e, (*Engine).allocIncrementalStep)
+	ra := NewResource(10)
+	rb := NewResource(10)
+	e.Submit(1e9, []*Resource{ra}, nil)
+	e.Submit(1e9, []*Resource{ra}, nil)
+	e.Submit(1e9, []*Resource{rb}, nil)
 	e.allocate()
-	base := e.Stats().AllocAffectedFlows
+	base := n.affected
 	if base != 3 {
 		t.Fatalf("initial recompute affected %d flows, want 3", base)
 	}
 	// New flow in component b: only b's two flows should re-waterfill.
-	e.Submit("b2", 1e9, []*Resource{rb}, nil)
+	e.Submit(1e9, []*Resource{rb}, nil)
 	e.allocate()
-	if got := e.Stats().AllocAffectedFlows - base; got != 2 {
+	if got := n.affected - base; got != 2 {
 		t.Errorf("arrival in component b affected %d flows, want 2", got)
 	}
 }
@@ -415,7 +467,7 @@ func TestAffectedComponentIsLocal(t *testing.T) {
 // while ulp-level noise stays silent, and that the return value still
 // clamps to 1 either way.
 func TestUtilizationClampCounter(t *testing.T) {
-	r := NewResource("drift", 1)
+	r := NewResource(1)
 	r.busyIntegral = 2.5 // 2.5x capacity over 1s: real drift
 	before := UtilizationClamps()
 	if u := r.Utilization(1); u != 1 {
@@ -424,7 +476,7 @@ func TestUtilizationClampCounter(t *testing.T) {
 	if got := UtilizationClamps() - before; got != 1 {
 		t.Errorf("clamp count delta = %d, want 1", got)
 	}
-	noisy := NewResource("noise", 1)
+	noisy := NewResource(1)
 	noisy.busyIntegral = 1 + 1e-12 // within float-noise tolerance
 	before = UtilizationClamps()
 	if u := noisy.Utilization(1); u != 1 {
@@ -432,19 +484,5 @@ func TestUtilizationClampCounter(t *testing.T) {
 	}
 	if got := UtilizationClamps() - before; got != 0 {
 		t.Errorf("ulp-level noise counted as clamp (delta %d), want 0", got)
-	}
-}
-
-// TestEngineStatsExported asserts Engine.Stats reports the allocator
-// counters after a run that recomputes at least once.
-func TestEngineStatsExported(t *testing.T) {
-	e := NewEngine()
-	r := NewResource("r", 5)
-	e.Submit("f", 10, []*Resource{r}, nil)
-	e.At(1, func(float64) {})
-	e.Run(0)
-	st := e.Stats()
-	if st.AllocRecomputes < 1 || st.AllocAffectedFlows < 1 {
-		t.Errorf("stats = %+v, want at least one recompute over one flow", st)
 	}
 }

@@ -43,15 +43,13 @@ func (r *Resource) BusyIntegral() float64 {
 // ratios; see clampCounter.
 func UtilizationClamps() int64 { return clampCounter().Value() }
 
-// Label returns the diagnostic label given at submission.
-func (f *Flow) Label() string { return f.label }
-
 // Remaining returns the work left, in service units, including progress
-// accrued since the flow's component was last settled.
+// accrued since the flow's component was last settled. A flow with a rate
+// is active, so its path's first resource is registered with its engine.
 func (f *Flow) Remaining() float64 {
 	rem := f.remaining
-	if f.engine != nil && f.rate > 0 {
-		if dt := f.engine.now - f.settled; dt > 0 {
+	if f.rate > 0 {
+		if dt := f.path[0].owner.now - f.settled; dt > 0 {
 			rem -= f.rate * dt
 			if rem < 0 {
 				rem = 0
@@ -64,9 +62,6 @@ func (f *Flow) Remaining() float64 {
 // Rate returns the most recently allocated rate.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Stats returns the engine's cumulative event counts.
-func (e *Engine) Stats() EngineStats { return e.stats }
-
 // After schedules fn to run d seconds from the current simulated time.
 func (e *Engine) After(d float64, fn func(now float64)) {
 	if d < 0 {
@@ -74,9 +69,6 @@ func (e *Engine) After(d float64, fn func(now float64)) {
 	}
 	e.At(e.now+d, fn)
 }
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Len returns the number of bins.
 func (s *Series) Len() int { return len(s.bins) }

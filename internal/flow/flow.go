@@ -65,7 +65,6 @@ var resourceSeq atomic.Int64
 // already the contract — lastRate and busyIntegral have always been
 // engine-written).
 type Resource struct {
-	name     string
 	capacity float64 // service units per second (> 0)
 	index    int64   // creation sequence: total-order tie-break in waterfill
 
@@ -86,13 +85,13 @@ type Resource struct {
 	nflows    int     // waterfill scratch: unfrozen flows crossing
 }
 
-// NewResource returns a resource with the given name and capacity
-// (service units per second). Capacity must be positive.
-func NewResource(name string, capacity float64) *Resource {
+// NewResource returns a resource with the given capacity (service units
+// per second). Capacity must be positive.
+func NewResource(capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		panic(fmt.Sprintf("flow: resource %q capacity %v out of range", name, capacity))
+		panic(fmt.Sprintf("flow: resource capacity %v out of range", capacity))
 	}
-	return &Resource{name: name, capacity: capacity, index: resourceSeq.Add(1)}
+	return &Resource{capacity: capacity, index: resourceSeq.Add(1)}
 }
 
 // utilClampTolerance separates genuine accounting drift from the ulp-level
@@ -149,13 +148,10 @@ func (r *Resource) Record(binWidth float64) *Series {
 // Flow is a finite amount of work served concurrently by every resource on
 // its path at a common rate.
 type Flow struct {
-	label     string
-	size      float64
-	remaining float64 // work left as of settled (lazy; see Remaining)
+	remaining float64 // work left as of settled (lazy)
 	path      []*Resource
 	rate      float64
 	done      func(now float64)
-	engine    *Engine
 	seq       int64    // submission sequence: completion-order tie-break
 	settled   float64  // sim time remaining was last settled at
 	doneAt    float64  // predicted completion instant under the current rate
@@ -174,7 +170,6 @@ type Engine struct {
 	timers  timerHeap
 	seq     int   // tie-break for deterministic timer ordering
 	flowSeq int64 // submission sequence handed to flows
-	stopped bool
 
 	// allocStep, when non-nil, replaces the incremental allocation step.
 	// It is a test seam: only this package's tests set it, to run the
@@ -210,34 +205,15 @@ type Engine struct {
 	affected   []*Flow     // affected flows, contiguous per component
 	comps      []compSpan
 	finScratch []*Flow
-
-	stats EngineStats
 }
 
 // compSpan delimits one connected component inside Engine.queue (resources)
-// and Engine.affected (flows): queue[r0:r1] and affected[f0:f1].
+// and Engine.affected (flows), queue[r0:r1] and affected[f0:f1], and names
+// the record the component's flows are filed in once waterfilled.
 type compSpan struct {
 	r0, r1 int32
 	f0, f1 int32
-}
-
-// EngineStats count the engine's own work, for observability: how many
-// flows ran, how many timers fired, how many event steps the run took, and
-// how much of the max-min allocation work the incremental allocator
-// actually performed versus skipped.
-type EngineStats struct {
-	FlowsCompleted int64
-	TimersFired    int64
-	Steps          int64
-	// AllocRecomputes counts allocator runs that re-waterfilled at least
-	// one affected component; AllocSkipped counts steps whose flow set was
-	// unchanged, making the previous allocation provably still valid.
-	AllocRecomputes int64
-	AllocSkipped    int64
-	// AllocAffectedFlows totals the flows re-waterfilled across recomputes;
-	// divided by AllocRecomputes it yields the mean affected-component
-	// size, versus the active-flow count a full recompute would touch.
-	AllocAffectedFlows int64
+	rec    *compRec
 }
 
 // newEngineAllocStep seeds Engine.allocStep for every engine NewEngine
@@ -265,26 +241,25 @@ func (e *Engine) Now() float64 { return e.now }
 // path slice may serve every flow on the same resources. The returned
 // *Flow is valid until done returns: the engine then recycles it for a
 // later Submit. Only a zero-size flow's record is never recycled.
-func (e *Engine) Submit(label string, size float64, path []*Resource, done func(now float64)) *Flow {
+func (e *Engine) Submit(size float64, path []*Resource, done func(now float64)) *Flow {
 	if math.IsNaN(size) || math.IsInf(size, 0) {
-		panic(fmt.Sprintf("flow: flow %q size %v out of range", label, size))
+		panic(fmt.Sprintf("flow: flow size %v out of range", size))
 	}
 	if len(path) == 0 {
-		panic(fmt.Sprintf("flow: flow %q has empty path", label))
+		panic("flow: flow has empty path")
 	}
 	var f *Flow
 	if n := len(e.free); n > 0 {
 		f = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		f = &Flow{engine: e}
+		f = &Flow{}
 	}
 	// A recycled record already has rate 0 and no component record, its
 	// visit stamp is an older epoch, and the allocator writes doneAt and
 	// frozen before it reads them.
-	f.label, f.size, f.remaining, f.path, f.done, f.settled = label, size, size, path, done, e.now
+	f.remaining, f.path, f.done, f.settled = size, path, done, e.now
 	if size <= 0 {
-		e.stats.FlowsCompleted++
 		if done != nil {
 			done(e.now)
 		}
@@ -334,30 +309,25 @@ func (e *Engine) At(t float64, fn func(now float64)) {
 // is ~0.1µs). The same slack bounds the work residual forgiven at
 // completion, making that threshold clock-relative too instead of the old
 // rate-proportional epsilon that could retire ≥1 unit of real work on a
-// high-capacity fabric.
+// high-capacity fabric. One ulp is the next float's bit pattern minus t:
+// for finite t ≥ 0 that is math.Nextafter(t, +Inf) - t, without its
+// branches.
 func clockSlack(t float64) float64 {
-	if t < 0 {
-		t = -t
-	}
-	s := 4 * (math.Nextafter(t, math.Inf(1)) - t)
+	t = math.Abs(t)
+	s := 4 * (math.Float64frombits(math.Float64bits(t)+1) - t)
 	if s < 1e-12 {
 		s = 1e-12
 	}
 	return s
 }
 
-// Run processes events until no active flows or timers remain, until the
-// optional horizon (seconds, <= 0 means none) is reached, or until Stop is
-// called. It returns the final simulated time. Lazy accounting is settled
-// through the final time before returning, so Utilization and attached
-// Series are exact at the returned instant.
+// Run processes events until no active flows or timers remain or until
+// the optional horizon (seconds, <= 0 means none) is reached. It returns
+// the final simulated time. Lazy accounting is settled through the final
+// time before returning, so Utilization and attached Series are exact at
+// the returned instant.
 func (e *Engine) Run(horizon float64) float64 {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.active) == 0 && e.timers.Len() == 0 {
-			break
-		}
-		e.stats.Steps++
+	for len(e.active) > 0 || e.timers.Len() > 0 {
 		e.allocate()
 		// Earliest event: completion-heap top vs timer-heap top. Every
 		// active flow is in a record (stalled ones at +Inf), so this is
@@ -381,8 +351,9 @@ func (e *Engine) Run(horizon float64) float64 {
 			break
 		}
 		e.now = next
-		e.completeFinished()
-		e.fireTimers()
+		slack := clockSlack(next)
+		e.completeFinished(slack)
+		e.fireTimers(slack)
 	}
 	e.settleAll()
 	return e.now
@@ -429,8 +400,8 @@ func (e *Engine) settleAll() {
 	}
 }
 
-// completeFinished pops every record whose earliest flow falls within the
-// clock slack of the current time and runs the callbacks of the due flows
+// completeFinished pops every record whose earliest flow falls within
+// slack, the clock slack of the current time, and runs the callbacks of the due flows
 // in (doneAt, submission) order, whichever records held them. A popped
 // record's flows that are not due stay active and
 // lose their record; a due flow's completion dirties its path, and the
@@ -441,11 +412,11 @@ func (e *Engine) settleAll() {
 // batch has been delivered, because a callback may Submit, and a flow
 // handed out again while a later callback of the same batch still reads it
 // would be corrupted.
-func (e *Engine) completeFinished() {
+func (e *Engine) completeFinished(slack float64) {
 	if len(e.cheap) == 0 {
 		return
 	}
-	due := e.now + clockSlack(e.now)
+	due := e.now + slack
 	if e.cheap[0].first.doneAt > due {
 		return
 	}
@@ -482,14 +453,13 @@ func (e *Engine) completeFinished() {
 		e.dirty = append(e.dirty, f.path...)
 	}
 	for _, f := range finished {
-		e.stats.FlowsCompleted++
 		if f.done != nil {
 			f.done(e.now)
 		}
 	}
 	for i, f := range finished {
 		// Drop the callback and path so they can be collected.
-		f.label, f.path, f.done = "", nil, nil
+		f.path, f.done = nil, nil
 		e.free = append(e.free, f)
 		finished[i] = nil
 	}
@@ -533,16 +503,12 @@ func (r *Resource) dropFlow(f *Flow) {
 }
 
 // fireTimers runs all timers scheduled at or before the current time. The
-// tolerance is the clock-relative slack: same-instant timers computed via
-// different roundings fire in the same step at any clock magnitude.
-func (e *Engine) fireTimers() {
-	if e.timers.Len() == 0 {
-		return
-	}
-	slack := clockSlack(e.now)
+// tolerance is slack, the clock-relative slack: same-instant timers
+// computed via different roundings fire in the same step at any clock
+// magnitude.
+func (e *Engine) fireTimers(slack float64) {
 	for e.timers.Len() > 0 && e.timers.peek().at <= e.now+slack {
 		t := e.timers.pop()
-		e.stats.TimersFired++
 		t.fn(e.now)
 	}
 }

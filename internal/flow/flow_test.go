@@ -11,9 +11,9 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSingleFlowSingleResource(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("cpu", 2.0)
+	r := NewResource(2.0)
 	var doneAt float64
-	e.Submit("job", 10, []*Resource{r}, func(now float64) { doneAt = now })
+	e.Submit(10, []*Resource{r}, func(now float64) { doneAt = now })
 	end := e.Run(0)
 	if !almostEqual(doneAt, 5.0, 1e-9) {
 		t.Errorf("flow finished at %v, want 5.0", doneAt)
@@ -28,10 +28,10 @@ func TestSingleFlowSingleResource(t *testing.T) {
 
 func TestTwoFlowsShareEqually(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("nic", 10.0)
+	r := NewResource(10.0)
 	var t1, t2 float64
-	e.Submit("a", 10, []*Resource{r}, func(now float64) { t1 = now })
-	e.Submit("b", 10, []*Resource{r}, func(now float64) { t2 = now })
+	e.Submit(10, []*Resource{r}, func(now float64) { t1 = now })
+	e.Submit(10, []*Resource{r}, func(now float64) { t2 = now })
 	e.Run(0)
 	// Both get 5 units/s, both finish at t=2.
 	if !almostEqual(t1, 2.0, 1e-9) || !almostEqual(t2, 2.0, 1e-9) {
@@ -41,10 +41,10 @@ func TestTwoFlowsShareEqually(t *testing.T) {
 
 func TestShorterFlowFreesCapacity(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("nic", 10.0)
+	r := NewResource(10.0)
 	var tShort, tLong float64
-	e.Submit("short", 5, []*Resource{r}, func(now float64) { tShort = now })
-	e.Submit("long", 15, []*Resource{r}, func(now float64) { tLong = now })
+	e.Submit(5, []*Resource{r}, func(now float64) { tShort = now })
+	e.Submit(15, []*Resource{r}, func(now float64) { tLong = now })
 	e.Run(0)
 	// Share 5 each until t=1 (short done, long has 10 left), then long at
 	// 10/s finishes at t=2.
@@ -58,10 +58,10 @@ func TestShorterFlowFreesCapacity(t *testing.T) {
 
 func TestMultiResourcePathLimitedByBottleneck(t *testing.T) {
 	e := NewEngine()
-	fast := NewResource("fast", 100)
-	slow := NewResource("slow", 1)
+	fast := NewResource(100)
+	slow := NewResource(1)
 	var done float64
-	e.Submit("f", 10, []*Resource{fast, slow}, func(now float64) { done = now })
+	e.Submit(10, []*Resource{fast, slow}, func(now float64) { done = now })
 	e.Run(0)
 	if !almostEqual(done, 10.0, 1e-9) {
 		t.Errorf("finish = %v, want 10 (limited by slow resource)", done)
@@ -76,11 +76,11 @@ func TestMaxMinUnevenPaths(t *testing.T) {
 	// C (r2 only). r1 cap 10, r2 cap 4. B is limited by r2: share 2.
 	// Then A gets the rest of r1: 8. C gets 2.
 	e := NewEngine()
-	r1 := NewResource("r1", 10)
-	r2 := NewResource("r2", 4)
-	a := e.Submit("A", 1e9, []*Resource{r1}, nil)
-	b := e.Submit("B", 1e9, []*Resource{r1, r2}, nil)
-	c := e.Submit("C", 1e9, []*Resource{r2}, nil)
+	r1 := NewResource(10)
+	r2 := NewResource(4)
+	a := e.Submit(1e9, []*Resource{r1}, nil)
+	b := e.Submit(1e9, []*Resource{r1, r2}, nil)
+	c := e.Submit(1e9, []*Resource{r2}, nil)
 	e.allocate()
 	if !almostEqual(a.Rate(), 8, 1e-9) {
 		t.Errorf("rate A = %v, want 8", a.Rate())
@@ -126,9 +126,9 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("r", 1)
+	r := NewResource(1)
 	fired := false
-	e.Submit("zero", 0, []*Resource{r}, func(now float64) {
+	e.Submit(0, []*Resource{r}, func(now float64) {
 		fired = true
 		if now != 0 {
 			t.Errorf("zero flow completed at %v, want 0", now)
@@ -142,10 +142,10 @@ func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 
 func TestChainedSubmissionFromCallback(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("cpu", 1)
+	r := NewResource(1)
 	var finish float64
-	e.Submit("first", 2, []*Resource{r}, func(now float64) {
-		e.Submit("second", 3, []*Resource{r}, func(now float64) { finish = now })
+	e.Submit(2, []*Resource{r}, func(now float64) {
+		e.Submit(3, []*Resource{r}, func(now float64) { finish = now })
 	})
 	e.Run(0)
 	if !almostEqual(finish, 5.0, 1e-9) {
@@ -155,9 +155,9 @@ func TestChainedSubmissionFromCallback(t *testing.T) {
 
 func TestHorizonStopsEarly(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("cpu", 1)
+	r := NewResource(1)
 	done := false
-	e.Submit("long", 100, []*Resource{r}, func(float64) { done = true })
+	e.Submit(100, []*Resource{r}, func(float64) { done = true })
 	end := e.Run(10)
 	if done {
 		t.Error("flow should not have completed before horizon")
@@ -170,21 +170,10 @@ func TestHorizonStopsEarly(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine()
-	r := NewResource("cpu", 1)
-	e.Submit("long", 100, []*Resource{r}, nil)
-	e.At(5, func(float64) { e.Stop() })
-	end := e.Run(0)
-	if !almostEqual(end, 5, 1e-9) {
-		t.Errorf("end = %v, want 5", end)
-	}
-}
-
 func TestUtilizationPartialLoad(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("cpu", 4)
-	e.Submit("j", 4, []*Resource{r}, nil) // runs at 4/s for 1s
+	r := NewResource(4)
+	e.Submit(4, []*Resource{r}, nil) // runs at 4/s for 1s
 	e.At(3, func(float64) {})             // hold clock to t=3
 	end := e.Run(0)
 	if !almostEqual(end, 3, 1e-9) {
@@ -221,9 +210,9 @@ func TestSeriesAccumulate(t *testing.T) {
 
 func TestSeriesAttachedToResource(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("nic", 8)
+	r := NewResource(8)
 	series := r.Record(0.5)
-	e.Submit("xfer", 8, []*Resource{r}, nil) // 1 second at 8/s
+	e.Submit(8, []*Resource{r}, nil) // 1 second at 8/s
 	e.Run(0)
 	if got := series.SteadyRate(0, 0); !almostEqual(got, 8, 1e-9) {
 		t.Errorf("steady rate = %v, want 8", got)
@@ -236,7 +225,7 @@ func TestDeadlockPanics(t *testing.T) {
 			t.Error("expected panic on NaN-capacity resource")
 		}
 	}()
-	NewResource("bad", math.NaN())
+	NewResource(math.NaN())
 }
 
 func TestEmptyPathPanics(t *testing.T) {
@@ -245,7 +234,7 @@ func TestEmptyPathPanics(t *testing.T) {
 			t.Error("expected panic on empty path")
 		}
 	}()
-	NewEngine().Submit("bad", 1, nil, nil)
+	NewEngine().Submit(1, nil, nil)
 }
 
 // Property: total allocated rate on a resource never exceeds capacity, and
@@ -255,10 +244,10 @@ func TestPropertyFairShareSingleResource(t *testing.T) {
 		n := int(nFlows%16) + 1
 		capacity := float64(capQ%1000+1) / 10
 		e := NewEngine()
-		r := NewResource("r", capacity)
+		r := NewResource(capacity)
 		flows := make([]*Flow, n)
 		for i := 0; i < n; i++ {
-			flows[i] = e.Submit("f", 1e6, []*Resource{r}, nil)
+			flows[i] = e.Submit(1e6, []*Resource{r}, nil)
 		}
 		e.allocate()
 		total := 0.0
@@ -285,7 +274,7 @@ func TestPropertyMaxMinFeasibleAndEfficient(t *testing.T) {
 		e := NewEngine()
 		resources := make([]*Resource, nRes)
 		for i := range resources {
-			resources[i] = NewResource("r", rng.Float64()*99+1)
+			resources[i] = NewResource(rng.Float64()*99+1)
 		}
 		flows := make([]*Flow, nFlows)
 		for i := range flows {
@@ -299,7 +288,7 @@ func TestPropertyMaxMinFeasibleAndEfficient(t *testing.T) {
 			if len(path) == 0 {
 				path = append(path, resources[rng.Intn(nRes)])
 			}
-			flows[i] = e.Submit("f", 1e9, path, nil)
+			flows[i] = e.Submit(1e9, path, nil)
 		}
 		e.allocate()
 		// Feasibility.
@@ -336,13 +325,13 @@ func TestPropertyWorkConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		e := NewEngine()
-		r := NewResource("r", rng.Float64()*9+1)
+		r := NewResource(rng.Float64()*9+1)
 		total := 0.0
 		n := rng.Intn(10) + 1
 		for i := 0; i < n; i++ {
 			size := rng.Float64()*50 + 1
 			total += size
-			e.Submit("f", size, []*Resource{r}, nil)
+			e.Submit(size, []*Resource{r}, nil)
 		}
 		end := e.Run(0)
 		if !almostEqual(r.BusyIntegral(), total, 1e-6*total) {
@@ -374,10 +363,10 @@ var benchAllocators = []struct {
 func ringTopology(e *Engine) []*Resource {
 	resources := make([]*Resource, 8)
 	for i := range resources {
-		resources[i] = NewResource("r", 100)
+		resources[i] = NewResource(100)
 	}
 	for i := 0; i < 64; i++ {
-		e.Submit("f", 1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
+		e.Submit(1e18, []*Resource{resources[i%8], resources[(i+1)%8]}, nil)
 	}
 	return resources
 }
@@ -390,11 +379,11 @@ func sparseTopology(e *Engine) []*Resource {
 	const groups = 16
 	resources := make([]*Resource, 2*groups)
 	for i := range resources {
-		resources[i] = NewResource("r", 100)
+		resources[i] = NewResource(100)
 	}
 	for i := 0; i < 128; i++ {
 		g := i % groups
-		e.Submit("f", 1e18, []*Resource{resources[2*g], resources[2*g+1]}, nil)
+		e.Submit(1e18, []*Resource{resources[2*g], resources[2*g+1]}, nil)
 	}
 	dirty := make([]*Resource, groups)
 	for g := range dirty {
@@ -435,16 +424,16 @@ func BenchmarkAllocateSparse(b *testing.B) { benchAllocate(b, sparseTopology) }
 func runEngineThroughput(step func(*Engine)) {
 	e := NewEngine()
 	e.allocStep = step
-	r := NewResource("r", 100)
+	r := NewResource(100)
 	var spawn func(now float64)
 	count := 0
 	spawn = func(now float64) {
 		count++
 		if count < 1000 {
-			e.Submit("f", 1, []*Resource{r}, spawn)
+			e.Submit(1, []*Resource{r}, spawn)
 		}
 	}
-	e.Submit("f", 1, []*Resource{r}, spawn)
+	e.Submit(1, []*Resource{r}, spawn)
 	e.Run(0)
 }
 
@@ -458,8 +447,8 @@ func runEngineLargeScenario(step func(*Engine)) {
 	wk := make([]*Resource, 8)
 	ps := make([]*Resource, 8)
 	for j := range wk {
-		wk[j] = NewResource("wk", 100)
-		ps[j] = NewResource("ps", 120)
+		wk[j] = NewResource(100)
+		ps[j] = NewResource(120)
 	}
 	remaining := 2000
 	var spawn func(j, k int) func(now float64)
@@ -468,13 +457,13 @@ func runEngineLargeScenario(step func(*Engine)) {
 			remaining--
 			if remaining > 0 {
 				nj, nk := (j+1)%8, (k+3)%8
-				e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[nj], ps[nk]}, spawn(nj, nk))
+				e.Submit(1+float64((j+k)%7), []*Resource{wk[nj], ps[nk]}, spawn(nj, nk))
 			}
 		}
 	}
 	for f := 0; f < 64; f++ {
 		j, k := f%8, (f/8)%8
-		e.Submit("t", 1+float64((j+k)%7), []*Resource{wk[j], ps[k]}, spawn(j, k))
+		e.Submit(1+float64((j+k)%7), []*Resource{wk[j], ps[k]}, spawn(j, k))
 	}
 	e.Run(0)
 }

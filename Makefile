@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress bench bench-smoke coverage fuzz-smoke crash-smoke check
+.PHONY: all build vet test race stress bench bench-smoke coverage fuzz-smoke crash-smoke fma-check check
 
 all: check
 
@@ -73,4 +73,21 @@ fuzz-smoke:
 crash-smoke:
 	./scripts/crash_smoke.sh
 
-check: vet build race coverage
+# fma-check fails on any fused multiply-add in the packages whose outputs
+# the goldens and digests pin. The Go spec lets the compiler fuse x*y + z
+# into one instruction, which skips the product's rounding, unless an
+# explicit float64(...) conversion rounds it (DESIGN §9). amd64 never
+# fuses; arm64, ppc64le, s390x and riscv64 do. The check cross-compiles
+# those packages' non-test files for each and greps the assembly, so it
+# needs neither the target hardware nor a network.
+FMA_PKGS = ./internal/flow ./internal/numeric ./internal/ddnnsim ./internal/baseline ./internal/cloud/... ./internal/model ./internal/simtest
+
+fma-check:
+	@set -e; failed=; for arch in arm64 ppc64le s390x riscv64; do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '^[[:space:]]+0x[0-9a-f]+ [0-9]+ \(.*\)[[:space:]]+FN?M(ADD|SUB)[SD]?[[:space:]]' || true); \
+		echo "$$arch: $$(printf '%s' "$$fused" | grep -c .) fused multiply-add instructions"; \
+		[ -z "$$fused" ] || { echo "$$fused"; failed=1; }; \
+	done; [ -z "$$failed" ]
+
+check: vet build race coverage fma-check

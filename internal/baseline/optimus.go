@@ -108,9 +108,9 @@ func (o *Optimus) IterTime(p *perf.Profile, cluster cloud.ClusterSpec) (float64,
 	var t float64
 	if o.sync == model.ASP {
 		// θ0 is the compute term for ASP.
-		t = o.theta[0]*speedRatio + o.theta[1]*f[1]
+		t = float64(o.theta[0]*speedRatio) + float64(o.theta[1]*f[1])
 	} else {
-		t = o.theta[0]*f[0]*speedRatio + o.theta[1]*f[1] + o.theta[2]
+		t = float64(o.theta[0]*f[0]*speedRatio) + float64(o.theta[1]*f[1]) + o.theta[2]
 	}
 	if t < 0 {
 		t = 0

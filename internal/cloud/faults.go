@@ -126,7 +126,7 @@ func (f *faultState) onInstance(now float64) (at float64, ok bool) {
 		}
 		d := lo
 		if hi > lo {
-			d = lo + f.float64()*(hi-lo)
+			d = lo + float64(f.float64()*(hi-lo))
 		}
 		return now + d, true
 	}

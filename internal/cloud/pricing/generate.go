@@ -80,7 +80,7 @@ func Generate(typeName string, g GenSpec) (Trace, error) {
 			// Ornstein-Uhlenbeck-flavoured walk: pull back toward Base,
 			// perturb proportionally to Base so volatility reads the same
 			// across cheap and expensive instance types.
-			p += 0.2*(g.Base-p) + g.Volatility*g.Base*rng.NormFloat64()
+			p += float64(0.2*(g.Base-p)) + float64(g.Volatility*g.Base*rng.NormFloat64())
 			p = clamp(p, g.Min, g.Max)
 			push(t, p)
 		}
@@ -88,10 +88,10 @@ func Generate(typeName string, g GenSpec) (Trace, error) {
 		rng := rand.New(rand.NewSource(g.Seed))
 		t := 0.0
 		for t <= g.HorizonSec {
-			level := g.Min + rng.Float64()*(g.Max-g.Min)
+			level := g.Min + float64(rng.Float64()*(g.Max-g.Min))
 			push(t, level)
 			// Regimes last 2-8 sampling steps.
-			t += g.StepSec * float64(2+rng.Intn(7))
+			t += float64(g.StepSec * float64(2+rng.Intn(7)))
 		}
 	case "sawtooth":
 		period := g.HorizonSec / 4
@@ -100,7 +100,7 @@ func Generate(typeName string, g GenSpec) (Trace, error) {
 		}
 		for t := 0.0; t <= g.HorizonSec; t += g.StepSec {
 			frac := math.Mod(t, period) / period
-			push(t, g.Min+frac*(g.Max-g.Min))
+			push(t, g.Min+float64(frac*(g.Max-g.Min)))
 		}
 	}
 	if err := tr.Validate(); err != nil {

@@ -113,7 +113,7 @@ func (tr Trace) CostBetween(t0, t1 float64) float64 {
 		if next, ok := tr.NextChange(t); ok && next < t1 {
 			end = next
 		}
-		total += (end - t) / 3600 * tr.PriceAt(t)
+		total += float64((end - t) / 3600 * tr.PriceAt(t))
 		t = end
 	}
 	return total

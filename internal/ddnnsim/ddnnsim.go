@@ -339,7 +339,7 @@ const computeNoise = 0.02
 // noisyWork perturbs a work amount by ±computeNoise, deterministically for
 // a given seed.
 func (s *sim) noisyWork(work float64) float64 {
-	return work * (1 + computeNoise*(2*s.rng.Float64()-1))
+	return work * (1 + float64(computeNoise*(2*float64(s.rng.Float64())-1)))
 }
 
 func newSim(w *model.Workload, cluster cloud.ClusterSpec, iters int, opt Options) *sim {
@@ -839,7 +839,7 @@ func (s *sim) result(end float64) *Result {
 	for i := s.opt.LossEvery; i <= s.completed; i += s.opt.LossEvery {
 		gi := s.opt.StartIteration + i
 		loss := s.w.Loss.Loss(s.w.Sync, float64(gi), n)
-		loss *= 1 + 0.03*s.lossRng.NormFloat64()
+		loss *= 1 + float64(0.03*s.lossRng.NormFloat64())
 		if loss < 0 {
 			loss = 0
 		}

@@ -123,8 +123,8 @@ func TestDifferentialIncrementalVsReference(t *testing.T) {
 func tieBreakRates(step func(*Engine)) [4]float64 {
 	e := NewEngine()
 	e.allocStep = step
-	x := NewResource(1+1.8e-15)
-	r1 := NewResource(2+1.8e-15)
+	x := NewResource(1 + 1.8e-15)
+	r1 := NewResource(2 + 1.8e-15)
 	r2 := NewResource(2.0)
 	fB := e.Submit(1e6, []*Resource{x}, nil)
 	// g0 is the trigger: its completion dirties only component A, forcing
@@ -182,7 +182,7 @@ func psRounds(step func(*Engine), n, rounds int) (log []string) {
 	e.allocStep = step
 	ps := NewResource(40)
 	for i := 0; i < n; i++ {
-		cpu := NewResource(2+float64(i%3))
+		cpu := NewResource(2 + float64(i%3))
 		nic := NewResource(10)
 		left := rounds
 		var compute func(now float64)

@@ -74,6 +74,29 @@ func TestCoincidentTimersLargeClock(t *testing.T) {
 	}
 }
 
+// TestUlpMatchesNextafter pins the bit-pattern ulp that clockSlack uses
+// against math.Nextafter over the cases where float spacing changes: zero,
+// the subnormals, the smallest normal, powers of two on either side of a
+// binade edge, clocks past the old 1e-12 floor, and MaxFloat64, whose
+// successor is +Inf. clockSlack must match the Nextafter form everywhere.
+func TestUlpMatchesNextafter(t *testing.T) {
+	for _, x := range []float64{
+		0, math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 0x1p-1022 - 0x1p-1074,
+		0.5, 1, 2, 4096, 0x1p52, 0x1p53, 1e5, 86400, math.Nextafter(1, 0), math.MaxFloat64,
+	} {
+		want := math.Nextafter(x, math.Inf(1)) - x
+		if got := ulp(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ulp(%g) = %g, Nextafter gives %g", x, got, want)
+		}
+		slack := math.Max(4*want, 1e-12)
+		for _, tx := range []float64{x, -x} {
+			if got := clockSlack(tx); math.Float64bits(got) != math.Float64bits(slack) {
+				t.Errorf("clockSlack(%g) = %g, want %g", tx, got, slack)
+			}
+		}
+	}
+}
+
 // TestLazyRemainingMidRun asserts Remaining() folds in progress accrued
 // since the flow's component was last settled: with lazy settlement the
 // stored remaining is stale between rate changes, but the read must not

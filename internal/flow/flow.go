@@ -116,7 +116,7 @@ func (r *Resource) Utilization(now float64) float64 {
 	bi := r.busyIntegral
 	if r.lastRate > 0 {
 		if dt := now - r.settledAt; dt > 0 {
-			bi += r.lastRate * dt
+			bi += float64(r.lastRate * dt)
 		}
 	}
 	return MeanUtilization(bi, r.capacity, now)
@@ -309,16 +309,20 @@ func (e *Engine) At(t float64, fn func(now float64)) {
 // is ~0.1µs). The same slack bounds the work residual forgiven at
 // completion, making that threshold clock-relative too instead of the old
 // rate-proportional epsilon that could retire ≥1 unit of real work on a
-// high-capacity fabric. One ulp is the next float's bit pattern minus t:
-// for finite t ≥ 0 that is math.Nextafter(t, +Inf) - t, without its
-// branches.
+// high-capacity fabric.
 func clockSlack(t float64) float64 {
-	t = math.Abs(t)
-	s := 4 * (math.Float64frombits(math.Float64bits(t)+1) - t)
+	s := 4 * ulp(math.Abs(t))
 	if s < 1e-12 {
 		s = 1e-12
 	}
 	return s
+}
+
+// ulp returns the gap from t to the next larger float. The next float's
+// bit pattern is t's plus one, so for finite t ≥ 0 this equals
+// math.Nextafter(t, +Inf) - t without Nextafter's branches.
+func ulp(t float64) float64 {
+	return math.Float64frombits(math.Float64bits(t)+1) - t
 }
 
 // Run processes events until no active flows or timers remain or until
@@ -367,7 +371,7 @@ func (e *Engine) Run(horizon float64) float64 {
 // the incremental allocator's.
 func (e *Engine) settleFlow(f *Flow) {
 	if dt := e.now - f.settled; dt > 0 {
-		f.remaining -= f.rate * dt
+		f.remaining -= float64(f.rate * dt)
 		if f.remaining < 0 {
 			f.remaining = 0
 		}
@@ -382,7 +386,7 @@ func (e *Engine) settleFlow(f *Flow) {
 func (e *Engine) settleResource(r *Resource) {
 	if dt := e.now - r.settledAt; dt > 0 {
 		if r.lastRate > 0 {
-			r.busyIntegral += r.lastRate * dt
+			r.busyIntegral += float64(r.lastRate * dt)
 			if r.series != nil {
 				r.series.Accumulate(r.settledAt, e.now, r.lastRate)
 			}
@@ -690,7 +694,7 @@ func (s *Series) Accumulate(t0, t1, rate float64) {
 		lo := math.Max(t0, float64(b)*s.binWidth)
 		hi := math.Min(t1, float64(b+1)*s.binWidth)
 		if hi > lo {
-			s.bins[b] += rate * (hi - lo)
+			s.bins[b] += float64(rate * (hi - lo))
 		}
 	}
 }

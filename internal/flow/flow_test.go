@@ -174,7 +174,7 @@ func TestUtilizationPartialLoad(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(4)
 	e.Submit(4, []*Resource{r}, nil) // runs at 4/s for 1s
-	e.At(3, func(float64) {})             // hold clock to t=3
+	e.At(3, func(float64) {})        // hold clock to t=3
 	end := e.Run(0)
 	if !almostEqual(end, 3, 1e-9) {
 		t.Fatalf("end = %v, want 3", end)
@@ -274,7 +274,7 @@ func TestPropertyMaxMinFeasibleAndEfficient(t *testing.T) {
 		e := NewEngine()
 		resources := make([]*Resource, nRes)
 		for i := range resources {
-			resources[i] = NewResource(rng.Float64()*99+1)
+			resources[i] = NewResource(rng.Float64()*99 + 1)
 		}
 		flows := make([]*Flow, nFlows)
 		for i := range flows {
@@ -325,7 +325,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		e := NewEngine()
-		r := NewResource(rng.Float64()*9+1)
+		r := NewResource(rng.Float64()*9 + 1)
 		total := 0.0
 		n := rng.Intn(10) + 1
 		for i := 0; i < n; i++ {

@@ -89,7 +89,7 @@ func (c Conv2D) FwdFLOPsPerSample(in Shape) float64 {
 		return 0
 	}
 	// 2 FLOPs per MAC, one MAC per kernel element per output element.
-	macs := float64(out.H*out.W*out.C) * float64(c.Kernel*c.Kernel*in.C)
+	macs := float64(float64(out.H*out.W*out.C) * float64(c.Kernel*c.Kernel*in.C))
 	return 2 * macs
 }
 

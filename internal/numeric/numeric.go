@@ -43,7 +43,7 @@ func Solve(a [][]float64, b []float64) ([]float64, error) {
 			}
 			f := m[r][col] / m[col][col]
 			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+				m[r][c] -= float64(f * m[col][c])
 			}
 		}
 	}
@@ -79,9 +79,9 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 		}
 		for i := 0; i < cols; i++ {
 			for j := 0; j < cols; j++ {
-				xtx[i][j] += x[r][i] * x[r][j]
+				xtx[i][j] += float64(x[r][i] * x[r][j])
 			}
-			xty[i] += x[r][i] * y[r]
+			xty[i] += float64(x[r][i] * y[r])
 		}
 	}
 	return Solve(xtx, xty)
@@ -98,9 +98,9 @@ func RSquared(observed, predicted []float64) float64 {
 	ssRes, ssTot := 0.0, 0.0
 	for i := range observed {
 		d := observed[i] - predicted[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := observed[i] - mean
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

@@ -180,7 +180,7 @@ func CheckRanked(res plan.Result, ranked []plan.Plan) error {
 		} else if seenInfeasible {
 			return fmt.Errorf("ranked[%d] feasible after infeasible candidates", i)
 		}
-		if c.Cost < prevCost-relTol*(1+prevCost) {
+		if c.Cost < prevCost-float64(relTol*(1+prevCost)) {
 			return fmt.Errorf("ranked[%d] cost %.9f below predecessor %.9f", i, c.Cost, prevCost)
 		}
 		prevCost = c.Cost
@@ -239,7 +239,7 @@ func CheckPlanModel(req plan.Request, pl plan.Plan) error {
 		beff = math.Min(beff, cluster.TotalPSGFLOPS()*p.BprofMBps/p.CprofGFLOPS)
 	}
 	tcomm := 2 * p.GparamMB * n / beff
-	if titer > tcomp+tcomm+relTol*(1+tcomp+tcomm) {
+	if titer > tcomp+tcomm+float64(relTol*(1+tcomp+tcomm)) {
 		return fmt.Errorf("BSP overlap bound violated: titer %.6f > tcomp %.6f + tcomm %.6f", titer, tcomp, tcomm)
 	}
 	return nil

@@ -44,7 +44,7 @@ func NewRand(seed int64) *rand.Rand {
 
 // uniform draws from [lo, hi).
 func uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // GenInstanceType draws one plausible catalog entry. The ranges bracket

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,38 +108,9 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 		"cynthia/internal/cloud.(*Provider).SetCapacityLimit": true,
 	}
 	const module = "cynthia"
-	fset := token.NewFileSet()
-	l := &moduleLoader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		body: map[*types.Func][2]token.Pos{},
-	}
-	var dirs []string
-	for _, root := range []string{"cmd", "internal", "examples"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-			dirs = append(dirs, filepath.ToSlash(p))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	dirs = append(dirs, "cmd/cynthiabench") // a nested module built from this tree
-	for _, dir := range dirs {
-		if _, err := l.load(module+"/"+dir, dir); err != nil {
-			t.Fatal(err)
-		}
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Interfaces: every named one in the loaded packages and everything
@@ -232,15 +204,150 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryFieldIsRead fails for each unexported struct field under
+// internal/ that no non-test file reads: a field production only writes
+// is dead state, and one only tests read is test scaffolding carried by
+// every value. It walks the same type-checked non-test files as
+// TestEveryExportedFuncHasACaller. A use of the field is a read unless it
+// is written there: the whole left-hand side of an assignment (a compound
+// one included, since its read feeds only the field itself), the operand
+// of ++ or --, or the key of a composite literal. Writing through a field,
+// as in x.f.g = v or x.f[i] = v, reads f. internal/simtest, a test harness
+// by design, is exempt, and so are the entries of keep: fields read only
+// as part of a whole struct, through == or a map key, which no selector
+// shows.
+func TestEveryFieldIsRead(t *testing.T) {
+	keep := map[string]string{
+		"cynthia/internal/cluster/replay.frozenKey.id": "read through the frozen set's map key",
+	}
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[*ast.Ident]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			}
+			return true
+		})
+	}
+	read := map[*types.Var]bool{}
+	for id, obj := range l.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+	var unread []string
+	for id, obj := range l.info.Defs {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() || v.Exported() || v.Anonymous() || v.Pkg() == nil || read[v] {
+			continue
+		}
+		path := v.Pkg().Path()
+		if !strings.HasPrefix(path, "cynthia/internal/") || path == "cynthia/internal/simtest" {
+			continue
+		}
+		name := path + "." + structName(l, id) + "." + v.Name()
+		if keep[name] == "" {
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s: no non-test file reads it", name)
+	}
+}
+
+// structName names the type whose struct declares the field defined at
+// id: the innermost type spec enclosing it, or "struct" for a field of
+// an unnamed struct type outside any type spec.
+func structName(l *moduleLoader, id *ast.Ident) string {
+	name := "struct"
+	for _, f := range l.files {
+		if id.Pos() < f.Pos() || id.Pos() >= f.End() {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil || id.Pos() < n.Pos() || id.Pos() >= n.End() {
+				return false
+			}
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				name = ts.Name.Name
+			}
+			return true
+		})
+	}
+	return name
+}
+
+// loadModule type-checks the module's non-test files once, for every test
+// that reads them: every package under cmd/, internal/ and examples/
+// (skipping testdata/ and nested modules), plus cmd/cynthiabench, a nested
+// module that builds from this tree.
+var loadModule = sync.OnceValues(func() (*moduleLoader, error) {
+	fset := token.NewFileSet()
+	l := &moduleLoader{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		body: map[*types.Func][2]token.Pos{},
+	}
+	var dirs []string
+	for _, root := range []string{"cmd", "internal", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			dirs = append(dirs, filepath.ToSlash(p))
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	dirs = append(dirs, "cmd/cynthiabench") // a nested module built from this tree
+	for _, dir := range dirs {
+		if _, err := l.load("cynthia/"+dir, dir); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+})
+
 // moduleLoader type-checks the module's packages from their non-test
-// files, recording every identifier use in one types.Info, and hands
-// every other import to the standard library's source importer.
+// files, recording every identifier definition and use in one
+// types.Info, and hands every other import to the standard library's
+// source importer.
 type moduleLoader struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*types.Package
-	info *types.Info
-	body map[*types.Func][2]token.Pos // declared function -> its body's extent
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	body  map[*types.Func][2]token.Pos // declared function -> its body's extent
+	files []*ast.File                  // every file of the module's packages
 }
 
 func (l *moduleLoader) Import(path string) (*types.Package, error) {
@@ -275,6 +382,7 @@ func (l *moduleLoader) load(path, dir string) (*types.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = p
+	l.files = append(l.files, files...)
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {

@@ -47,9 +47,8 @@ func (c *Controller) spotStrategy() pricing.Strategy {
 // marketChoice records how the planning catalog priced one instance
 // type: on the spot market under a bid, or on-demand.
 type marketChoice struct {
-	spot  bool
-	bid   float64
-	price float64 // spot price at decision time
+	spot bool
+	bid  float64
 }
 
 // planningCatalog builds the catalog a plan search should run against.
@@ -73,7 +72,7 @@ func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice,
 	for _, t := range types {
 		if spotPrice, ok := m.SpotPrice(t.Name, now); ok {
 			if useSpot, bid := strat.Decide(t.PricePerHour, spotPrice); useSpot {
-				choices[t.Name] = marketChoice{spot: true, bid: bid, price: spotPrice}
+				choices[t.Name] = marketChoice{spot: true, bid: bid}
 				t.PricePerHour = spotPrice
 			}
 		}

@@ -84,7 +84,6 @@ type WorldSnapshot struct {
 // Manager is the durability engine. It implements io.Writer (the journal
 // sink) and cluster.Checkpointer (the barrier callback).
 type Manager struct {
-	dir  string
 	opts Options
 	w    *wal.WAL
 
@@ -142,7 +141,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: dir, opts: opts, w: w, frozen: make(map[frozenKey]bool)}
+	m := &Manager{opts: opts, w: w, frozen: make(map[frozenKey]bool)}
 	m.jobFrozen = func(id string) bool { return m.frozen[frozenKey{frozenJob, id}] }
 	m.instFrozen = func(id string) bool { return m.frozen[frozenKey{frozenInstance, id}] }
 	m.enc = json.NewEncoder(&m.buf)

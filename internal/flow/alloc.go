@@ -11,15 +11,21 @@ package flow
 // dirty set seeded by every Submit and completion. An allocation step
 // with an empty dirty set reuses the previous rates verbatim — recomputing
 // an unchanged max-min allocation is idempotent, so the skip is bit-exact.
-// Otherwise a BFS closure from the dirty resources carves the affected
-// components into contiguous spans and waterfill runs over just those, in
+// Otherwise the step walks each affected component twice. First a BFS
+// closure from the dirty resources (expandDirty) carves the components
+// into contiguous spans, settling each resource and flow and seeding its
+// waterfill scratch as it discovers it, and picks the record each
+// component will be filed in. Then waterfill runs over each span, in
 // whatever order the BFS discovered them: nothing on the path depends on
-// the order of a span or of any r.flows list (see waterfill). A dirty
-// resource whose last flow left gets no span, only its accounting settled
-// and its rate zeroed. Each re-waterfilled component then goes into the
-// completion heap as one record keyed by its earliest flow
-// (rekeyAffected), so a step's heap upkeep is one re-key per component,
-// not one per flow.
+// the order of a span or of any r.flows list. Freezing a flow fixes its
+// rate, so the freeze also sets its completion time and links it into the
+// component's record, and the record goes into the completion heap keyed
+// by its earliest flow: a step's heap upkeep is one re-key per component,
+// not one per flow. A dirty resource whose last flow left gets no span,
+// only its accounting settled and its rate zeroed. The BFS cannot be
+// skipped for an unchanged component without giving up bit-identity:
+// every flow of a dirty component must be settled and re-keyed at the
+// step's clock.
 //
 // Bottleneck selection is a strict total order: smallest fair share first,
 // ties broken by Resource creation index. Because the order is total (no
@@ -44,9 +50,10 @@ package flow
 // it in through Engine.allocStep, or run it after every incremental step
 // and require every flow rate and resource aggregate to match bit for bit
 // (math.Float64bits equality, not a tolerance) — the property the simtest
-// golden corpus depends on. The oracle shares dirty-set expansion,
-// settlement and completion-heap re-keying with this file; only the rate
-// computation between them differs.
+// golden corpus depends on. The oracle shares dirty-set expansion and
+// settlement with this file; it computes rates and completion times and
+// files the records with its own code, so a fault in waterfill's filing
+// shows as a difference.
 //
 // There is deliberately no parallel path. A waterfill sharded over a
 // goroutine pool was measured and deleted. On PS-shaped simulations 40% to

@@ -17,16 +17,22 @@
 //
 // The allocation is maintained incrementally (see alloc.go): an arrival or
 // completion re-runs waterfilling only over the connected components of the
-// flow/resource graph it touches, and steps whose flow set did not change
-// skip the recomputation entirely. Event selection and accounting are
-// indexed and lazy to match: the next completion comes from a min-heap of
-// component records, one per connected component, each keyed by its
-// earliest (completion time, submission) flow and rebuilt only when its
-// component is re-waterfilled; flow progress and per-resource busyIntegral
-// are settled only when a component is re-waterfilled (plus once at Run
-// exit), so a step that touches one component costs O(affected), not
-// O(cluster), and its heap upkeep is one re-key per component, not per
-// flow.
+// flow/resource graph it touches, walking each twice (a BFS, then the
+// waterfill), and steps whose flow set did not change skip the
+// recomputation entirely. Event selection and accounting are indexed and
+// lazy to match: the next completion comes from a min-heap of component
+// records, one per connected component, each keyed by its earliest
+// (completion time, submission) flow and rebuilt only when its component
+// is re-waterfilled; flow progress and per-resource busyIntegral are
+// settled only when a component is re-waterfilled (plus once at Run exit),
+// so a step that touches one component costs O(affected), not O(cluster),
+// and its heap upkeep is one re-key per component, not per flow.
+//
+// The engine keeps no labels, names or counters: a flow is its work, path
+// and callback, and a resource its capacity. Tests observe steps through
+// the allocation-step seam (Engine.allocStep) and flows through their
+// callbacks.
+//
 // There is one allocator and no way to select another: the pre-incremental
 // full recompute survives only in the package's tests, as the oracle the
 // incremental allocator is checked against bit for bit.
@@ -405,10 +411,10 @@ func (e *Engine) settleAll() {
 }
 
 // completeFinished pops every record whose earliest flow falls within
-// slack, the clock slack of the current time, and runs the callbacks of the due flows
-// in (doneAt, submission) order, whichever records held them. A popped
-// record's flows that are not due stay active and
-// lose their record; a due flow's completion dirties its path, and the
+// slack, the clock slack of the current time, and runs the callbacks of
+// the due flows in (doneAt, submission) order, whichever records held
+// them. A popped record's flows that are not due stay active and lose
+// their record; a due flow's completion dirties its path, and the
 // component was connected, so the next allocate's BFS reaches them all and
 // files them again. The forgiven residual is rate × slack, a clock-relative
 // quantity; see clockSlack for why no size- or rate-proportional term

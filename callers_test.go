@@ -1,8 +1,11 @@
 package cynthia_test
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -10,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -272,6 +276,231 @@ func TestEveryFieldIsRead(t *testing.T) {
 	for _, name := range unread {
 		t.Errorf("%s: no non-test file reads it", name)
 	}
+}
+
+// TestEveryJournalTypeHasAReader fails for each journal.Type constant
+// without a row in readers, for each row naming a type the journal
+// package does not declare, and for each reader that does not mention its
+// type. Every event is framed into the WAL and replayed on every restart,
+// so a type stays only while something reads the fact it carries; one
+// without a reader is deleted. A reader is one of:
+//   - a non-test file that keys on the type ("path.go"), or one
+//     declaration in it ("path.go:name");
+//   - a function in a test file that asserts the fact the event carries,
+//     not merely that it was emitted ("path_test.go:TestName");
+//   - a ROADMAP item that will read the type, with the field it needs
+//     ("ROADMAP.md:7:pred_sec").
+//
+// The test checks that the file or declaration uses the constant, and
+// that the ROADMAP item names both the type and the field.
+func TestEveryJournalTypeHasAReader(t *testing.T) {
+	type reader struct{ at, uses string }
+	const trace, spans = "cmd/cynthiabench/trace.go", "internal/obs/journal/timeline.go:spanPairs"
+	readers := map[string][]reader{
+		"JobSubmitted": {
+			{trace, "wall_ns starts the controller.queue stage"},
+			{spans, "opens the job span of the Chrome timeline"},
+		},
+		"JobStatus": {
+			{trace, "the first status=planning ends controller.queue and starts controller.plan"},
+		},
+		"JobFinished": {
+			{trace, "wall_ns ends controller.finish and starts controller.teardown"},
+			{spans, "closes the job span"},
+		},
+		"JobFailed": {
+			{spans, "closes the job span of a failed job"},
+			{"internal/simtest/journal_test.go:TestGoldenTimelineCausalChain", "a failed outcome's terminal event, after the last segment"},
+		},
+		"PlanSearchStart": {
+			{"internal/plan/engine_test.go:TestSearchMatchesProvisionPlusCandidates", "types is the number of instance types the search covers"},
+			{"internal/cluster/recovery_edge_test.go:TestExhaustedBudgetSkipsReplan", "one per search: a recovery with no budget left runs none"},
+		},
+		"PlanSearchDone": {
+			{"internal/plan/engine_test.go:TestSearchMatchesProvisionPlusCandidates", "enumerated, pruned and feasible equal the search's Stats"},
+		},
+		"PlanChosen": {
+			{trace, "wall_ns ends controller.plan and starts cloud.provision"},
+			{"internal/cluster/cluster_test.go:TestControllerCapacityFallbackToOtherType", "fallback=true marks the plan a capacity fallback launched"},
+			{"internal/simtest/journal_test.go:TestGoldenTimelineCausalChain", "enumerated and pruned record the Theorem 4.1 search accounting"},
+			{"ROADMAP.md:7:pred_sec", "the predicted time that prediction error is measured against"},
+		},
+		"PlanRejected": {
+			{"internal/plan/service/service_test.go:TestOverloadRejects", "reason=overloaded under the rejected quote's trace"},
+		},
+		"JobProvisioned": {
+			{trace, "wall_ns ends cloud.provision and starts controller.launch"},
+		},
+		"LaunchRetry": {
+			{"internal/cluster/recovery_test.go:TestTransientLaunchRetriesSucceed", "one per retried launch, with its attempt number"},
+		},
+		"CapacityFallback": {
+			{"internal/cluster/cluster_test.go:TestControllerCapacityFallbackToOtherType", "type names the instance type that ran out of capacity"},
+		},
+		"SegmentStart": {
+			{trace, "wall_ns and workers start ddnnsim.segment and weight its iteration rate"},
+			{spans, "opens a segment span"},
+		},
+		"SegmentEnd": {
+			{trace, "wall_ns and iterations end ddnnsim.segment and give its iteration rate"},
+			{spans, "closes a segment span"},
+			{"internal/simtest/crash_test.go:killPoints", "its time is where a segment-boundary master kill lands"},
+			{"ROADMAP.md:7:training_sec", "the simulated time that prediction error is measured on"},
+		},
+		"RecoveryStart": {
+			{spans, "opens a recovery span"},
+			{"internal/cluster/recovery_edge_test.go:TestSimultaneousPreemptionsRecoverInOneCycle", "instances names every instance one revocation killed"},
+			{"internal/simtest/crash_test.go:killPoints", "its time places the mid-recovery master kills"},
+		},
+		"RecoveryReplan": {
+			{"internal/cluster/recovery_edge_test.go:TestTightBudgetReplans", "type, workers, ps and budget_sec are the plan a recovery re-planned onto"},
+		},
+		"RecoveryDone": {
+			{spans, "closes a recovery span"},
+			{"internal/cluster/recovery_edge_test.go:TestTightBudgetReplans", "replanned=true records a cycle that rebuilt on a new plan"},
+		},
+		"ElasticReplan": {
+			{"internal/cluster/elastic_test.go:TestElasticScalesMidRunOnPriceDrop", "the decision that precedes each elastic.scale"},
+		},
+		"ElasticScale": {
+			{"internal/cluster/elastic_test.go:TestElasticScalesMidRunOnPriceDrop", "one per executed rebuild: their count is Job.ElasticScales"},
+		},
+		"InstanceLaunched": {
+			{trace, "counted into cloud.instances_per_job"},
+			{"internal/cloud/faults_test.go:TestWatchDeliversLifecycleEvents", "id opens the instance's lifecycle"},
+		},
+		"InstancePreempted": {
+			{"internal/cloud/faults_test.go:TestWatchDeliversLifecycleEvents", "its time is the scheduled revocation instant"},
+			{"internal/simtest/journal_test.go:TestGoldenTimelineCausalChain", "precedes the recovery it causes"},
+		},
+		"InstanceTerminated": {
+			{"internal/cloud/cloud_test.go:TestBillingPerSecond", "cost_usd is the instance's whole bill"},
+		},
+	}
+
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := l.pkgs["cynthia/internal/obs/journal"]
+	typ := jp.Scope().Lookup("Type").Type()
+	var names []string            // declared constants, sorted
+	values := map[string]string{} // constant name -> its string value
+	for _, name := range jp.Scope().Names() {
+		if c, ok := jp.Scope().Lookup(name).(*types.Const); ok && types.Identical(c.Type(), typ) {
+			names = append(names, name)
+			values[name] = constant.StringVal(c.Val())
+		}
+	}
+	for name := range readers {
+		if _, ok := values[name]; !ok {
+			t.Errorf("readers names journal.%s, which the journal package does not declare", name)
+		}
+	}
+	for _, name := range names {
+		if len(readers[name]) == 0 {
+			t.Errorf("journal.%s (%q) has no reader: name one, or delete the type and its emitter", name, values[name])
+		}
+		for _, r := range readers[name] {
+			if r.uses == "" {
+				t.Errorf("journal.%s: reader %s does not say what it reads", name, r.at)
+			}
+			if err := mentions(r.at, name, values[name]); err != nil {
+				t.Errorf("journal.%s: reader %s: %v", name, r.at, err)
+			}
+		}
+	}
+}
+
+// mentions reports whether the reader at names the journal type name,
+// whose string value is value. See TestEveryJournalTypeHasAReader for the
+// three forms at takes. In a Go file a mention is the selector
+// journal.<name>, or the bare name inside package journal itself.
+func mentions(at, name, value string) error {
+	if rest, ok := strings.CutPrefix(at, "ROADMAP.md:"); ok {
+		item, field, ok := strings.Cut(rest, ":")
+		if !ok || field == "" {
+			return errors.New("a ROADMAP reader is ROADMAP.md:<item>:<field>")
+		}
+		text, err := roadmapItem(item)
+		if err != nil {
+			return err
+		}
+		if !strings.Contains(text, "`"+value+"`") || !strings.Contains(text, "`"+field+"`") {
+			return fmt.Errorf("item %s does not name `%s` and `%s`", item, value, field)
+		}
+		return nil
+	}
+	file, decl, _ := strings.Cut(at, ":")
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		return err
+	}
+	var scope ast.Node = f
+	if decl != "" {
+		scope = nil
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.Name == decl {
+					scope = d
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && slices.ContainsFunc(vs.Names, func(id *ast.Ident) bool { return id.Name == decl }) {
+						scope = d
+					}
+				}
+			}
+		}
+		if scope == nil {
+			return fmt.Errorf("no declaration %q", decl)
+		}
+	}
+	bare := f.Name.Name == "journal"
+	found := false
+	ast.Inspect(scope, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			x, ok := n.X.(*ast.Ident)
+			found = found || ok && x.Name == "journal" && n.Sel.Name == name
+		case *ast.Ident:
+			found = found || bare && n.Name == name
+		}
+		return !found
+	})
+	if !found {
+		return fmt.Errorf("does not use journal.%s", name)
+	}
+	return nil
+}
+
+// roadmapItem returns the text of the numbered open item in ROADMAP.md:
+// from the line that starts "<n>. " to the next numbered item or heading.
+func roadmapItem(n string) (string, error) {
+	data, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		return "", err
+	}
+	var item []string
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		num, _, numbered := strings.Cut(line, ". ")
+		_, notNum := strconv.Atoi(num)
+		if numbered && notNum == nil || strings.HasPrefix(line, "#") {
+			if in {
+				break
+			}
+			in = num == n
+		}
+		if in {
+			item = append(item, line)
+		}
+	}
+	if len(item) == 0 {
+		return "", fmt.Errorf("ROADMAP.md has no item %s", n)
+	}
+	return strings.Join(item, "\n"), nil
 }
 
 // structName names the type whose struct declares the field defined at

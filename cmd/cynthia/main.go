@@ -115,9 +115,8 @@ func runControlled(workloadName, workloadFile string, deadline, lossTarget float
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), func() float64 { return *now })
 	// The flight recorder correlates the whole run: instance lifecycle
 	// events from the provider land in the master's journal next to the
-	// controller, planner, and simulator events.
+	// controller and planner events.
 	provider.SetJournal(master.Journal())
-	master.SetJournal(master.Journal(), provider.Now)
 	provider.SetFaultPlan(cloud.FaultPlan{
 		Seed:          fi.Seed,
 		PreemptRate:   fi.Rate,

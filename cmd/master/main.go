@@ -95,10 +95,8 @@ func setup(gpu, pprofOn bool, stateDir string) (http.Handler, *cluster.API, *clu
 		master.SetJournal(journal.New(journal.DefaultCapacity, journal.WithSink(mgr)), nil)
 	}
 	// The flight recorder spans the whole control plane: the provider
-	// appends instance lifecycle events to the master's journal, and
-	// master-sourced events run on the provider clock.
+	// appends instance lifecycle events to the master's journal.
 	provider.SetJournal(master.Journal())
-	master.SetJournal(master.Journal(), provider.Now)
 	controller := cluster.NewController(master, provider, nil, "")
 	if mgr != nil {
 		controller.Durability = mgr

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"cynthia/internal/obs/journal"
 )
 
 func TestDefaultCatalogContents(t *testing.T) {
@@ -202,6 +205,8 @@ func TestListFiltersByTags(t *testing.T) {
 func TestBillingPerSecond(t *testing.T) {
 	clk := &fakeClock{}
 	p := NewProvider(DefaultCatalog(), clk.Clock())
+	jrnl := journal.New(16, journal.Deterministic())
+	p.SetJournal(jrnl)
 	insts, err := p.Launch(M4XLarge, 2, nil) // $0.20/h each
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +220,29 @@ func TestBillingPerSecond(t *testing.T) {
 	want := 0.10 + 0.20
 	if got := p.Bill(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("bill = %v, want %v", got, want)
+	}
+	// Each teardown journals the instance's whole bill: once both are
+	// terminated, their cost_usd fields add up to the provider's bill.
+	if err := p.Terminate(insts[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	var costs []float64
+	for _, e := range jrnl.Since(0) {
+		if e.Type != journal.InstanceTerminated {
+			continue
+		}
+		for _, f := range e.Fields {
+			if f.Key == "cost_usd" {
+				c, err := strconv.ParseFloat(f.Value, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				costs = append(costs, c)
+			}
+		}
+	}
+	if len(costs) != 2 || math.Abs(costs[0]-0.10) > 1e-9 || costs[0]+costs[1] != p.Bill() {
+		t.Errorf("cloud.instance.terminated cost_usd = %v, want 0.10 and a sum equal to the bill %v", costs, p.Bill())
 	}
 }
 

@@ -297,6 +297,10 @@ func TestControllerCapacityFallbackToOtherType(t *testing.T) {
 	if !found {
 		t.Error("no job.plan.chosen event with fallback=true")
 	}
+	// So was the capacity error that forced it, once, naming the starved type.
+	if fb := jobEventsOf(master.Journal(), second.ID, journal.CapacityFallback); len(fb) != 1 || fieldOf(fb[0], "type") != first.Plan.Type.Name {
+		t.Errorf("job.capacity.fallback events = %+v, want one naming %s", fb, first.Plan.Type.Name)
+	}
 	if n := provider.RunningCount(""); n != 0 {
 		t.Errorf("%d instances leaked", n)
 	}

@@ -441,7 +441,7 @@ func (c *Controller) finishJob(st *runState) (*Job, error) {
 // and schedules one pod per docker. The slowest instance's readiness
 // delay is charged against the deadline and the bill.
 func (c *Controller) provision(st *runState) error {
-	insts, _, err := c.launchWithFallback(st)
+	insts, err := c.launchWithFallback(st)
 	if err != nil {
 		return err
 	}
@@ -516,21 +516,19 @@ func (c *Controller) teardown(job *Job) {
 // catalog: spot trouble must never cascade into more spot trouble, and
 // a fallback plan's cost is what its launch bills. On success the run
 // state holds the plan (and market) that actually launched.
-func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, error) {
+func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, error) {
 	job := st.job
-	try := func(p plan.Plan, spot bool, bid float64) ([]*cloud.Instance, int, error) {
-		dockers := p.Workers + p.PS
-		n := (dockers + coresPerInstance - 1) / coresPerInstance
-		insts, err := c.launchRetry(job, p.Type.Name, n, st.rc, spot, bid)
-		return insts, n, err
+	try := func(p plan.Plan, spot bool, bid float64) ([]*cloud.Instance, error) {
+		n := (p.Workers + p.PS + coresPerInstance - 1) / coresPerInstance
+		return c.launchRetry(job, p.Type.Name, n, st.rc, spot, bid)
 	}
 	triedSpot := st.Market == MarketSpot
-	insts, n, err := try(st.Plan, triedSpot, st.BidPerHour)
+	insts, err := try(st.Plan, triedSpot, st.BidPerHour)
 	if err == nil {
-		return insts, n, nil
+		return insts, nil
 	}
 	if !fallbackable(err) {
-		return nil, 0, err
+		return nil, err
 	}
 	c.jbind(job).Emit(journal.CapacityFallback,
 		journal.F("type", st.Plan.Type.Name), journal.F("error", err.Error()))
@@ -538,7 +536,7 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		Profile: st.prof, Goal: st.goal, Predictor: c.predictor, Catalog: c.provider.Catalog(),
 	})
 	if cerr != nil {
-		return nil, 0, cerr
+		return nil, cerr
 	}
 	for _, cand := range ranked {
 		if !cand.Feasible {
@@ -547,7 +545,7 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 		if !triedSpot && cand.Type.Name == st.Plan.Type.Name && cand.Workers == st.Plan.Workers && cand.PS == st.Plan.PS {
 			continue // already tried this exact launch
 		}
-		insts, n, lerr := try(cand, false, 0)
+		insts, lerr := try(cand, false, 0)
 		if lerr == nil {
 			st.Plan = cand
 			st.Market, st.BidPerHour = "", 0
@@ -561,13 +559,13 @@ func (c *Controller) launchWithFallback(st *runState) ([]*cloud.Instance, int, e
 				journal.Ffloat("pred_sec", cand.PredTime),
 				journal.Ffloat("cost_usd", cand.Cost),
 				journal.Fbool("fallback", true))
-			return insts, n, nil
+			return insts, nil
 		}
 		if !fallbackable(lerr) {
-			return nil, 0, lerr
+			return nil, lerr
 		}
 	}
-	return nil, 0, fmt.Errorf("cluster: no feasible plan fits provider capacity: %w", err)
+	return nil, fmt.Errorf("cluster: no feasible plan fits provider capacity: %w", err)
 }
 
 // fallbackable reports whether a launch error should fall back to another

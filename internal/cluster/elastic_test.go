@@ -14,6 +14,7 @@ import (
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/cloud/pricing"
+	"cynthia/internal/obs/journal"
 )
 
 // odMap extracts the on-demand price table the pricing generators key on.
@@ -166,6 +167,26 @@ func TestElasticScalesMidRunOnPriceDrop(t *testing.T) {
 	}
 	if spot == 0 || onDemand == 0 {
 		t.Errorf("instances: %d spot, %d on-demand; want both (re-homed mid-run)", spot, onDemand)
+	}
+	// Each rebuild is journaled as the decision, then the executed scale.
+	decided, scales := false, 0
+	for _, e := range ctl.master.Journal().JobEvents(job.ID) {
+		switch e.Type {
+		case journal.ElasticReplan:
+			if decided {
+				t.Error("elastic.replan twice without an elastic.scale between")
+			}
+			decided = true
+		case journal.ElasticScale:
+			if !decided {
+				t.Error("elastic.scale without a preceding elastic.replan")
+			}
+			decided = false
+			scales++
+		}
+	}
+	if scales != job.ElasticScales {
+		t.Errorf("%d elastic.scale events, want ElasticScales = %d", scales, job.ElasticScales)
 	}
 }
 

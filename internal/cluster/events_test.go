@@ -30,53 +30,9 @@ func jobEventsOf(jrnl *journal.Journal, job string, typ journal.Type) []journal.
 	return out
 }
 
-func TestEventsRecordLifecycle(t *testing.T) {
-	m := newMaster(t)
-	jrnl := journal.New(16, journal.Deterministic())
-	m.SetJournal(jrnl, nil)
-	token, hash := m.JoinCredentials()
-	if _, err := m.Join("n1", "i-1", m4(t), 2, token, hash); err != nil {
-		t.Fatal(err)
-	}
-	pod, err := m.Schedule(PodSpec{Role: RoleWorker, Job: "j"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete(pod.Name); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drain("n1"); err != nil {
-		t.Fatal(err)
-	}
-	events := jrnl.Since(0)
-	want := []struct {
-		typ         journal.Type
-		key, object string
-	}{
-		{journal.NodeJoined, "node", "n1"},
-		{journal.PodScheduled, "pod", pod.Name},
-		{journal.PodDeleted, "pod", pod.Name},
-		{journal.NodeDrained, "node", "n1"},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("%d events, want %d: %+v", len(events), len(want), events)
-	}
-	for i, w := range want {
-		e := events[i]
-		if e.Type != w.typ || e.Seq != uint64(i+1) || e.Source != "master" {
-			t.Errorf("event %d = %s seq %d source %q, want %s seq %d from master",
-				i, e.Type, e.Seq, e.Source, w.typ, i+1)
-		}
-		if got := fieldOf(e, w.key); got != w.object {
-			t.Errorf("event %d %s = %q, want %q", i, w.key, got, w.object)
-		}
-	}
-	// Incremental reads.
-	if tail := jrnl.Since(2); len(tail) != 2 || tail[0].Type != journal.PodDeleted {
-		t.Errorf("after=2 tail = %+v", tail)
-	}
-}
-
+// TestControllerEmitsJobEvents runs one job and checks its lifecycle is
+// journaled by the controller and the planner alone: the master's node
+// and pod bookkeeping and the simulator emit nothing.
 func TestControllerEmitsJobEvents(t *testing.T) {
 	master := newMaster(t)
 	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
@@ -88,9 +44,12 @@ func TestControllerEmitsJobEvents(t *testing.T) {
 	types := map[journal.Type]bool{}
 	for _, e := range master.Journal().Since(0) {
 		types[e.Type] = true
+		if e.Source != "controller" && e.Source != "plan" {
+			t.Errorf("%s from source %q, want controller or plan", e.Type, e.Source)
+		}
 	}
-	for _, want := range []journal.Type{journal.JobSubmitted, journal.PlanChosen, journal.JobFinished,
-		journal.NodeJoined, journal.PodScheduled} {
+	for _, want := range []journal.Type{journal.JobSubmitted, journal.PlanChosen, journal.JobProvisioned,
+		journal.SegmentStart, journal.SegmentEnd, journal.JobFinished} {
 		if !types[want] {
 			t.Errorf("missing event %s (have %v)", want, types)
 		}

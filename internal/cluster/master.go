@@ -66,7 +66,6 @@ type Master struct {
 	pods    map[string]*Pod
 	nextPod int
 	jrnl    *journal.Journal
-	jclock  func() float64
 }
 
 // NewMaster initializes a master with a fresh bootstrap token and CA
@@ -90,36 +89,23 @@ func NewMaster() (*Master, error) {
 	}, nil
 }
 
-// Journal returns the control plane's flight-recorder journal. Every
-// subsystem — API edge, planner, controller, cloud provider, training
-// simulator — appends its correlated events here.
+// Journal returns the control plane's flight-recorder journal. The
+// controller, the planner, the plan service and the cloud provider append
+// their correlated events here.
 func (m *Master) Journal() *journal.Journal {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.jrnl
 }
 
-// SetJournal replaces the journal and installs the clock stamping
-// master-sourced events (nil keeps At at 0). The golden-scenario harness
-// swaps in a deterministic journal driven by the provider clock.
-func (m *Master) SetJournal(j *journal.Journal, clock func() float64) {
+// SetJournal replaces the journal every other subsystem appends to. The
+// master itself emits nothing: its nodes and pods are in its registry,
+// and the instances behind them are journaled by the cloud provider. The
+// clock parameter is ignored; it stays while callers still pass one.
+func (m *Master) SetJournal(j *journal.Journal, _ func() float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.jrnl = j
-	m.jclock = clock
-}
-
-// jemit appends one master-sourced event. Callers hold m.mu; the journal
-// and clock take their own locks but never call back into the master.
-func (m *Master) jemit(typ journal.Type, job string, fields ...journal.Field) {
-	if m.jrnl == nil {
-		return
-	}
-	at := 0.0
-	if m.jclock != nil {
-		at = m.jclock()
-	}
-	m.jrnl.Append(journal.Event{Source: "master", Job: job, Type: typ, At: at, Fields: fields})
 }
 
 // newToken builds a kubeadm bootstrap token: 6 chars "." 16 chars, from
@@ -163,9 +149,6 @@ func (m *Master) Join(name, instanceID string, t cloud.InstanceType, cores int, 
 	}
 	node := &Node{NodeState{Name: name, InstanceID: instanceID, Type: t, Cores: cores, Used: make([]string, cores)}}
 	m.nodes[name] = node
-	m.jemit(journal.NodeJoined, "",
-		journal.F("node", name), journal.F("instance", instanceID),
-		journal.F("type", t.Name), journal.Fint("cores", cores))
 	return node, nil
 }
 
@@ -181,7 +164,6 @@ func (m *Master) Drain(name string) error {
 		return fmt.Errorf("cluster: node %s still runs pods", name)
 	}
 	delete(m.nodes, name)
-	m.jemit(journal.NodeDrained, "", journal.F("node", name))
 	return nil
 }
 
@@ -236,9 +218,6 @@ func (m *Master) Schedule(spec PodSpec) (*Pod, error) {
 	}
 	node.Used[core] = pod.Name
 	m.pods[pod.Name] = pod
-	m.jemit(journal.PodScheduled, spec.Job,
-		journal.F("pod", pod.Name), journal.F("role", string(spec.Role)),
-		journal.F("node", node.Name), journal.Fint("core", core))
 	return pod, nil
 }
 
@@ -254,8 +233,6 @@ func (m *Master) Delete(podName string) error {
 		node.Used[pod.Core] = ""
 	}
 	delete(m.pods, podName)
-	m.jemit(journal.PodDeleted, pod.Job,
-		journal.F("pod", pod.Name), journal.F("node", pod.Node), journal.Fint("core", pod.Core))
 	return nil
 }
 

@@ -183,7 +183,6 @@ func (c *Controller) runSegments(st *runState) error {
 		// so the optimizer sees fresh prices; a static run (or one with no
 		// change ahead) trains the whole remainder in one segment.
 		segIters := c.elasticSegIters(st, remaining)
-		segBase := c.provider.Now()
 		jb.Emit(journal.SegmentStart,
 			journal.Fint("segment", st.Recoveries),
 			journal.Fint("start_iter", st.Done),
@@ -197,8 +196,6 @@ func (c *Controller) runSegments(st *runState) error {
 			StartIteration:  st.Done,
 			LossEvery:       max(segIters/100, 1),
 			CheckpointEvery: st.rc.CheckpointEvery,
-			Journal:         jb.WithSource("ddnnsim"),
-			JournalBaseSec:  segBase,
 		}
 		// Ask the provider — the simulation's stand-in for the cloud's
 		// preemption notice — whether any of this job's instances is

@@ -5,6 +5,7 @@ package cluster
 // restart overhead that exhausts the residual deadline budget Tg'.
 
 import (
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -186,6 +187,37 @@ func TestPreemptionDuringRecovery(t *testing.T) {
 	}
 	if got := countStatus(job.History, StatusRunning); got != 3 {
 		t.Fatalf("history %v has %d running entries, want 3", job.History, got)
+	}
+}
+
+// TestTightBudgetReplans charges a restart overhead that leaves a
+// positive residual budget Tg' too small for the surviving plan: the
+// controller must re-run Algorithm 1 against Tg', journal the plan it
+// chose in recovery.replanned, and finish on that plan.
+func TestTightBudgetReplans(t *testing.T) {
+	nInst, t0 := baselineShape(t)
+	ctl, _ := newFaultController(t, lastInstancePlan(nInst, t0))
+	ctl.Recovery.RestartOverheadSec = recoveryGoal.TimeSec - 0.75*t0
+	job := mustSubmit(t, ctl, recoveryGoal)
+	if job.Status != StatusSucceeded {
+		t.Fatalf("status = %s (%s)", job.Status, job.Err)
+	}
+	jrnl := ctl.master.Journal()
+	replans := jobEventsOf(jrnl, job.ID, journal.RecoveryReplan)
+	if len(replans) != 1 {
+		t.Fatalf("%d recovery.replanned events, want 1", len(replans))
+	}
+	e := replans[0]
+	if fieldOf(e, "type") != job.Plan.Type.Name || fieldOf(e, "workers") != strconv.Itoa(job.Plan.Workers) ||
+		fieldOf(e, "ps") != strconv.Itoa(job.Plan.PS) {
+		t.Errorf("recovery.replanned %v, want the plan the job finished on %+v", e.Fields, job.Plan)
+	}
+	budget, err := strconv.ParseFloat(fieldOf(e, "budget_sec"), 64)
+	if err != nil || budget <= 0 || budget >= recoveryGoal.TimeSec-ctl.Recovery.RestartOverheadSec {
+		t.Errorf("recovery.replanned budget_sec = %q, want in (0, Tg - overhead)", fieldOf(e, "budget_sec"))
+	}
+	if done := jobEventsOf(jrnl, job.ID, journal.RecoveryDone); len(done) != 1 || fieldOf(done[0], "replanned") != "true" {
+		t.Errorf("recovery.done events = %v, want one with replanned=true", done)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -146,13 +147,13 @@ func TestRecoveryDisabledFailsJob(t *testing.T) {
 
 // TestRecoveryIsDeterministic runs the preemption scenario twice from
 // identical seeds on deterministic journals and requires byte-identical
-// JSONL streams: controller, master, cloud and simulator events alike.
+// JSONL streams: controller, planner and cloud events alike.
 func TestRecoveryIsDeterministic(t *testing.T) {
 	nInst, t0 := baselineShape(t)
 	scenario := func() ([]byte, Job) {
 		ctl, provider := newFaultController(t, lastInstancePlan(nInst, t0))
 		jrnl := journal.New(1<<16, journal.Deterministic())
-		ctl.master.SetJournal(jrnl, provider.Now)
+		ctl.master.SetJournal(jrnl, nil)
 		provider.SetJournal(jrnl)
 		job := mustSubmit(t, ctl, recoveryGoal)
 		events := jrnl.Since(0)
@@ -200,8 +201,19 @@ func TestTransientLaunchRetriesSucceed(t *testing.T) {
 	if job.Status != StatusSucceeded {
 		t.Fatalf("status = %s (err %q)", job.Status, job.Err)
 	}
-	if metricValue(t, "cynthia_launch_retries_total") <= metricValueIn(before, "cynthia_launch_retries_total") {
+	retries := metricValue(t, "cynthia_launch_retries_total") - metricValueIn(before, "cynthia_launch_retries_total")
+	if retries <= 0 {
 		t.Error("launch retry counter did not advance")
+	}
+	// Every retry is journaled once, with its attempt number.
+	events := jobEventsOf(ctl.master.Journal(), job.ID, journal.LaunchRetry)
+	if float64(len(events)) != retries {
+		t.Errorf("%d job.launch.retry events, want one per retry (%v)", len(events), retries)
+	}
+	for _, e := range events {
+		if n, err := strconv.Atoi(fieldOf(e, "attempt")); err != nil || n < 1 || n > retryAttempts {
+			t.Errorf("job.launch.retry attempt = %q, want 1..%d", fieldOf(e, "attempt"), retryAttempts)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"cynthia/internal/cloud"
@@ -78,43 +80,90 @@ func TestOpenEmptyDir(t *testing.T) {
 
 // TestSnapshotAndReopen is the basic restart cycle: events flow through
 // the sink into the WAL, a snapshot pins the world, and a reopened
-// manager recovers both and restores the journal counters.
+// manager recovers both, restores the journal counters and renders the
+// job's timeline. The retired case replays lines of types older builds
+// journaled and this one no longer declares (testdata/retired-events.jsonl):
+// a state directory holding them must still restore, so the decoder keeps
+// no list of known types.
 func TestSnapshotAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	w := newWorld(t, dir, Options{})
-	w.emit("api", journal.JobSubmitted, 0)
-	w.emit("ctl", journal.SegmentStart, 1)
-	if err := w.m.SnapshotNow(); err != nil {
+	retired, err := os.ReadFile("testdata/retired-events.jsonl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	w.emit("ctl", journal.SegmentEnd, 2) // tail event, after the snapshot
-	if err := w.m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		lines []byte
+	}{
+		{"current", []byte(`{"seq":1,"src":"api","sseq":1,"job":"job-1","type":"job.submitted","at":0}
+{"seq":2,"src":"ctl","sseq":1,"job":"job-1","type":"segment.start","at":1}
+{"seq":3,"src":"ctl","sseq":2,"job":"job-1","type":"segment.end","at":2}
+`)},
+		{"retired", retired},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events []journal.Event
+			for _, line := range bytes.SplitAfter(tc.lines, []byte("\n")) {
+				if len(line) == 0 {
+					continue
+				}
+				e, err := journal.DecodeEvent(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, e)
+			}
+			if len(events) != 3 {
+				t.Fatalf("%d events in the case, want 3", len(events))
+			}
+			dir := t.TempDir()
+			w := newWorld(t, dir, Options{Mode: ModeResume})
+			w.jrnl.Append(events[0])
+			w.jrnl.Append(events[1])
+			if err := w.m.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			w.jrnl.Append(events[2]) // tail event, after the snapshot
+			if err := w.m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := walBytes(t, dir); !bytes.Equal(got, tc.lines) {
+				t.Fatalf("WAL holds\n%s\nwant\n%s", got, tc.lines)
+			}
 
-	w2 := newWorld(t, dir, Options{})
-	if !w2.m.HasState() {
-		t.Fatal("reopened manager sees no state")
-	}
-	if snap := w2.m.Snapshot(); snap == nil || snap.TakenAtSeq != 2 {
-		t.Fatalf("snapshot = %+v, want TakenAtSeq 2", snap)
-	}
-	if got := len(w2.m.RecoveredEvents()); got != 3 {
-		t.Fatalf("recovered %d events, want 3", got)
-	}
-	if len(w2.m.tailRaw) != 1 {
-		t.Fatalf("tail = %d, want 1", len(w2.m.tailRaw))
-	}
-	if _, _, err := w2.m.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	// Resume mode keeps the tail as history and continues numbering.
-	if w2.jrnl.LastSeq() != 3 || len(w2.jrnl.Since(0)) != 3 {
-		t.Fatalf("journal lastSeq=%d len=%d, want 3/3", w2.jrnl.LastSeq(), len(w2.jrnl.Since(0)))
-	}
-	w2.emit("ctl", journal.JobFinished, 3)
-	if w2.jrnl.LastSeq() != 4 {
-		t.Fatalf("post-rebuild seq=%d, want 4", w2.jrnl.LastSeq())
+			w2 := newWorld(t, dir, Options{Mode: ModeResume})
+			if !w2.m.HasState() {
+				t.Fatal("reopened manager sees no state")
+			}
+			if snap := w2.m.Snapshot(); snap == nil || snap.TakenAtSeq != 2 {
+				t.Fatalf("snapshot = %+v, want TakenAtSeq 2", snap)
+			}
+			if got := len(w2.m.RecoveredEvents()); got != 3 {
+				t.Fatalf("recovered %d events, want 3", got)
+			}
+			if len(w2.m.tailRaw) != 1 {
+				t.Fatalf("tail = %d, want 1", len(w2.m.tailRaw))
+			}
+			if _, _, err := w2.m.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			// Resume mode keeps the tail as history and continues numbering.
+			if w2.jrnl.LastSeq() != 3 || len(w2.jrnl.Since(0)) != 3 {
+				t.Fatalf("journal lastSeq=%d len=%d, want 3/3", w2.jrnl.LastSeq(), len(w2.jrnl.Since(0)))
+			}
+			var text bytes.Buffer
+			if err := journal.BuildTimeline("job-1", w2.jrnl.JobEvents("job-1")).WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range events {
+				if !strings.Contains(text.String(), string(e.Type)+" ") {
+					t.Errorf("timeline lacks %s:\n%s", e.Type, text.String())
+				}
+			}
+			w2.emit("ctl", journal.JobFinished, 3)
+			if w2.jrnl.LastSeq() != 4 {
+				t.Fatalf("post-rebuild seq=%d, want 4", w2.jrnl.LastSeq())
+			}
+		})
 	}
 }
 

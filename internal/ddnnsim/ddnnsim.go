@@ -31,7 +31,6 @@ import (
 	"cynthia/internal/flow"
 	"cynthia/internal/model"
 	"cynthia/internal/obs"
-	"cynthia/internal/obs/journal"
 )
 
 // Trace-track process IDs: the exported Chrome trace groups spans into a
@@ -101,16 +100,6 @@ type Options struct {
 	// barrier spans. Export it with Tracer.WriteJSON and open the file
 	// in chrome://tracing or Perfetto.
 	Trace *obs.Tracer
-	// Journal, when bound, receives one flight-recorder event for the
-	// segment: sim.interrupted (with the checkpoint iteration a restart
-	// resumes from) when a fault halts the run, or sim.segment.done on
-	// normal completion. It is emitted after the engine run from the
-	// calling goroutine, so the journal is deterministic.
-	Journal journal.Binding
-	// JournalBaseSec offsets journal timestamps onto the caller's clock:
-	// the simulation clock starts at 0 every segment, but the controller's
-	// journal runs on the provider clock.
-	JournalBaseSec float64
 }
 
 // IterRecord is one iteration's timing breakdown: for BSP a training
@@ -241,20 +230,7 @@ func Run(w *model.Workload, cluster cloud.ClusterSpec, opt Options) (*Result, er
 			res.CheckpointIter = s.completed - s.completed%opt.CheckpointEvery
 		}
 		res.LostIterations = s.completed - res.CheckpointIter
-		if opt.Journal.Enabled() {
-			opt.Journal.EmitAt(opt.JournalBaseSec+end, journal.SimInterrupted,
-				journal.F("role", fault.Role),
-				journal.Fint("index", fault.Index),
-				journal.Fint("completed", s.completed),
-				journal.Fint("checkpoint_iter", res.CheckpointIter),
-				journal.Fint("lost_iterations", res.LostIterations))
-		}
 		return res, nil
-	}
-	if opt.Journal.Enabled() {
-		opt.Journal.EmitAt(opt.JournalBaseSec+end, journal.SimSegmentDone,
-			journal.Fint("iterations", s.completed),
-			journal.Ffloat("training_sec", end))
 	}
 	return s.result(end), nil
 }

@@ -1,10 +1,9 @@
 // Package journal is the control plane's flight recorder: an append-only
 // structured event log with monotonic per-source sequence numbers, a
 // bounded in-memory ring, an optional JSONL sink, and a deterministic
-// canonical encoding. Every layer of the provisioning stack — the HTTP
-// edge, the planner, the controller, the cloud provider, and the training
-// simulator — appends typed events carrying the request's correlation ID
-// (TraceID), so a job's full causal history (submit → plan → segments →
+// canonical encoding. The planner, the plan service, the controller and
+// the cloud provider append typed events carrying the request's
+// correlation ID (TraceID), so a job's full causal history (submit → plan → segments →
 // preemptions → recoveries → terminal state) can be reconstructed after
 // the fact (see timeline.go).
 //
@@ -25,7 +24,8 @@ import (
 
 // Type names one kind of journal event. The constants below are the
 // vocabulary shared by every emitter; the timeline renderer keys its
-// causal narrative off them.
+// causal narrative off them. Each one has a reader named in the root
+// TestEveryJournalTypeHasAReader, and a new one needs a row there.
 type Type string
 
 // Journal event types, grouped by emitting source.
@@ -63,16 +63,6 @@ const (
 	InstanceLaunched   Type = "cloud.instance.launched"
 	InstancePreempted  Type = "cloud.instance.preempted"
 	InstanceTerminated Type = "cloud.instance.terminated"
-
-	// Training simulator.
-	SimInterrupted Type = "sim.interrupted"
-	SimSegmentDone Type = "sim.segment.done"
-
-	// Master node/pod bookkeeping.
-	NodeJoined   Type = "node.joined"
-	NodeDrained  Type = "node.drained"
-	PodScheduled Type = "pod.scheduled"
-	PodDeleted   Type = "pod.deleted"
 )
 
 // Field is one key/value annotation on an event. Fields are ordered —
@@ -356,15 +346,6 @@ func (b Binding) Emit(typ Type, fields ...Field) uint64 {
 	at := 0.0
 	if b.Clock != nil {
 		at = b.Clock()
-	}
-	return b.EmitAt(at, typ, fields...)
-}
-
-// EmitAt appends an event with an explicit At timestamp. It is a no-op on
-// a nil journal.
-func (b Binding) EmitAt(at float64, typ Type, fields ...Field) uint64 {
-	if b.J == nil {
-		return 0
 	}
 	return b.J.Append(Event{
 		Source: b.Source,

@@ -121,9 +121,9 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []byte {
 		j := New(64, Deterministic())
 		b := Bind(j, "controller", "t-1", "job-1")
-		b.EmitAt(0, JobSubmitted, F("workload", "mnist"))
-		b.EmitAt(1.25, PlanChosen, Fint("workers", 8), Ffloat("cost_usd", 0.123456789))
-		b.WithSource("cloud").EmitAt(2.5, InstanceLaunched, F("id", "i-00000001"))
+		emitAt(b, 0, JobSubmitted, F("workload", "mnist"))
+		emitAt(b, 1.25, PlanChosen, Fint("workers", 8), Ffloat("cost_usd", 0.123456789))
+		emitAt(b.WithSource("cloud"), 2.5, InstanceLaunched, F("id", "i-00000001"))
 		var buf bytes.Buffer
 		if err := j.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
@@ -158,9 +158,6 @@ func TestBindingNilSafe(t *testing.T) {
 	}
 	if seq := b.Emit(JobSubmitted, F("k", "v")); seq != 0 {
 		t.Errorf("nil emit returned seq %d", seq)
-	}
-	if seq := b.EmitAt(1, JobSubmitted); seq != 0 {
-		t.Errorf("nil EmitAt returned seq %d", seq)
 	}
 }
 
@@ -212,7 +209,7 @@ func TestConcurrentWriters(t *testing.T) {
 			src := fmt.Sprintf("src-%d", w)
 			b := Bind(j, src, "t", "job-1")
 			for i := 0; i < perWriter; i++ {
-				b.EmitAt(float64(i), JobStatus, Fint("i", i))
+				emitAt(b, float64(i), JobStatus, Fint("i", i))
 			}
 		}(w)
 	}

@@ -90,12 +90,9 @@ func (t *Timeline) WriteText(w io.Writer) error {
 
 // Trace-track process IDs for the Chrome export, one per source.
 var sourcePIDs = map[string]int{
-	"api":        1,
 	"plan":       2,
 	"controller": 3,
 	"cloud":      4,
-	"ddnnsim":    5,
-	"master":     6,
 }
 
 // spanPairs maps span-opening event types to their closers: the Chrome

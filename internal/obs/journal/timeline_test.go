@@ -7,21 +7,26 @@ import (
 	"testing"
 )
 
+// emitAt emits one event from b stamped at the given time.
+func emitAt(b Binding, at float64, typ Type, fields ...Field) uint64 {
+	return b.WithClock(func() float64 { return at }).Emit(typ, fields...)
+}
+
 func sampleJobEvents() []Event {
 	j := New(64, Deterministic())
 	b := Bind(j, "controller", "t-000001", "job-1")
-	b.EmitAt(0, JobSubmitted, F("workload", "mnist"))
-	b.WithSource("plan").EmitAt(0, PlanSearchDone, Fint("enumerated", 40), Fint("pruned", 1000))
-	b.EmitAt(0, PlanChosen, F("type", "c4.xlarge"), Fint("workers", 8))
-	b.WithSource("cloud").EmitAt(0, InstanceLaunched, F("id", "i-00000001"))
-	b.EmitAt(0, SegmentStart, Fint("start_iter", 0))
-	b.WithSource("cloud").EmitAt(40, InstancePreempted, F("id", "i-00000001"))
-	b.EmitAt(40, SegmentEnd, Fbool("interrupted", true))
-	b.EmitAt(40, RecoveryStart, Fint("recovery", 1))
-	b.EmitAt(70, RecoveryDone)
-	b.EmitAt(70, SegmentStart, Fint("start_iter", 500))
-	b.EmitAt(120, SegmentEnd)
-	b.EmitAt(120, JobFinished, F("status", "succeeded"))
+	emitAt(b, 0, JobSubmitted, F("workload", "mnist"))
+	emitAt(b.WithSource("plan"), 0, PlanSearchDone, Fint("enumerated", 40), Fint("pruned", 1000))
+	emitAt(b, 0, PlanChosen, F("type", "c4.xlarge"), Fint("workers", 8))
+	emitAt(b.WithSource("cloud"), 0, InstanceLaunched, F("id", "i-00000001"))
+	emitAt(b, 0, SegmentStart, Fint("start_iter", 0))
+	emitAt(b.WithSource("cloud"), 40, InstancePreempted, F("id", "i-00000001"))
+	emitAt(b, 40, SegmentEnd, Fbool("interrupted", true))
+	emitAt(b, 40, RecoveryStart, Fint("recovery", 1))
+	emitAt(b, 70, RecoveryDone)
+	emitAt(b, 70, SegmentStart, Fint("start_iter", 500))
+	emitAt(b, 120, SegmentEnd)
+	emitAt(b, 120, JobFinished, F("status", "succeeded"))
 	return j.JobEvents("job-1")
 }
 
@@ -101,8 +106,8 @@ func TestTimelineChromeTraceOpenJob(t *testing.T) {
 	// last event rather than dropping them.
 	j := New(8, Deterministic())
 	b := Bind(j, "controller", "t", "job-2")
-	b.EmitAt(0, JobSubmitted)
-	b.EmitAt(5, SegmentStart)
+	emitAt(b, 0, JobSubmitted)
+	emitAt(b, 5, SegmentStart)
 	tl := BuildTimeline("job-2", j.JobEvents("job-2"))
 	var buf bytes.Buffer
 	if err := tl.WriteChromeTrace(&buf); err != nil {

@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"cynthia/internal/cloud"
+	"cynthia/internal/obs/journal"
 )
 
 // engineRequests spans the shapes the engine must handle: single- and
@@ -175,9 +177,31 @@ func earlyBreakCounts(types []cloud.InstanceType, ranked []Plan) (enumerated, fe
 func TestSearchMatchesProvisionPlusCandidates(t *testing.T) {
 	ctx := context.Background()
 	for i, req := range engineRequests(t) {
-		res, err := DefaultEngine.Search(ctx, req)
+		jrnl := journal.New(8, journal.Deterministic())
+		traced := req
+		traced.Journal = journal.Bind(jrnl, "plan", "t", "")
+		res, err := DefaultEngine.Search(ctx, traced)
 		if err != nil {
 			t.Fatalf("req %d: Search: %v", i, err)
+		}
+		// The search journals the space it covers, then what it counted.
+		events := jrnl.Since(0)
+		if len(events) != 2 || events[0].Type != journal.PlanSearchStart || events[1].Type != journal.PlanSearchDone {
+			t.Fatalf("req %d: journaled %+v, want plan.search.start then plan.search.done", i, events)
+		}
+		for _, f := range []struct {
+			e    journal.Event
+			key  string
+			want int
+		}{
+			{events[0], "types", res.Stats.Types},
+			{events[1], "enumerated", res.Stats.Enumerated},
+			{events[1], "pruned", res.Stats.Pruned},
+			{events[1], "feasible", res.Stats.Feasible},
+		} {
+			if got := fieldValue(f.e, f.key); got != strconv.Itoa(f.want) {
+				t.Errorf("req %d: %s %s = %q, want %d", i, f.e.Type, f.key, got, f.want)
+			}
 		}
 		pl, err := DefaultEngine.Provision(ctx, req)
 		if err != nil {
@@ -207,6 +231,16 @@ func TestSearchMatchesProvisionPlusCandidates(t *testing.T) {
 				i, res.Stats.Enumerated, len(ranked))
 		}
 	}
+}
+
+// fieldValue returns the value of an event's field, or "" when it has none.
+func fieldValue(e journal.Event, key string) string {
+	for _, f := range e.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return ""
 }
 
 // TestNormalizeIdempotent: Normalize only validates and fills in

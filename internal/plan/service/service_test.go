@@ -209,8 +209,9 @@ func TestOverloadRejects(t *testing.T) {
 	if _, err := s.Plan(context.Background(), rejected); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded request error = %v, want ErrOverloaded", err)
 	}
-	if events := j.Since(0); len(events) != 1 || events[0].Type != journal.PlanRejected {
-		t.Errorf("rejected request journaled %v, want one plan.rejected", events)
+	if events := j.Since(0); len(events) != 1 || events[0].Type != journal.PlanRejected ||
+		events[0].Trace != "trace-rejected" || !slices.Equal(events[0].Fields, []journal.Field{journal.F("reason", "overloaded")}) {
+		t.Errorf("rejected request journaled %v, want one plan.rejected for trace-rejected, reason overloaded", events)
 	}
 	if st := s.Stats(); st.Overloaded != 1 || st.Requests != 2 {
 		t.Errorf("stats = %+v, want two requests, one overloaded", st)

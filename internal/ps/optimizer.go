@@ -62,8 +62,8 @@ func (m *Momentum) Apply(params, grad []float64) error {
 		return fmt.Errorf("ps: momentum: %d params but velocity state sized for %d", len(params), len(m.v))
 	}
 	for i, g := range grad {
-		m.v[i] = m.Beta*m.v[i] + g
-		params[i] -= m.LR * m.v[i]
+		m.v[i] = float64(m.Beta*m.v[i]) + g
+		params[i] -= float64(m.LR * m.v[i])
 	}
 	return nil
 }
@@ -110,8 +110,8 @@ func (a *Adam) Apply(params, grad []float64) error {
 	c1 := 1 - math.Pow(b1, float64(a.t))
 	c2 := 1 - math.Pow(b2, float64(a.t))
 	for i, g := range grad {
-		a.m[i] = b1*a.m[i] + (1-b1)*g
-		a.v[i] = b2*a.v[i] + (1-b2)*g*g
+		a.m[i] = float64(b1*a.m[i]) + float64((1-b1)*g)
+		a.v[i] = float64(b2*a.v[i]) + float64((1-b2)*g*g)
 		mHat := a.m[i] / c1
 		vHat := a.v[i] / c2
 		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)

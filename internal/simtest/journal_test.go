@@ -165,20 +165,15 @@ func TestGoldenTimelineCausalChain(t *testing.T) {
 				}
 			}
 
-			// One trace ID correlates the whole controller-side chain.
-			trace := ""
-			for _, e := range events {
-				if e.Trace == "" {
-					continue // master bookkeeping events carry only the job ID
-				}
-				if trace == "" {
-					trace = e.Trace
-				} else if e.Trace != trace {
-					t.Fatalf("trace IDs diverge: %q vs %q", trace, e.Trace)
-				}
-			}
+			// One trace ID correlates every event of the job.
+			trace := events[0].Trace
 			if trace == "" {
-				t.Error("no event carries a trace ID")
+				t.Errorf("%s carries no trace ID", events[0].Type)
+			}
+			for _, e := range events {
+				if e.Trace != trace {
+					t.Fatalf("trace IDs diverge: %s carries %q, want %q", e.Type, e.Trace, trace)
+				}
 			}
 
 			// The timeline renders every correlated event as one step.

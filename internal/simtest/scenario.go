@@ -220,7 +220,7 @@ func buildWorld(s *Scenario, sink io.Writer) (*scenarioWorld, error) {
 		jopts = append(jopts, journal.WithSink(sink))
 	}
 	jrnl := journal.New(16384, jopts...)
-	master.SetJournal(jrnl, func() float64 { return *now })
+	master.SetJournal(jrnl, nil)
 	provider.SetJournal(jrnl)
 	if s.Fault != nil {
 		provider.SetFaultPlan(s.Fault.plan())

@@ -105,7 +105,7 @@ func matMulBand(dst, a, b *Dense, lo, hi int) {
 				}
 				brow := b.Data[kk*n : (kk+1)*n]
 				for j, bv := range brow {
-					drow[j] += av * bv
+					drow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -130,7 +130,7 @@ func MatMulATB(dst, a, b *Dense) {
 			}
 			drow := dst.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func MatMulABT(dst, a, b *Dense) {
 				brow := b.Row(j)
 				sum := 0.0
 				for kk, av := range arow {
-					sum += av * brow[kk]
+					sum += float64(av * brow[kk])
 				}
 				drow[j] = sum
 			}
@@ -207,7 +207,7 @@ func Axpy(alpha float64, x, y []float64) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -225,7 +225,7 @@ func Dot(x, y []float64) float64 {
 	}
 	sum := 0.0
 	for i, v := range x {
-		sum += v * y[i]
+		sum += float64(v * y[i])
 	}
 	return sum
 }

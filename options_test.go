@@ -24,7 +24,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 	}{
 		{reflect.TypeFor[ddnnsim.Options](), []string{
 			"Iterations", "StartIteration", "CheckpointEvery", "Faults", "TraceBin", "Seed",
-			"NoOverlap", "LossEvery", "RecordIterations", "Trace", "Journal", "JournalBaseSec"}},
+			"NoOverlap", "LossEvery", "RecordIterations", "Trace"}},
 		{reflect.TypeFor[cluster.RecoveryConfig](), []string{
 			"Disabled", "CheckpointEvery", "RestartOverheadSec", "Sleep"}},
 		{reflect.TypeFor[replay.Options](), []string{"Mode", "SnapshotEvery"}},

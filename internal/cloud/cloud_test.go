@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"strconv"
@@ -152,26 +151,6 @@ func TestLaunchErrors(t *testing.T) {
 	}
 	if err := p.Terminate("i-missing"); err == nil {
 		t.Error("terminate of missing instance succeeded")
-	}
-}
-
-func TestCapacityLimit(t *testing.T) {
-	p := NewProvider(DefaultCatalog(), (&fakeClock{}).Clock())
-	p.SetCapacityLimit(M4XLarge, 2)
-	if _, err := p.Launch(M4XLarge, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, err := p.Launch(M4XLarge, 1, nil)
-	if !errors.Is(err, ErrCapacity) {
-		t.Errorf("err = %v, want ErrCapacity", err)
-	}
-	// Atomicity: nothing was created by the failed launch.
-	if p.RunningCount(M4XLarge) != 2 {
-		t.Errorf("running = %d, want 2", p.RunningCount(M4XLarge))
-	}
-	p.SetCapacityLimit(M4XLarge, 0) // lift the cap
-	if _, err := p.Launch(M4XLarge, 5, nil); err != nil {
-		t.Errorf("launch after lifting cap: %v", err)
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 )
 
 // ErrTransient is returned by Launch for injected transient control-plane
-// failures. Unlike ErrCapacity (a standing per-type limit), a transient
-// error is expected to clear on retry; callers should back off and retry
-// rather than fall back to another instance type.
+// failures. A transient error is expected to clear on retry: callers back
+// off and retry, and an error that outlives the retry budget fails the
+// launch like any other.
 var ErrTransient = errors.New("cloud: transient launch failure")
 
 // FaultPlan configures deterministic fault injection. All randomness
@@ -34,7 +34,7 @@ type FaultPlan struct {
 	// Seed drives every random draw of the plan.
 	Seed int64
 	// TransientRate is the probability in [0,1) that a Launch call fails
-	// with ErrTransient before touching capacity accounting.
+	// with ErrTransient before any instance is created.
 	TransientRate float64
 	// MaxConsecutiveTransient caps back-to-back injected transient
 	// failures so retrying callers always make progress (default 2).
@@ -272,7 +272,6 @@ func (p *Provider) failLocked(inst *Instance, now float64) {
 	}
 	inst.State = StateFailed
 	inst.TerminatedAt = now
-	p.running[inst.Type.Name]--
 	if p.fault != nil {
 		delete(p.fault.PreemptAt, inst.ID)
 	}

@@ -32,12 +32,6 @@ func TestTransientLaunchErrorsAreSeededAndCapped(t *testing.T) {
 	if _, err := p.Launch(M4XLarge, 1, nil); err != nil {
 		t.Fatalf("launch after cap: %v", err)
 	}
-	// ErrTransient must be distinct from ErrCapacity.
-	p2, _ := newFaultyProvider(FaultPlan{Seed: 1, TransientRate: 1})
-	_, err := p2.Launch(M4XLarge, 1, nil)
-	if errors.Is(err, ErrCapacity) {
-		t.Error("transient error matches ErrCapacity")
-	}
 }
 
 func TestTransientSequenceIsDeterministic(t *testing.T) {

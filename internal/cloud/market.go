@@ -18,8 +18,8 @@ import (
 
 // ErrSpotUnavailable is returned by LaunchSpot when the current market
 // price is above the bid: the provider will not hand out an instance
-// it would revoke immediately. Callers fall back to on-demand, as they
-// do for ErrCapacity.
+// it would revoke immediately. It is the one launch refusal callers
+// fall back from: the controller rebuilds the cluster on-demand.
 var ErrSpotUnavailable = errors.New("cloud: spot price above bid")
 
 // Market prices spot instances for a provider from replayable traces.

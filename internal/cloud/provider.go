@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 type providerMetrics struct {
 	launched    *obs.CounterVec
 	terminated  *obs.Counter
-	capacity    *obs.Counter
 	transient   *obs.Counter
 	preempted   *obs.Counter
 	launchDelay *obs.Histogram
@@ -34,8 +32,6 @@ func provObs() *providerMetrics {
 				"instances launched, by type", "type"),
 			terminated: reg.Counter("cynthia_cloud_instances_terminated_total",
 				"instances terminated"),
-			capacity: reg.Counter("cynthia_cloud_capacity_errors_total",
-				"launch requests denied by capacity limits"),
 			transient: reg.Counter("cynthia_cloud_transient_errors_total",
 				"launch requests failed by injected transient errors"),
 			preempted: reg.Counter("cynthia_cloud_preemptions_total",
@@ -111,10 +107,6 @@ type Instance struct {
 // the engine clock; real deployments pass wall time (WallClockFrom).
 type Clock func() float64
 
-// ErrCapacity is returned by Launch when the provider cannot satisfy the
-// request within its configured per-type capacity limit.
-var ErrCapacity = errors.New("cloud: insufficient capacity")
-
 // Provider simulates an IaaS control plane with launch/terminate/describe
 // and per-second billing. It is safe for concurrent use.
 type Provider struct {
@@ -123,8 +115,6 @@ type Provider struct {
 	clock     Clock
 	instances map[string]*Instance
 	nextID    int
-	limits    map[string]int   // optional per-type capacity limits
-	running   map[string]int   // running count per type
 	fault     *faultState      // optional fault injection (see faults.go)
 	market    *Market          // optional spot market (see market.go)
 	jrnl      *journal.Journal // optional flight recorder (see faults.go)
@@ -140,21 +130,7 @@ func NewProvider(catalog *Catalog, clock Clock) *Provider {
 		catalog:   catalog,
 		clock:     clock,
 		instances: make(map[string]*Instance),
-		limits:    make(map[string]int),
-		running:   make(map[string]int),
 	}
-}
-
-// SetCapacityLimit caps the number of simultaneously running instances of
-// the given type. A limit of 0 removes the cap.
-func (p *Provider) SetCapacityLimit(typeName string, limit int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if limit <= 0 {
-		delete(p.limits, typeName)
-		return
-	}
-	p.limits[typeName] = limit
 }
 
 // SetMarket attaches (or, with nil, detaches) a spot market. With a
@@ -228,11 +204,6 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 			return nil, ferr
 		}
 	}
-	if limit, ok := p.limits[typeName]; ok && p.running[typeName]+count > limit {
-		provObs().capacity.Inc()
-		return nil, fmt.Errorf("%w: %d running + %d requested > limit %d for %s",
-			ErrCapacity, p.running[typeName], count, limit, typeName)
-	}
 	if delay > 0 {
 		provObs().launchDelay.Observe(delay)
 	}
@@ -271,7 +242,6 @@ func (p *Provider) launch(typeName string, count int, tags map[string]string, sp
 		p.journalLocked(journal.InstanceLaunched, inst, now)
 		out = append(out, inst)
 	}
-	p.running[typeName] += count
 	provObs().launched.With(typeName).Add(int64(count))
 	return out, nil
 }
@@ -291,7 +261,6 @@ func (p *Provider) Terminate(id string) error {
 	now := p.clock()
 	inst.State = StateTerminated
 	inst.TerminatedAt = now
-	p.running[inst.Type.Name]--
 	if p.fault != nil {
 		delete(p.fault.PreemptAt, id)
 	}
@@ -322,14 +291,13 @@ func (p *Provider) RunningCount(typeName string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.applyDueLocked(p.clock())
-	if typeName != "" {
-		return p.running[typeName]
+	n := 0
+	for _, inst := range p.instances {
+		if !inst.State.Finished() && (typeName == "" || inst.Type.Name == typeName) {
+			n++
+		}
 	}
-	total := 0
-	for _, n := range p.running {
-		total += n
-	}
-	return total
+	return n
 }
 
 // Bill returns the accumulated cost in USD across all instances, charging

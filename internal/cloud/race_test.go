@@ -11,15 +11,13 @@ import (
 
 // TestProviderConcurrentInvariants hammers one Provider from many
 // goroutines — launches, terminations, billing, listing, journaling, and
-// injected faults all at once — and checks that the capacity and billing
-// invariants survive. Run under -race this also proves the locking.
+// injected faults all at once — and checks that the running-count and
+// billing invariants survive. Run under -race this also proves the locking.
 func TestProviderConcurrentInvariants(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() float64 { return float64(tick.Load()) }
 	p := NewProvider(DefaultCatalog(), clock)
 
-	const limit = 12
-	p.SetCapacityLimit(M4XLarge, limit)
 	p.SetFaultPlan(FaultPlan{
 		Seed:          77,
 		TransientRate: 0.1,
@@ -47,13 +45,10 @@ func TestProviderConcurrentInvariants(t *testing.T) {
 					for _, inst := range insts {
 						mine = append(mine, inst.ID)
 					}
-				case errors.Is(err, ErrCapacity) || errors.Is(err, ErrTransient):
-					// expected under contention and fault injection
+				case errors.Is(err, ErrTransient):
+					// expected under fault injection
 				default:
 					t.Errorf("goroutine %d: launch: %v", g, err)
-				}
-				if n := p.RunningCount(M4XLarge); n > limit {
-					t.Errorf("goroutine %d: running count %d exceeds limit %d", g, n, limit)
 				}
 				if b := p.Bill(); b < 0 {
 					t.Errorf("goroutine %d: negative bill %v", g, b)
@@ -74,9 +69,9 @@ func TestProviderConcurrentInvariants(t *testing.T) {
 	wg.Wait()
 
 	// Settle every scheduled fault, then check the final accounting from a
-	// single thread: per-type running counter must equal the number of
-	// instances actually in running state, never above the limit, and the
-	// bill must equal the straightforward per-instance sum.
+	// single thread: the running count must equal the number of instances
+	// actually in running state, and the bill must equal the
+	// straightforward per-instance sum.
 	tick.Add(10_000)
 	p.ApplyDueFaults()
 	now := clock()
@@ -97,9 +92,6 @@ func TestProviderConcurrentInvariants(t *testing.T) {
 	}
 	if got := p.RunningCount(M4XLarge); got != running {
 		t.Errorf("RunningCount = %d, but %d instances are in running state", got, running)
-	}
-	if running > limit {
-		t.Errorf("%d instances running, limit %d", running, limit)
 	}
 	if got := p.Bill(); got < wantBill*0.999999 || got > wantBill*1.000001 {
 		t.Errorf("Bill = %v, want %v", got, wantBill)

@@ -9,7 +9,7 @@ import (
 )
 
 // Crash-durability support: a Provider's entire simulated world — every
-// instance, the ID counter, capacity limits, and the fault injector
+// instance, the ID counter, and the fault injector
 // including its RNG stream position — serializes into a ProviderState
 // and restores bit-exactly. The live injector embeds its FaultState, so
 // every field it persists is declared once. math/rand.Rand state is
@@ -39,11 +39,10 @@ func (fs FaultState) clone() FaultState {
 
 // ProviderState is the serializable world of a Provider.
 type ProviderState struct {
-	ClockSec  float64        `json:"clock_sec"`
-	NextID    int            `json:"next_id"`
-	Instances []Instance     `json:"instances,omitempty"`
-	Limits    map[string]int `json:"limits,omitempty"`
-	Fault     *FaultState    `json:"fault,omitempty"`
+	ClockSec  float64     `json:"clock_sec"`
+	NextID    int         `json:"next_id"`
+	Instances []Instance  `json:"instances,omitempty"`
+	Fault     *FaultState `json:"fault,omitempty"`
 }
 
 // ExportState snapshots the provider world for a durability snapshot.
@@ -60,7 +59,6 @@ func (p *Provider) ExportState(frozen func(id string) bool) ProviderState {
 	st := ProviderState{
 		ClockSec: p.clock(),
 		NextID:   p.nextID,
-		Limits:   maps.Clone(p.limits),
 	}
 	for _, inst := range p.instances {
 		switch {
@@ -81,24 +79,16 @@ func (p *Provider) ExportState(frozen func(id string) bool) ProviderState {
 // RestoreState rebuilds the provider world from a snapshot. The clock is
 // NOT restored here — the caller owns the clock (simulations restore
 // their simulated clock; cmd/master resumes from ClockSec via
-// WallClockFrom). Running counts are recomputed from the instances.
+// WallClockFrom).
 func (p *Provider) RestoreState(st ProviderState) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nextID = st.NextID
 	p.instances = make(map[string]*Instance, len(st.Instances))
-	p.running = make(map[string]int)
 	for _, inst := range st.Instances {
 		cp := inst
 		cp.Tags = copyTags(inst.Tags)
 		p.instances[cp.ID] = &cp
-		if cp.State == StateRunning || cp.State == StatePending {
-			p.running[cp.Type.Name]++
-		}
-	}
-	p.limits = make(map[string]int, len(st.Limits))
-	for k, v := range st.Limits {
-		p.limits[k] = v
 	}
 	if st.Fault == nil {
 		p.fault = nil

@@ -6,7 +6,6 @@ import (
 
 	"cynthia/internal/cloud"
 	"cynthia/internal/model"
-	"cynthia/internal/obs/journal"
 	"cynthia/internal/plan"
 )
 
@@ -240,68 +239,5 @@ func TestControllerValidation(t *testing.T) {
 	}
 	if job.Status != StatusFailed || job.Err == "" {
 		t.Errorf("failed job not recorded: %+v", job)
-	}
-}
-
-func TestControllerCapacityFailure(t *testing.T) {
-	master := newMaster(t)
-	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
-	for _, it := range provider.Catalog().Types() {
-		provider.SetCapacityLimit(it.Name, 1)
-	}
-	ctl := NewController(master, provider, nil, "")
-	w, _ := model.WorkloadByName("cifar10 DNN")
-	job, err := ctl.Submit(w, plan.Goal{TimeSec: 5400, LossTarget: 0.8})
-	if err == nil {
-		t.Errorf("capacity-starved submit succeeded: %+v", job)
-	}
-	if job.Status != StatusFailed {
-		t.Errorf("status = %s", job.Status)
-	}
-	if n := provider.RunningCount(""); n != 0 {
-		t.Errorf("%d instances leaked after failure", n)
-	}
-}
-
-func TestControllerCapacityFallbackToOtherType(t *testing.T) {
-	master := newMaster(t)
-	provider := cloud.NewProvider(cloud.DefaultCatalog(), nil)
-	// Exhaust the planner's first choice so the controller must fall back
-	// to a different (pricier) instance type that still meets the goal.
-	ctl := NewController(master, provider, nil, "")
-	w, _ := model.WorkloadByName("cifar10 DNN")
-
-	// Find out what the planner would pick, then cap that type to zero.
-	first, err := ctl.Submit(w, plan.Goal{TimeSec: 7200, LossTarget: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	provider.SetCapacityLimit(first.Plan.Type.Name, 1) // not enough for the plan
-	second, err := ctl.Submit(w, plan.Goal{TimeSec: 7200, LossTarget: 0.8})
-	if err != nil {
-		t.Fatalf("fallback submit failed: %v", err)
-	}
-	if second.Status != StatusSucceeded {
-		t.Fatalf("fallback job status = %s (%s)", second.Status, second.Err)
-	}
-	if second.Plan.Type.Name == first.Plan.Type.Name {
-		t.Errorf("fallback reused the capped type %s", first.Plan.Type.Name)
-	}
-	// The fallback plan was journaled.
-	found := false
-	for _, e := range jobEventsOf(master.Journal(), second.ID, journal.PlanChosen) {
-		if fieldOf(e, "fallback") == "true" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no job.plan.chosen event with fallback=true")
-	}
-	// So was the capacity error that forced it, once, naming the starved type.
-	if fb := jobEventsOf(master.Journal(), second.ID, journal.CapacityFallback); len(fb) != 1 || fieldOf(fb[0], "type") != first.Plan.Type.Name {
-		t.Errorf("job.capacity.fallback events = %+v, want one naming %s", fb, first.Plan.Type.Name)
-	}
-	if n := provider.RunningCount(""); n != 0 {
-		t.Errorf("%d instances leaked", n)
 	}
 }

@@ -85,17 +85,6 @@ func (c *Controller) planningCatalog() (*cloud.Catalog, map[string]marketChoice,
 	return cat, choices, nil
 }
 
-// adoptChoice applies a search result's market choice to the run state:
-// spot market and bid if the chosen type was spot-priced, on-demand
-// otherwise.
-func (st *runState) adoptChoice(ch marketChoice) {
-	if ch.spot {
-		st.Market, st.BidPerHour = MarketSpot, ch.bid
-		return
-	}
-	st.Market, st.BidPerHour = "", 0
-}
-
 // repriceCurrent refreshes the run state's plan price to the current
 // market: a spot cluster's effective hourly price follows the trace, so
 // cost accounting and the keep-vs-rebuild comparison both use the price
@@ -214,11 +203,7 @@ func (c *Controller) elasticScale(st *runState, p plan.Plan, ch marketChoice, ov
 	job := st.job
 	from := fmt.Sprintf("%dx %s + %d PS", st.Plan.Workers, st.Plan.Type.Name, st.Plan.PS)
 	c.teardown(job)
-	st.Plan = p
-	st.adoptChoice(ch)
-	c.mu.Lock()
-	job.Plan = p
-	c.mu.Unlock()
+	c.adopt(st, p, ch)
 	c.chargeTime(st, overhead)
 	st.BurnRec += overhead
 	if err := c.provision(st); err != nil {

@@ -127,11 +127,10 @@ func (c *Controller) chargeTime(st *runState, dt float64) {
 }
 
 // launchRetry launches instances, retrying transient errors with capped
-// exponential backoff. Capacity errors are returned immediately — they
-// are a standing limit, not a blip, and the caller's ranked-candidate
-// fallback handles them. Spot launches (spot true) bid bidPerHour on
-// the market; a price above the bid (cloud.ErrSpotUnavailable) is not
-// transient either and also returns immediately.
+// exponential backoff; any other error, and a transient one that
+// outlives the budget, is returned. Spot launches (spot true) bid
+// bidPerHour on the market; a price above the bid
+// (cloud.ErrSpotUnavailable) is not transient and returns immediately.
 func (c *Controller) launchRetry(job *Job, typeName string, n int, rc RecoveryConfig, spot bool, bidPerHour float64) ([]*cloud.Instance, error) {
 	delay := retryBase
 	var err error
@@ -403,13 +402,9 @@ func (c *Controller) replan(st *runState, remaining int, budget float64) (bool, 
 	}
 	c.jbind(job).Emit(journal.RecoveryReplan, replanFields...)
 	c.teardown(job)
-	st.Plan = p
-	st.adoptChoice(choices[p.Type.Name])
 	// TotalIters is pinned to the original loss-target budget; the new
 	// plan only changes the cluster shape, not how much work remains.
-	c.mu.Lock()
-	job.Plan = p
-	c.mu.Unlock()
+	c.adopt(st, p, choices[p.Type.Name])
 	if err := c.provision(st); err != nil {
 		return false, fmt.Errorf("cluster: re-provisioning after re-plan: %w", err)
 	}
@@ -442,18 +437,16 @@ func (c *Controller) residualSearch(st *runState, remaining int, budget float64)
 
 // replace launches like-for-like replacements for the dead instances,
 // joins them, and re-schedules the lost pods (the spread scheduler lands
-// them on the fresh nodes, which have the most free cores). If the type
-// has no capacity left, the whole cluster is rebuilt via the ranked
-// fallback instead.
+// them on the fresh nodes, which have the most free cores). If the spot
+// market refuses the old bid, the whole cluster is rebuilt on-demand
+// instead.
 func (c *Controller) replace(st *runState, failed []cloud.Instance) error {
 	job := st.job
 	insts, err := c.launchRetry(job, st.Plan.Type.Name, len(failed), st.rc,
 		st.Market == MarketSpot, st.BidPerHour)
-	if fallbackable(err) {
-		c.jbind(job).Emit(journal.CapacityFallback,
-			journal.F("type", st.Plan.Type.Name), journal.F("error", err.Error()))
+	if errors.Is(err, cloud.ErrSpotUnavailable) {
 		c.teardown(job)
-		return c.provision(st)
+		return c.onDemand(st, err)
 	}
 	if err != nil {
 		return err

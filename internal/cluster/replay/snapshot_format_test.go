@@ -97,19 +97,23 @@ func TestSlotFormatPinned(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithRankedStillRestores: segment states used to persist
-// their plan's ranked candidate list. testdata/world-snapshot-ranked.json
-// is the world of TestSnapshotFormatPinned as those builds wrote it. A
-// state directory holding it must still open — the snapshot decoder
-// ignores the field it no longer knows — and restore to exactly the
-// world the current format pins.
+// TestSnapshotWithRankedStillRestores: older builds persisted two fields
+// the format has since dropped, each segment state's ranked candidate
+// list and the provider's per-type capacity limits.
+// testdata/world-snapshot-ranked.json is the world of
+// TestSnapshotFormatPinned as those builds wrote it. A state directory
+// holding it must still open — the snapshot decoder ignores the fields
+// it no longer knows — and restore to exactly the world the current
+// format pins.
 func TestSnapshotWithRankedStillRestores(t *testing.T) {
 	old, err := os.ReadFile("testdata/world-snapshot-ranked.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(old, []byte(`"ranked":`)) {
-		t.Fatal("fixture holds no ranked candidate list")
+	for _, field := range []string{`"ranked":`, `"limits":`} {
+		if !bytes.Contains(old, []byte(field)) {
+			t.Fatalf("fixture holds no retired %s field", field)
+		}
 	}
 	want, err := os.ReadFile("testdata/world-snapshot.json")
 	if err != nil {

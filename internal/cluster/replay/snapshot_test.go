@@ -143,10 +143,6 @@ func (w *modelWorld) step() {
 			}
 		}
 	}
-	w.ps.Limits = nil
-	if r.Intn(2) == 0 {
-		w.ps.Limits = map[string]int{"m4.xlarge": 4 + r.Intn(8), "c4.large": 2}
-	}
 	w.ps.Fault = nil
 	if r.Intn(2) == 0 {
 		w.ps.Fault = &cloud.FaultState{
@@ -165,8 +161,7 @@ func (w *modelWorld) step() {
 		w.ms.Pods = []cluster.Pod{{Name: "p-1", Role: cluster.RoleWorker, Job: "job-1", Node: "node-a"}}
 	}
 	for cond, set := range map[string]bool{
-		"segments": len(w.cs.Segments) > 0, "limits": w.ps.Limits != nil,
-		"fault": w.ps.Fault != nil, "src_seqs": w.src != nil,
+		"segments": len(w.cs.Segments) > 0, "fault": w.ps.Fault != nil, "src_seqs": w.src != nil,
 	} {
 		w.seen[fmt.Sprintf("%s=%v", cond, set)] = true
 	}
@@ -283,7 +278,7 @@ func TestSnapshotSlotsRestoreEveryWorld(t *testing.T) {
 	for _, want := range []string{
 		"planning", "provisioning", "running", "recovering", "succeeded", "missed-goal", "failed",
 		"launched", "instance-terminated", "instance-failed",
-		"segments=true", "segments=false", "limits=true", "limits=false",
+		"segments=true", "segments=false",
 		"fault=true", "fault=false", "src_seqs=true", "src_seqs=false",
 	} {
 		if !w.seen[want] {

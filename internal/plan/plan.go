@@ -23,7 +23,7 @@
 //     break, ending each type's scan at its first feasible candidate, and
 //     folds each type into the answer as its scan ends; on a shared
 //     catalog without a flight recorder it allocates nothing. Candidates,
-//     the rare capacity fallback, is the only exhaustive scan. A per-type
+//     the rare on-demand fallback, is the only exhaustive scan. A per-type
 //     parallel scan was measured slower than serial at 2 procs (a type
 //     scan costs less than a goroutine hand-off) and removed.
 //
